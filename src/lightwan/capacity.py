@@ -30,16 +30,14 @@ class MwCostModel:
     """Build and operating costs for microwave links."""
 
     link_cost_1gbps: float = 150000.0
-    link_cost_500mbps: float = 75000.0
     new_tower: float = 100000.0
     rent_per_tower_year: float = 37500.0  # midpoint of the 25-50k range
     term_years: int = 5
     per_series_capacity_gbps: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.link_cost_1gbps, self.link_cost_500mbps, self.new_tower,
-               self.rent_per_tower_year, self.term_years,
-               self.per_series_capacity_gbps) < 0:
+        if min(self.link_cost_1gbps, self.new_tower, self.rent_per_tower_year,
+               self.term_years, self.per_series_capacity_gbps) < 0:
             raise ValueError("cost model values must be >= 0")
 
 

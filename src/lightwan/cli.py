@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
+import math
 import os
 import sys
 
 from . import capacity, designer, fiberbase, geo, los, simnet, traffic, weather
-from .graphcore import shortest_path_lengths
 from .traffic import TrafficMatrix, pair_key
 
 DEFAULT_CONFIG: dict = {
@@ -53,8 +54,7 @@ DEFAULT_CONFIG: dict = {
         "max_per_cell": 50,
     },
     "mw_cost": {
-        "link_cost_1gbps": 150000.0, "link_cost_500mbps": 75000.0,
-        "new_tower": 100000.0, "rent_per_tower_year": 37500.0,
+        "link_cost_1gbps": 150000.0, "new_tower": 100000.0, "rent_per_tower_year": 37500.0,
         "term_years": 5, "per_series_capacity_gbps": 1.0,
     },
     "lease_cost": {
@@ -201,17 +201,15 @@ def _fiber_pair_lengths(fiber: fiberbase.FiberGraph, sites) -> dict:
                    key=lambda ep: (geo.geodesic_km(site.location, ep.location), ep.id))
         nearest[site.id] = best.id
         stub[site.id] = geo.geodesic_km(site.location, best.location)
-    g = fiber.graph()
+    index, dist = fiber.distances()
     out = {}
     ordered = sorted(sites, key=lambda s: s.id)
     for i, a in enumerate(ordered):
-        lengths = shortest_path_lengths(g, nearest[a.id])
+        row = dist[index[nearest[a.id]]]
         for b in ordered[i + 1:]:
-            ep = nearest[b.id]
-            if ep in lengths:
-                km = stub[a.id] + lengths[ep] + stub[b.id]
-                if km > 0:
-                    out[pair_key(a.id, b.id)] = km
+            km = stub[a.id] + row[index[nearest[b.id]]] + stub[b.id]
+            if 0 < km < math.inf:
+                out[pair_key(a.id, b.id)] = km
     return out
 
 
@@ -258,13 +256,14 @@ def _assemble_input(cfg, budget: float) -> designer.DesignInput:
 def cmd_design(cfg, args) -> int:
     outdir = _outdir(args)
     ladder = list(cfg["budget_ladder"]) or [cfg["budget"]]
+    # Nothing but the budget varies along the ladder: build the instance once.
+    if cfg.get("instance_json"):
+        base = designer.load_design_input(cfg["instance_json"])
+    else:
+        base = _assemble_input(cfg, float(ladder[0]))
     stats_rows = []
     for budget in ladder:
-        if cfg.get("instance_json"):
-            inp = designer.load_design_input(cfg["instance_json"])
-            inp.budget = float(budget)
-        else:
-            inp = _assemble_input(cfg, float(budget))
+        inp = dataclasses.replace(base, budget=float(budget))
         design = designer.solve_heuristic(inp)
         tag = f"{budget:g}"
         designer.save_design_input(inp, os.path.join(outdir, f"instance_B{tag}.json"))

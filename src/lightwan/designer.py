@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .fiberbase import StretchStats, stretch_stats
 from .geo import GeoPoint, Site, geodesic_km
-from .graphcore import WeightedGraph, shortest_path_lengths, shortest_paths_from
+from .graphcore import WeightedGraph, distance_matrix, shortest_paths_from, weight_matrix
 from .los import HopGraph
 from .traffic import Pair, TrafficMatrix, pair_key
 
@@ -112,24 +114,29 @@ class NetworkDesign:
 
 
 class HybridEvaluator:
-    """Caches objective evaluations of built-link subsets for one instance."""
+    """Hybrid weights and cached objectives for one instance; matrices follow inp.site_ids."""
 
     def __init__(self, inp: DesignInput) -> None:
         self.inp = inp
         self._cache: dict[frozenset, float] = {}
-        self._base = WeightedGraph()
-        for sid in inp.site_ids:
-            self._base.add_node(sid)
-        for (a, b), o in inp.fiber_km_eq.items():
-            self._base.add_edge(a, b, o)
+        self.index = {s: i for i, s in enumerate(inp.site_ids)}
+        self.fiber = weight_matrix(inp.site_ids, inp.fiber_km_eq)
+        demands = list(inp.traffic.items())
+        self._rows = np.array([self.index[a] for (a, _), _ in demands], dtype=int)
+        self._cols = np.array([self.index[b] for (_, b), _ in demands], dtype=int)
+        self._coef = np.array([h / inp.geodesic[pair] for pair, h in demands])
 
-    def graph_for(self, built: Iterable[Pair]) -> WeightedGraph:
-        g = self._base.copy()
+    def graph_for(self, built: Iterable[Pair]) -> np.ndarray:
+        """Latency-equivalent km weights of fiber plus the built MW links. A
+        built link replaces its fiber link only when strictly shorter (a tie
+        stays fiber, as in eliminate_dominated)."""
+        w = self.fiber.copy()
         for pair in built:
+            i, j = self.index[pair[0]], self.index[pair[1]]
             m = self.inp.mw_km[pair]
-            if not g.has_edge(*pair) or m < g.edge_weight(*pair):
-                g.add_edge(pair[0], pair[1], m)
-        return g
+            if m < w[i, j]:
+                w[i, j] = w[j, i] = m
+        return w
 
     def objective(self, built: frozenset) -> float:
         """Sum over pairs of (h/d) x routed latency-equivalent km; +inf when
@@ -137,20 +144,8 @@ class HybridEvaluator:
         cached = self._cache.get(built)
         if cached is not None:
             return cached
-        g = self.graph_for(built)
-        total = 0.0
-        by_src: dict[str, list[tuple[str, float, float]]] = {}
-        for (a, b), h in self.inp.traffic.items():
-            by_src.setdefault(a, []).append((b, h, self.inp.geodesic[(a, b)]))
-        for src, targets in by_src.items():
-            lengths = shortest_path_lengths(g, src)
-            for dst, h, d in targets:
-                if dst not in lengths:
-                    total = math.inf
-                    break
-                total += h / d * lengths[dst]
-            if math.isinf(total):
-                break
+        lengths = distance_matrix(self.graph_for(built))[self._rows, self._cols]
+        total = float(self._coef @ lengths) if np.isfinite(lengths).all() else math.inf
         self._cache[built] = total
         return total
 
@@ -171,20 +166,11 @@ def objective(inp: DesignInput, design: NetworkDesign) -> float:
 
 
 def fiber_shortest_lengths(inp: DesignInput) -> dict[Pair, float]:
-    """Shortest fiber-only latency-equivalent km per site pair."""
-    g = WeightedGraph()
-    for sid in inp.site_ids:
-        g.add_node(sid)
-    for (a, b), o in inp.fiber_km_eq.items():
-        g.add_edge(a, b, o)
-    out: dict[Pair, float] = {}
+    """Shortest fiber-only latency-equivalent km per connected site pair."""
     ids = inp.site_ids
-    for i, s in enumerate(ids):
-        lengths = shortest_path_lengths(g, s)
-        for t in ids[i + 1:]:
-            if t in lengths:
-                out[(s, t)] = lengths[t]
-    return out
+    dist = distance_matrix(weight_matrix(ids, inp.fiber_km_eq)).tolist()
+    return {(s, t): dist[i][j] for i, s in enumerate(ids)
+            for j, t in enumerate(ids) if i < j and math.isfinite(dist[i][j])}
 
 
 def eliminate_dominated(inp: DesignInput) -> list[Pair]:
@@ -389,30 +375,31 @@ def evaluate_design(inp: DesignInput, built_links: Sequence[Pair]) -> NetworkDes
         raise ValueError(f"built links cost {towers} towers, budget is {inp.budget}")
 
     ev = HybridEvaluator(inp)
-    g = ev.graph_for(built)
-    built_set = set(built)
+    w = ev.graph_for(built)
+    dist = distance_matrix(w).tolist()
+    ids = inp.site_ids
+    g = WeightedGraph()
+    for i, a in enumerate(ids):
+        g.add_node(a)
+        for j in range(i):
+            if math.isfinite(w[i, j]):
+                g.add_edge(ids[j], a, float(w[i, j]))
 
     def edge_medium(a: str, b: str) -> str:
-        key = pair_key(a, b)
-        if key in built_set:
-            o = inp.fiber_km_eq.get(key)
-            if o is None or inp.mw_km[key] <= o:
-                return "mw"
-        return "fiber"
+        i, j = ev.index[a], ev.index[b]
+        return "mw" if w[i, j] < ev.fiber[i, j] else "fiber"
 
-    ids = inp.site_ids
     routes: dict[Pair, PairRoute] = {}
     per_pair_stretch: dict[Pair, float] = {}
     for i, src in enumerate(ids):
         paths = shortest_paths_from(g, src)
-        for dst in ids[i + 1:]:
+        for j, dst in enumerate(ids[i + 1:], i + 1):
             p = paths.get(dst)
             if p is None:
                 raise InfeasibleDesignError(f"pair ({src}, {dst}) cannot be routed")
-            d = inp.geodesic[(src, dst)]
             media = tuple(edge_medium(u, v) for u, v in p.edges)
-            s = p.total_weight / d
-            routes[(src, dst)] = PairRoute(p.nodes, media, p.total_weight, s)
+            s = dist[i][j] / inp.geodesic[(src, dst)]
+            routes[(src, dst)] = PairRoute(p.nodes, media, dist[i][j], s)
             per_pair_stretch[(src, dst)] = s
     stats = stretch_stats(per_pair_stretch, inp.traffic)
     return NetworkDesign(tuple(built), routes, stats, towers, inp.budget)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geo import GeoPoint, LatencyModel, geodesic_km
-from .graphcore import WeightedGraph, bridges, shortest_path_lengths, shortest_paths_from
+from .graphcore import WeightedGraph, bridges, distance_matrix, shortest_paths_from, weight_matrix
 from .traffic import Pair, TrafficMatrix, pair_key
 
 logger = logging.getLogger(__name__)
@@ -68,6 +68,13 @@ class FiberGraph:
         for (a, b), km in self.links.items():
             g.add_edge(a, b, km)
         return g
+
+    def distances(self) -> tuple[dict[str, int], list[list[float]]]:
+        """Endpoint index and shortest-path fiber km between all endpoints
+        (inf where disconnected)."""
+        nodes = list(self.endpoints)
+        dist = distance_matrix(weight_matrix(nodes, self.links))
+        return {n: i for i, n in enumerate(nodes)}, dist.tolist()
 
     def copy(self) -> "FiberGraph":
         g = FiberGraph()
@@ -166,21 +173,21 @@ def pair_stretches(g: FiberGraph, sites: Sequence[str],
     for s in sites:
         if s not in g.endpoints:
             raise KeyError(f"unknown site {s!r}")
-    wg = g.graph()
+    index, dist = g.distances()
     ordered = sorted(set(sites))
     out: dict[Pair, float] = {}
     excluded = 0
     for i, s in enumerate(ordered):
-        lengths = shortest_path_lengths(wg, s)
         for t in ordered[i + 1:]:
-            if t not in lengths:
+            km = dist[index[s]][index[t]]
+            if math.isinf(km):
                 logger.warning("site pair (%s, %s) disconnected in fiber graph", s, t)
                 excluded += 1
                 continue
             d = geodesic_km(g.endpoints[s].location, g.endpoints[t].location)
             if d == 0:
                 raise ValueError(f"coincident sites ({s}, {t}): stretch undefined")
-            out[(s, t)] = lengths[t] * model.fiber_slowdown / d
+            out[(s, t)] = km * model.fiber_slowdown / d
     return out, excluded
 
 

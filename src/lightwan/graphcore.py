@@ -1,15 +1,21 @@
 """Weighted-graph algorithms shared across the toolkit.
 
-Shortest paths break ties toward the lexicographically smallest node-id
-sequence so that designs are reproducible; graphs are treated as
-immutable during queries.
+Distances between sites come from one dense kernel, `distance_matrix`
+(Floyd-Warshall over a `weight_matrix`). Dijkstra remains only where node
+sequences are needed: routes in design evaluation, site links, disjoint
+tower paths and simulator routing, with ties broken toward the
+lexicographically smallest node-id sequence so designs are reproducible.
+`shortest_path_lengths` also builds the simulator's downhill DAGs and is
+the tests' oracle for the kernel. Graphs are immutable during queries.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -146,21 +152,24 @@ def shortest_path_lengths(g: WeightedGraph, src: str) -> dict[str, float]:
     return dist
 
 
-def all_pairs_site_paths(g: WeightedGraph, sites: Iterable[str]) -> dict[str, dict[str, float]]:
-    """Symmetric matrix of shortest-path weights between the given sites.
+def weight_matrix(nodes: Sequence[str], edges: Mapping[tuple[str, str], float]) -> np.ndarray:
+    """Dense symmetric weights over `nodes` in the given order: 0 on the
+    diagonal, inf where no edge joins two nodes."""
+    index = {n: i for i, n in enumerate(nodes)}
+    w = np.full((len(index), len(index)), np.inf)
+    np.fill_diagonal(w, 0.0)
+    for (a, b), weight in edges.items():
+        w[index[a], index[b]] = w[index[b], index[a]] = weight
+    return w
 
-    Entries for disconnected pairs are absent; the diagonal is zero.
-    """
-    site_list = sorted(set(sites))
-    _check_nodes(g, *site_list)
-    out: dict[str, dict[str, float]] = {s: {s: 0.0} for s in site_list}
-    for i, s in enumerate(site_list):
-        lengths = shortest_path_lengths(g, s)
-        for t in site_list[i + 1:]:
-            if t in lengths:
-                out[s][t] = lengths[t]
-                out[t][s] = lengths[t]
-    return out
+
+def distance_matrix(weights: np.ndarray) -> np.ndarray:
+    """All-pairs shortest-path lengths of a dense weight matrix (inf where
+    disconnected): Floyd-Warshall, one min-plus update per intermediate node."""
+    d = np.array(weights, dtype=float)
+    for k in range(len(d)):
+        np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :], out=d)
+    return d
 
 
 def tower_disjoint_paths(g: WeightedGraph, src: str, dst: str, n: int) -> list[Path]:

@@ -101,18 +101,20 @@ def topology_from_design(inp: DesignInput, design: NetworkDesign,
                          link_capacities: dict[Pair, float] | None = None,
                          fiber_capacity_gbps: float = 1000.0,
                          per_series_capacity_gbps: float = 1.0) -> SimTopology:
-    """Operational topology: built MW links plus the fiber links any route
-    uses. MW capacities come from `link_capacities` (e.g. k^2 x series
-    capacity out of an augmentation plan), defaulting to one series."""
-    links = []
-    for pair in design.built_links:
-        cap = (link_capacities or {}).get(pair, per_series_capacity_gbps)
-        links.append(SimLink(pair[0], pair[1], inp.mw_km[pair], "mw", cap))
+    """Operational topology: the fiber links any route uses plus the built
+    MW links, except one whose pair routes over fiber (it is not shorter).
+    MW capacities come from `link_capacities` (e.g. k^2 x series capacity
+    out of an augmentation plan), defaulting to one series."""
     fiber_used: set[Pair] = set()
     for route in design.routes.values():
         for (u, v), medium in zip(route.edges, route.media):
             if medium == "fiber":
                 fiber_used.add(pair_key(u, v))
+    links = []
+    for pair in design.built_links:
+        if pair not in fiber_used:
+            cap = (link_capacities or {}).get(pair, per_series_capacity_gbps)
+            links.append(SimLink(pair[0], pair[1], inp.mw_km[pair], "mw", cap))
     for pair in sorted(fiber_used):
         km = inp.fiber_km_eq[pair] / inp.fiber_slowdown
         links.append(SimLink(pair[0], pair[1], km, "fiber", fiber_capacity_gbps))

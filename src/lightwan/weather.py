@@ -18,7 +18,7 @@ import numpy as np
 from .designer import DesignInput, HybridEvaluator, NetworkDesign
 from .fiberbase import StretchStats, stretch_stats, weighted_quantile
 from .geo import GeoPoint, geodesic_km
-from .graphcore import shortest_path_lengths
+from .graphcore import distance_matrix
 from .los import TerrainGrid, _path_samples
 from .traffic import Pair
 
@@ -174,17 +174,10 @@ def stretch_under_failures(inp: DesignInput, design: NetworkDesign,
     """Per-pair stretch with the failed MW links removed (fiber always up)."""
     failed_set = set(failed)
     surviving = [p for p in design.built_links if p not in failed_set]
-    g = HybridEvaluator(inp).graph_for(surviving)
+    dist = distance_matrix(HybridEvaluator(inp).graph_for(surviving)).tolist()
     ids = inp.site_ids
-    out: dict[Pair, float] = {}
-    for i, src in enumerate(ids):
-        lengths = shortest_path_lengths(g, src)
-        for dst in ids[i + 1:]:
-            if dst not in lengths:
-                out[(src, dst)] = math.inf
-            else:
-                out[(src, dst)] = lengths[dst] / inp.geodesic[(src, dst)]
-    return out
+    return {(s, t): dist[i][j] / inp.geodesic[(s, t)]
+            for i, s in enumerate(ids) for j, t in enumerate(ids) if i < j}
 
 
 def reroute_and_stats(inp: DesignInput, design: NetworkDesign,

@@ -254,9 +254,10 @@ def test_criterion_9_oracle_equivalence():
                     and abs(got - want) > 1e-9:
                 paths_ok = False
     sites = names[:40]
-    ap = graphcore.all_pairs_site_paths(g, sites)
-    ap_ok = all(abs(ap[s].get(t, math.inf) - mat[idx[s], idx[t]]) <= 1e-9
-                or (t not in ap[s] and math.isinf(mat[idx[s], idx[t]]))
+    ap = graphcore.distance_matrix(
+        graphcore.weight_matrix(names, {(a, b): w for a, b, w in g.edges()}))
+    ap_ok = all(abs(ap[idx[s], idx[t]] - mat[idx[s], idx[t]]) <= 1e-9
+                or (math.isinf(ap[idx[s], idx[t]]) and math.isinf(mat[idx[s], idx[t]]))
                 for s in sites for t in sites)
 
     # Demand routing and design evaluation against independent oracles.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lightwan import capacity, designer, los
+from lightwan import capacity, designer, los, simnet
 from lightwan.capacity import (
     AugmentationPlan, LinkAugmentation, MwCostModel, augment, mw_cost,
     parallel_spacing_km, route_demand, series_needed,
@@ -69,6 +69,21 @@ def test_route_demand_single_pair_full_path():
     _, design = two_site_design()
     loads = route_demand(design, TrafficMatrix({("aa", "bb"): 1.0}), 100.0)
     assert loads.mw == {("aa", "bb"): 100.0}
+
+
+def test_mw_link_tying_fiber_routes_as_fiber():
+    # A user-supplied design builds a MW link exactly as long as its fiber
+    # link. Routing keeps fiber on a tie, so the route labels the edge
+    # fiber and the MW link carries no load.
+    d = geodesic_km(GeoPoint(0, 0), GeoPoint(0, 1))
+    inp, design = two_site_design(mw_len=1.6 * d)
+    assert inp.mw_km[("aa", "bb")] == inp.fiber_km_eq[("aa", "bb")]
+    assert design.routes[("aa", "bb")].media == ("fiber",)
+    loads = route_demand(design, inp.traffic, 10.0)
+    assert loads.mw.get(("aa", "bb"), 0.0) == 0.0
+    assert loads.fiber == {("aa", "bb"): 10.0}
+    topo = simnet.topology_from_design(inp, design)
+    assert [(l.a, l.b, l.medium) for l in topo.links] == [("aa", "bb", "fiber")]
 
 
 def test_route_demand_matches_bruteforce_accumulation():

@@ -308,10 +308,16 @@ def test_exit_code_on_empty_tower_file(tmp_path):
     assert main(["hopgraph", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
 
 
-def test_exit_code_on_unknown_config_key(tmp_path):
+def test_exit_code_on_unknown_config_key(tmp_path, capsys):
     cfgp = write_config(tmp_path, demo_config())
     assert main(["design", "--config", cfgp, "--out", str(tmp_path / "o"),
                  "--set", "nonsense.key=1"]) == 1
+    # The unpriced 500 Mbps radio cost is no longer a config key.
+    cfgp = write_config(tmp_path, demo_config(mw_cost={"link_cost_500mbps": 75000.0}),
+                        name="old.json")
+    capsys.readouterr()
+    assert main(["augment", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown config key 'link_cost_500mbps'" in capsys.readouterr().err
 
 
 def test_exit_code_on_disconnected_sites(tmp_path):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from lightwan import graphcore
+from lightwan.designer import DesignInput, HybridEvaluator
+from lightwan.geo import GeoPoint, Site, geodesic_km
 from lightwan.graphcore import WeightedGraph
+from lightwan.traffic import TrafficMatrix
 
 
 def bellman_ford(g: WeightedGraph, src: str) -> dict[str, float]:
@@ -119,35 +122,87 @@ def test_shortest_paths_from_agrees_with_per_pair():
         assert single.total_weight == p.total_weight
 
 
-def test_all_pairs_single_site():
+def graph_distances(g: WeightedGraph) -> tuple[list[str], np.ndarray]:
+    nodes = sorted(g.nodes())
+    edges = {(a, b): w for a, b, w in g.edges()}
+    return nodes, graphcore.distance_matrix(graphcore.weight_matrix(nodes, edges))
+
+
+def test_distance_matrix_single_node():
     g = WeightedGraph()
     g.add_node("a")
-    out = graphcore.all_pairs_site_paths(g, ["a"])
-    assert out == {"a": {"a": 0.0}}
+    nodes, dist = graph_distances(g)
+    assert nodes == ["a"]
+    assert dist.tolist() == [[0.0]]
 
 
-def test_all_pairs_disconnected_entry_absent():
+def test_distance_matrix_disconnected_entry_inf():
     g = WeightedGraph()
     g.add_node("a")
     g.add_node("b")
-    out = graphcore.all_pairs_site_paths(g, ["a", "b"])
-    assert "b" not in out["a"]
-    assert "a" not in out["b"]
+    _, dist = graph_distances(g)
+    assert dist.tolist() == [[0.0, math.inf], [math.inf, 0.0]]
 
 
-def test_all_pairs_matches_per_pair_calls():
+def test_distance_matrix_matches_per_pair_calls():
     rng = np.random.default_rng(5)
     g = random_graph(rng, n=40)
-    sites = sorted(g.nodes())[:20]
-    out = graphcore.all_pairs_site_paths(g, sites)
-    for s in sites:
-        for t in sites:
+    nodes, dist = graph_distances(g)
+    for i, s in enumerate(nodes[:20]):
+        for j, t in enumerate(nodes[:20]):
             p = graphcore.shortest_path(g, s, t)
             if p is None:
-                assert t not in out[s]
+                assert math.isinf(dist[i, j])
             else:
-                assert out[s][t] == pytest.approx(p.total_weight, rel=1e-12)
-                assert out[s][t] == out[t][s]
+                assert dist[i, j] == pytest.approx(p.total_weight, rel=1e-12)
+                assert dist[i, j] == dist[j, i]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distance_matrix_matches_dijkstra_oracle(seed):
+    # Sparse seeded graphs split into components, plus isolated nodes.
+    rng = np.random.default_rng(100 + seed)
+    g = random_graph(rng, n=30, p=0.06)
+    for extra in ("x0", "x1"):
+        g.add_node(extra)
+    nodes, dist = graph_distances(g)
+    assert any(math.isinf(v) for v in dist.ravel())
+    for i, s in enumerate(nodes):
+        lengths = graphcore.shortest_path_lengths(g, s)
+        for j, t in enumerate(nodes):
+            if t in lengths:
+                assert dist[i, j] == pytest.approx(lengths[t], rel=1e-9)
+            else:
+                assert math.isinf(dist[i, j])
+
+
+def test_distance_matrix_hybrid_mw_not_shorter_than_fiber():
+    # Hybrid weights over five sites on a line: one MW link ties its fiber
+    # link, one is longer, one has no fiber alongside, and s4 is isolated.
+    sites = [Site(f"s{i}", GeoPoint(0.0, float(i)), 1.0) for i in range(5)]
+    ids = [s.id for s in sites]
+    geodesic = {(a.id, b.id): geodesic_km(a.location, b.location)
+                for i, a in enumerate(sites) for b in sites[i + 1:]}
+    fiber = {p: 1.8 * geodesic[p] for p in (("s0", "s1"), ("s1", "s2"), ("s2", "s3"))}
+    mw = {("s0", "s1"): fiber[("s0", "s1")],
+          ("s1", "s2"): 1.1 * fiber[("s1", "s2")],
+          ("s0", "s3"): 1.05 * geodesic[("s0", "s3")]}
+    inp = DesignInput(sites, TrafficMatrix({("s0", "s1"): 1.0}), geodesic, mw,
+                      {p: 1.0 for p in mw}, fiber, budget=10.0)
+    dist = graphcore.distance_matrix(HybridEvaluator(inp).graph_for(sorted(mw)))
+    g = WeightedGraph()
+    for sid in ids:
+        g.add_node(sid)
+    for (a, b), km in list(fiber.items()) + list(mw.items()):
+        g.add_edge(a, b, min(km, g.edge_weight(a, b)) if g.has_edge(a, b) else km)
+    for i, s in enumerate(ids):
+        lengths = graphcore.shortest_path_lengths(g, s)
+        for j, t in enumerate(ids):
+            if t in lengths:
+                assert dist[i, j] == pytest.approx(lengths[t], rel=1e-9)
+            else:
+                assert math.isinf(dist[i, j])
+    assert math.isinf(dist[0, 4])
 
 
 def test_tower_disjoint_single_interior_node():
