@@ -26,6 +26,9 @@ from .traffic import Pair, TrafficMatrix, pair_key
 
 EXACT_CANDIDATE_GUARD = 25
 _REL_TOL = 1e-9
+# Float64 entries per batched kernel call (2 MB), so scoring a large pool
+# at many sites stays within cache-sized work arrays.
+_BATCH_ELEMENTS = 1 << 18
 
 
 class ExactGuardExceeded(Exception):
@@ -138,16 +141,27 @@ class HybridEvaluator:
                 w[i, j] = w[j, i] = m
         return w
 
+    def objectives(self, sets: Sequence[frozenset]) -> list[float]:
+        """Objective of each built-link set, in order: sum over pairs of
+        (h/d) x routed latency-equivalent km, +inf when some demand pair is
+        unroutable. The cache misses share batched kernel calls; each
+        value is bitwise equal to a one-set call."""
+        missing = [s for s in dict.fromkeys(sets) if s not in self._cache]
+        step = max(1, _BATCH_ELEMENTS // self.fiber.size)
+        for start in range(0, len(missing), step):
+            batch = missing[start:start + step]
+            dist = distance_matrix(np.array([self.graph_for(s) for s in batch]))
+            for built, d in zip(batch, dist):
+                # One contiguous vector per set keeps the dot product's
+                # summation order that of a one-set call. An unroutable
+                # pair makes the sum inf or nan (0 x inf).
+                total = float(self._coef @ d[self._rows, self._cols])
+                self._cache[built] = total if math.isfinite(total) else math.inf
+        return [self._cache[s] for s in sets]
+
     def objective(self, built: frozenset) -> float:
-        """Sum over pairs of (h/d) x routed latency-equivalent km; +inf when
-        some demand pair is unroutable."""
-        cached = self._cache.get(built)
-        if cached is not None:
-            return cached
-        lengths = distance_matrix(self.graph_for(built))[self._rows, self._cols]
-        total = float(self._coef @ lengths) if np.isfinite(lengths).all() else math.inf
-        self._cache[built] = total
-        return total
+        """Objective of one built-link set (see `objectives`)."""
+        return self.objectives([built])[0]
 
 
 def objective(inp: DesignInput, design: NetworkDesign) -> float:
@@ -212,12 +226,11 @@ def greedy_candidates(inp: DesignInput, inflation: float = 2.0,
     cap = inflation * inp.budget
     current = ev.objective(chosen_set)
     while cost < cap:
+        rest = [pair for pair in pool if pair not in chosen_set]
+        vals = ev.objectives([chosen_set | {pair} for pair in rest])
         best_pair = None
         best_val = current
-        for pair in pool:
-            if pair in chosen_set:
-                continue
-            val = ev.objective(chosen_set | {pair})
+        for pair, val in zip(rest, vals):
             if val < best_val:
                 best_val = val
                 best_pair = pair
@@ -230,14 +243,66 @@ def greedy_candidates(inp: DesignInput, inflation: float = 2.0,
     return chosen
 
 
+def _branch_and_bound(inp: DesignInput, cands: Sequence[Pair],
+                      ev: HybridEvaluator) -> frozenset:
+    """Best subset of the sorted, distinct `cands` under the budget (see
+    solve_exact)."""
+    costs = [inp.mw_cost[p] for p in cands]
+    best_set = frozenset()
+    best_val = ev.objective(best_set)
+
+    def relax(chosen: frozenset, cost: float,
+              undecided: Iterable[int]) -> tuple[list[int], frozenset]:
+        # Undecided links that still fit on their own, by the include
+        # branch's own test; cost only grows deeper, so no other link
+        # can join any completion of this node.
+        free = [k for k in undecided if cost + costs[k] <= inp.budget]
+        return free, chosen | {cands[k] for k in free}
+
+    def dfs(chosen: frozenset, cost: float, free: list[int], relaxed: frozenset,
+            bound: float) -> None:
+        nonlocal best_set, best_val
+        if bound >= best_val - _REL_TOL * max(1.0, abs(best_val)):
+            return
+        fill = cost
+        for k in free:
+            fill += costs[k]
+        if fill <= inp.budget:
+            best_set, best_val = relaxed, bound
+            return
+        # Both children are always visited, so their bounds share one
+        # batched evaluation.
+        k, rest = free[0], free[1:]
+        taken = chosen | {cands[k]}
+        inc_free, inc_relaxed = relax(taken, cost + costs[k], rest)
+        exc_relaxed = relaxed - {cands[k]}
+        inc_bound, exc_bound = ev.objectives([inc_relaxed, exc_relaxed])
+        dfs(taken, cost + costs[k], inc_free, inc_relaxed, inc_bound)
+        dfs(chosen, cost, rest, exc_relaxed, exc_bound)
+
+    free, relaxed = relax(best_set, 0.0, range(len(cands)))
+    dfs(best_set, 0.0, free, relaxed, ev.objective(relaxed))
+    return best_set
+
+
 def solve_exact(inp: DesignInput, candidates: Sequence[Pair],
                 evaluator: HybridEvaluator | None = None) -> NetworkDesign:
     """Optimal candidate subset under the budget by branch-and-bound.
 
-    The bound at a node is the objective with every undecided link built
-    for free (admissible: links only shorten paths). Refuses more than
-    EXACT_CANDIDATE_GUARD candidates; callers fall back to
-    solve_heuristic's greedy path.
+    The DFS decides candidates in sorted order, including a link before
+    excluding it. A node's bound is the objective with every undecided
+    link that still fits on its own (`cost + c <= budget`, the include
+    branch's test) built for free. Every completion is a subset of that
+    set and links only shorten paths, so the bound is admissible; when
+    the whole set fits it is the subtree's optimum and, being the first
+    leaf the include-first order reaches there, is taken without
+    branching. Dropping links that cannot fit only raises bounds on
+    subtrees that hold no better design, so the answer equals that of
+    the looser bound with every undecided link built: Floyd-Warshall and
+    the objective's fixed-order dot product are monotone in the link set
+    under IEEE rounding, and the search accepts the same incumbents.
+    Refuses more than EXACT_CANDIDATE_GUARD candidates; callers fall back
+    to solve_heuristic's greedy path.
     """
     cands = sorted(set(candidates))
     if len(cands) > EXACT_CANDIDATE_GUARD:
@@ -247,42 +312,8 @@ def solve_exact(inp: DesignInput, candidates: Sequence[Pair],
     for pair in cands:
         if pair not in inp.mw_km:
             raise ValueError(f"candidate {pair} is not an available MW link")
-    ev = evaluator or HybridEvaluator(inp)
-    costs = [inp.mw_cost[p] for p in cands]
-
-    best_set = frozenset()
-    best_val = ev.objective(best_set)
-
-    def consider(subset: frozenset) -> None:
-        nonlocal best_set, best_val
-        val = ev.objective(subset)
-        if val < best_val - _REL_TOL * max(1.0, abs(best_val)):
-            best_val = val
-            best_set = subset
-
-    def dfs(i: int, chosen: frozenset, cost: float) -> None:
-        rest = cands[i:]
-        rest_cost = sum(costs[i:])
-        relaxed = chosen | frozenset(rest)
-        bound = ev.objective(relaxed)
-        # Links only shorten paths, so the budget-relaxed completion bounds
-        # every completion of this node from below.
-        if bound >= best_val - _REL_TOL * max(1.0, abs(best_val)):
-            return
-        if cost + rest_cost <= inp.budget:
-            # Everything remaining fits: the relaxed completion is feasible
-            # and optimal for the whole subtree.
-            consider(relaxed)
-            return
-        if i == len(cands):
-            consider(chosen)
-            return
-        if cost + costs[i] <= inp.budget:
-            dfs(i + 1, chosen | {cands[i]}, cost + costs[i])
-        dfs(i + 1, chosen, cost)
-
-    dfs(0, frozenset(), 0.0)
-    return evaluate_design(inp, sorted(best_set))
+    best = _branch_and_bound(inp, cands, evaluator or HybridEvaluator(inp))
+    return evaluate_design(inp, sorted(best))
 
 
 def _local_improve(inp: DesignInput, ev: HybridEvaluator, built: set[Pair],
@@ -291,32 +322,29 @@ def _local_improve(inp: DesignInput, ev: HybridEvaluator, built: set[Pair],
 
     Moves are single additions within remaining budget (links are free
     capacity-wise, so an improving add is always safe) and single swaps
-    (remove one built, add one unbuilt) that respect the budget.
+    (remove one built, add one unbuilt) that respect the budget. Each
+    iteration scores all its moves in one batch and takes the first
+    strictly best, adds before swaps.
     """
     built = set(built)
     cost = sum(inp.mw_cost[p] for p in built)
     current = ev.objective(frozenset(built))
     for _ in range(max_moves):
+        base = frozenset(built)
+        unbuilt = [p for p in pool if p not in built]
+        moves: list[tuple[Pair | None, Pair]] = [
+            (None, added) for added in unbuilt
+            if cost + inp.mw_cost[added] <= inp.budget]
+        moves += [(removed, added) for removed in sorted(built) for added in unbuilt
+                  if cost - inp.mw_cost[removed] + inp.mw_cost[added] <= inp.budget]
+        # An add is the move (None, added); removing None changes nothing.
+        vals = ev.objectives([base - {removed} | {added} for removed, added in moves])
         best_move: tuple[Pair | None, Pair] | None = None
         best_val = current
-        for added in pool:
-            if added in built:
-                continue
-            if cost + inp.mw_cost[added] <= inp.budget:
-                val = ev.objective(frozenset(built) | {added})
-                if val < best_val:
-                    best_val = val
-                    best_move = (None, added)
-        for removed in sorted(built):
-            for added in pool:
-                if added in built:
-                    continue
-                if cost - inp.mw_cost[removed] + inp.mw_cost[added] > inp.budget:
-                    continue
-                val = ev.objective(frozenset(built) - {removed} | {added})
-                if val < best_val:
-                    best_val = val
-                    best_move = (removed, added)
+        for move, val in zip(moves, vals):
+            if val < best_val:
+                best_val = val
+                best_move = move
         if best_move is None:
             break
         removed, added = best_move
@@ -346,7 +374,7 @@ def solve_heuristic(inp: DesignInput) -> NetworkDesign:
         return solve_exact(inp, pool, evaluator=ev)
     cands = greedy_candidates(inp, 2.0, evaluator=ev)
     if len(cands) <= EXACT_CANDIDATE_GUARD:
-        built = set(solve_exact(inp, cands, evaluator=ev).built_links)
+        built = set(_branch_and_bound(inp, sorted(cands), ev))
     else:
         # Walk the greedy order, keeping every link that still fits.
         built = set()

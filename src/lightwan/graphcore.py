@@ -165,10 +165,12 @@ def weight_matrix(nodes: Sequence[str], edges: Mapping[tuple[str, str], float]) 
 
 def distance_matrix(weights: np.ndarray) -> np.ndarray:
     """All-pairs shortest-path lengths of a dense weight matrix (inf where
-    disconnected): Floyd-Warshall, one min-plus update per intermediate node."""
+    disconnected): Floyd-Warshall, one min-plus update per intermediate node.
+    A stack `(..., n, n)` is solved slice by slice in one pass, each slice
+    bitwise equal to its own 2-D call (the same per-element operations)."""
     d = np.array(weights, dtype=float)
-    for k in range(len(d)):
-        np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :], out=d)
+    for k in range(d.shape[-1]):
+        np.minimum(d, d[..., :, k:k + 1] + d[..., k:k + 1, :], out=d)
     return d
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import json
@@ -8,8 +9,9 @@ import pytest
 
 from lightwan import designer, los
 from lightwan.designer import (
-    DesignInput, ExactGuardExceeded, build_design_input, eliminate_dominated,
-    evaluate_design, greedy_candidates, solve_exact, solve_heuristic,
+    DesignInput, ExactGuardExceeded, HybridEvaluator, build_design_input,
+    eliminate_dominated, evaluate_design, greedy_candidates, solve_exact,
+    solve_heuristic,
 )
 from lightwan.geo import GeoPoint, Site, geodesic_km
 from lightwan.los import LosParams, TerrainGrid, Tower
@@ -89,6 +91,118 @@ def dijkstra_oracle(inp: DesignInput, built, src) -> dict:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+# --- slow reference solver ------------------------------------------------------
+# The solver as it was before the budget-aware bound and batched scoring:
+# branch-and-bound bounded by every undecided link built for free, and
+# greedy and local search scoring one link set at a time.
+
+def reference_branch_and_bound(inp: DesignInput, cands, ev) -> frozenset:
+    cands = sorted(set(cands))
+    costs = [inp.mw_cost[p] for p in cands]
+    best_set = frozenset()
+    best_val = ev.objective(best_set)
+    tol = designer._REL_TOL
+
+    def consider(subset):
+        nonlocal best_set, best_val
+        val = ev.objective(subset)
+        if val < best_val - tol * max(1.0, abs(best_val)):
+            best_val = val
+            best_set = subset
+
+    def dfs(i, chosen, cost):
+        rest = cands[i:]
+        rest_cost = sum(costs[i:])
+        relaxed = chosen | frozenset(rest)
+        if ev.objective(relaxed) >= best_val - tol * max(1.0, abs(best_val)):
+            return
+        if cost + rest_cost <= inp.budget:
+            consider(relaxed)
+            return
+        if i == len(cands):
+            consider(chosen)
+            return
+        if cost + costs[i] <= inp.budget:
+            dfs(i + 1, chosen | {cands[i]}, cost + costs[i])
+        dfs(i + 1, chosen, cost)
+
+    dfs(0, frozenset(), 0.0)
+    return best_set
+
+
+def reference_greedy(inp: DesignInput, ev, inflation=2.0) -> list:
+    pool = eliminate_dominated(inp)
+    chosen, chosen_set, cost = [], frozenset(), 0.0
+    current = ev.objective(chosen_set)
+    while cost < inflation * inp.budget:
+        best_pair, best_val = None, current
+        for pair in pool:
+            if pair in chosen_set:
+                continue
+            val = ev.objective(chosen_set | {pair})
+            if val < best_val:
+                best_val, best_pair = val, pair
+        if best_pair is None:
+            break
+        chosen.append(best_pair)
+        chosen_set = chosen_set | {best_pair}
+        cost += inp.mw_cost[best_pair]
+        current = best_val
+    return chosen
+
+
+def reference_local_improve(inp: DesignInput, ev, built, pool, max_moves=1000) -> set:
+    built = set(built)
+    cost = sum(inp.mw_cost[p] for p in built)
+    current = ev.objective(frozenset(built))
+    for _ in range(max_moves):
+        best_move, best_val = None, current
+        for added in pool:
+            if added in built:
+                continue
+            if cost + inp.mw_cost[added] <= inp.budget:
+                val = ev.objective(frozenset(built) | {added})
+                if val < best_val:
+                    best_val, best_move = val, (None, added)
+        for removed in sorted(built):
+            for added in pool:
+                if added in built:
+                    continue
+                if cost - inp.mw_cost[removed] + inp.mw_cost[added] > inp.budget:
+                    continue
+                val = ev.objective(frozenset(built) - {removed} | {added})
+                if val < best_val:
+                    best_val, best_move = val, (removed, added)
+        if best_move is None:
+            break
+        removed, added = best_move
+        if removed is not None:
+            built.remove(removed)
+            cost -= inp.mw_cost[removed]
+        built.add(added)
+        cost += inp.mw_cost[added]
+        current = best_val
+    return built
+
+
+def reference_heuristic(inp: DesignInput) -> set:
+    """Built set of the reference solve_heuristic."""
+    ev = HybridEvaluator(inp)
+    pool = eliminate_dominated(inp)
+    if len(pool) <= designer.EXACT_CANDIDATE_GUARD:
+        return set(reference_branch_and_bound(inp, pool, ev))
+    cands = reference_greedy(inp, ev)
+    if len(cands) <= designer.EXACT_CANDIDATE_GUARD:
+        built = set(reference_branch_and_bound(inp, cands, ev))
+    else:
+        built, cost = set(), 0.0
+        for pair in cands:
+            if cost + inp.mw_cost[pair] <= inp.budget:
+                built.add(pair)
+                cost += inp.mw_cost[pair]
+    return reference_local_improve(inp, ev, built, pool)
 
 
 # --- instance generator --------------------------------------------------------
@@ -315,6 +429,95 @@ def test_solve_exact_guard():
     fake = [pair_key(f"s{i}", f"s{j}") for i in range(8) for j in range(i + 1, 8)]
     with pytest.raises(ExactGuardExceeded):
         solve_exact(inp, fake[:26])
+
+
+def test_objectives_batch_bitwise_equals_single_calls(monkeypatch):
+    # s0 has no fiber, so a set without one of its MW links is unroutable.
+    for seed in range(6):
+        base = random_instance(seed, n_sites=7, mw_fraction=0.7)
+        inp = dataclasses.replace(base, fiber_km_eq={
+            p: o for p, o in base.fiber_km_eq.items() if "s0" not in p})
+        links = sorted(inp.mw_km)
+        rng = np.random.default_rng(seed)
+        sets = [frozenset(p for p in links if rng.random() < 0.4) for _ in range(25)]
+        sets += [frozenset(), sets[3], frozenset(links), sets[3]]
+        single = [HybridEvaluator(inp).objective(s).hex() for s in sets]
+        assert "inf" in single and any(v != "inf" for v in single)
+        # A small batch cap splits the misses over several kernel calls.
+        monkeypatch.setattr(designer, "_BATCH_ELEMENTS", 3 * len(links) ** 2)
+        ev = HybridEvaluator(inp)
+        assert [v.hex() for v in ev.objectives(sets)] == single
+        assert len(ev._cache) == len(set(sets))
+        assert [v.hex() for v in ev.objectives(sets[::-1])] == single[::-1]
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.25, 0.45, 0.7])
+def test_branch_and_bound_matches_reference(fraction):
+    for seed in range(30):
+        inp = random_instance(seed, n_sites=6 + seed % 2, mw_fraction=0.6,
+                              budget_fraction=fraction)
+        pool = eliminate_dominated(inp)
+        ev, ref_ev = HybridEvaluator(inp), HybridEvaluator(inp)
+        design = solve_exact(inp, pool, evaluator=ev)
+        assert design.built_links == tuple(sorted(
+            reference_branch_and_bound(inp, pool, ref_ev)))
+        assert len(ev._cache) <= len(ref_ev._cache)
+
+
+@pytest.mark.parametrize("fraction", [0.08, 0.2, 0.45])
+def test_greedy_and_local_search_match_reference(fraction):
+    # Pools of 25-36 links: all but one exceed the exact guard; at 0.45
+    # greedy returns more than the guard and its order is trimmed.
+    for seed in range(30):
+        inp = random_instance(seed, n_sites=10, mw_fraction=0.75, budget_fraction=fraction)
+        pool = eliminate_dominated(inp)
+        ev, ref_ev = HybridEvaluator(inp), HybridEvaluator(inp)
+        assert greedy_candidates(inp, 2.0, evaluator=ev) == reference_greedy(inp, ref_ev)
+        assert (designer._local_improve(inp, ev, set(), pool, max_moves=4)
+                == reference_local_improve(inp, ref_ev, set(), pool, max_moves=4))
+        if fraction < 0.3 or seed < 10:  # local search over a large built set is slow
+            assert set(solve_heuristic(inp).built_links) == reference_heuristic(inp)
+
+
+def test_solve_exact_no_affordable_candidate_evaluates_once():
+    inp = random_instance(3, n_sites=6, mw_fraction=0.8)
+    pool = eliminate_dominated(inp)
+    inp.budget = min(inp.mw_cost[p] for p in pool) - 0.5
+    ev = HybridEvaluator(inp)
+    assert solve_exact(inp, pool, evaluator=ev).built_links == ()
+    assert len(ev._cache) == 1
+
+
+def test_solve_exact_returns_at_root_when_affordable_links_fit():
+    # The dearest link cannot fit; all the others fit together, so the
+    # root's bound set is feasible. The looser reference bound branches.
+    inp = random_instance(3, n_sites=6, mw_fraction=0.8)
+    pool = eliminate_dominated(inp)
+    dear = pool[0]
+    others = pool[1:]
+    inp.budget = sum(inp.mw_cost[p] for p in others)
+    inp.mw_cost[dear] = inp.budget + 1.0
+    ev, ref_ev = HybridEvaluator(inp), HybridEvaluator(inp)
+    design = solve_exact(inp, pool, evaluator=ev)
+    assert design.built_links == tuple(others)
+    assert len(ev._cache) == 2
+    assert set(others) == reference_branch_and_bound(inp, pool, ref_ev)
+    assert len(ref_ev._cache) > 2
+
+
+def test_solve_exact_fractional_budget_uses_include_test():
+    # 1.1 + 1.2 == 2.3 in floats but 2.3 - 1.1 < 1.2: a fit test written
+    # as c <= budget - cost would drop y once x is taken and miss {x, y}.
+    inp = random_instance(12, n_sites=5, mw_fraction=0.9)
+    x, z, y = eliminate_dominated(inp)[:3]
+    inp.mw_cost.update({x: 1.1, z: 2.0, y: 1.2})  # z fits only alone
+    inp.budget = 2.3
+    assert 1.1 + 1.2 <= 2.3 < 1.1 + 2.0 and not 1.2 <= 2.3 - 1.1
+    best_val, best_set = exhaustive_optimum(inp, pool=[x, z, y])
+    assert best_set == {x, y}
+    design = solve_exact(inp, [x, z, y])
+    assert design.built_links == (x, y)
+    assert design.stats.mean == pytest.approx(best_val, rel=1e-12)
 
 
 def test_solve_heuristic_matches_exhaustive_small():

@@ -176,6 +176,24 @@ def test_distance_matrix_matches_dijkstra_oracle(seed):
                 assert math.isinf(dist[i, j])
 
 
+def test_distance_matrix_stack_bitwise_equals_slices():
+    # A (2, 3, n, n) stack of sparse graphs with inf entries and isolated
+    # nodes; every slice must equal its own 2-D call exactly.
+    rng = np.random.default_rng(11)
+    slices = []
+    for _ in range(6):
+        g = random_graph(rng, n=12, p=0.2)
+        g.add_node("x0")
+        nodes = sorted(g.nodes())
+        slices.append(graphcore.weight_matrix(nodes, {(a, b): w for a, b, w in g.edges()}))
+    stack = np.array(slices).reshape(2, 3, *slices[0].shape)
+    dist = graphcore.distance_matrix(stack)
+    assert dist.shape == stack.shape
+    assert np.isinf(dist).any()
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(dist[idx], graphcore.distance_matrix(stack[idx]))
+
+
 def test_distance_matrix_hybrid_mw_not_shorter_than_fiber():
     # Hybrid weights over five sites on a line: one MW link ties its fiber
     # link, one is longer, one has no fiber alongside, and s4 is isolated.
