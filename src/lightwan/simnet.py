@@ -5,6 +5,12 @@ constant-rate datagram streams derived from the traffic matrix, two per
 site pair (one each way). Routing tables carry per-destination weighted
 next hops; multipath splits are applied per packet by a seeded draw, or
 per flow when hashing is enabled.
+
+Each packet hop is one event: with drop-tail FIFO and a fixed packet
+size, a link fixes a packet's departure time when it admits the packet.
+Tie rule, departures before arrivals: a transmission that starts at
+exactly the time a packet arrives has left the queue before that packet
+is admitted.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import heapq
+import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -385,13 +392,13 @@ class FlowStats:
 
 
 class _LinkState:
-    __slots__ = ("rate_bps", "prop_s", "queue", "busy", "busy_s")
+    __slots__ = ("tx_s", "prop_s", "free_at", "starts", "busy_s")
 
-    def __init__(self, rate_bps: float, prop_s: float) -> None:
-        self.rate_bps = rate_bps
+    def __init__(self, tx_s: float, prop_s: float) -> None:
+        self.tx_s = tx_s
         self.prop_s = prop_s
-        self.queue: deque = deque()
-        self.busy = False
+        self.free_at = 0.0  # end of the last admitted transmission
+        self.starts: deque = deque()  # start times of the waiting packets
         self.busy_s = 0.0
 
 
@@ -399,7 +406,11 @@ def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
         cfg: SimConfig, model: LatencyModel = LatencyModel()) -> FlowStats:
     """Event-driven run: per-link propagation plus transmission delay,
     drop-tail FIFO queues, per-packet (or per-flow-hashed) weighted next
-    hops, statistics over packets sent after the warm-up window."""
+    hops, statistics over packets sent after the warm-up window. One
+    event per generated packet and one per hop: admission fixes the
+    departure and schedules the arrival at the next node. A transmission
+    starting at exactly `t` leaves the queue before a packet arriving at
+    `t` is admitted (departures before arrivals)."""
     rng = np.random.default_rng(cfg.seed)
     packet_bits = cfg.packet_bytes * 8
     sim_end = cfg.sim_seconds
@@ -415,9 +426,9 @@ def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
     links: dict[tuple[str, str], _LinkState] = {}
     for link in topology.links:
         prop = latency_ms(link.length_km, link.medium, model) / 1000.0
-        rate = link.capacity_gbps * 1e9
-        links[(link.a, link.b)] = _LinkState(rate, prop)
-        links[(link.b, link.a)] = _LinkState(rate, prop)
+        tx = packet_bits / (link.capacity_gbps * 1e9)
+        links[(link.a, link.b)] = _LinkState(tx, prop)
+        links[(link.b, link.a)] = _LinkState(tx, prop)
 
     sent = [0] * len(flows)
     delivered = [0] * len(flows)
@@ -428,23 +439,9 @@ def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
     flow_hash = [int(hashlib.sha256(f"{a}->{b}".encode()).hexdigest(), 16) / 2 ** 256
                  for a, b, _ in flows]
 
+    # Events are (time, seq, kind, payload); kind 0 = generate, 1 = arrive.
     heap: list = []
-    seq = 0
-
-    def push(time: float, kind: int, payload) -> None:
-        # kind: 0 = generate, 1 = tx done, 2 = arrive
-        nonlocal seq
-        heapq.heappush(heap, (time, seq, kind, payload))
-        seq += 1
-
-    def start_tx(edge: tuple[str, str], state: _LinkState, t: float) -> None:
-        fid, send_t = state.queue.popleft()
-        tx = packet_bits / state.rate_bps
-        state.busy = True
-        overlap = min(t + tx, sim_end) - max(t, warm_start)
-        if overlap > 0:
-            state.busy_s += overlap
-        push(t + tx, 1, (edge, fid, send_t))
+    seq = itertools.count()
 
     def forward(fid: int, send_t: float, node: str, t: float) -> None:
         src, dst, _ = flows[fid]
@@ -461,18 +458,25 @@ def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
                     nh = nbr
                     break
         state = links[(node, nh)]
-        counted = send_t >= warm_start
-        if len(state.queue) >= cfg.queue_capacity_packets:
-            if counted:
+        starts = state.starts
+        while starts and starts[0] <= t:
+            starts.popleft()
+        if len(starts) >= cfg.queue_capacity_packets:
+            if send_t >= warm_start:
                 dropped[fid] += 1
             return
-        state.queue.append((fid, send_t))
-        if not state.busy:
-            start_tx((node, nh), state, t)
+        start = max(t, state.free_at)
+        if start > t:
+            starts.append(start)
+        state.free_at = start + state.tx_s
+        overlap = min(state.free_at, sim_end) - max(start, warm_start)
+        if overlap > 0:
+            state.busy_s += overlap
+        heapq.heappush(heap, (state.free_at + state.prop_s, next(seq), 1, (nh, fid, send_t)))
 
     for fid, (a, b, rate) in enumerate(flows):
         interval = packet_bits / (rate * 1e9)
-        push(float(rng.uniform(0.0, interval)), 0, fid)
+        heapq.heappush(heap, (float(rng.uniform(0.0, interval)), next(seq), 0, fid))
 
     while heap and heap[0][0] <= sim_end:
         t, _, kind, payload = heapq.heappop(heap)
@@ -484,15 +488,7 @@ def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
             forward(fid, t, a, t)
             nxt = t + packet_bits / (rate * 1e9)
             if nxt < sim_end:
-                push(nxt, 0, fid)
-        elif kind == 1:
-            edge, fid, send_t = payload
-            state = links[edge]
-            push(t + state.prop_s, 2, (edge[1], fid, send_t))
-            if state.queue:
-                start_tx(edge, state, t)
-            else:
-                state.busy = False
+                heapq.heappush(heap, (nxt, next(seq), 0, fid))
         else:
             node, fid, send_t = payload
             if node == flows[fid][1]:
@@ -567,12 +563,7 @@ def perturbation_experiment(topology: SimTopology, sites: Sequence[Site],
     for gamma in gammas:
         matrix = perturb(sites, gamma, cfg.seed)
         for load in loads:
-            run_cfg = SimConfig(
-                packet_bytes=cfg.packet_bytes, sim_seconds=cfg.sim_seconds,
-                queue_capacity_packets=cfg.queue_capacity_packets,
-                aggregate_gbps=load * designed, routing=cfg.routing,
-                seed=cfg.seed, warmup_fraction=cfg.warmup_fraction,
-                per_flow_hashing=cfg.per_flow_hashing)
+            run_cfg = replace(cfg, aggregate_gbps=load * designed)
             stats = run(topology, matrix, table, run_cfg, model)
             results.append(PerturbationResult(gamma, load, stats.mean_delay_ms,
                                               stats.loss_rate))

@@ -1,16 +1,170 @@
+import dataclasses
+import hashlib
+import heapq
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from lightwan import designer, simnet
 from lightwan.capacity import route_demand, series_needed
-from lightwan.geo import GeoPoint, Site, latency_ms
+from lightwan.geo import GeoPoint, LatencyModel, Site, latency_ms
 from lightwan.simnet import (
-    SimConfig, SimLink, SimTopology, build_routing, expected_link_loads,
-    perturbation_experiment, run, topology_from_design,
+    FlowRecord, FlowStats, SimConfig, SimLink, SimTopology, build_routing,
+    expected_link_loads, perturbation_experiment, run, topology_from_design,
 )
 from lightwan.traffic import TrafficMatrix
+
+
+# --- slow reference engine ------------------------------------------------------
+# The simulator as it was before one event per hop: three event kinds
+# (generate, tx done, arrive), a busy flag and a queue of waiting packets
+# per directed link. Its heap key puts tx-done events first among equal
+# timestamps, the departures-before-arrivals rule `run` documents.
+
+class _RefLinkState:
+    __slots__ = ("rate_bps", "prop_s", "queue", "busy", "busy_s")
+
+    def __init__(self, rate_bps: float, prop_s: float) -> None:
+        self.rate_bps = rate_bps
+        self.prop_s = prop_s
+        self.queue: deque = deque()
+        self.busy = False
+        self.busy_s = 0.0
+
+
+def reference_run(topology, traffic, table, cfg, model=LatencyModel()) -> FlowStats:
+    rng = np.random.default_rng(cfg.seed)
+    packet_bits = cfg.packet_bytes * 8
+    sim_end = cfg.sim_seconds
+    warm_start = cfg.warmup_fraction * cfg.sim_seconds
+
+    flows: list[tuple[str, str, float]] = []
+    for (a, b), h in traffic.items():
+        rate = h * cfg.aggregate_gbps
+        if rate > 0:
+            flows.append((a, b, rate))
+            flows.append((b, a, rate))
+
+    links: dict[tuple[str, str], _RefLinkState] = {}
+    for link in topology.links:
+        prop = latency_ms(link.length_km, link.medium, model) / 1000.0
+        rate = link.capacity_gbps * 1e9
+        links[(link.a, link.b)] = _RefLinkState(rate, prop)
+        links[(link.b, link.a)] = _RefLinkState(rate, prop)
+
+    sent = [0] * len(flows)
+    delivered = [0] * len(flows)
+    dropped = [0] * len(flows)
+    delay_sum = [0.0] * len(flows)
+    delay_max = [0.0] * len(flows)
+
+    flow_hash = [int(hashlib.sha256(f"{a}->{b}".encode()).hexdigest(), 16) / 2 ** 256
+                 for a, b, _ in flows]
+
+    heap: list = []
+    seq = 0
+
+    def push(time: float, kind: int, payload) -> None:
+        # kind: 0 = generate, 1 = tx done, 2 = arrive
+        nonlocal seq
+        heapq.heappush(heap, (time, 0 if kind == 1 else 1, seq, kind, payload))
+        seq += 1
+
+    def start_tx(edge: tuple[str, str], state: _RefLinkState, t: float) -> None:
+        fid, send_t = state.queue.popleft()
+        tx = packet_bits / state.rate_bps
+        state.busy = True
+        overlap = min(t + tx, sim_end) - max(t, warm_start)
+        if overlap > 0:
+            state.busy_s += overlap
+        push(t + tx, 1, (edge, fid, send_t))
+
+    def forward(fid: int, send_t: float, node: str, t: float) -> None:
+        src, dst, _ = flows[fid]
+        hops = table.hops_for(node, dst)
+        if len(hops) == 1:
+            nh = hops[0][0]
+        else:
+            x = flow_hash[fid] if cfg.per_flow_hashing else rng.random()
+            acc = 0.0
+            nh = hops[-1][0]
+            for nbr, w in hops:
+                acc += w
+                if x < acc:
+                    nh = nbr
+                    break
+        state = links[(node, nh)]
+        counted = send_t >= warm_start
+        if len(state.queue) >= cfg.queue_capacity_packets:
+            if counted:
+                dropped[fid] += 1
+            return
+        state.queue.append((fid, send_t))
+        if not state.busy:
+            start_tx((node, nh), state, t)
+
+    for fid, (a, b, rate) in enumerate(flows):
+        interval = packet_bits / (rate * 1e9)
+        push(float(rng.uniform(0.0, interval)), 0, fid)
+
+    while heap and heap[0][0] <= sim_end:
+        t, _, _, kind, payload = heapq.heappop(heap)
+        if kind == 0:
+            fid = payload
+            a, b, rate = flows[fid]
+            if t >= warm_start:
+                sent[fid] += 1
+            forward(fid, t, a, t)
+            nxt = t + packet_bits / (rate * 1e9)
+            if nxt < sim_end:
+                push(nxt, 0, fid)
+        elif kind == 1:
+            edge, fid, send_t = payload
+            state = links[edge]
+            push(t + state.prop_s, 2, (edge[1], fid, send_t))
+            if state.queue:
+                start_tx(edge, state, t)
+            else:
+                state.busy = False
+        else:
+            node, fid, send_t = payload
+            if node == flows[fid][1]:
+                if send_t >= warm_start:
+                    delivered[fid] += 1
+                    delay = t - send_t
+                    delay_sum[fid] += delay
+                    delay_max[fid] = max(delay_max[fid], delay)
+            else:
+                forward(fid, send_t, node, t)
+
+    records: dict[tuple[str, str], FlowRecord] = {}
+    total_delay = 0.0
+    total_delivered = 0
+    total_dropped = 0
+    for fid, (a, b, rate) in enumerate(flows):
+        done = delivered[fid] + dropped[fid]
+        records[(a, b)] = FlowRecord(
+            src=a, dst=b, rate_gbps=rate, sent=sent[fid],
+            delivered=delivered[fid], dropped=dropped[fid],
+            in_flight=sent[fid] - delivered[fid] - dropped[fid],
+            mean_delay_ms=(delay_sum[fid] / delivered[fid] * 1000.0
+                           if delivered[fid] else math.nan),
+            max_delay_ms=delay_max[fid] * 1000.0,
+            loss=dropped[fid] / done if done else 0.0)
+        total_delay += delay_sum[fid]
+        total_delivered += delivered[fid]
+        total_dropped += dropped[fid]
+    window = sim_end - warm_start
+    utilization = {edge: state.busy_s / window for edge, state in sorted(links.items())}
+    completed = total_delivered + total_dropped
+    return FlowStats(
+        flows=records,
+        link_utilization=utilization,
+        mean_delay_ms=(total_delay / total_delivered * 1000.0
+                       if total_delivered else math.nan),
+        loss_rate=total_dropped / completed if completed else 0.0)
 
 
 def single_link_topology(cap=0.1):
@@ -249,6 +403,73 @@ def test_designed_topology_overload_loses_packets():
                     seed=7, queue_capacity_packets=200)
     stats = run(topo, inp.traffic, table, cfg)
     assert stats.loss_rate > 0.0
+
+
+def _bits(stats: FlowStats):
+    """Every number of a run, floats as `float.hex`, so == is bitwise."""
+    def hexed(v):
+        return float.hex(v) if isinstance(v, float) else repr(v)
+    flows = [(k, [hexed(v) for v in dataclasses.astuple(r)]) for k, r in stats.flows.items()]
+    util = [(k, hexed(u)) for k, u in stats.link_utilization.items()]
+    return flows, util, hexed(stats.mean_delay_ms), hexed(stats.loss_rate)
+
+
+@pytest.fixture(scope="module")
+def designed_with_tables():
+    inp, _, topo, designed_aggregate = designed_topology()
+    tables = {r: build_routing(topo, inp.traffic, r) for r in ("shortest_path", "min_max_util")}
+    return inp, topo, designed_aggregate, tables
+
+
+@pytest.mark.parametrize("load,queue", [(0.7, 1000), (2.0, 5)])
+@pytest.mark.parametrize("hashing", [False, True])
+@pytest.mark.parametrize("routing", ["shortest_path", "min_max_util"])
+def test_run_bitwise_equals_reference_on_designed_topology(designed_with_tables, routing,
+                                                           hashing, load, queue):
+    # At 2x load with queue 5, shortest_path routing puts arrivals at full
+    # queues exactly when their heads start, so the tie rule is exercised.
+    inp, topo, designed_aggregate, tables = designed_with_tables
+    cfg = SimConfig(aggregate_gbps=load * designed_aggregate, sim_seconds=0.003, seed=3,
+                    queue_capacity_packets=queue, routing=routing, per_flow_hashing=hashing)
+    args = (topo, inp.traffic, tables[routing], cfg)
+    assert _bits(run(*args)) == _bits(reference_run(*args))
+
+
+@pytest.mark.parametrize("queue", [1, 2])
+@pytest.mark.parametrize("load", [1.6, 2.0])
+def test_run_bitwise_equals_reference_on_overloaded_link(load, queue):
+    # Packets are generated every 1/1.6 or 1/2 of a transmission time, so
+    # generations land exactly on departures.
+    topo = single_link_topology(cap=0.05)
+    m = TrafficMatrix({("a", "b"): 1.0})
+    table = build_routing(topo, m, "shortest_path")
+    cfg = SimConfig(aggregate_gbps=load * 0.05, sim_seconds=0.05, seed=1,
+                    queue_capacity_packets=queue)
+    assert _bits(run(topo, m, table, cfg)) == _bits(reference_run(topo, m, table, cfg))
+
+
+def test_arrival_at_departure_instant_is_admitted():
+    # s's flow runs at exactly m->d's capacity (one packet per 2^-10 s)
+    # and reaches m over a 1 s link, so each packet arrives at m exactly
+    # when the previous one finishes on m->d: arrival times lie in [1, 2),
+    # where adding 2^-10 is exact. c's link is 2^-9 s longer, so c's first
+    # packet finds m->d busy and takes its only queue slot; from then on
+    # every packet of s's flow arrives just as the head of a full queue
+    # starts. Departures go first, so none of them is dropped; only c's
+    # later packets find the slot taken.
+    model = LatencyModel(c_vacuum=1000.0)  # 1000 km of microwave = 1 s
+    topo = SimTopology(["c", "d", "m", "s"], [
+        SimLink("s", "m", 1000.0, "mw", 1.024),
+        SimLink("m", "d", 1.0, "mw", 0.001024),  # 1000-bit packet: 2^-10 s
+        SimLink("c", "m", 1000.0 + 2 ** -9 * 1000.0, "mw", 1.024)])
+    m = TrafficMatrix({("s", "d"): 1.0, ("c", "d"): 1.0})
+    table = build_routing(topo, m, "shortest_path", model)
+    cfg = SimConfig(packet_bytes=125, sim_seconds=1.01, queue_capacity_packets=1,
+                    aggregate_gbps=2 * 0.001024, seed=0, warmup_fraction=0.0)
+    stats = run(topo, m, table, cfg, model)
+    assert stats.flows[("s", "d")].delivered > 0
+    assert stats.flows[("s", "d")].dropped == 0
+    assert stats.flows[("c", "d")].dropped > 0
 
 
 def test_perturbation_experiment_baseline_and_monotone_loss():
