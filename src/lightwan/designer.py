@@ -20,15 +20,15 @@ import numpy as np
 
 from .fiberbase import StretchStats, stretch_stats
 from .geo import GeoPoint, Site, geodesic_km
-from .graphcore import WeightedGraph, distance_matrix, shortest_paths_from, weight_matrix
+from .graphcore import (
+    BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, distance_matrix, shortest_paths_from,
+    weight_matrix,
+)
 from .los import HopGraph
 from .traffic import Pair, TrafficMatrix, pair_key
 
 EXACT_CANDIDATE_GUARD = 25
 _REL_TOL = 1e-9
-# Float64 entries per batched kernel call (2 MB), so scoring a large pool
-# at many sites stays within cache-sized work arrays.
-_BATCH_ELEMENTS = 1 << 18
 
 
 class ExactGuardExceeded(Exception):

@@ -10,8 +10,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .geo import GeoPoint, LatencyModel, geodesic_km
-from .graphcore import WeightedGraph, bridges, distance_matrix, shortest_paths_from, weight_matrix
+from .graphcore import (
+    BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, bridges, distance_matrix,
+    shortest_paths_from, weight_matrix,
+)
 from .traffic import Pair, TrafficMatrix, pair_key
 
 logger = logging.getLogger(__name__)
@@ -209,12 +214,6 @@ class PruneStep:
     total_fiber_km: float
 
 
-def _mean_stretch(g: FiberGraph, sites: Sequence[str], weights: TrafficMatrix | None,
-                  model: LatencyModel) -> float:
-    per_pair, _ = pair_stretches(g, sites, model)
-    return stretch_stats(per_pair, weights).mean
-
-
 def prune_links(g: FiberGraph, sites: Sequence[str],
                 weights: TrafficMatrix | None = None,
                 model: LatencyModel = LatencyModel()) -> list[PruneStep]:
@@ -223,26 +222,41 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
 
     The returned sequence starts with the untouched input, so a tree comes
     back as a single step. Connectivity is never broken because bridge
-    links are exempt.
+    links are exempt. Each round scores its trial removals with stacked
+    `distance_matrix` calls; a trial's mean sums, in sorted pair order,
+    the same terms as `stretch_stats(pair_stretches(trial)).mean`.
     """
     work = g.copy()
     steps = [PruneStep(work.copy(), fiber_stretch_stats(work, sites, weights, model),
                        len(work.links), None, work.total_fiber_km())]
+    nodes = list(work.endpoints)
+    index = {n: i for i, n in enumerate(nodes)}
+    ordered = sorted(set(sites))
+    pairs = [(s, t) for i, s in enumerate(ordered) for t in ordered[i + 1:]]
+    rows = [index[s] for s, _ in pairs]
+    cols = [index[t] for _, t in pairs]
+    geo_km = np.array([geodesic_km(work.endpoints[s].location, work.endpoints[t].location)
+                       for s, t in pairs])
+    wts = np.array([1.0 if weights is None else weights.weight(s, t) for s, t in pairs])
+    step = max(1, _BATCH_ELEMENTS // len(nodes) ** 2)
     while True:
         safe = bridges(work.graph())
         candidates = sorted(k for k in work.links if k not in safe)
         if not candidates:
             break
-        best_key = None
-        best_mean = math.inf
-        for key in candidates:
-            trial = work.copy()
-            trial.remove_link(*key)
-            mean = _mean_stretch(trial, sites, weights, model)
-            if mean < best_mean:
-                best_mean = mean
-                best_key = key
-        assert best_key is not None
+        base = weight_matrix(nodes, work.links)
+        means: list[float] = []
+        for start in range(0, len(candidates), step):
+            batch = candidates[start:start + step]
+            trials = np.repeat(base[None], len(batch), axis=0)
+            for t, (a, b) in enumerate(batch):
+                trials[t, index[a], index[b]] = trials[t, index[b], index[a]] = math.inf
+            km = distance_matrix(trials)[:, rows, cols]
+            connected = np.isfinite(km)
+            terms = np.where(connected, km, 0.0) * model.fiber_slowdown / geo_km * wts
+            for up, row in zip(connected, terms):
+                means.append(sum(row[up].tolist()) / sum(wts[up].tolist()))
+        best_key = candidates[means.index(min(means))]
         work.remove_link(*best_key)
         steps.append(PruneStep(work.copy(), fiber_stretch_stats(work, sites, weights, model),
                                len(work.links), best_key, work.total_fiber_km()))

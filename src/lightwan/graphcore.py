@@ -152,6 +152,11 @@ def shortest_path_lengths(g: WeightedGraph, src: str) -> dict[str, float]:
     return dist
 
 
+# Float64 entries per batched `distance_matrix` call (2 MB), so scoring many
+# link sets at many sites stays within cache-sized work arrays.
+BATCH_ELEMENTS = 1 << 18
+
+
 def weight_matrix(nodes: Sequence[str], edges: Mapping[tuple[str, str], float]) -> np.ndarray:
     """Dense symmetric weights over `nodes` in the given order: 0 on the
     diagonal, inf where no edge joins two nodes."""

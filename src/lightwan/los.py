@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geo import GeoPoint, geodesic_km
+from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km
 from .graphcore import WeightedGraph
+
+# Terrain samples per clearance pass: amortises numpy's per-call cost over
+# many hops while keeping the work arrays out of the peak memory.
+_CHUNK_SAMPLES = 4096
+# Tower rows per block of the pairwise range screen (memory O(towers x rows)).
+_SCREEN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -205,26 +211,83 @@ def _unit_vector(p: GeoPoint) -> np.ndarray:
                      math.sin(lat)])
 
 
-def _path_samples(a: GeoPoint, b: GeoPoint, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n+1 great-circle samples a..b as (lats, lons, fractions).
+def _omega(va: np.ndarray, vb: np.ndarray) -> float:
+    return math.acos(min(1.0, max(-1.0, float(np.dot(va, vb)))))
 
-    Built from integer endpoint weights so that the sample set is
-    bit-identical under endpoint swap, keeping feasibility symmetric.
-    """
-    va = _unit_vector(a)
-    vb = _unit_vector(b)
-    omega = math.acos(min(1.0, max(-1.0, float(np.dot(va, vb)))))
-    idx = np.arange(n + 1)
-    wb = idx / n
-    wa = (n - idx) / n
-    if omega < 1e-12:
-        pts = np.outer(wa, va) + np.outer(wb, vb)
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
+
+def _arc_points(va, vb, omega, sin_omega, wa, wb) -> tuple[np.ndarray, np.ndarray]:
+    """(lats, lons) of great-circle points at endpoint weights wa, wb (slerp, or
+    the normalised chord where omega < 1e-12); arguments are per point or
+    broadcast, and no point's arithmetic depends on another's."""
+    flat = np.asarray(omega) < 1e-12
+    if flat.any():
+        pts = (np.where(flat, wa, np.sin(wa * omega))[:, None] * va
+               + np.where(flat, wb, np.sin(wb * omega))[:, None] * vb)
+        pts /= np.where(flat, np.linalg.norm(pts, axis=1), sin_omega)[:, None]
     else:
-        pts = (np.outer(np.sin(wa * omega), va) + np.outer(np.sin(wb * omega), vb)) / math.sin(omega)
+        pts = (np.sin(wa * omega)[:, None] * va + np.sin(wb * omega)[:, None] * vb)
+        pts /= np.broadcast_to(sin_omega, len(pts))[:, None]
     lats = np.degrees(np.arcsin(np.clip(pts[:, 2], -1.0, 1.0)))
     lons = np.degrees(np.arctan2(pts[:, 1], pts[:, 0]))
+    return lats, lons
+
+
+def _path_samples(a: GeoPoint, b: GeoPoint, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n+1 great-circle samples a..b as (lats, lons, fractions): the points
+    `_clearance` reads for a hop of n steps."""
+    va = _unit_vector(a)
+    vb = _unit_vector(b)
+    omega = _omega(va, vb)
+    idx = np.arange(n + 1)
+    wb = idx / n
+    lats, lons = _arc_points(va, vb, omega, math.sin(omega), (n - idx) / n, wb)
     return lats, lons, wb
+
+
+def _clearance(towers: list[Tower], ia: np.ndarray, ib: np.ndarray, d_km: np.ndarray,
+               terrain: TerrainGrid, p: LosParams) -> np.ndarray:
+    """Whether each hop towers[ia[h]]-towers[ib[h]] of length d_km[h] is clear.
+
+    All hops' samples form one sequence, read `_CHUNK_SAMPLES` at a time (a
+    hop may span chunks). Sample i of n has endpoint weights i/n and (n-i)/n,
+    so every term is bitwise identical under endpoint swap."""
+    units = np.array([_unit_vector(t.location) for t in towers])
+    alts = np.array([t.ground_elevation_m + p.usable_height_fraction * t.height_m
+                     for t in towers])
+    clear = np.ones(len(d_km), dtype=bool)
+    todo = np.flatnonzero(d_km > 0.0)
+    ia, ib, d = ia[todo], ib[todo], d_km[todo]
+    omega = np.array([_omega(units[i], units[j]) for i, j in zip(ia.tolist(), ib.tolist())])
+    sin_omega = np.array([math.sin(w) for w in omega.tolist()])
+    n = np.maximum(1, np.ceil(d * 1000.0 / p.sample_step_m).astype(np.int64))
+    offsets = np.concatenate(([0], np.cumsum(n + 1)))
+    ok = np.ones(len(todo), dtype=bool)
+    for s in range(0, int(offsets[-1]), _CHUNK_SAMPLES):
+        e = min(s + _CHUNK_SAMPLES, int(offsets[-1]))
+        h0 = int(np.searchsorted(offsets, s, side="right")) - 1
+        h1 = int(np.searchsorted(offsets, e, side="left"))
+        starts = np.maximum(offsets[h0:h1], s)
+        h = np.repeat(np.arange(h0, h1), np.diff(np.append(starts, e)))
+        k = np.arange(s, e) - offsets[h]
+        a, b, nh, dh = ia[h], ib[h], n[h], d[h]
+        wb = k / nh
+        wa = (nh - k) / nh
+        lats, lons = _arc_points(units[a], units[b], omega[h], sin_omega[h], wa, wb)
+        elev = terrain.sample_many(lats, lons)
+        d1 = dh * wb
+        d2 = dh * wa
+        bulge = d1 * d2 / (12.74 * p.k_factor)
+        fresnel = 2.0 * 8.7 * np.sqrt(d1 * d2 / dh) / math.sqrt(p.f_ghz)
+        line = alts[a] * wa + alts[b] * wb
+        needed = elev + bulge + fresnel + p.obstruction_margin_m
+        ok[h0:h1] &= np.logical_and.reduceat(line >= needed, starts - s)
+    clear[todo] = ok
+    return clear
+
+
+def _check_inside(tower: Tower, terrain: TerrainGrid) -> None:
+    if not terrain.contains(tower.location):
+        raise ValueError(f"tower {tower.id!r} outside terrain bounds")
 
 
 def hop_feasible(a: Tower, b: Tower, terrain: TerrainGrid, p: LosParams) -> bool:
@@ -236,45 +299,50 @@ def hop_feasible(a: Tower, b: Tower, terrain: TerrainGrid, p: LosParams) -> bool
     standard two-segment form 17.4 sqrt(d1 d2 / (D f)) m, which reduces
     to `fresnel_radius_m` at the midpoint.
     """
-    if not terrain.contains(a.location) or not terrain.contains(b.location):
-        raise ValueError("tower outside terrain bounds")
+    for t in (a, b):
+        _check_inside(t, terrain)
     d_km = geodesic_km(a.location, b.location)
     if d_km > p.max_range_km:
         return False
-    if d_km == 0.0:
-        return True
-    n = max(1, math.ceil(d_km * 1000.0 / p.sample_step_m))
-    lats, lons, frac = _path_samples(a.location, b.location, n)
-    elev = terrain.sample_many(lats, lons)
-    # frac[i] = i/n and frac[::-1][i] = (n-i)/n, so every term below is
-    # bitwise identical under endpoint swap and feasibility is symmetric.
-    d1 = d_km * frac
-    d2 = d_km * frac[::-1]
-    bulge = d1 * d2 / (12.74 * p.k_factor)
-    fresnel = 2.0 * 8.7 * np.sqrt(d1 * d2 / d_km) / math.sqrt(p.f_ghz)
-    alt_a = a.ground_elevation_m + p.usable_height_fraction * a.height_m
-    alt_b = b.ground_elevation_m + p.usable_height_fraction * b.height_m
-    line = alt_a * frac[::-1] + alt_b * frac
-    needed = elev + bulge + fresnel + p.obstruction_margin_m
-    return bool(np.all(line >= needed))
+    return bool(_clearance([a, b], np.array([0]), np.array([1]), np.array([d_km]),
+                           terrain, p)[0])
 
 
 def build_hop_graph(towers: list[Tower], terrain: TerrainGrid, p: LosParams) -> HopGraph:
-    """All feasible tower-tower hops; deterministic for fixed inputs."""
+    """All feasible tower-tower hops; deterministic for fixed inputs.
+
+    A vectorized haversine screens pairs by range with a margin against
+    rounding; the survivors are measured with `geodesic_km` and cleared by
+    one `_clearance` call, so the hops are those `hop_feasible` accepts.
+    """
     if not towers:
         raise ValueError("empty tower list")
     ids = [t.id for t in towers]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate tower ids")
     ordered = sorted(towers, key=lambda t: t.id)
-    hops: list[Hop] = []
-    for i, ta in enumerate(ordered):
-        for tb in ordered[i + 1:]:
+    lat = np.radians([t.location.lat for t in ordered])
+    lon = np.radians([t.location.lon for t in ordered])
+    screen = p.max_range_km * (1.0 + 1e-9)
+    ia, ib, lengths = [], [], []
+    for r0 in range(0, len(ordered), _SCREEN_ROWS):
+        rows = slice(r0, r0 + _SCREEN_ROWS)
+        h = (np.sin((lat - lat[rows, None]) / 2.0) ** 2
+             + np.cos(lat[rows, None]) * np.cos(lat) * np.sin((lon - lon[rows, None]) / 2.0) ** 2)
+        near = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(h, 1.0))) <= screen
+        for r, j in zip(*(x.tolist() for x in np.nonzero(np.triu(near, r0 + 1)))):
+            ta, tb = ordered[r0 + r], ordered[j]
             d = geodesic_km(ta.location, tb.location)
-            if d > p.max_range_km:
-                continue
-            if hop_feasible(ta, tb, terrain, p):
-                hops.append(Hop(ta.id, tb.id, d))
+            if d <= p.max_range_km:
+                for t in (ta, tb):
+                    _check_inside(t, terrain)
+                ia.append(r0 + r)
+                ib.append(j)
+                lengths.append(d)
+    clear = _clearance(ordered, np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64),
+                       np.array(lengths), terrain, p)
+    hops = [Hop(ordered[i].id, ordered[j].id, d)
+            for i, j, d, ok in zip(ia, ib, lengths, clear.tolist()) if ok]
     return HopGraph({t.id: t for t in ordered}, hops)
 
 
@@ -306,9 +374,11 @@ def cull_towers(towers: list[Tower], min_height_m: float, grid_cell_deg: float,
 def load_towers_csv(path: str, terrain: TerrainGrid | None = None) -> list[Tower]:
     """Read a tower inventory: id,lat,lon,height_m[,ground_elevation_m].
 
-    When ground elevation is absent it is sampled from `terrain`.
+    When ground elevation is absent it is sampled from `terrain`, for all
+    such towers in one call.
     """
     towers: list[Tower] = []
+    unset: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"id", "lat", "lon", "height_m"} <= set(reader.fieldnames):
@@ -320,10 +390,16 @@ def load_towers_csv(path: str, terrain: TerrainGrid | None = None) -> list[Tower
                 if terrain is None:
                     raise ValueError(f"{path}: tower {row['id']} lacks ground elevation "
                                      "and no terrain was supplied")
-                elev = terrain.sample(loc)
-            else:
-                elev = float(ground)
-            towers.append(Tower(row["id"], loc, float(row["height_m"]), elev))
+                if not terrain.contains(loc):
+                    raise ValueError(f"{path}: tower {row['id']!r} outside terrain bounds")
+                unset.append(len(towers))
+                ground = 0.0
+            towers.append(Tower(row["id"], loc, float(row["height_m"]), float(ground)))
+    if unset:
+        elev = terrain.sample_many([towers[k].location.lat for k in unset],
+                                   [towers[k].location.lon for k in unset])
+        for k, e in zip(unset, elev.tolist()):
+            towers[k] = replace(towers[k], ground_elevation_m=e)
     ids = [t.id for t in towers]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{path}: duplicate tower ids")

@@ -121,9 +121,9 @@ def topology_from_design(inp: DesignInput, design: NetworkDesign,
     for pair in design.built_links:
         if pair not in fiber_used:
             cap = (link_capacities or {}).get(pair, per_series_capacity_gbps)
-            links.append(SimLink(pair[0], pair[1], inp.mw_km[pair], "mw", cap))
+            links.append(SimLink(pair[0], pair[1], float(inp.mw_km[pair]), "mw", cap))
     for pair in sorted(fiber_used):
-        km = inp.fiber_km_eq[pair] / inp.fiber_slowdown
+        km = float(inp.fiber_km_eq[pair] / inp.fiber_slowdown)
         links.append(SimLink(pair[0], pair[1], km, "fiber", fiber_capacity_gbps))
     return SimTopology(inp.site_ids, links)
 

@@ -119,20 +119,24 @@ def failed_links(design: NetworkDesign, tower_paths: Mapping[Pair, Sequence[str]
     `tower_paths` gives each built link's node chain (sites included) and
     `coords` the positions of every node on those chains.
     """
-    out: set[Pair] = set()
+    return _failures(design, tower_paths, coords, field, [t], model)[0]
+
+
+def _failures(design: NetworkDesign, tower_paths: Mapping[Pair, Sequence[str]],
+              coords: Mapping[str, GeoPoint], field, times: Sequence[str],
+              model: AttenuationModel) -> list[set[Pair]]:
+    """`failed_links` at each of `times`, measuring every hop once."""
+    links = []
     for pair in design.built_links:
         chain = tower_paths.get(pair)
         if chain is None or len(chain) < 2:
             raise KeyError(f"no tower path recorded for built link {pair}")
-        lid = link_id(pair)
-        for u, v in zip(chain, chain[1:]):
-            a, b = coords[u], coords[v]
-            hop_km = geodesic_km(a, b)
-            rain = field.hop_rain(t, lid, a, b)
-            if rain_attenuation_db(hop_km, rain, model) > model.fail_threshold_db:
-                out.add(pair)
-                break
-    return out
+        hops = [(coords[u], coords[v]) for u, v in zip(chain, chain[1:])]
+        links.append((pair, link_id(pair), [(a, b, geodesic_km(a, b)) for a, b in hops]))
+    return [{pair for pair, lid, hops in links
+             if any(rain_attenuation_db(km, field.hop_rain(t, lid, a, b), model)
+                    > model.fail_threshold_db for a, b, km in hops)}
+            for t in times]
 
 
 @dataclass(frozen=True)
@@ -203,8 +207,7 @@ def analyze(inp: DesignInput, design: NetworkDesign, field,
             timestamps: Sequence[str] | None = None) -> WeatherReport:
     """End-to-end weather run: compute failures per interval, then reroute."""
     times = list(timestamps) if timestamps is not None else field.timestamps()
-    failures = [(t, failed_links(design, inp.tower_paths, coords, field, t, model))
-                for t in times]
+    failures = list(zip(times, _failures(design, inp.tower_paths, coords, field, times, model)))
     return reroute_and_stats(inp, design, failures)
 
 

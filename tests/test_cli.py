@@ -336,3 +336,15 @@ def test_exit_code_on_disconnected_sites(tmp_path):
 
 def test_usage_error_exits_one():
     assert main(["design", "--config"]) == 1
+
+
+def test_hopgraph_names_tower_outside_terrain(tmp_path, capsys):
+    # One more tower just west of the demo raster, within range of ta01.
+    with open(os.path.join(DEMO, "towers.csv")) as fh:
+        text = fh.read()
+    towers = tmp_path / "towers.csv"
+    towers.write_text(text + "zz_west,0.1000,-2.3000,95,0\n")
+    cfgp = write_config(tmp_path, demo_config(towers_csv=str(towers)))
+    capsys.readouterr()
+    assert main(["hopgraph", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert "tower 'zz_west' outside terrain bounds" in capsys.readouterr().err

@@ -265,3 +265,100 @@ def test_fiber_graph_flags_subgeodesic_links(caplog):
         g.add_link("a", "b", 50.0)  # geodesic is ~111 km
     assert any("shorter than geodesic" in r.message for r in caplog.records)
     assert ("a", "b") in g.links
+
+
+# --- slow reference: one full stretch summary per trial removal -----------------
+# `prune_links` as it was before stacked trial scoring. The stacked code must
+# take the same steps with bitwise the same statistics.
+
+def reference_prune_links(g, sites, weights=None, model=fiberbase.LatencyModel()):
+    work = g.copy()
+    steps = [fiberbase.PruneStep(work.copy(),
+                                 fiberbase.fiber_stretch_stats(work, sites, weights, model),
+                                 len(work.links), None, work.total_fiber_km())]
+    while True:
+        safe = graphcore.bridges(work.graph())
+        candidates = sorted(k for k in work.links if k not in safe)
+        if not candidates:
+            break
+        best_key = None
+        best_mean = math.inf
+        for key in candidates:
+            trial = work.copy()
+            trial.remove_link(*key)
+            per_pair, _ = fiberbase.pair_stretches(trial, sites, model)
+            mean = fiberbase.stretch_stats(per_pair, weights).mean
+            if mean < best_mean:
+                best_mean = mean
+                best_key = key
+        work.remove_link(*best_key)
+        steps.append(fiberbase.PruneStep(work.copy(),
+                                         fiberbase.fiber_stretch_stats(work, sites, weights, model),
+                                         len(work.links), best_key, work.total_fiber_km()))
+    return steps
+
+
+def random_conduits(seed, n=14, n_sites=10, chords=8, island=False):
+    """Ring plus chords over n endpoints, the first n_sites of them sites;
+    with `island`, two more sites on a triangle of their own, so some site
+    pairs are disconnected."""
+    rng = np.random.default_rng(seed)
+    points = [(f"e{i:02d}", float(rng.uniform(0, 4)), float(rng.uniform(0, 4)))
+              for i in range(n)]
+    ids = [p[0] for p in points]
+    links = {pair_key(ids[i], ids[(i + 1) % n]) for i in range(n)}
+    while len(links) < n + chords:
+        a, b = rng.choice(n, size=2, replace=False)
+        links.add(pair_key(ids[a], ids[b]))
+    sites = ids[:n_sites]
+    if island:
+        points += [("x0", 8.0, 8.0), ("x1", 8.5, 8.2), ("x2", 8.2, 8.9)]
+        links |= {("x0", "x1"), ("x1", "x2"), ("x0", "x2")}
+        sites = sites + ["x0", "x1"]
+    g = FiberGraph()
+    for sid, lat, lon in points:
+        g.add_endpoint(FiberEndpoint(sid, GeoPoint(lat, lon)))
+    for a, b in sorted(links):
+        km = geodesic_km(g.endpoints[a].location, g.endpoints[b].location)
+        g.add_link(a, b, km * float(rng.uniform(1.05, 1.6)))
+    return g, sites
+
+
+def gravity_like(rng, sites):
+    return TrafficMatrix({pair_key(a, b): float(rng.uniform(0.0, 5.0)) * (rng.random() > 0.2)
+                          for i, a in enumerate(sites) for b in sites[i + 1:]})
+
+
+def assert_same_steps(got, want):
+    assert [s.removed for s in got] == [s.removed for s in want]
+    for a, b in zip(got, want):
+        assert a.stats == b.stats
+        assert a.stats.mean.hex() == b.stats.mean.hex()
+        assert a.link_count == b.link_count
+        assert a.total_fiber_km.hex() == b.total_fiber_km.hex()
+        assert a.graph.links == b.graph.links
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("weighting", ["uniform", "gravity"])
+def test_prune_links_matches_reference(seed, weighting):
+    g, sites = random_conduits(seed, island=seed % 2 == 1)
+    weights = None if weighting == "uniform" else gravity_like(np.random.default_rng(seed), sites)
+    want = reference_prune_links(g, sites, weights)
+    got = fiberbase.prune_links(g, sites, weights)
+    assert len(want) > 2
+    assert_same_steps(got, want)
+    if seed % 2 == 1:
+        assert all(s.stats.excluded_pairs == 2 * 10 for s in got)
+
+
+def test_prune_links_trial_chunks_match_reference(monkeypatch):
+    # A batch limit below one trial's matrix scores every trial on its own;
+    # one of a few trials splits each round across several stacked calls.
+    g, sites = random_conduits(11, island=True)
+    weights = gravity_like(np.random.default_rng(11), sites)
+    want = reference_prune_links(g, sites, weights)
+    n = len(g.endpoints)
+    for limit in (1, 3 * n * n):
+        monkeypatch.setattr(fiberbase, "_BATCH_ELEMENTS", limit)
+        assert_same_steps(fiberbase.prune_links(g, sites, weights), want)

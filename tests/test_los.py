@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -252,3 +253,251 @@ def test_hops_csv_roundtrip(tmp_path):
     back = los.load_hops_csv(str(path), towers)
     assert {(h.tower_a, h.tower_b) for h in back.hops} == \
         {(h.tower_a, h.tower_b) for h in hg.hops}
+
+
+# --- slow reference: the per-pair clearance loop ---------------------------------
+# `hop_feasible` and `build_hop_graph` as they were before the batched
+# clearance kernel: one great-circle sample set and one terrain read per
+# pair. The batched code must give bitwise the same hops.
+
+def reference_path_samples(a, b, n):
+    va = los._unit_vector(a)
+    vb = los._unit_vector(b)
+    omega = math.acos(min(1.0, max(-1.0, float(np.dot(va, vb)))))
+    idx = np.arange(n + 1)
+    wb = idx / n
+    wa = (n - idx) / n
+    if omega < 1e-12:
+        pts = np.outer(wa, va) + np.outer(wb, vb)
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+    else:
+        pts = (np.outer(np.sin(wa * omega), va) + np.outer(np.sin(wb * omega), vb)) / math.sin(omega)
+    lats = np.degrees(np.arcsin(np.clip(pts[:, 2], -1.0, 1.0)))
+    lons = np.degrees(np.arctan2(pts[:, 1], pts[:, 0]))
+    return lats, lons, wb
+
+
+def reference_hop_feasible(a, b, terrain, p):
+    if not terrain.contains(a.location) or not terrain.contains(b.location):
+        raise ValueError("tower outside terrain bounds")
+    d_km = geodesic_km(a.location, b.location)
+    if d_km > p.max_range_km:
+        return False
+    if d_km == 0.0:
+        return True
+    n = max(1, math.ceil(d_km * 1000.0 / p.sample_step_m))
+    lats, lons, frac = reference_path_samples(a.location, b.location, n)
+    elev = terrain.sample_many(lats, lons)
+    d1 = d_km * frac
+    d2 = d_km * frac[::-1]
+    bulge = d1 * d2 / (12.74 * p.k_factor)
+    fresnel = 2.0 * 8.7 * np.sqrt(d1 * d2 / d_km) / math.sqrt(p.f_ghz)
+    alt_a = a.ground_elevation_m + p.usable_height_fraction * a.height_m
+    alt_b = b.ground_elevation_m + p.usable_height_fraction * b.height_m
+    line = alt_a * frac[::-1] + alt_b * frac
+    needed = elev + bulge + fresnel + p.obstruction_margin_m
+    return bool(np.all(line >= needed))
+
+
+def reference_hops(towers, terrain, p):
+    ordered = sorted(towers, key=lambda t: t.id)
+    hops = []
+    for i, ta in enumerate(ordered):
+        for tb in ordered[i + 1:]:
+            d = geodesic_km(ta.location, tb.location)
+            if d > p.max_range_km:
+                continue
+            if reference_hop_feasible(ta, tb, terrain, p):
+                hops.append((ta.id, tb.id, d.hex()))
+    return hops
+
+
+def hop_list(hop_graph):
+    return [(h.tower_a, h.tower_b, float(h.length_km).hex()) for h in hop_graph.hops]
+
+
+class RecordingTerrain(TerrainGrid):
+    """A terrain that keeps every (lats, lons) it is asked to sample."""
+
+    def __init__(self, base):
+        super().__init__(base.values, base.xllcorner, base.yllcorner, base.cellsize)
+        self.lats, self.lons = [], []
+
+    def sample_many(self, lats, lons):
+        self.lats.append(np.array(lats, dtype=float))
+        self.lons.append(np.array(lons, dtype=float))
+        return super().sample_many(lats, lons)
+
+    def samples(self):
+        return np.concatenate(self.lats).tobytes(), np.concatenate(self.lons).tobytes()
+
+
+def batched_equals_reference(towers, terrain, params):
+    """The batched hop graph equals the per-pair loop's, and it read the
+    terrain at bitwise the same points in the same order."""
+    batched, reference = RecordingTerrain(terrain), RecordingTerrain(terrain)
+    got = hop_list(los.build_hop_graph(towers, batched, params))
+    assert got == reference_hops(towers, reference, params)
+    assert batched.samples() == reference.samples()
+    return got
+
+
+def ridged_terrain(seed, half_extent_deg=1.0, cellsize=0.01):
+    """Noise plus a few Gaussian ridges, so some hops clear and some do not."""
+    rng = np.random.default_rng(seed)
+    n = int(round(2 * half_extent_deg / cellsize))
+    y, x = (np.mgrid[0:n, 0:n] + 0.5) * cellsize - half_extent_deg
+    z = rng.uniform(0.0, 30.0, size=(n, n))
+    for _ in range(3):
+        angle = rng.uniform(0.0, math.pi)
+        dist = np.abs(math.cos(angle) * x + math.sin(angle) * y - rng.uniform(-0.5, 0.5))
+        z += rng.uniform(80.0, 250.0) * np.exp(-(dist / rng.uniform(0.02, 0.08)) ** 2)
+    return TerrainGrid(z, -half_extent_deg, -half_extent_deg, cellsize)
+
+
+def random_towers(rng, count, extent=0.9):
+    return [tower_at(f"t{i:03d}", float(rng.uniform(-extent, extent)),
+                     float(rng.uniform(-extent, extent)),
+                     height=float(rng.uniform(20.0, 150.0)),
+                     ground=float(rng.uniform(0.0, 40.0))) for i in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_build_hop_graph_matches_reference_on_ridged_terrain(seed):
+    rng = np.random.default_rng(100 + seed)
+    terr = ridged_terrain(seed)
+    towers = random_towers(rng, 40)
+    params = LosParams(sample_step_m=float(rng.uniform(60.0, 250.0)),
+                       max_range_km=float(rng.uniform(30.0, 70.0)),
+                       k_factor=float(rng.uniform(1.0, 1.5)),
+                       usable_height_fraction=float(rng.uniform(0.6, 1.0)),
+                       obstruction_margin_m=float(rng.uniform(0.0, 5.0)))
+    expected = batched_equals_reference(towers, terr, params)
+    # Some hops clear, some are blocked: both sides of the test are exercised.
+    in_range = sum(1 for i, a in enumerate(towers) for b in towers[i + 1:]
+                   if geodesic_km(a.location, b.location) <= params.max_range_km)
+    assert 0 < len(expected) < in_range
+
+
+@pytest.mark.parametrize("chunk,rows", [(7, 3), (97, 5), (4096, 1)])
+def test_build_hop_graph_chunking_matches_reference(monkeypatch, chunk, rows):
+    # Chunks much smaller than a hop split hops across chunks and chunk
+    # boundaries fall mid-list; small row blocks split the range screen.
+    monkeypatch.setattr(los, "_CHUNK_SAMPLES", chunk)
+    monkeypatch.setattr(los, "_SCREEN_ROWS", rows)
+    rng = np.random.default_rng(9)
+    terr = ridged_terrain(9)
+    towers = random_towers(rng, 14)
+    params = LosParams(sample_step_m=400.0, max_range_km=60.0)
+    batched_equals_reference(towers, terr, params)
+
+
+def test_hop_feasible_matches_reference_and_is_symmetric():
+    rng = np.random.default_rng(17)
+    terr = ridged_terrain(17)
+    params = LosParams(sample_step_m=150.0, max_range_km=80.0)
+    towers = random_towers(rng, 30)
+    for a, b in zip(towers[::2], towers[1::2]):
+        ref = reference_hop_feasible(a, b, terr, params)
+        assert los.hop_feasible(a, b, terr, params) is ref
+        assert los.hop_feasible(b, a, terr, params) is ref
+
+
+def test_path_samples_match_reference_bitwise():
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        a = GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170)))
+        b = GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-170, 170)))
+        for pb in (b, GeoPoint(a.lat + 1e-9, a.lon), a):
+            n = int(rng.integers(1, 50))
+            got = los._path_samples(a, pb, n)
+            ref = reference_path_samples(a, pb, n)
+            for g, r in zip(got, ref):
+                assert g.tobytes() == r.tobytes()
+
+
+def test_build_hop_graph_range_within_one_ulp():
+    # Towers tall enough that every hop in range clears: a pair at exactly
+    # the range limit is kept, one ulp beyond it is not.
+    rng = np.random.default_rng(23)
+    terr = ridged_terrain(23)
+    towers = [dataclasses.replace(t, height_m=800.0) for t in random_towers(rng, 12)]
+    for a, b in [(towers[0], towers[1]), (towers[2], towers[5]), (towers[7], towers[3])]:
+        d = geodesic_km(a.location, b.location)
+        pair = tuple(sorted((a.id, b.id)))
+        for limit in (np.nextafter(d, 0.0), d, np.nextafter(d, math.inf)):
+            params = LosParams(sample_step_m=300.0, max_range_km=float(limit))
+            got = hop_list(los.build_hop_graph(towers, terr, params))
+            assert got == reference_hops(towers, terr, params)
+            assert any((h[0], h[1]) == pair for h in got) == (d <= limit)
+
+
+def test_build_hop_graph_coincident_and_near_coincident_towers():
+    terr = ridged_terrain(5)
+    towers = [tower_at("c0", 0.3, 0.3, height=300.0), tower_at("c1", 0.3, 0.3, height=320.0),
+              tower_at("c2", 0.3 + 1e-12, 0.3, height=300.0),
+              tower_at("c3", 0.3 + 1e-6, 0.3, height=300.0),
+              tower_at("c4", 0.45, 0.2, height=40.0)]
+    params = LosParams(sample_step_m=100.0)
+    got = batched_equals_reference(towers, terr, params)
+    # Coincident towers form a zero-length hop; 1e-12 degrees apart the
+    # great-circle angle rounds to zero and the chord branch is taken.
+    assert ("c0", "c1", (0.0).hex()) in got
+    assert los.hop_feasible(towers[0], towers[1], terr, params)
+    assert ("c0", "c2") in {(h[0], h[1]) for h in got}
+    a, b = towers[0], towers[2]
+    assert los._omega(los._unit_vector(a.location), los._unit_vector(b.location)) < 1e-12
+    assert geodesic_km(a.location, b.location) > 0.0
+
+
+def test_build_hop_graph_out_of_bounds_tower():
+    terr = ridged_terrain(3, half_extent_deg=0.5)
+    inside = [tower_at("a", 0.0, 0.0, height=400.0), tower_at("b", 0.1, 0.2, height=400.0)]
+    params = LosParams(sample_step_m=100.0, max_range_km=50.0)
+    # Outside the raster but with no partner in range: ignored, no raise.
+    far = tower_at("far", 0.0, 2.0)
+    got = hop_list(los.build_hop_graph(inside + [far], terr, params))
+    assert got == reference_hops(inside + [far], terr, params) != []
+    # Outside the raster and in range of a tower: the error names it.
+    near = tower_at("edge", 0.0, 0.6)
+    with pytest.raises(ValueError, match="tower 'edge' outside terrain bounds"):
+        los.build_hop_graph(inside + [near], terr, params)
+    with pytest.raises(ValueError, match="tower 'edge' outside terrain bounds"):
+        los.hop_feasible(inside[0], near, terr, params)
+
+
+def test_build_hop_graph_nodata_cells():
+    terr = ridged_terrain(8)
+    towers = random_towers(np.random.default_rng(8), 16, extent=0.4)
+    params = LosParams(sample_step_m=200.0, max_range_km=40.0)
+    expected = reference_hops(towers, terr, params)
+    # NODATA far from every hop changes nothing...
+    terr.values[:20, -20:] = np.nan
+    assert hop_list(los.build_hop_graph(towers, terr, params)) == expected
+    # ...NODATA under a hop in range is an error, as for one pair.
+    terr.values[95:105, 95:105] = np.nan
+    with pytest.raises(ValueError, match="NODATA"):
+        reference_hops(towers, terr, params)
+    with pytest.raises(ValueError, match="NODATA"):
+        los.build_hop_graph(towers, terr, params)
+
+
+def test_towers_csv_missing_ground_names_first_tower(tmp_path):
+    p = tmp_path / "towers.csv"
+    p.write_text("id,lat,lon,height_m,ground_elevation_m\n"
+                 "a,0.0,0.0,120,5\n"
+                 "b,0.1,0.1,80,\n"
+                 "c,0.2,0.1,80,\n")
+    with pytest.raises(ValueError, match="tower b lacks ground elevation"):
+        los.load_towers_csv(str(p))
+    # With terrain, every missing elevation comes from one batched read and
+    # equals the one-point read; a tower outside the raster is named.
+    terr = ridged_terrain(2)
+    towers = los.load_towers_csv(str(p), terrain=terr)
+    assert [t.ground_elevation_m for t in towers] == [
+        5.0, terr.sample(GeoPoint(0.1, 0.1)), terr.sample(GeoPoint(0.2, 0.1))]
+    p.write_text("id,lat,lon,height_m,ground_elevation_m\n"
+                 "a,0.0,0.0,120,\n"
+                 "z,0.0,1.5,80,\n")
+    with pytest.raises(ValueError, match="tower 'z' outside terrain bounds"):
+        los.load_towers_csv(str(p), terrain=terr)

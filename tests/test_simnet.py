@@ -540,3 +540,20 @@ def test_results_csv(tmp_path):
     text = path.read_text().strip().splitlines()
     assert text[0] == "gamma,load,mean_delay_ms,loss_rate"
     assert len(text) == 2
+
+
+def test_topology_from_in_memory_instance_has_plain_float_lengths():
+    # A DesignInput built in memory holds numpy floats; the topology and the
+    # run's delays must still be plain floats (their repr feeds the CSVs).
+    import os, sys
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from test_designer import random_instance
+
+    inp = random_instance(42, n_sites=10, mw_fraction=0.4, budget_fraction=0.5)
+    design = designer.solve_heuristic(inp)
+    topo = topology_from_design(inp, design)
+    assert {l.medium for l in topo.links} == {"mw", "fiber"}
+    assert all(type(l.length_km) is float for l in topo.links)
+    table = build_routing(topo, inp.traffic, "shortest_path")
+    stats = run(topo, inp.traffic, table, SimConfig(aggregate_gbps=1.0, sim_seconds=0.002))
+    assert type(stats.mean_delay_ms) is float
