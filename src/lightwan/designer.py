@@ -21,8 +21,8 @@ import numpy as np
 from .fiberbase import StretchStats, stretch_stats
 from .geo import GeoPoint, Site, geodesic_km
 from .graphcore import (
-    BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, distance_matrix, shortest_paths_from,
-    weight_matrix,
+    BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, distance_matrix, next_hop_walks,
+    shortest_paths_from, weight_matrix,
 )
 from .los import HopGraph
 from .traffic import Pair, TrafficMatrix, pair_key
@@ -114,6 +114,11 @@ class NetworkDesign:
     stats: StretchStats
     towers_used: float
     budget: float
+
+    def fiber_links(self) -> list[Pair]:
+        """Sorted fiber links that some route uses."""
+        return sorted({pair_key(u, v) for r in self.routes.values()
+                       for (u, v), medium in zip(r.edges, r.media) if medium == "fiber"})
 
 
 class HybridEvaluator:
@@ -404,32 +409,21 @@ def evaluate_design(inp: DesignInput, built_links: Sequence[Pair]) -> NetworkDes
 
     ev = HybridEvaluator(inp)
     w = ev.graph_for(built)
-    dist = distance_matrix(w).tolist()
+    dist = distance_matrix(w)
     ids = inp.site_ids
-    g = WeightedGraph()
-    for i, a in enumerate(ids):
-        g.add_node(a)
-        for j in range(i):
-            if math.isfinite(w[i, j]):
-                g.add_edge(ids[j], a, float(w[i, j]))
-
-    def edge_medium(a: str, b: str) -> str:
-        i, j = ev.index[a], ev.index[b]
-        return "mw" if w[i, j] < ev.fiber[i, j] else "fiber"
-
+    if np.isinf(dist).any():
+        i, j = np.argwhere(np.isinf(dist))[0]  # row-major, so i < j
+        raise InfeasibleDesignError(f"pair ({ids[i]}, {ids[j]}) cannot be routed")
+    pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
     routes: dict[Pair, PairRoute] = {}
-    per_pair_stretch: dict[Pair, float] = {}
-    for i, src in enumerate(ids):
-        paths = shortest_paths_from(g, src)
-        for j, dst in enumerate(ids[i + 1:], i + 1):
-            p = paths.get(dst)
-            if p is None:
-                raise InfeasibleDesignError(f"pair ({src}, {dst}) cannot be routed")
-            media = tuple(edge_medium(u, v) for u, v in p.edges)
-            s = dist[i][j] / inp.geodesic[(src, dst)]
-            routes[(src, dst)] = PairRoute(p.nodes, media, dist[i][j], s)
-            per_pair_stretch[(src, dst)] = s
-    stats = stretch_stats(per_pair_stretch, inp.traffic)
+    for (i, j), walk in zip(pairs, next_hop_walks(w, dist, pairs)):
+        a, b = ids[i], ids[j]
+        media = tuple("mw" if w[u, v] < ev.fiber[u, v] else "fiber"
+                      for u, v in zip(walk, walk[1:]))
+        km = float(dist[i, j])
+        routes[(a, b)] = PairRoute(tuple(ids[u] for u in walk), media, km,
+                                   km / inp.geodesic[(a, b)])
+    stats = stretch_stats({p: r.stretch for p, r in routes.items()}, inp.traffic)
     return NetworkDesign(tuple(built), routes, stats, towers, inp.budget)
 
 
@@ -636,12 +630,7 @@ def design_to_geojson(inp: DesignInput, design: NetworkDesign,
                            "length_km": inp.mw_km[pair],
                            "cost_towers": inp.mw_cost[pair]},
         })
-    fiber_used: set[Pair] = set()
-    for route in design.routes.values():
-        for (u, v), medium in zip(route.edges, route.media):
-            if medium == "fiber":
-                fiber_used.add(pair_key(u, v))
-    for pair in sorted(fiber_used):
+    for pair in design.fiber_links():
         features.append({
             "type": "Feature",
             "geometry": {"type": "LineString",

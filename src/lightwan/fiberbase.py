@@ -15,7 +15,7 @@ import numpy as np
 from .geo import GeoPoint, LatencyModel, geodesic_km
 from .graphcore import (
     BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, bridges, distance_matrix,
-    shortest_paths_from, weight_matrix,
+    next_hop_walks, weight_matrix,
 )
 from .traffic import Pair, TrafficMatrix, pair_key
 
@@ -174,26 +174,28 @@ def stretch_stats(per_pair: dict[Pair, float], weights: TrafficMatrix | None,
 def pair_stretches(g: FiberGraph, sites: Sequence[str],
                    model: LatencyModel = LatencyModel()) -> tuple[dict[Pair, float], int]:
     """Per-pair fiber stretch (path km x slowdown / geodesic km) and the
-    number of disconnected pairs, which are logged and excluded."""
+    number of disconnected pairs, which are excluded and logged once per call."""
     for s in sites:
         if s not in g.endpoints:
             raise KeyError(f"unknown site {s!r}")
     index, dist = g.distances()
     ordered = sorted(set(sites))
     out: dict[Pair, float] = {}
-    excluded = 0
+    cut: list[Pair] = []
     for i, s in enumerate(ordered):
         for t in ordered[i + 1:]:
             km = dist[index[s]][index[t]]
             if math.isinf(km):
-                logger.warning("site pair (%s, %s) disconnected in fiber graph", s, t)
-                excluded += 1
+                cut.append((s, t))
                 continue
             d = geodesic_km(g.endpoints[s].location, g.endpoints[t].location)
             if d == 0:
                 raise ValueError(f"coincident sites ({s}, {t}): stretch undefined")
             out[(s, t)] = km * model.fiber_slowdown / d
-    return out, excluded
+    if cut:
+        logger.warning("%d site pairs disconnected in fiber graph, first (%s, %s)",
+                       len(cut), *cut[0])
+    return out, len(cut)
 
 
 def fiber_stretch_stats(g: FiberGraph, sites: Sequence[str],
@@ -302,21 +304,23 @@ def _pick_wavelength(demand: float) -> tuple[float, int, bool, bool]:
 
 def route_fiber_demand(g: FiberGraph, weights: TrafficMatrix,
                        aggregate_gbps: float) -> dict[Pair, float]:
-    """Per-link Gbps after placing each pair's demand on its shortest fiber path."""
-    wg = g.graph()
-    loads: dict[Pair, float] = {key: 0.0 for key in g.links}
+    """Per-link Gbps after placing each pair's demand, in the matrix's sorted
+    pair order, on its shortest fiber path (`next_hop_walks`, endpoints by id)."""
+    nodes = sorted(g.endpoints)
+    index = {n: i for i, n in enumerate(nodes)}
+    w = weight_matrix(nodes, g.links)
+    dist = distance_matrix(w)
     demands = weights.scaled(aggregate_gbps)
-    for src in sorted({s for pair in demands for s in pair}):
-        if src not in g.endpoints:
-            raise KeyError(f"unknown site {src!r}")
-        paths = shortest_paths_from(wg, src)
-        for (a, b), gbps in demands.items():
-            if a != src:
-                continue
-            if b not in paths:
-                raise ValueError(f"site pair ({a}, {b}) disconnected in fiber graph")
-            for u, v in paths[b].edges:
-                loads[pair_key(u, v)] += gbps
+    for a, b in demands:
+        if a not in index:
+            raise KeyError(f"unknown site {a!r}")
+        if b not in index or math.isinf(dist[index[a], index[b]]):
+            raise ValueError(f"site pair ({a}, {b}) disconnected in fiber graph")
+    loads: dict[Pair, float] = {key: 0.0 for key in g.links}
+    walks = next_hop_walks(w, dist, [(index[a], index[b]) for a, b in demands])
+    for gbps, walk in zip(demands.values(), walks):
+        for u, v in zip(walk, walk[1:]):
+            loads[pair_key(nodes[u], nodes[v])] += gbps
     return loads
 
 

@@ -1,12 +1,12 @@
 """Weighted-graph algorithms shared across the toolkit.
 
 Distances between sites come from one dense kernel, `distance_matrix`
-(Floyd-Warshall over a `weight_matrix`). Dijkstra remains only where node
-sequences are needed: routes in design evaluation, site links, disjoint
-tower paths and simulator routing, with ties broken toward the
-lexicographically smallest node-id sequence so designs are reproducible.
-`shortest_path_lengths` also builds the simulator's downhill DAGs and is
-the tests' oracle for the kernel. Graphs are immutable during queries.
+(Floyd-Warshall over a `weight_matrix`), and site-level routes from its
+next hops (`next_hop_walks`): design evaluation, fiber demand routing and
+simulator routing, with exact ties to the smallest node index. Dijkstra
+remains only on the sparse tower graphs (site links and disjoint tower
+paths), with ties broken toward the lexicographically smallest node-id
+sequence so designs are reproducible. Graphs are immutable during queries.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def shortest_paths_from(g: WeightedGraph, src: str) -> dict[str, Path]:
 
 
 def shortest_path_lengths(g: WeightedGraph, src: str) -> dict[str, float]:
-    """Dijkstra distances from src (no path reconstruction; used in inner loops)."""
+    """Dijkstra distances from src; no library caller: the tests' oracle for `distance_matrix`."""
     _check_nodes(g, src)
     heap: list[tuple[float, str]] = [(0.0, src)]
     dist: dict[str, float] = {}
@@ -177,6 +177,27 @@ def distance_matrix(weights: np.ndarray) -> np.ndarray:
     for k in range(d.shape[-1]):
         np.minimum(d, d[..., :, k:k + 1] + d[..., k:k + 1, :], out=d)
     return d
+
+
+def next_hop_walks(weights: np.ndarray, dist: np.ndarray,
+                   pairs: Iterable[tuple[int, int]]) -> Iterator[list[int]]:
+    """Node-index walk s -> t for each (s, t) of `pairs` over dense `weights`
+    and their `distance_matrix` `dist`: the next hop from u is the neighbour
+    v != u with the least weights[u, v] + dist[v, t], exact ties to the
+    smallest index, read one destination column at a time (O(n^2) memory).
+    Raises ValueError when t is unreachable from s or a walk would pass n nodes."""
+    off = np.array(weights, dtype=float)
+    np.fill_diagonal(off, np.inf)
+    columns: dict[int, list[int]] = {}
+    for s, t in pairs:
+        if t not in columns:
+            columns[t] = (off + dist[:, t]).argmin(axis=1).tolist()
+        nodes = [s]
+        while nodes[-1] != t:
+            if np.isinf(dist[s, t]) or len(nodes) == len(off):
+                raise ValueError(f"no loop-free walk from node {s} to node {t}")
+            nodes.append(columns[t][nodes[-1]])
+        yield nodes
 
 
 def tower_disjoint_paths(g: WeightedGraph, src: str, dst: str, n: int) -> list[Path]:

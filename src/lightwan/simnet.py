@@ -29,7 +29,7 @@ import numpy as np
 
 from .designer import DesignInput, InfeasibleDesignError, NetworkDesign
 from .geo import LatencyModel, Site, latency_ms
-from .graphcore import WeightedGraph, shortest_path_lengths, shortest_paths_from
+from .graphcore import WeightedGraph, distance_matrix, next_hop_walks, weight_matrix
 from .traffic import Pair, TrafficMatrix, pair_key, perturb
 
 ROUTING_SCHEMES = ("shortest_path", "min_max_util", "throughput_optimal")
@@ -112,17 +112,13 @@ def topology_from_design(inp: DesignInput, design: NetworkDesign,
     MW links, except one whose pair routes over fiber (it is not shorter).
     MW capacities come from `link_capacities` (e.g. k^2 x series capacity
     out of an augmentation plan), defaulting to one series."""
-    fiber_used: set[Pair] = set()
-    for route in design.routes.values():
-        for (u, v), medium in zip(route.edges, route.media):
-            if medium == "fiber":
-                fiber_used.add(pair_key(u, v))
+    fiber_used = design.fiber_links()
     links = []
     for pair in design.built_links:
         if pair not in fiber_used:
             cap = (link_capacities or {}).get(pair, per_series_capacity_gbps)
             links.append(SimLink(pair[0], pair[1], float(inp.mw_km[pair]), "mw", cap))
-    for pair in sorted(fiber_used):
+    for pair in fiber_used:
         km = float(inp.fiber_km_eq[pair] / inp.fiber_slowdown)
         links.append(SimLink(pair[0], pair[1], km, "fiber", fiber_capacity_gbps))
     return SimTopology(inp.site_ids, links)
@@ -169,22 +165,24 @@ def _directed_demands(traffic: TrafficMatrix) -> dict[tuple[str, str], float]:
     return out
 
 
-def _downhill_dag(g: WeightedGraph, destinations: Sequence[str]):
-    """Per destination: latency distances and strictly-downhill next hops
-    (guaranteed loop-free)."""
-    dist: dict[str, dict[str, float]] = {}
-    allowed: dict[str, dict[str, list[str]]] = {}
+def _downhill_dag(nodes: list[str], weights: np.ndarray, dist: np.ndarray,
+                  destinations: Sequence[str]):
+    """Per destination: latency distances from `dist`, the `distance_matrix` of
+    `weights` over the sorted `nodes`, and per (node, destination) a uniform
+    split over the strictly-downhill next hops (guaranteed loop-free)."""
+    edge = np.isfinite(weights)
+    out: dict[str, dict[str, float]] = {}
+    split: dict[tuple[str, str], list[tuple[str, float]]] = {}
     for dst in destinations:
-        d = shortest_path_lengths(g, dst)
-        dist[dst] = d
-        table: dict[str, list[str]] = {}
-        for node in g.nodes():
-            if node == dst or node not in d:
-                continue
-            table[node] = sorted(nbr for nbr in g.neighbors(node)
-                                 if nbr in d and d[nbr] < d[node])
-        allowed[dst] = table
-    return dist, allowed
+        d = dist[:, nodes.index(dst)]
+        reach = np.flatnonzero(np.isfinite(d)).tolist()
+        out[dst] = {nodes[u]: float(d[u]) for u in reach}
+        downhill = edge & (d[None, :] < d[:, None])  # [u, v]: edge u-v, d[v] < d[u]
+        for u in reach:
+            nbrs = np.flatnonzero(downhill[u]).tolist()
+            if nbrs:
+                split[(nodes[u], dst)] = [(nodes[v], 1.0 / len(nbrs)) for v in nbrs]
+    return out, split
 
 
 def _propagate(weights, demands, dist):
@@ -237,40 +235,27 @@ def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str,
         if node not in g:
             raise InfeasibleDesignError(f"traffic endpoint {node!r} not in topology")
     destinations = sorted({dst for _, dst in demands})
+    nodes = sorted(g.nodes())
+    index = {n: i for i, n in enumerate(nodes)}
+    lat = weight_matrix(nodes, {(a, b): x for a, b, x in g.edges()})
+    dmat = distance_matrix(lat)
+    pairs = [(index[src], index[dst]) for src, dst in demands]
+    for s, t in pairs:
+        if math.isinf(dmat[s, t]):
+            raise InfeasibleDesignError(f"pair ({nodes[s]}, {nodes[t]}) disconnected")
 
     if scheme == "shortest_path":
         table: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
-        for dst in destinations:
-            paths = shortest_paths_from(g, dst)
-            for (src, d2), h in demands.items():
-                if d2 != dst:
-                    continue
-                p = paths.get(src)
-                if p is None:
-                    raise InfeasibleDesignError(f"pair ({src}, {dst}) disconnected")
-                # p.nodes runs dst -> src; walk it back to fill every node
-                # along the way toward dst.
-                chain = p.nodes[::-1]  # src ... dst
-                for i, node in enumerate(chain[:-1]):
-                    table[(node, dst)] = ((chain[i + 1], 1.0),)
+        for walk in next_hop_walks(lat, dmat, pairs):
+            for u, v in zip(walk, walk[1:]):
+                table[(nodes[u], nodes[walk[-1]])] = ((nodes[v], 1.0),)
         return RoutingTable(table, scheme)
 
-    dist, allowed = _downhill_dag(g, destinations)
-    for (src, dst) in demands:
-        if src not in dist[dst]:
-            raise InfeasibleDesignError(f"pair ({src}, {dst}) disconnected")
+    dist, weights = _downhill_dag(nodes, lat, dmat, destinations)
     caps = {}
     for link in topology.links:
         caps[(link.a, link.b)] = link.capacity_gbps
         caps[(link.b, link.a)] = link.capacity_gbps
-
-    weights: dict[tuple[str, str], list[tuple[str, float]]] = {}
-    for dst, table in allowed.items():
-        for node, nbrs in table.items():
-            if not nbrs:
-                continue
-            w = 1.0 / len(nbrs)
-            weights[(node, dst)] = [(n, w) for n in nbrs]
 
     best_weights = {k: list(v) for k, v in weights.items()}
     best_max = math.inf

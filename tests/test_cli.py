@@ -1,11 +1,18 @@
 import csv
 import json
 import os
+import sys
 
 import pytest
 
-from lightwan import designer, los
+from lightwan import designer, fiberbase, los, simnet
 from lightwan.cli import main
+from lightwan.traffic import TrafficMatrix, pair_key
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_designer import assert_design_matches_reference  # noqa: E402
+from test_fiberbase import reference_route_fiber_demand  # noqa: E402
+from test_simnet import assert_routing_matches_reference  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 DEMO = os.path.join(DATA, "demo")
@@ -278,6 +285,36 @@ def test_simulate_perturbation_mode(pipeline, tmp_path):
                  "--set", "sim.loads=[0.2, 0.5]"]) == 0
     rows = read_csv(os.path.join(out, "perturbation.csv"))
     assert len(rows) == 4
+
+
+def test_demo_routes_match_dijkstra_reference(pipeline, monkeypatch):
+    # Routes come from the distance kernel's next hops; the Dijkstra code
+    # they replaced is the oracle. The changed demo routes are equal-length
+    # alternatives through fiber links of the metric closure.
+    changed = {}
+    for budget in (0, 10, 25):
+        inp = designer.load_design_input(
+            os.path.join(pipeline["design_dir"], f"instance_B{budget}.json"))
+        doc = designer.load_design(os.path.join(pipeline["design_dir"], f"design_B{budget}.json"))
+        built = designer.built_links_from_design_doc(doc)
+        changed[budget] = assert_design_matches_reference(inp, built)
+    assert changed == {0: {("cb", "dcb"), ("ce", "dca")}, 10: {("dca", "dcb")}, 25: set()}
+
+    inp = designer.load_design_input(pipeline["instance"])
+    topo = simnet.load_topology(
+        os.path.join(os.path.dirname(pipeline["flows_csv"]), "topology.json"))
+    assert assert_routing_matches_reference(topo, inp.traffic, monkeypatch) == 0
+
+    # The demo's fiber demand is uniform: one endpoint has no population.
+    fiber = fiberbase.load_fiber_csv(os.path.join(DEMO, "fiber_conduits.csv"),
+                                     os.path.join(DEMO, "fiber_endpoints.csv"))
+    sites = sorted(fiber.endpoints)
+    demand = TrafficMatrix({pair_key(a, b): 1.0 for i, a in enumerate(sites)
+                            for b in sites[i + 1:]})
+    for step in fiberbase.prune_links(fiber, sites):
+        got = fiberbase.route_fiber_demand(step.graph, demand, 12.0)
+        assert list(got.items()) == list(
+            reference_route_fiber_demand(step.graph, demand, 12.0).items())
 
 
 def test_geojson_features(pipeline):

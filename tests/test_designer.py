@@ -3,19 +3,26 @@ import heapq
 import itertools
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from lightwan import designer, los
 from lightwan.designer import (
-    DesignInput, ExactGuardExceeded, HybridEvaluator, build_design_input,
-    eliminate_dominated, evaluate_design, greedy_candidates, solve_exact,
-    solve_heuristic,
+    DesignInput, ExactGuardExceeded, HybridEvaluator, NetworkDesign, PairRoute,
+    build_design_input, eliminate_dominated, evaluate_design, greedy_candidates,
+    solve_exact, solve_heuristic,
 )
+from lightwan.fiberbase import stretch_stats
 from lightwan.geo import GeoPoint, Site, geodesic_km
+from lightwan.graphcore import WeightedGraph, distance_matrix, shortest_paths_from
 from lightwan.los import LosParams, TerrainGrid, Tower
 from lightwan.traffic import TrafficMatrix, gravity_matrix, pair_key
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_graphcore import assert_walk_matches  # noqa: E402
 
 
 # --- independent oracles -----------------------------------------------------
@@ -91,6 +98,70 @@ def dijkstra_oracle(inp: DesignInput, built, src) -> dict:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+# --- Dijkstra reference evaluation -----------------------------------------------
+# evaluate_design as it was before routes came from the distance kernel's
+# next hops: Dijkstra from every site over a WeightedGraph of the hybrid
+# weights, ties to the lexicographically smallest node sequence.
+
+def reference_evaluate_design(inp: DesignInput, built_links) -> NetworkDesign:
+    built = sorted(set(pair_key(*p) for p in built_links))
+    towers = sum(inp.mw_cost[p] for p in built)
+    ev = HybridEvaluator(inp)
+    w = ev.graph_for(built)
+    dist = distance_matrix(w).tolist()
+    ids = inp.site_ids
+    g = WeightedGraph()
+    for i, a in enumerate(ids):
+        g.add_node(a)
+        for j in range(i):
+            if math.isfinite(w[i, j]):
+                g.add_edge(ids[j], a, float(w[i, j]))
+
+    def edge_medium(a: str, b: str) -> str:
+        i, j = ev.index[a], ev.index[b]
+        return "mw" if w[i, j] < ev.fiber[i, j] else "fiber"
+
+    routes = {}
+    per_pair_stretch = {}
+    for i, src in enumerate(ids):
+        paths = shortest_paths_from(g, src)
+        for j, dst in enumerate(ids[i + 1:], i + 1):
+            p = paths.get(dst)
+            if p is None:
+                raise designer.InfeasibleDesignError(f"pair ({src}, {dst}) cannot be routed")
+            media = tuple(edge_medium(u, v) for u, v in p.edges)
+            s = dist[i][j] / inp.geodesic[(src, dst)]
+            routes[(src, dst)] = PairRoute(p.nodes, media, dist[i][j], s)
+            per_pair_stretch[(src, dst)] = s
+    stats = stretch_stats(per_pair_stretch, inp.traffic)
+    return NetworkDesign(tuple(built), routes, stats, towers, inp.budget)
+
+
+def assert_design_matches_reference(inp: DesignInput, built) -> set:
+    """evaluate_design against reference_evaluate_design: stats, lengths and
+    stretches bitwise equal, node sequences by `assert_walk_matches`.
+    Returns the pairs whose node sequence changed."""
+    got = evaluate_design(inp, built)
+    want = reference_evaluate_design(inp, built)
+    assert got.stats == want.stats
+    assert (got.built_links, got.towers_used) == (want.built_links, want.towers_used)
+    assert got.routes.keys() == want.routes.keys()
+    ev = HybridEvaluator(inp)
+    w = ev.graph_for(got.built_links)
+    dist = distance_matrix(w)
+    changed = set()
+    for pair, ref in want.routes.items():
+        route = got.routes[pair]
+        assert (route.length_km, route.stretch) == (ref.length_km, ref.stretch)
+        assert_walk_matches(w, dist, [ev.index[n] for n in route.nodes],
+                            [ev.index[n] for n in ref.nodes])
+        if route.nodes != ref.nodes:
+            changed.add(pair)
+        else:
+            assert route.media == ref.media
+    return changed
 
 
 # --- slow reference solver ------------------------------------------------------
@@ -301,7 +372,7 @@ def test_objective_raises_on_unrouted_pair():
     sites = [Site("a", GeoPoint(0, 0), 1.0), Site("b", GeoPoint(0, 1), 1.0)]
     d = {("a", "b"): 111.0}
     inp = DesignInput(sites, TrafficMatrix({("a", "b"): 1.0}), d, {}, {}, {}, budget=0.0)
-    with pytest.raises(designer.InfeasibleDesignError):
+    with pytest.raises(designer.InfeasibleDesignError, match=r"pair \(a, b\) cannot be routed"):
         evaluate_design(inp, [])
 
 
@@ -569,6 +640,30 @@ def test_evaluate_design_matches_dijkstra_oracle():
             for (a, b), route in design.routes.items():
                 if a == src:
                     assert route.length_km == pytest.approx(dist[b], rel=1e-12)
+
+
+def affordable_links(inp: DesignInput, seed) -> list:
+    """A seeded random set of MW links within the budget."""
+    pool = sorted(inp.mw_km)
+    built, cost = [], 0.0
+    for k in np.random.default_rng(seed).permutation(len(pool)):
+        if cost + inp.mw_cost[pool[k]] <= inp.budget:
+            built.append(pool[k])
+            cost += inp.mw_cost[pool[k]]
+    return built
+
+
+def test_evaluate_design_matches_dijkstra_reference():
+    # 24 seeded instances of 6-20 sites, fiber only and with links built.
+    # Fiber lengths are a metric closure, so direct fiber edges tie
+    # multi-hop fiber paths and the tie branch is exercised.
+    routes = changed = 0
+    for seed in range(24):
+        inp = random_instance(seed, n_sites=6 + seed % 15)
+        for built in ([], affordable_links(inp, seed)):
+            changed += len(assert_design_matches_reference(inp, built))
+            routes += len(inp.site_ids) * (len(inp.site_ids) - 1) // 2
+    assert 0 < changed < routes // 10
 
 
 def test_evaluate_design_budget_enforced():

@@ -85,6 +85,8 @@ def test_disconnected_pair_excluded_with_warning(caplog):
         stats = fiberbase.fiber_stretch_stats(g, ["a", "b", "c"])
     assert stats.excluded_pairs == 2
     assert stats.pair_count == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 site pairs disconnected in fiber graph, first (a, c)"]
 
 
 def test_gravity_equal_populations_equals_uniform():
@@ -352,6 +354,16 @@ def test_prune_links_matches_reference(seed, weighting):
         assert all(s.stats.excluded_pairs == 2 * 10 for s in got)
 
 
+def test_prune_links_logs_one_disconnect_warning_per_step(caplog):
+    # Two of 12 sites sit on an island: 20 disconnected pairs at every step.
+    g, sites = random_conduits(1, island=True)
+    with caplog.at_level("WARNING", logger="lightwan.fiberbase"):
+        steps = fiberbase.prune_links(g, sites)
+    warnings = [r.getMessage() for r in caplog.records if "disconnected" in r.getMessage()]
+    assert len(steps) > 2
+    assert warnings == ["20 site pairs disconnected in fiber graph, first (e00, x0)"] * len(steps)
+
+
 def test_prune_links_trial_chunks_match_reference(monkeypatch):
     # A batch limit below one trial's matrix scores every trial on its own;
     # one of a few trials splits each round across several stacked calls.
@@ -362,3 +374,46 @@ def test_prune_links_trial_chunks_match_reference(monkeypatch):
     for limit in (1, 3 * n * n):
         monkeypatch.setattr(fiberbase, "_BATCH_ELEMENTS", limit)
         assert_same_steps(fiberbase.prune_links(g, sites, weights), want)
+
+
+# --- Dijkstra reference demand routing ------------------------------------------
+# `route_fiber_demand` as it was before routes came from the distance
+# kernel: Dijkstra from every source, ties to the lexicographically smallest
+# node sequence. Loads must come out bitwise equal.
+
+def reference_route_fiber_demand(g, weights, aggregate_gbps):
+    wg = g.graph()
+    loads = {key: 0.0 for key in g.links}
+    demands = weights.scaled(aggregate_gbps)
+    for src in sorted({s for pair in demands for s in pair}):
+        if src not in g.endpoints:
+            raise KeyError(f"unknown site {src!r}")
+        paths = graphcore.shortest_paths_from(wg, src)
+        for (a, b), gbps in demands.items():
+            if a != src:
+                continue
+            if b not in paths:
+                raise ValueError(f"site pair ({a}, {b}) disconnected in fiber graph")
+            for u, v in paths[b].edges:
+                loads[pair_key(u, v)] += gbps
+    return loads
+
+
+def test_route_fiber_demand_matches_reference():
+    for seed in range(24):
+        g, sites = random_conduits(seed, n=14 + seed % 10, chords=4 + seed % 8)
+        weights = gravity_like(np.random.default_rng(seed), sites)
+        got = fiberbase.route_fiber_demand(g, weights, 40.0)
+        want = reference_route_fiber_demand(g, weights, 40.0)
+        assert list(got.items()) == list(want.items())
+
+
+def test_route_fiber_demand_names_pair_at_fault():
+    g, sites = random_conduits(3, island=True)
+    weights = gravity_like(np.random.default_rng(3), sites)
+    for route in (fiberbase.route_fiber_demand, reference_route_fiber_demand):
+        with pytest.raises(ValueError,
+                           match=r"site pair \(e00, x0\) disconnected in fiber graph"):
+            route(g, weights, 40.0)
+        with pytest.raises(KeyError, match="unknown site 'aa'"):
+            route(g, TrafficMatrix({("e01", "e02"): 1.0, ("aa", "e05"): 2.0}), 40.0)

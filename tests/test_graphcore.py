@@ -223,6 +223,97 @@ def test_distance_matrix_hybrid_mw_not_shorter_than_fiber():
     assert math.isinf(dist[0, 4])
 
 
+# --- next hops from the dense kernel ----------------------------------------------
+
+def walk_is_tied(weights, dist, walk, rel=1e-9) -> bool:
+    """True when some other neighbour of a node on `walk` comes within rel
+    of the walk's length of the hop the walk takes: then another path is
+    no more than that much longer, and a tie rule, not the lengths,
+    decides between them."""
+    t = walk[-1]
+    slack = rel * dist[walk[0], t]
+    for u, v in zip(walk, walk[1:]):
+        cost = weights[u] + dist[:, t]
+        taken = cost[v]
+        cost[[u, v]] = np.inf
+        if cost.min() - taken <= slack:
+            return True
+    return False
+
+
+def assert_walk_matches(weights, dist, got, want) -> bool:
+    """Oracle comparison of two node-index walks between the same ends:
+    identical where `want` is shorter than every alternative by more than
+    rel 1e-9, else of equal edge-weight sum within rel 1e-12. Returns
+    whether the pair fell to the tie branch."""
+    assert (got[0], got[-1]) == (want[0], want[-1])
+    if not walk_is_tied(weights, dist, want):
+        assert got == want
+        return False
+    total = [sum(weights[u, v] for u, v in zip(w, w[1:])) for w in (got, want)]
+    assert total[0] == pytest.approx(total[1], rel=1e-12, abs=0.0)
+    return True
+
+
+def closure_weights(seed, n=10):
+    """Hybrid-like dense weights whose direct edges tie multi-hop paths:
+    the metric closure of a ring-plus-chords graph, a few strictly shorter
+    shortcut edges, then an island pair and an isolated node."""
+    rng = np.random.default_rng(seed)
+    ring = np.full((n, n), np.inf)
+    np.fill_diagonal(ring, 0.0)
+    for i in range(n):
+        j = (i + 1) % n
+        ring[i, j] = ring[j, i] = float(rng.uniform(1.0, 9.0))
+    for _ in range(n // 2):
+        i, j = rng.choice(n, size=2, replace=False)
+        ring[i, j] = ring[j, i] = min(ring[i, j], float(rng.uniform(1.0, 9.0)))
+    w = np.full((n + 3, n + 3), np.inf)
+    w[:n, :n] = graphcore.distance_matrix(ring)
+    for _ in range(n // 3):
+        i, j = rng.choice(n, size=2, replace=False)
+        w[i, j] = w[j, i] = 0.7 * w[i, j]
+    w[n, n + 1] = w[n + 1, n] = 2.5
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_next_hop_walks_on_tied_metric_closure(seed):
+    w = closure_weights(seed, n=8 + seed)
+    dist = graphcore.distance_matrix(w)
+    n = len(w)
+    reach = [(s, t) for s in range(n) for t in range(n) if np.isfinite(dist[s, t])]
+    ties = 0
+    for (s, t), walk in zip(reach, graphcore.next_hop_walks(w, dist, reach)):
+        assert (walk[0], walk[-1]) == (s, t)
+        assert len(set(walk)) == len(walk)
+        hops = [w[u, v] for u, v in zip(walk, walk[1:])]
+        assert all(0.0 < h < math.inf for h in hops)
+        assert sum(hops) == pytest.approx(dist[s, t], rel=1e-12, abs=0.0)
+        for u, v in zip(walk, walk[1:]):
+            cost = w[u] + dist[:, t]
+            cost[u] = np.inf
+            assert v == int(np.flatnonzero(cost == cost.min())[0])
+        ties += len(walk) > 2 and sum(hops) == pytest.approx(w[s, t], rel=1e-12)
+    # Walks of two or more hops whose direct edge is just as short.
+    assert ties > 0
+    for s, t in [(0, n - 3), (n - 1, 0), (n - 3, n - 1)]:
+        assert math.isinf(dist[s, t])
+        with pytest.raises(ValueError):
+            list(graphcore.next_hop_walks(w, dist, [(s, t)]))
+
+
+def test_next_hop_walks_raises_instead_of_looping():
+    # Inconsistent distances make nodes 0 and 1 point at each other.
+    w = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
+    dist = graphcore.distance_matrix(w)
+    assert list(graphcore.next_hop_walks(w, dist, [(0, 2), (1, 1)])) == [[0, 1, 2], [1]]
+    dist[0, 2] = -0.5
+    with pytest.raises(ValueError):
+        list(graphcore.next_hop_walks(w, dist, [(0, 2)]))
+
+
 def test_tower_disjoint_single_interior_node():
     g = WeightedGraph()
     g.add_edge("s", "m", 1.0)

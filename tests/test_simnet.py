@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import heapq
 import math
+import os
+import sys
 from collections import deque
 
 import numpy as np
@@ -10,11 +12,18 @@ import pytest
 from lightwan import designer, simnet
 from lightwan.capacity import route_demand, series_needed
 from lightwan.geo import GeoPoint, LatencyModel, Site, latency_ms
+from lightwan.graphcore import (
+    distance_matrix, shortest_path_lengths, shortest_paths_from, weight_matrix,
+)
 from lightwan.simnet import (
     FlowRecord, FlowStats, SimConfig, SimLink, SimTopology, build_routing,
     expected_link_loads, perturbation_experiment, run, topology_from_design,
 )
 from lightwan.traffic import TrafficMatrix
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_designer import affordable_links, random_instance  # noqa: E402
+from test_graphcore import assert_walk_matches  # noqa: E402
 
 
 # --- slow reference engine ------------------------------------------------------
@@ -165,6 +174,107 @@ def reference_run(topology, traffic, table, cfg, model=LatencyModel()) -> FlowSt
         mean_delay_ms=(total_delay / total_delivered * 1000.0
                        if total_delivered else math.nan),
         loss_rate=total_dropped / completed if completed else 0.0)
+
+
+# --- Dijkstra reference routing ------------------------------------------------
+# The "shortest_path" table and the downhill DAGs as they were before routes
+# came from the distance kernel: Dijkstra from every destination over the
+# latency graph, ties to the lexicographically smallest node sequence.
+
+def reference_shortest_path_table(topology, traffic, model=LatencyModel()) -> dict:
+    g = topology.latency_graph(model)
+    demands = simnet._directed_demands(traffic)
+    table = {}
+    for dst in sorted({dst for _, dst in demands}):
+        paths = shortest_paths_from(g, dst)
+        for (src, d2), h in demands.items():
+            if d2 != dst:
+                continue
+            p = paths.get(src)
+            if p is None:
+                raise designer.InfeasibleDesignError(f"pair ({src}, {dst}) disconnected")
+            chain = p.nodes[::-1]  # src ... dst
+            for i, node in enumerate(chain[:-1]):
+                table[(node, dst)] = ((chain[i + 1], 1.0),)
+    return table
+
+
+def reference_downhill_dag(g, destinations):
+    """Distances and uniform starting splits over the strictly-downhill next
+    hops, as `_downhill_dag` returns them."""
+    dist = {}
+    allowed = {}
+    for dst in destinations:
+        d = shortest_path_lengths(g, dst)
+        dist[dst] = d
+        table = {}
+        for node in g.nodes():
+            if node == dst or node not in d:
+                continue
+            table[node] = sorted(nbr for nbr in g.neighbors(node)
+                                 if nbr in d and d[nbr] < d[node])
+        allowed[dst] = table
+    weights = {}
+    for dst, table in allowed.items():
+        for node, nbrs in table.items():
+            if not nbrs:
+                continue
+            w = 1.0 / len(nbrs)
+            weights[(node, dst)] = [(n, w) for n in nbrs]
+    return dist, weights
+
+
+def table_walk(next_hops, src, dst) -> list:
+    nodes = [src]
+    while nodes[-1] != dst:
+        nodes.append(next_hops[(nodes[-1], dst)][0][0])
+    return nodes
+
+
+def assert_routing_matches_reference(topo, traffic, monkeypatch) -> int:
+    """build_routing against the Dijkstra references: shortest-path walks by
+    `assert_walk_matches`, downhill distances within rel 1e-12, downhill
+    splits and 30-iteration min_max_util tables equal. Returns the number
+    of changed shortest-path walks."""
+    g = topo.latency_graph()
+    nodes = sorted(g.nodes())
+    index = {n: i for i, n in enumerate(nodes)}
+    w = weight_matrix(nodes, {(a, b): x for a, b, x in g.edges()})
+    dist = distance_matrix(w)
+    demands = simnet._directed_demands(traffic)
+    got = build_routing(topo, traffic, "shortest_path").next_hops
+    want = reference_shortest_path_table(topo, traffic)
+    changed = 0
+    for src, dst in demands:
+        a, b = table_walk(got, src, dst), table_walk(want, src, dst)
+        assert_walk_matches(w, dist, [index[n] for n in a], [index[n] for n in b])
+        changed += a != b
+    dests = sorted({dst for _, dst in demands})
+    dist_got, split_got = simnet._downhill_dag(nodes, w, dist, dests)
+    dist_want, split_want = reference_downhill_dag(g, dests)
+    assert split_got == split_want
+    for dst in dests:
+        assert dist_got[dst].keys() == dist_want[dst].keys()
+        for node, d in dist_want[dst].items():
+            assert dist_got[dst][node] == pytest.approx(d, rel=1e-12)
+    # A short rebalancing run keeps this cheap; every iteration reads the
+    # DAG and the distance order.
+    balanced = build_routing(topo, traffic, "min_max_util", iterations=30)
+    monkeypatch.setattr(simnet, "_downhill_dag",
+                        lambda *args: reference_downhill_dag(g, args[-1]))
+    assert balanced == build_routing(topo, traffic, "min_max_util", iterations=30)
+    monkeypatch.undo()
+    return changed
+
+
+def test_routing_matches_dijkstra_reference(monkeypatch):
+    changed = 0
+    for seed in range(24):
+        inp = random_instance(seed, n_sites=6 + seed % 15)
+        design = designer.evaluate_design(inp, affordable_links(inp, seed))
+        topo = topology_from_design(inp, design)
+        changed += assert_routing_matches_reference(topo, inp.traffic, monkeypatch)
+    assert changed > 0
 
 
 def single_link_topology(cap=0.1):
@@ -345,10 +455,9 @@ def test_throughput_optimal_equals_min_max_on_relaxation():
 def test_disconnected_topology_raises():
     topo = SimTopology(["a", "b", "c"], [SimLink("a", "b", 10.0, "mw", 1.0)])
     m = TrafficMatrix({("a", "c"): 1.0})
-    with pytest.raises(designer.InfeasibleDesignError):
-        build_routing(topo, m, "shortest_path")
-    with pytest.raises(designer.InfeasibleDesignError):
-        build_routing(topo, m, "min_max_util")
+    for scheme in ("shortest_path", "min_max_util"):
+        with pytest.raises(designer.InfeasibleDesignError, match=r"pair \(a, c\) disconnected"):
+            build_routing(topo, m, scheme)
 
 
 def designed_topology():
