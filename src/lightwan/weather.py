@@ -57,10 +57,14 @@ def link_id(pair: Pair) -> str:
 
 
 class RasterRainField:
-    """Rain-rate rasters keyed by timestamp (ESRI ASCII layout, mm/h)."""
+    """Rain-rate rasters keyed by timestamp (ESRI ASCII layout, mm/h).
+
+    A hop's sample points depend only on the hop, so each distinct hop is
+    sampled once and its points are read against every frame."""
 
     def __init__(self, frames: Mapping[str, TerrainGrid]) -> None:
         self.frames = dict(frames)
+        self._samples: dict[tuple[GeoPoint, GeoPoint], tuple[np.ndarray, np.ndarray]] = {}
 
     def timestamps(self) -> list[str]:
         return sorted(self.frames)
@@ -69,10 +73,11 @@ class RasterRainField:
         frame = self.frames.get(t)
         if frame is None:
             raise KeyError(f"no rain frame at {t!r}")
-        d_km = geodesic_km(hop_a, hop_b)
-        n = max(1, math.ceil(d_km))  # ~1 km sampling
-        lats, lons, _ = _path_samples(hop_a, hop_b, n)
-        return float(np.mean(frame.sample_many(lats, lons)))
+        points = self._samples.get((hop_a, hop_b))
+        if points is None:
+            n = max(1, math.ceil(geodesic_km(hop_a, hop_b)))  # ~1 km sampling
+            points = self._samples[(hop_a, hop_b)] = _path_samples(hop_a, hop_b, n)[:2]
+        return float(np.mean(frame.sample_many(*points)))
 
 
 class LinkRainSeries:

@@ -666,3 +666,46 @@ def test_topology_from_in_memory_instance_has_plain_float_lengths():
     table = build_routing(topo, inp.traffic, "shortest_path")
     stats = run(topo, inp.traffic, table, SimConfig(aggregate_gbps=1.0, sim_seconds=0.002))
     assert type(stats.mean_delay_ms) is float
+
+
+def last_links(table, src, dst) -> set:
+    """The links over which per-packet splits can bring a src -> dst packet
+    to dst."""
+    seen, stack, last = {src}, [src], set()
+    while stack:
+        node = stack.pop()
+        for nbr, _ in table.hops_for(node, dst):
+            if nbr == dst:
+                last.add((node, dst))
+            elif nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return last
+
+
+@pytest.mark.parametrize("hashing", [False, True])
+def test_run_bitwise_equals_reference_over_two_last_links(hashing):
+    # x -> y splits over a and b, and the path via b is shorter by more
+    # than a packet interval, so per-packet packets of that flow overtake
+    # each other on the way to y.
+    topo = SimTopology(["a", "b", "x", "y"], [
+        SimLink("a", "x", 50.0, "mw", 0.05), SimLink("x", "b", 50.0, "mw", 0.05),
+        SimLink("a", "y", 80.0, "mw", 0.05), SimLink("y", "b", 60.0, "mw", 0.05)])
+    m = TrafficMatrix({("a", "b"): 0.5, ("x", "y"): 0.5})
+    table = build_routing(topo, m, "min_max_util")
+    assert last_links(table, "x", "y") == {("a", "y"), ("b", "y")}
+    cfg = SimConfig(aggregate_gbps=0.08, sim_seconds=0.003, seed=2, routing="min_max_util",
+                    per_flow_hashing=hashing)
+    assert _bits(run(topo, m, table, cfg)) == _bits(reference_run(topo, m, table, cfg))
+
+
+def test_run_bitwise_equals_reference_with_packets_in_flight():
+    # 100 km of microwave takes ~0.33 ms: packets sent in the last third of
+    # a millisecond are still on the link when the run ends.
+    topo = single_link_topology(cap=0.05)
+    m = TrafficMatrix({("a", "b"): 1.0})
+    table = build_routing(topo, m, "shortest_path")
+    cfg = SimConfig(aggregate_gbps=0.04, sim_seconds=0.003, seed=6)
+    stats = run(topo, m, table, cfg)
+    assert all(rec.in_flight > 0 for rec in stats.flows.values())
+    assert _bits(stats) == _bits(reference_run(topo, m, table, cfg))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lightwan import designer, weather
+from lightwan import designer, los, weather
 from lightwan.designer import DesignInput, evaluate_design
 from lightwan.geo import GeoPoint, Site, geodesic_km
 from lightwan.los import TerrainGrid
@@ -125,6 +125,33 @@ def test_failed_links_raster_rain_cell_over_one_hop():
     field = RasterRainField({"t0": grid})
     failed = failed_links(design, inp.tower_paths, coords, field, "t0")
     assert victim in failed
+
+
+def test_raster_hop_samples_once_per_hop_bitwise(monkeypatch):
+    # Several frames over the same hops: each hop's great-circle samples are
+    # computed once, and every frame reads exactly what a per-frame
+    # recomputation reads.
+    inp, design, coords = hexagon_instance()
+    rng = np.random.default_rng(5)
+    frames = {f"t{k}": TerrainGrid(rng.uniform(0.0, 200.0, (120, 120)), -2.0, -2.0, 0.05)
+              for k in range(4)}
+    hops = {(coords[u], coords[v]) for pair in design.built_links
+            for u, v in zip(inp.tower_paths[pair], inp.tower_paths[pair][1:])}
+    calls = []
+
+    def counted(a, b, n):
+        calls.append((a, b))
+        return los._path_samples(a, b, n)
+
+    monkeypatch.setattr(weather, "_path_samples", counted)
+    field = RasterRainField(frames)
+    for t, frame in frames.items():
+        for a, b in hops:
+            lats, lons, _ = los._path_samples(a, b, max(1, math.ceil(geodesic_km(a, b))))
+            want = float(np.mean(frame.sample_many(lats, lons)))
+            assert field.hop_rain(t, "x|y", a, b).hex() == want.hex()
+    assert len(calls) == len(hops) > 4
+    assert set(calls) == hops
 
 
 def test_reroute_no_failures_equals_baseline_bit_exact():
