@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .designer import NetworkDesign, pair_graph
+from .designer import NetworkDesign, site_attachments
 from .geo import Site
 from .graphcore import tower_disjoint_paths
 from .los import HopGraph
@@ -158,18 +158,26 @@ def augment(design: NetworkDesign, loads: LinkLoads, hop_graph: HopGraph,
     For a link needing k series, up to k - 1 additional interior-disjoint
     tower chains are drawn from the inventory via successive shortest
     paths; missing chains are charged as new towers at both ends of every
-    primary hop. Never fails: shortfall is costed, not fatal.
+    primary hop. Never fails: shortfall is costed, not fatal. One tower graph
+    serves every link, with just that link's two sites attached.
     """
-    by_id = {s.id: s for s in sites}
+    ends = {end for link in design.built_links for end in link}
+    near = site_attachments([s for s in sites if s.id in ends], hop_graph, radius_km)
+    g = hop_graph.graph()
     entries = []
     for link in design.built_links:
         demand = loads.mw.get(link, 0.0)
         k = series_needed(demand, per_series_capacity_gbps)
         a, b = link
-        if a not in by_id or b not in by_id:
+        if a not in near or b not in near:
             raise KeyError(f"link {link} endpoints missing from the site list")
-        g = pair_graph(hop_graph, by_id[a], by_id[b], radius_km)
+        for site in link:
+            g.add_node(site)
+            for tid, d in near[site].items():
+                g.add_edge(site, tid, d)
         paths = tower_disjoint_paths(g, a, b, k)
+        g.remove_node(a)
+        g.remove_node(b)
         if not paths:
             raise ValueError(f"no tower path for built link {link}")
         endpoints = {a, b}

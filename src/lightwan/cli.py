@@ -140,10 +140,14 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _echo_config(cfg: dict, outdir: str) -> None:
-    with open(os.path.join(outdir, "config_used.json"), "w") as fh:
-        json.dump(cfg, fh, indent=1, sort_keys=True)
+def _write_json(doc, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _echo_config(cfg: dict, outdir: str) -> None:
+    _write_json(cfg, os.path.join(outdir, "config_used.json"))
 
 
 def _load_terrain(cfg) -> los.TerrainGrid:
@@ -161,6 +165,12 @@ def _load_towers(cfg, terrain=None) -> list[los.Tower]:
                                  cfg["cull"]["grid_cell_deg"],
                                  cfg["cull"]["max_per_cell"], cfg["seed"])
     return towers
+
+
+def _read_towers(cfg) -> list[los.Tower]:
+    """The tower file as it stands; missing ground elevations come from the terrain, if set."""
+    terrain = _load_terrain(cfg) if cfg.get("terrain_asc") else None
+    return los.load_towers_csv(cfg["towers_csv"], terrain=terrain)
 
 
 def _los_params(cfg) -> los.LosParams:
@@ -224,9 +234,7 @@ def cmd_hopgraph(cfg, args) -> int:
     hop_graph = los.build_hop_graph(towers, terrain, _los_params(cfg))
     los.save_hops_csv(hop_graph, os.path.join(outdir, "hops.csv"))
     summary = {"towers": len(towers), "hops": len(hop_graph.hops)}
-    with open(os.path.join(outdir, "hopgraph_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary, os.path.join(outdir, "hopgraph_summary.json"))
     _echo_config(cfg, outdir)
     print(f"hopgraph: {summary['towers']} towers, {summary['hops']} feasible hops")
     return 0
@@ -238,9 +246,8 @@ def _assemble_input(cfg, budget: float) -> designer.DesignInput:
     matrix = _traffic_matrix(cfg, cities, dcs)
     hop_graph = None
     if cfg.get("hops_csv"):
-        terrain = _load_terrain(cfg) if cfg.get("terrain_asc") else None
-        towers = los.load_towers_csv(cfg["towers_csv"], terrain=terrain)
-        hop_graph = los.load_hops_csv(cfg["hops_csv"], towers)
+        _require(cfg, "towers_csv", "hops_csv")
+        hop_graph = los.load_hops_csv(cfg["hops_csv"], _read_towers(cfg))
     elif cfg.get("towers_csv"):
         terrain = _load_terrain(cfg)
         towers = _load_towers(cfg, terrain)
@@ -268,10 +275,8 @@ def cmd_design(cfg, args) -> int:
         tag = f"{budget:g}"
         designer.save_design_input(inp, os.path.join(outdir, f"instance_B{tag}.json"))
         designer.save_design(design, os.path.join(outdir, f"design_B{tag}.json"))
-        gj = designer.design_to_geojson(inp, design)
-        with open(os.path.join(outdir, f"links_B{tag}.geojson"), "w") as fh:
-            json.dump(gj, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(designer.design_to_geojson(inp, design),
+                    os.path.join(outdir, f"links_B{tag}.geojson"))
         stats_rows.append([budget, design.towers_used, design.stats.mean,
                            design.stats.median, design.stats.p95])
         print(f"design B={tag}: mean stretch {design.stats.mean:.4f}, "
@@ -312,17 +317,15 @@ def cmd_fiber(cfg, args) -> int:
     base = steps[0].stats
     plan = fiberbase.provision_wavelengths(fiber, sites, demand, cfg["aggregate_gbps"])
     cost = fiberbase.lease_cost(plan, fiber, model)
-    with open(os.path.join(outdir, "fiber_baseline.json"), "w") as fh:
-        json.dump({
-            "stats": {"mean": base.mean, "median": base.median, "p95": base.p95,
-                      "weighting": base.weighting, "pair_count": base.pair_count,
-                      "excluded_pairs": base.excluded_pairs},
-            "lease_cost": {"bandwidth_usd": cost.bandwidth_usd,
-                           "site_usd": cost.site_usd, "total_usd": cost.total_usd,
-                           "dollars_per_gb": cost.dollars_per_gb,
-                           "site_count": cost.site_count},
-        }, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json({
+        "stats": {"mean": base.mean, "median": base.median, "p95": base.p95,
+                  "weighting": base.weighting, "pair_count": base.pair_count,
+                  "excluded_pairs": base.excluded_pairs},
+        "lease_cost": {"bandwidth_usd": cost.bandwidth_usd,
+                       "site_usd": cost.site_usd, "total_usd": cost.total_usd,
+                       "dollars_per_gb": cost.dollars_per_gb,
+                       "site_count": cost.site_count},
+    }, os.path.join(outdir, "fiber_baseline.json"))
     _echo_config(cfg, outdir)
     print(f"fiber: median stretch {base.median:.3f}, "
           f"{len(steps)} pruning steps, ${cost.total_usd:,.0f} lease")
@@ -340,10 +343,8 @@ def _load_instance_and_design(cfg):
 def cmd_augment(cfg, args) -> int:
     outdir = _outdir(args)
     inp, design = _load_instance_and_design(cfg)
-    terrain = _load_terrain(cfg) if cfg.get("terrain_asc") else None
-    towers = los.load_towers_csv(cfg["towers_csv"], terrain=terrain)
-    _require(cfg, "hops_csv")
-    hop_graph = los.load_hops_csv(cfg["hops_csv"], towers)
+    _require(cfg, "towers_csv", "hops_csv")
+    hop_graph = los.load_hops_csv(cfg["hops_csv"], _read_towers(cfg))
     model = capacity.MwCostModel(**cfg["mw_cost"])
     loads = capacity.route_demand(design, inp.traffic, cfg["aggregate_gbps"])
     plan = capacity.augment(design, loads, hop_graph, inp.sites,
@@ -377,9 +378,7 @@ def cmd_weather(cfg, args) -> int:
         raise InputError("weather needs rain_csv or rain_rasters")
     coords = {s.id: s.location for s in inp.sites}
     if cfg.get("towers_csv"):
-        terrain = _load_terrain(cfg) if cfg.get("terrain_asc") else None
-        for t in los.load_towers_csv(cfg["towers_csv"], terrain=terrain):
-            coords[t.id] = t.location
+        coords.update((t.id, t.location) for t in _read_towers(cfg))
     model = weather.AttenuationModel(**cfg["attenuation"])
     stamps = field.timestamps()
     per_day = cfg["weather"]["intervals_per_day"]
@@ -442,14 +441,9 @@ def cmd_simulate(cfg, args) -> int:
 def cmd_export_geojson(cfg, args) -> int:
     outdir = _outdir(args)
     inp, design = _load_instance_and_design(cfg)
-    towers = None
-    if cfg.get("towers_csv"):
-        terrain = _load_terrain(cfg) if cfg.get("terrain_asc") else None
-        towers = {t.id: t for t in los.load_towers_csv(cfg["towers_csv"], terrain=terrain)}
+    towers = {t.id: t for t in _read_towers(cfg)} if cfg.get("towers_csv") else None
     gj = designer.design_to_geojson(inp, design, towers)
-    with open(os.path.join(outdir, "links.geojson"), "w") as fh:
-        json.dump(gj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(gj, os.path.join(outdir, "links.geojson"))
     _echo_config(cfg, outdir)
     print(f"export-geojson: {len(gj['features'])} features")
     return 0

@@ -5,8 +5,10 @@ Distances between sites come from one dense kernel, `distance_matrix`
 next hops (`next_hop_walks`): design evaluation, fiber demand routing and
 simulator routing, with exact ties to the smallest node index. Dijkstra
 remains only on the sparse tower graphs (site links and disjoint tower
-paths), with ties broken toward the lexicographically smallest node-id
-sequence so designs are reproducible. Graphs are immutable during queries.
+paths): one settle loop serves the early-exit `shortest_path`,
+`shortest_paths_from` and the tests' oracle `shortest_path_lengths`, with
+ties broken toward the lexicographically smallest node-id sequence so
+designs are reproducible. Graphs are immutable during queries.
 """
 
 from __future__ import annotations
@@ -94,15 +96,10 @@ def _check_nodes(g: WeightedGraph, *nodes: str) -> None:
             raise KeyError(f"unknown node {n!r}")
 
 
-def shortest_path(g: WeightedGraph, src: str, dst: str) -> Path | None:
-    """Minimal-weight path from src to dst, or None when disconnected.
-
-    Among equal-weight alternatives the lexicographically smallest node
-    sequence wins. src == dst yields a zero-weight single-node path.
-    """
-    _check_nodes(g, src, dst)
-    if src == dst:
-        return Path((src,), 0.0)
+def _settled_paths(g: WeightedGraph, src: str) -> Iterator[Path]:
+    """Dijkstra from src, yielding each node's path as it settles; heap keys are
+    (weight, node sequence), so equal weights settle the smallest sequence first."""
+    _check_nodes(g, src)
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
     settled: set[str] = set()
     while heap:
@@ -111,45 +108,33 @@ def shortest_path(g: WeightedGraph, src: str, dst: str) -> Path | None:
         if node in settled:
             continue
         settled.add(node)
-        if node == dst:
-            return Path(nodes, dist)
+        yield Path(nodes, dist)
         for nbr, w in g.neighbors(node).items():
             if nbr not in settled:
                 heapq.heappush(heap, (dist + w, nodes + (nbr,)))
+
+
+def shortest_path(g: WeightedGraph, src: str, dst: str) -> Path | None:
+    """Minimal-weight path from src to dst, or None when disconnected.
+
+    Among equal-weight alternatives the lexicographically smallest node
+    sequence wins. src == dst yields a zero-weight single-node path.
+    """
+    _check_nodes(g, src, dst)
+    for p in _settled_paths(g, src):
+        if p.nodes[-1] == dst:
+            return p
     return None
 
 
 def shortest_paths_from(g: WeightedGraph, src: str) -> dict[str, Path]:
     """Tie-broken shortest paths from src to every reachable node."""
-    _check_nodes(g, src)
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
-    out: dict[str, Path] = {}
-    while heap:
-        dist, nodes = heapq.heappop(heap)
-        node = nodes[-1]
-        if node in out:
-            continue
-        out[node] = Path(nodes, dist)
-        for nbr, w in g.neighbors(node).items():
-            if nbr not in out:
-                heapq.heappush(heap, (dist + w, nodes + (nbr,)))
-    return out
+    return {p.nodes[-1]: p for p in _settled_paths(g, src)}
 
 
 def shortest_path_lengths(g: WeightedGraph, src: str) -> dict[str, float]:
     """Dijkstra distances from src; no library caller: the tests' oracle for `distance_matrix`."""
-    _check_nodes(g, src)
-    heap: list[tuple[float, str]] = [(0.0, src)]
-    dist: dict[str, float] = {}
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = d
-        for nbr, w in g.neighbors(node).items():
-            if nbr not in dist:
-                heapq.heappush(heap, (d + w, nbr))
-    return dist
+    return {p.nodes[-1]: p.total_weight for p in _settled_paths(g, src)}
 
 
 # Float64 entries per batched `distance_matrix` call (2 MB), so scoring many

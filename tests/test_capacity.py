@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +12,12 @@ from lightwan.capacity import (
     parallel_spacing_km, route_demand, series_needed,
 )
 from lightwan.geo import GeoPoint, Site, geodesic_km
+from lightwan.graphcore import tower_disjoint_paths
 from lightwan.los import LosParams, TerrainGrid, Tower
-from lightwan.traffic import TrafficMatrix, pair_key
+from lightwan.traffic import TrafficMatrix, gravity_matrix, pair_key
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_designer import random_tower_instance, reference_pair_graph  # noqa: E402
 
 KM_PER_DEG = math.pi * 6371.0 / 180.0
 
@@ -143,6 +150,93 @@ def corridor_design(n_rows, demand_gbps):
     loads = route_demand(design, traffic, demand_gbps)
     plan = augment(design, loads, hg, [a, b], radius_km=radius)
     return plan
+
+
+def reference_augment(design, loads, hop_graph, sites, radius_km,
+                      per_series_capacity_gbps=1.0):
+    """`augment` as it was before the tower graph was shared: a fresh copy
+    of the tower graph, with the link's two sites attached, per built link."""
+    by_id = {s.id: s for s in sites}
+    entries = []
+    for link in design.built_links:
+        demand = loads.mw.get(link, 0.0)
+        k = series_needed(demand, per_series_capacity_gbps)
+        a, b = link
+        g = reference_pair_graph(hop_graph, by_id[a], by_id[b], radius_km)
+        paths = tower_disjoint_paths(g, a, b, k)
+        endpoints = {a, b}
+        primary = [n for n in paths[0].nodes if n not in endpoints]
+        primary_hops = max(0, len(primary) - 1)
+        extra = paths[1:]
+        towers = set(primary)
+        extra_hops = []
+        for p in extra:
+            series = [n for n in p.nodes if n not in endpoints]
+            towers.update(series)
+            extra_hops.append(max(0, len(series) - 1))
+        shortfall = (k - 1) - len(extra)
+        entries.append(LinkAugmentation(
+            link=link, demand_gbps=demand, series_count=k,
+            series_found=len(extra), shortfall=shortfall,
+            primary_hops=primary_hops, extra_series_hops=tuple(extra_hops),
+            new_towers=shortfall * 2 * primary_hops, towers_used=tuple(sorted(towers))))
+    return AugmentationPlan(tuple(entries), per_series_capacity_gbps)
+
+
+def random_design(seed):
+    sites, hg, radius = random_tower_instance(seed, n_towers=60, n_sites=6)
+    fiber = {pair_key(a.id, b.id): 1.4 * geodesic_km(a.location, b.location)
+             for i, a in enumerate(sites) for b in sites[i + 1:]}
+    inp = designer.build_design_input(sites, gravity_matrix(sites), hg, fiber,
+                                      budget=60.0, radius_km=radius)
+    return sites, hg, radius, inp, designer.solve_heuristic(inp)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_augment_matches_per_link_reference(seed):
+    sites, hg, radius, inp, design = random_design(seed)
+    loads = route_demand(design, inp.traffic, 40.0)
+    plan = augment(design, loads, hg, sites, radius_km=radius)
+    assert plan == reference_augment(design, loads, hg, sites, radius)
+    assert len(plan.links) >= 5
+    assert max(e.series_count for e in plan.links) >= 2
+    assert any(e.series_found for e in plan.links)
+
+
+def test_augment_other_sites_never_relay():
+    # u-v has one tower chain q1..q4. Towers r1 (near u) and r2 (near v)
+    # share no hop; only the stubs of site m, or of site z, reach both. m
+    # and z end the links searched before u-v (m as the first end of one,
+    # z as the second), so if either stayed attached it would give u-v a
+    # second, disjoint series u, r1, m or z, r2, v.
+    towers = {t.id: t for t in (
+        Tower("q1", GeoPoint(0.0, 0.05), 50.0), Tower("q2", GeoPoint(-0.1, 0.12), 50.0),
+        Tower("q3", GeoPoint(-0.1, 0.18), 50.0), Tower("q4", GeoPoint(0.0, 0.25), 50.0),
+        Tower("r1", GeoPoint(0.08, 0.05), 50.0), Tower("r2", GeoPoint(0.08, 0.25), 50.0))}
+    hops = [los.Hop(a, b, geodesic_km(towers[a].location, towers[b].location))
+            for a, b in (("q1", "q2"), ("q2", "q3"), ("q3", "q4"))]
+    hg = los.HopGraph(towers, hops)
+    sites = [Site(sid, GeoPoint(lat, lon)) for sid, lat, lon in (
+        ("k", 0.16, 0.05), ("m", 0.1, 0.15), ("u", 0.0, 0.0), ("v", 0.0, 0.3), ("z", 0.1, 0.16))]
+    links = (("k", "m"), ("m", "z"), ("u", "v"))
+    design = designer.NetworkDesign(links, {}, None, 0.0, 0.0)
+    loads = capacity.LinkLoads({("k", "m"): 0.5, ("m", "z"): 0.5, ("u", "v"): 3.0}, {})
+    plan = augment(design, loads, hg, sites, radius_km=13.0)
+    assert plan == reference_augment(design, loads, hg, sites, 13.0)
+    uv = plan.links[2]
+    assert (uv.series_count, uv.series_found, uv.towers_used) == (2, 0, ("q1", "q2", "q3", "q4"))
+
+
+def test_augment_rejects_site_id_of_a_tower():
+    sites, hg, radius, inp, design = random_design(0)
+    loads = route_demand(design, inp.traffic, 40.0)
+    # Give an endpoint of a built link the id of a tower.
+    clash = {design.built_links[0][0]: "t007"}
+    sites = [dataclasses.replace(s, id=clash.get(s.id, s.id)) for s in sites]
+    links = tuple(tuple(clash.get(x, x) for x in link) for link in design.built_links)
+    design = dataclasses.replace(design, built_links=links)
+    with pytest.raises(ValueError, match="'t007'"):
+        augment(design, loads, hg, sites, radius_km=radius)
 
 
 def test_augment_low_demand_single_series():

@@ -371,6 +371,29 @@ def test_exit_code_on_disconnected_sites(tmp_path):
     assert main(["design", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_exit_code_on_hops_without_towers_csv(pipeline, tmp_path, capsys):
+    cfgp = write_config(tmp_path, demo_config(towers_csv=None, hops_csv=pipeline["hops_csv"]))
+    capsys.readouterr()
+    assert main(["design", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert "'towers_csv'" in capsys.readouterr().err
+    assert main(["augment", "--config", cfgp, "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}"]) == 1
+    assert "'towers_csv'" in capsys.readouterr().err
+
+
+def test_exit_code_on_site_id_of_a_tower(pipeline, tmp_path, capsys):
+    with open(os.path.join(DEMO, "dc_sites.csv")) as fh:
+        text = fh.read()
+    dcs = tmp_path / "dc_sites.csv"
+    dcs.write_text(text.replace("\ndca,", "\nta03,"))
+    cfgp = write_config(tmp_path, demo_config(dc_sites_csv=str(dcs),
+                                              hops_csv=pipeline["hops_csv"]))
+    capsys.readouterr()
+    assert main(["design", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert "site id 'ta03' is also a tower id" in capsys.readouterr().err
+
+
 def test_usage_error_exits_one():
     assert main(["design", "--config"]) == 1
 

@@ -722,6 +722,118 @@ def test_site_links_over_corridor():
     assert link.length_km >= geodesic_km(a.location, b.location) - 1e-9
 
 
+# The per-pair site links as they were before one search per site: a copy of
+# the tower graph for every site pair with just those two sites attached.
+# Kept as the oracle for `site_links` and, through `reference_pair_graph`,
+# for `capacity.augment`.
+
+def reference_pair_graph(hop_graph, a, b, radius_km):
+    """Tower graph with the two sites attached to all towers within radius_km."""
+    g = hop_graph.graph()
+    for site in (a, b):
+        g.add_node(site.id)
+        for tid, tower in hop_graph.towers.items():
+            d = geodesic_km(site.location, tower.location)
+            if d <= radius_km and d > 0:
+                g.add_edge(site.id, tid, d)
+    return g
+
+
+def reference_site_links(sites, hop_graph, radius_km=15.0):
+    out = {}
+    ordered = sorted(sites, key=lambda s: s.id)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            g = reference_pair_graph(hop_graph, a, b, radius_km)
+            paths = shortest_paths_from(g, a.id)
+            p = paths.get(b.id)
+            if p is None or len(p.nodes) < 3:
+                continue
+            towers = len(p.nodes) - 2
+            out[pair_key(a.id, b.id)] = designer.SiteLink(p.total_weight, towers, p.nodes)
+    return out
+
+
+def random_tower_instance(seed, n_towers=40, n_sites=5):
+    """Sites and a LOS hop graph over a random inventory on rough terrain;
+    the first site stands exactly on a tower (distance 0, not attached)."""
+    rng = np.random.default_rng(seed)
+    terr = TerrainGrid(rng.uniform(0.0, 40.0, (30, 30)), -0.5, -0.5, 0.1)
+    towers = [Tower(f"t{i:03d}", GeoPoint(float(rng.uniform(0.0, 1.5)),
+                                          float(rng.uniform(0.0, 1.5))),
+                    float(rng.uniform(60.0, 150.0)), 0.0) for i in range(n_towers)]
+    hg = los.build_hop_graph(towers, terr, LosParams(max_range_km=45.0, sample_step_m=1000.0))
+    sites = [Site("s0", towers[0].location, 5.0)]
+    sites += [Site(f"s{i}", GeoPoint(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 1.5))),
+                   float(rng.uniform(1.0, 10.0))) for i in range(1, n_sites)]
+    return sites, hg, 25.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_site_links_match_per_pair_reference(seed):
+    sites, hg, radius = random_tower_instance(seed)
+    got = designer.site_links(sites, hg, radius)
+    assert got == reference_site_links(sites, hg, radius)
+    assert got
+    # s0 stands on t000 (distance 0), so t000 is never its stub.
+    for (a, b), link in got.items():
+        if a == "s0":
+            assert link.path[1] != "t000"
+
+
+def lattice_hop_graph(n=6, step_deg=0.125):
+    """An n x n tower lattice on the equator with every hop 10 km long, so
+    many routes tie on km and the node-sequence rule decides. The step is
+    a power of two, so cell-centre sites see mirrored towers at equal km."""
+    towers = {f"t{i}{j}": Tower(f"t{i}{j}", GeoPoint(i * step_deg, j * step_deg), 50.0)
+              for i in range(n) for j in range(n)}
+    hops = [los.Hop(f"t{i}{j}", f"t{i + di}{j + dj}", 10.0)
+            for i in range(n) for j in range(n) for di, dj in ((0, 1), (1, 0))
+            if i + di < n and j + dj < n]
+    return los.HopGraph(towers, hops)
+
+
+def test_site_links_match_reference_on_tied_lattice():
+    hg = lattice_hop_graph()
+    # Cell-centre sites attach to their cell's four corners. a and c share a
+    # meridian, so their mirrored routes tie on km to the last bit and only
+    # the node sequence picks one; "zz" is beyond every tower's radius.
+    def cell(i, j):
+        return GeoPoint((i + 0.5) * 0.125, (j + 0.5) * 0.125)
+
+    sites = [Site("a", cell(0, 2), 1.0), Site("b", cell(2, 4), 1.0),
+             Site("c", cell(4, 2), 1.0), Site("d", cell(3, 0), 1.0),
+             Site("zz", GeoPoint(3.0, 3.0), 1.0)]
+    got = designer.site_links(sites, hg, radius_km=12.0)
+    assert got == reference_site_links(sites, hg, radius_km=12.0)
+    assert len(got) == 6 and not any("zz" in pair for pair in got)
+    assert got[("a", "c")].path == ("a", "t12", "t22", "t32", "t42", "c")
+
+
+def test_site_links_other_sites_never_relay():
+    # Two tower chains with a 60 km gap no hop spans (range 40 km); only the
+    # middle site's stubs reach across. It has the smallest id, so it is
+    # searched first and would relay for later searches if left attached.
+    terr = TerrainGrid(np.zeros((40, 40)), -1.5, -1.5, 0.25)
+    spacing = 30.0 / (math.pi * 6371.0 / 180.0)
+    towers = [Tower(f"w{i}", GeoPoint(0.0, -1.0 + i * spacing), 80.0) for i in range(3)]
+    towers += [Tower(f"e{i}", GeoPoint(0.0, -1.0 + (i + 4) * spacing), 80.0) for i in range(3)]
+    hg = los.build_hop_graph(towers, terr, LosParams(max_range_km=40.0, sample_step_m=500.0))
+    west = Site("west", GeoPoint(0.0, -1.0 - 0.5 * spacing), 1.0)
+    mid = Site("mid", GeoPoint(0.0, -1.0 + 3 * spacing), 1.0)
+    east = Site("zeast", GeoPoint(0.0, -1.0 + 6.5 * spacing), 1.0)
+    got = designer.site_links([west, mid, east], hg, radius_km=35.0)
+    assert got == reference_site_links([west, mid, east], hg, radius_km=35.0)
+    assert set(got) == {("mid", "west"), ("mid", "zeast")}
+
+
+def test_site_links_rejects_site_id_of_a_tower():
+    sites, hg, radius = random_tower_instance(0)
+    sites[2] = Site("t005", sites[2].location, 1.0)
+    with pytest.raises(ValueError, match="'t005'"):
+        designer.site_links(sites, hg, radius)
+
+
 def test_build_design_input_from_pipeline():
     a, b, hg = corridor_fixture()
     traffic = gravity_matrix([a, b])
