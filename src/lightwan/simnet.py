@@ -6,6 +6,10 @@ site pair (one each way). Routing tables carry per-destination weighted
 next hops; multipath splits are applied per packet by a seeded draw, or
 per flow when hashing is enabled.
 
+Fluid flow runs on dense split arrays `split[destination, node, next hop]`:
+one fixed-point kernel gives `min_max_util`'s flows and potentials and the
+loads and loop check of `expected_link_loads`; the dict code is the oracle.
+
 One event per generated packet and one per intermediate hop: with
 drop-tail FIFO and a fixed packet size, a link fixes a packet's departure
 when it admits the packet. A fixed-path flow's packet (one next hop at every
@@ -38,6 +42,7 @@ from .graphcore import WeightedGraph, distance_matrix, next_hop_walks, weight_ma
 from .traffic import Pair, TrafficMatrix, pair_key, perturb
 
 ROUTING_SCHEMES = ("shortest_path", "min_max_util", "throughput_optimal")
+REBALANCE_ITERATIONS = 300  # min_max_util / throughput_optimal rebalancing rounds
 
 
 @dataclass(frozen=True)
@@ -171,65 +176,45 @@ def _directed_demands(traffic: TrafficMatrix) -> dict[tuple[str, str], float]:
 
 
 def _downhill_dag(nodes: list[str], weights: np.ndarray, dist: np.ndarray,
-                  destinations: Sequence[str]):
-    """Per destination: latency distances from `dist`, the `distance_matrix` of
-    `weights` over the sorted `nodes`, and per (node, destination) a uniform
-    split over the strictly-downhill next hops (guaranteed loop-free)."""
-    edge = np.isfinite(weights)
-    out: dict[str, dict[str, float]] = {}
-    split: dict[tuple[str, str], list[tuple[str, float]]] = {}
-    for dst in destinations:
-        d = dist[:, nodes.index(dst)]
-        reach = np.flatnonzero(np.isfinite(d)).tolist()
-        out[dst] = {nodes[u]: float(d[u]) for u in reach}
-        downhill = edge & (d[None, :] < d[:, None])  # [u, v]: edge u-v, d[v] < d[u]
-        for u in reach:
-            nbrs = np.flatnonzero(downhill[u]).tolist()
-            if nbrs:
-                split[(nodes[u], dst)] = [(nodes[v], 1.0 / len(nbrs)) for v in nbrs]
-    return out, split
+                  destinations: Sequence[str]) -> np.ndarray:
+    """The strictly-downhill edges `down[d, u, v]`, one row per destination:
+    edge u-v of `weights` over the sorted `nodes`, and v nearer to d than u
+    by `dist`, their `distance_matrix` (loop-free: distances fall along it)."""
+    to_dst = dist[:, [nodes.index(d) for d in destinations]].T
+    return np.isfinite(weights) & (to_dst[:, None, :] < to_dst[:, :, None])
 
 
-def _propagate(weights, demands, dist):
-    """Fractional flow propagation over the downhill DAGs; returns directed
-    edge loads. Nodes are visited in decreasing distance-to-destination,
-    which is a topological order of the strictly-downhill edges."""
-    loads: dict[tuple[str, str], float] = {}
-    by_dst: dict[str, dict[str, float]] = {}
-    for (src, dst), h in demands.items():
-        by_dst.setdefault(dst, {})[src] = h
-    for dst in sorted(by_dst):
-        inflow = dict(by_dst[dst])
-        order = sorted(dist[dst], key=lambda n: (-dist[dst][n], n))
-        for node in order:
-            amount = inflow.get(node, 0.0)
-            if node == dst or amount <= 0.0:
-                continue
-            for nbr, w in weights[(node, dst)]:
-                if w <= 0.0:
-                    continue
-                part = amount * w
-                edge = (node, nbr)
-                loads[edge] = loads.get(edge, 0.0) + part
-                inflow[nbr] = inflow.get(nbr, 0.0) + part
-    return loads
+def _settle(step, x: np.ndarray, destinations: Sequence[str]) -> np.ndarray:
+    """The exact fixed point of `x <- step(x)` over rows per destination and
+    columns per node. Over a loop-free split a row settles after its depth,
+    below the node count n; one still moving after n + 1 steps goes round a
+    loop: ValueError naming its destination."""
+    for _ in range(x.shape[1] + 1):
+        x, prev = step(x), x
+        if np.array_equal(x, prev):
+            return x
+    dst = destinations[int(np.flatnonzero((x != prev).any(axis=1))[0])]
+    raise ValueError(f"routing loop towards {dst!r}")
 
 
-def _max_utilization(loads, caps) -> float:
-    return max((v / caps[e] for e, v in loads.items()), default=0.0)
+def _link_loads(split: np.ndarray, inject: np.ndarray, destinations: Sequence[str]) -> np.ndarray:
+    """Directed link loads [u, v] of demand `inject[d, u]` from u to d, each
+    node u passing the share `split[d, u, v]` of its flow on to v."""
+    flow = _settle(lambda f: inject + np.einsum("duv,du->dv", split, f), inject, destinations)
+    return np.einsum("du,duv->uv", flow, split)
 
 
 def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str,
-                  model: LatencyModel = LatencyModel(),
-                  iterations: int = 300) -> RoutingTable:
+                  model: LatencyModel = LatencyModel()) -> RoutingTable:
     """Routing table for the given scheme.
 
     shortest_path: single next hop along latency-shortest paths.
-    min_max_util: weighted next hops over the strictly-downhill DAG,
-    iteratively rebalanced to minimize the maximum link utilization of
-    the splittable relaxation. throughput_optimal: identical machinery;
-    maximizing the concurrent-flow scaling alpha of the matrix is the
-    same optimum because alpha = 1 / max-utilization.
+    min_max_util: weighted next hops over the strictly-downhill DAG, the
+    best of `REBALANCE_ITERATIONS` multiplicative-weights rounds on the split
+    arrays that minimize the maximum link utilization of the splittable
+    relaxation. throughput_optimal: identical machinery; maximizing the
+    concurrent-flow scaling alpha of the matrix is the same optimum because
+    alpha = 1 / max-utilization.
     """
     if scheme not in ROUTING_SCHEMES:
         raise ValueError(f"unknown routing scheme {scheme!r}")
@@ -256,102 +241,67 @@ def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str,
                 table[(nodes[u], nodes[walk[-1]])] = ((nodes[v], 1.0),)
         return RoutingTable(table, scheme)
 
-    dist, weights = _downhill_dag(nodes, lat, dmat, destinations)
-    caps = {}
-    for link in topology.links:
-        caps[(link.a, link.b)] = link.capacity_gbps
-        caps[(link.b, link.a)] = link.capacity_gbps
-
-    best_weights = {k: list(v) for k, v in weights.items()}
-    best_max = math.inf
-    for it in range(iterations):
-        loads = _propagate(weights, demands, dist)
-        maxu = _max_utilization(loads, caps)
+    down = _downhill_dag(nodes, lat, dmat, destinations)
+    inject = np.zeros(down.shape[:2])
+    for (src, dst), h in demands.items():
+        inject[destinations.index(dst), index[src]] = h
+    cap = weight_matrix(nodes, {(l.a, l.b): l.capacity_gbps for l in topology.links})
+    np.fill_diagonal(cap, np.inf)  # no link on the diagonal: utilization 0, not 0/0
+    split = down / np.maximum(down.sum(axis=2, keepdims=True), 1)
+    best, best_max = split, math.inf
+    for it in range(REBALANCE_ITERATIONS):
+        util = _link_loads(split, inject, destinations) / cap
+        maxu = float(util.max())
         if maxu < best_max - 1e-12:
-            best_max = maxu
-            best_weights = {k: list(v) for k, v in weights.items()}
-        util = {e: v / caps[e] for e, v in loads.items()}
-        # Expected downstream bottleneck per (node, dst), filled in
-        # increasing-distance order so successors are done first.
-        pot: dict[tuple[str, str], float] = {}
-        for dst in destinations:
-            for node in sorted(dist[dst], key=lambda n: (dist[dst][n], n)):
-                if node == dst:
-                    pot[(node, dst)] = 0.0
-                    continue
-                entry = weights.get((node, dst))
-                if entry is None:
-                    continue
-                score = 0.0
-                for nbr, w in entry:
-                    edge_u = util.get((node, nbr), 0.0)
-                    score += w * max(edge_u, pot.get((nbr, dst), 0.0))
-                pot[(node, dst)] = score
+            best, best_max = split, maxu
+        # Expected downstream bottleneck per (destination, node).
+        pot = _settle(lambda p: (split * np.maximum(util, p[:, None, :])).sum(axis=2),
+                      np.zeros(inject.shape), destinations)
         # Multiplicative weights with a decaying step, half-mixed with the
         # previous iterate: undamped steps oscillate around the optimum.
         eta = 2.0 / (max(maxu, 1e-12) * math.sqrt(1.0 + it))
-        for (node, dst), entry in weights.items():
-            scores = [max(util.get((node, nbr), 0.0), pot.get((nbr, dst), 0.0))
-                      for nbr, _ in entry]
-            raw = [max(w, 1e-9) * math.exp(-eta * s) for (_, w), s in zip(entry, scores)]
-            total = sum(raw)
-            weights[(node, dst)] = [(nbr, 0.5 * w + 0.5 * r / total)
-                                    for (nbr, w), r in zip(entry, raw)]
+        score = np.maximum(util, pot[:, None, :])
+        raw = np.where(down, np.maximum(split, 1e-9), 0.0) * np.exp(-eta * score)
+        split = 0.5 * split + np.divide(0.5 * raw, raw.sum(axis=2, keepdims=True),
+                                        out=np.zeros(raw.shape), where=down)
     # Prune negligible branches and renormalize for a tidy table.
     table = {}
-    for key, entry in best_weights.items():
-        kept = [(nbr, w) for nbr, w in entry if w >= 1e-3]
-        total = sum(w for _, w in kept)
-        table[key] = tuple((nbr, w / total) for nbr, w in kept)
+    for k, u in np.argwhere(down.any(axis=2)).tolist():
+        vs = np.flatnonzero(best[k, u] >= 1e-3).tolist()
+        ws = best[k, u, vs].tolist()
+        total = sum(ws)
+        table[(nodes[u], destinations[k])] = tuple((nodes[v], w / total) for v, w in zip(vs, ws))
     return RoutingTable(table, scheme)
 
 
-def expected_link_loads(topology: SimTopology, table: RoutingTable,
-                        traffic: TrafficMatrix, aggregate_gbps: float,
-                        model: LatencyModel = LatencyModel()) -> dict[tuple[str, str], float]:
-    """Fluid-model directed link loads in Gbps under the routing table.
-
-    Tables are loop-free DAGs per destination, so each destination's flow
-    is pushed through a Kahn topological order of the reachable sub-DAG.
-    """
-    demands = {k: v * aggregate_gbps for k, v in _directed_demands(traffic).items()}
-    by_dst: dict[str, dict[str, float]] = {}
-    for (src, dst), demand in demands.items():
-        by_dst.setdefault(dst, {})[src] = by_dst.get(dst, {}).get(src, 0.0) + demand
-    loads: dict[tuple[str, str], float] = {}
-    for dst in sorted(by_dst):
-        injected = by_dst[dst]
-        nodes = set(injected)
-        out_edges: dict[str, tuple[tuple[str, float], ...]] = {}
-        stack = sorted(injected)
-        while stack:
-            node = stack.pop()
-            if node == dst or node in out_edges:
-                continue
-            hops = table.hops_for(node, dst)
-            out_edges[node] = hops
-            for nbr, _ in hops:
-                if nbr not in nodes:
-                    nodes.add(nbr)
-                    stack.append(nbr)
-        indeg = {n: 0 for n in nodes}
-        for node, hops in out_edges.items():
-            for nbr, _ in hops:
-                indeg[nbr] += 1
-        ready = sorted(n for n, dcount in indeg.items() if dcount == 0)  # sorted, so a heap
-        inflow = dict(injected)
-        while ready:
-            node = heapq.heappop(ready)
-            amount = inflow.get(node, 0.0)
-            for nbr, w in out_edges.get(node, ()):
-                part = amount * w
-                if part > 0.0:
-                    loads[(node, nbr)] = loads.get((node, nbr), 0.0) + part
-                    inflow[nbr] = inflow.get(nbr, 0.0) + part
-                indeg[nbr] -= 1
-                if indeg[nbr] == 0:
-                    heapq.heappush(ready, nbr)
-    return loads
+def expected_link_loads(topology: SimTopology, table: RoutingTable, traffic: TrafficMatrix,
+                        aggregate_gbps: float) -> dict[tuple[str, str], float]:
+    """Fluid-model directed link loads in Gbps under the routing table, the
+    positive ones in (from, to) id order, by `build_routing`'s kernel. A table
+    that loops towards a destination raises ValueError; a node that receives
+    flow towards a destination without an entry for it, KeyError."""
+    nodes = sorted(topology.nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    demands = _directed_demands(traffic)
+    destinations = sorted({dst for _, dst in demands})
+    row = {d: k for k, d in enumerate(destinations)}
+    inject = np.zeros((len(destinations), len(nodes)))
+    for (src, dst), h in demands.items():
+        inject[row[dst], index[src]] = h * aggregate_gbps
+    split = np.zeros((len(destinations), len(nodes), len(nodes)))
+    for (node, dst), hops in table.next_hops.items():
+        if dst in row and node != dst:
+            for nbr, w in hops:
+                split[row[dst], index[node], index[nbr]] += w
+    # Longest hop count from a source along positive weights: it grows round a
+    # loop for good, where a float flow's circulation can round away and settle.
+    depth = _settle(lambda h: np.maximum(h, np.where(split > 0, h[..., None] + 1, -np.inf).max(1)),
+                    np.where(inject > 0, 0.0, -np.inf), destinations)
+    for k, u in np.argwhere((depth >= 0) & ~split.any(axis=2)).tolist():
+        if nodes[u] != destinations[k]:
+            raise KeyError((nodes[u], destinations[k]))
+    loads = _link_loads(split, inject, destinations)
+    return {(nodes[u], nodes[v]): float(loads[u, v]) for u, v in np.argwhere(loads > 0).tolist()}
 
 
 # ---------------------------------------------------------------------------
