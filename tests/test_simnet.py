@@ -718,13 +718,7 @@ def test_min_max_util_within_one_percent_of_grid_oracle():
         SimLink("a", "y", 50.0, "mw", 0.6), SimLink("y", "b", 50.0, "mw", 1.0),
         SimLink("b", "c", 50.0, "mw", 2.0)])
     m = TrafficMatrix({("a", "b"): 0.7, ("a", "c"): 0.3})
-    table = build_routing(topo, m, "min_max_util")
-    loads = expected_link_loads(topo, table, m, 1.0)
-    caps = {}
-    for link in topo.links:
-        caps[(link.a, link.b)] = link.capacity_gbps
-        caps[(link.b, link.a)] = link.capacity_gbps
-    achieved = max(v / caps[e] for e, v in loads.items())
+    achieved = fluid_max_utilization(topo, build_routing(topo, m, "min_max_util"), m)
     # Oracle: forward direction, splits t1 (a->b demand) and t2 (a->c demand).
     best = math.inf
     for t1 in np.linspace(0, 1, 1001):
@@ -743,16 +737,8 @@ def test_throughput_optimal_equals_min_max_on_relaxation():
         SimLink("a", "y", 50.0, "mw", 0.7), SimLink("y", "b", 50.0, "mw", 1.0),
     ])
     m = TrafficMatrix({("a", "b"): 1.0})
-    t1 = build_routing(topo, m, "min_max_util")
-    t2 = build_routing(topo, m, "throughput_optimal")
-    l1 = expected_link_loads(topo, t1, m, 1.0)
-    l2 = expected_link_loads(topo, t2, m, 1.0)
-    caps = {}
-    for link in topo.links:
-        caps[(link.a, link.b)] = link.capacity_gbps
-        caps[(link.b, link.a)] = link.capacity_gbps
-    u1 = max(v / caps[e] for e, v in l1.items())
-    u2 = max(v / caps[e] for e, v in l2.items())
+    u1 = fluid_max_utilization(topo, build_routing(topo, m, "min_max_util"), m)
+    u2 = fluid_max_utilization(topo, build_routing(topo, m, "throughput_optimal"), m)
     # alpha = 1/max-util: the two schemes optimize the same relaxation.
     assert u1 == pytest.approx(u2, rel=1e-6)
 
