@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .designer import NetworkDesign, site_attachments
+from .designer import NetworkDesign, site_tower_graph
 from .geo import Site
 from .graphcore import tower_disjoint_paths
 from .los import HopGraph
@@ -146,10 +146,6 @@ class AugmentationPlan:
         return sum(entry.radio_hops for entry in self.links)
 
 
-def _series_towers(nodes: Sequence[str], endpoints: set[str]) -> list[str]:
-    return [n for n in nodes if n not in endpoints]
-
-
 def augment(design: NetworkDesign, loads: LinkLoads, hop_graph: HopGraph,
             sites: Sequence[Site], radius_km: float = 15.0,
             per_series_capacity_gbps: float = 1.0) -> AugmentationPlan:
@@ -159,44 +155,33 @@ def augment(design: NetworkDesign, loads: LinkLoads, hop_graph: HopGraph,
     tower chains are drawn from the inventory via successive shortest
     paths; missing chains are charged as new towers at both ends of every
     primary hop. Never fails: shortfall is costed, not fatal. One tower graph
-    serves every link, with just that link's two sites attached.
+    with every link endpoint attached serves every link; each search blocks
+    the endpoints of other links.
     """
     ends = {end for link in design.built_links for end in link}
-    near = site_attachments([s for s in sites if s.id in ends], hop_graph, radius_km)
-    g = hop_graph.graph()
+    attached = [s for s in sites if s.id in ends]
+    g = site_tower_graph(attached, hop_graph, radius_km)
+    ids = {s.id for s in attached}
     entries = []
     for link in design.built_links:
         demand = loads.mw.get(link, 0.0)
         k = series_needed(demand, per_series_capacity_gbps)
         a, b = link
-        if a not in near or b not in near:
+        if a not in ids or b not in ids:
             raise KeyError(f"link {link} endpoints missing from the site list")
-        for site in link:
-            g.add_node(site)
-            for tid, d in near[site].items():
-                g.add_edge(site, tid, d)
-        paths = tower_disjoint_paths(g, a, b, k)
-        g.remove_node(a)
-        g.remove_node(b)
+        paths = tower_disjoint_paths(g, a, b, k, blocked=ids - {a, b})
         if not paths:
             raise ValueError(f"no tower path for built link {link}")
-        endpoints = {a, b}
-        primary = _series_towers(paths[0].nodes, endpoints)
-        primary_hops = max(0, len(primary) - 1)
-        extra = paths[1:]
-        towers: set[str] = set(primary)
-        extra_hops = []
-        for p in extra:
-            series = _series_towers(p.nodes, endpoints)
-            towers.update(series)
-            extra_hops.append(max(0, len(series) - 1))
-        shortfall = (k - 1) - len(extra)
-        new_towers = shortfall * 2 * primary_hops
+        # A path's interior is its tower series: sites attach only to towers.
+        primary_hops = len(paths[0].interior) - 1
+        extra_hops = tuple(len(p.interior) - 1 for p in paths[1:])
+        shortfall = (k - 1) - len(extra_hops)
+        towers = set().union(*(p.interior for p in paths))
         entries.append(LinkAugmentation(
             link=link, demand_gbps=demand, series_count=k,
-            series_found=len(extra), shortfall=shortfall,
-            primary_hops=primary_hops, extra_series_hops=tuple(extra_hops),
-            new_towers=new_towers, towers_used=tuple(sorted(towers))))
+            series_found=len(extra_hops), shortfall=shortfall,
+            primary_hops=primary_hops, extra_series_hops=extra_hops,
+            new_towers=shortfall * 2 * primary_hops, towers_used=tuple(sorted(towers))))
     return AugmentationPlan(tuple(entries), per_series_capacity_gbps)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from .fiberbase import StretchStats, stretch_stats
 from .geo import GeoPoint, Site, geodesic_km
 from .graphcore import (
-    BATCH_ELEMENTS as _BATCH_ELEMENTS, distance_matrix, next_hop_walks, shortest_paths_from,
-    weight_matrix,
+    BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, distance_matrix, next_hop_walks,
+    shortest_paths_from, weight_matrix,
 )
 from .los import HopGraph
 from .traffic import Pair, TrafficMatrix, pair_key
@@ -438,18 +438,20 @@ class SiteLink:
     path: tuple[str, ...]  # site, towers..., site
 
 
-def site_attachments(sites: Sequence[Site], hop_graph: HopGraph,
-                     radius_km: float) -> dict[str, dict[str, float]]:
-    """Per site id, the towers at 0 < geodesic km <= radius_km and that km.
-    A site id that is also a tower id is a ValueError: detaching the site
-    from a shared tower graph would delete that tower."""
-    out: dict[str, dict[str, float]] = {}
+def site_tower_graph(sites: Sequence[Site], hop_graph: HopGraph,
+                     radius_km: float) -> WeightedGraph:
+    """The tower graph with every site attached to the towers at
+    0 < geodesic km <= radius_km. A site id that is also a tower id is a
+    ValueError: the site would merge with that tower."""
+    g = hop_graph.graph()
     for site in sites:
         if site.id in hop_graph.towers:
             raise ValueError(f"site id {site.id!r} is also a tower id")
-        out[site.id] = {tid: d for tid, tower in hop_graph.towers.items()
-                        if 0 < (d := geodesic_km(site.location, tower.location)) <= radius_km}
-    return out
+        g.add_node(site.id)
+        for tid, tower in hop_graph.towers.items():
+            if 0 < (d := geodesic_km(site.location, tower.location)) <= radius_km:
+                g.add_edge(site.id, tid, d)
+    return g
 
 
 def site_links(sites: Sequence[Site], hop_graph: HopGraph,
@@ -459,24 +461,20 @@ def site_links(sites: Sequence[Site], hop_graph: HopGraph,
     Sites attach to all towers within `radius_km` (cities are assumed to
     host tower capacity) but not to a tower at distance 0; the link cost
     is the number of distinct towers on the path. Pairs with no tower
-    route are absent. One search runs per site a with only a attached, so
-    other sites never relay; b's path is the least (km, node sequence)
-    over b's towers t of a's path to t plus the stub t-b, which is what
-    Dijkstra over the towers and just a and b settles for b.
+    route are absent. One search runs per site a with every other site
+    blocked, so other sites never relay; b's path is the least (km, node
+    sequence) over b's towers t of a's path to t plus the stub t-b, which
+    is what Dijkstra over the towers and just a and b settles for b.
     """
     ordered = sorted(sites, key=lambda s: s.id)
-    near = site_attachments(ordered, hop_graph, radius_km)
-    g = hop_graph.graph()
+    g = site_tower_graph(ordered, hop_graph, radius_km)
+    ids = {s.id for s in ordered}
     out: dict[Pair, SiteLink] = {}
     for i, a in enumerate(ordered[:-1]):
-        g.add_node(a.id)
-        for tid, d in near[a.id].items():
-            g.add_edge(a.id, tid, d)
-        paths = shortest_paths_from(g, a.id)
-        g.remove_node(a.id)
+        paths = shortest_paths_from(g, a.id, blocked=ids - {a.id})
         for b in ordered[i + 1:]:
             ends = [(paths[t].total_weight + d, paths[t].nodes + (b.id,))
-                    for t, d in near[b.id].items() if t in paths]
+                    for t, d in g.neighbors(b.id).items() if t in paths]
             if ends:
                 km, nodes = min(ends)
                 out[pair_key(a.id, b.id)] = SiteLink(km, len(nodes) - 2, nodes)

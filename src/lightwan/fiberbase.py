@@ -53,8 +53,8 @@ class FiberGraph:
     def add_link(self, a: str, b: str, fiber_km: float) -> None:
         if a not in self.endpoints or b not in self.endpoints:
             raise ValueError(f"link ({a}, {b}) references unknown endpoint")
-        if fiber_km <= 0:
-            raise ValueError("fiber length must be > 0")
+        if not 0 < fiber_km < math.inf:
+            raise ValueError(f"link ({a}, {b}): fiber_km must be finite and > 0, got {fiber_km}")
         key = pair_key(a, b)
         geo = geodesic_km(self.endpoints[a].location, self.endpoints[b].location)
         # Source data sometimes records geodesics; flag, do not reject.
@@ -108,7 +108,10 @@ def load_fiber_csv(conduits_path: str, endpoints_path: str) -> FiberGraph:
         if reader.fieldnames is None or not {"endpoint_a", "endpoint_b", "fiber_km"} <= set(reader.fieldnames):
             raise ValueError(f"{conduits_path}: expected header endpoint_a,endpoint_b,fiber_km")
         for row in reader:
-            g.add_link(row["endpoint_a"], row["endpoint_b"], float(row["fiber_km"]))
+            try:
+                g.add_link(row["endpoint_a"], row["endpoint_b"], float(row["fiber_km"]))
+            except ValueError as exc:
+                raise ValueError(f"{conduits_path}: line {reader.line_num}: {exc}") from None
     return g
 
 

@@ -8,14 +8,16 @@ remains only on the sparse tower graphs (site links and disjoint tower
 paths): one settle loop serves the early-exit `shortest_path`,
 `shortest_paths_from` and the tests' oracle `shortest_path_lengths`, with
 ties broken toward the lexicographically smallest node-id sequence so
-designs are reproducible. Graphs are immutable during queries.
+designs are reproducible. It pushes only improving heap entries and never
+enters a caller's `blocked` nodes, so no query copies or edits a graph.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +39,7 @@ class Path:
 
 
 class WeightedGraph:
-    """Undirected graph with positive edge weights and opaque string ids."""
+    """Undirected graph with finite positive edge weights and opaque string ids."""
 
     def __init__(self) -> None:
         self._adj: dict[str, dict[str, float]] = {}
@@ -48,20 +50,12 @@ class WeightedGraph:
     def add_edge(self, a: str, b: str, weight: float) -> None:
         if a == b:
             raise ValueError(f"self-loop on {a!r}")
-        if weight <= 0:
-            raise ValueError(f"edge weight must be > 0, got {weight}")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"edge weight must be finite and > 0, got {weight}")
         self.add_node(a)
         self.add_node(b)
         self._adj[a][b] = weight
         self._adj[b][a] = weight
-
-    def remove_node(self, node: str) -> None:
-        for nbr in self._adj.pop(node, {}):
-            del self._adj[nbr][node]
-
-    def remove_edge(self, a: str, b: str) -> None:
-        del self._adj[a][b]
-        del self._adj[b][a]
 
     def __contains__(self, node: str) -> bool:
         return node in self._adj
@@ -84,11 +78,6 @@ class WeightedGraph:
                 if a < b:
                     yield a, b, w
 
-    def copy(self) -> "WeightedGraph":
-        g = WeightedGraph()
-        g._adj = {n: dict(nbrs) for n, nbrs in self._adj.items()}
-        return g
-
 
 def _check_nodes(g: WeightedGraph, *nodes: str) -> None:
     for n in nodes:
@@ -96,11 +85,18 @@ def _check_nodes(g: WeightedGraph, *nodes: str) -> None:
             raise KeyError(f"unknown node {n!r}")
 
 
-def _settled_paths(g: WeightedGraph, src: str) -> Iterator[Path]:
-    """Dijkstra from src, yielding each node's path as it settles; heap keys are
-    (weight, node sequence), so equal weights settle the smallest sequence first."""
+# The best heap entry of a node not yet pushed: any finite entry beats it.
+_UNSEEN = (math.inf, ())
+
+
+def _settled_paths(g: WeightedGraph, src: str, blocked: Collection[str] = ()) -> Iterator[Path]:
+    """Dijkstra from src that never enters a node of `blocked`, yielding each
+    node's path as it settles; heap keys are (weight, node sequence), so equal
+    weights settle the smallest sequence first. An entry is pushed only when it
+    beats the best one pushed for its node: a skipped entry could never pop first."""
     _check_nodes(g, src)
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
+    best: dict[str, tuple[float, tuple[str, ...]]] = {src: heap[0]}
     settled: set[str] = set()
     while heap:
         dist, nodes = heapq.heappop(heap)
@@ -110,26 +106,34 @@ def _settled_paths(g: WeightedGraph, src: str) -> Iterator[Path]:
         settled.add(node)
         yield Path(nodes, dist)
         for nbr, w in g.neighbors(node).items():
-            if nbr not in settled:
-                heapq.heappush(heap, (dist + w, nodes + (nbr,)))
+            km, old = dist + w, best.get(nbr, _UNSEEN)
+            if km <= old[0] and nbr not in settled and nbr not in blocked:
+                entry = (km, nodes + (nbr,))
+                if entry < old:
+                    best[nbr] = entry
+                    heapq.heappush(heap, entry)
 
 
-def shortest_path(g: WeightedGraph, src: str, dst: str) -> Path | None:
-    """Minimal-weight path from src to dst, or None when disconnected.
+def shortest_path(g: WeightedGraph, src: str, dst: str,
+                  blocked: Collection[str] = ()) -> Path | None:
+    """Minimal-weight path from src to dst that enters no node of `blocked`,
+    or None when there is none.
 
     Among equal-weight alternatives the lexicographically smallest node
     sequence wins. src == dst yields a zero-weight single-node path.
     """
     _check_nodes(g, src, dst)
-    for p in _settled_paths(g, src):
+    for p in _settled_paths(g, src, blocked):
         if p.nodes[-1] == dst:
             return p
     return None
 
 
-def shortest_paths_from(g: WeightedGraph, src: str) -> dict[str, Path]:
-    """Tie-broken shortest paths from src to every reachable node."""
-    return {p.nodes[-1]: p for p in _settled_paths(g, src)}
+def shortest_paths_from(g: WeightedGraph, src: str,
+                        blocked: Collection[str] = ()) -> dict[str, Path]:
+    """Tie-broken shortest paths from src to every node it reaches without
+    entering a node of `blocked`."""
+    return {p.nodes[-1]: p for p in _settled_paths(g, src, blocked)}
 
 
 def shortest_path_lengths(g: WeightedGraph, src: str) -> dict[str, float]:
@@ -185,29 +189,28 @@ def next_hop_walks(weights: np.ndarray, dist: np.ndarray,
         yield nodes
 
 
-def tower_disjoint_paths(g: WeightedGraph, src: str, dst: str, n: int) -> list[Path]:
+def tower_disjoint_paths(g: WeightedGraph, src: str, dst: str, n: int,
+                         blocked: Collection[str] = ()) -> list[Path]:
     """Up to n successively interior-disjoint shortest paths from src to dst.
 
-    Each path is found after deleting the interior nodes of all previous
-    ones, so weights are non-decreasing; the list is short when the graph
-    is exhausted. A direct src-dst edge, having no interior, is consumed
-    after its first use so the iteration makes progress.
+    Each path avoids `blocked` and the interior nodes of all previous ones,
+    so weights are non-decreasing; the list is short when the graph is
+    exhausted. Adjacent (or equal) src and dst are a ValueError: a path
+    with no interior would block nothing.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_nodes(g, src, dst)
-    work = g.copy()
+    if src == dst or g.has_edge(src, dst):
+        raise ValueError("src and dst are adjacent")
+    avoid = set(blocked)
     paths: list[Path] = []
     for _ in range(n):
-        p = shortest_path(work, src, dst)
+        p = shortest_path(g, src, dst, avoid)
         if p is None:
             break
         paths.append(p)
-        if p.interior:
-            for node in p.interior:
-                work.remove_node(node)
-        else:
-            work.remove_edge(src, dst)
+        avoid.update(p.interior)
     return paths
 
 

@@ -422,7 +422,9 @@ def load_hops_csv(path: str, towers: list[Tower]) -> HopGraph:
         if reader.fieldnames is None or not {"tower_a", "tower_b", "length_km"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected header tower_a,tower_b,length_km")
         for row in reader:
-            if row["tower_a"] not in by_id or row["tower_b"] not in by_id:
-                raise ValueError(f"{path}: hop references unknown tower")
-            hops.append(Hop(row["tower_a"], row["tower_b"], float(row["length_km"])))
+            a, b, km = row["tower_a"], row["tower_b"], float(row["length_km"])
+            if a not in by_id or b not in by_id or a == b or not 0 < km < math.inf:
+                raise ValueError(f"{path}: line {reader.line_num}: hop ({a}, {b}) needs two "
+                                 f"known towers and a finite length_km > 0, got {km}")
+            hops.append(Hop(a, b, km))
     return HopGraph(by_id, hops)

@@ -218,16 +218,15 @@ def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str,
     """
     if scheme not in ROUTING_SCHEMES:
         raise ValueError(f"unknown routing scheme {scheme!r}")
-    g = topology.latency_graph(model)
     demands = _directed_demands(traffic)
-    endpoints = sorted({n for pair in demands for n in pair})
-    for node in endpoints:
-        if node not in g:
-            raise InfeasibleDesignError(f"traffic endpoint {node!r} not in topology")
-    destinations = sorted({dst for _, dst in demands})
-    nodes = sorted(g.nodes())
+    nodes = sorted(set(topology.nodes))
     index = {n: i for i, n in enumerate(nodes)}
-    lat = weight_matrix(nodes, {(a, b): x for a, b, x in g.edges()})
+    missing = sorted({n for pair in demands for n in pair} - index.keys())
+    if missing:
+        raise InfeasibleDesignError(f"traffic endpoint {missing[0]!r} not in topology")
+    destinations = sorted({dst for _, dst in demands})
+    lat = weight_matrix(nodes, {(l.a, l.b): latency_ms(l.length_km, l.medium, model)
+                                for l in topology.links})
     dmat = distance_matrix(lat)
     pairs = [(index[src], index[dst]) for src, dst in demands]
     for s, t in pairs:

@@ -394,6 +394,38 @@ def test_exit_code_on_site_id_of_a_tower(pipeline, tmp_path, capsys):
     assert "site id 'ta03' is also a tower id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "self-loop"])
+def test_exit_code_on_bad_hop_row(pipeline, tmp_path, capsys, bad):
+    # Line 5 of the hop file: its length is not finite and > 0, or it joins
+    # a tower to itself.
+    rows = read_csv(pipeline["hops_csv"])
+    if bad == "self-loop":
+        rows[3]["tower_b"] = rows[3]["tower_a"]
+    else:
+        rows[3]["length_km"] = bad
+    hops = tmp_path / "hops.csv"
+    with open(hops, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    cfgp = write_config(tmp_path, demo_config(hops_csv=str(hops)))
+    capsys.readouterr()
+    assert main(["design", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{hops}: line 5: hop ({rows[3]['tower_a']}, {rows[3]['tower_b']})" in err
+
+
+def test_exit_code_on_nan_conduit(tmp_path, capsys):
+    with open(os.path.join(DEMO, "fiber_conduits.csv")) as fh:
+        text = fh.read()
+    conduits = tmp_path / "fiber_conduits.csv"
+    conduits.write_text(text.replace("f_cb,f_cc,125.864", "f_cb,f_cc,nan"))
+    cfgp = write_config(tmp_path, demo_config(fiber_conduits_csv=str(conduits)))
+    capsys.readouterr()
+    assert main(["fiber", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert f"{conduits}: line 3: link (f_cb, f_cc): fiber_km" in capsys.readouterr().err
+
+
 def test_usage_error_exits_one():
     assert main(["design", "--config"]) == 1
 

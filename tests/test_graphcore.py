@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from lightwan import graphcore
 from lightwan.designer import DesignInput, HybridEvaluator
 from lightwan.geo import GeoPoint, Site, geodesic_km
-from lightwan.graphcore import WeightedGraph
+from lightwan.graphcore import Path, WeightedGraph
 from lightwan.traffic import TrafficMatrix
 
 
@@ -47,6 +48,12 @@ def test_graph_rejects_self_loops_and_bad_weights():
         g.add_edge("a", "a", 1.0)
     with pytest.raises(ValueError):
         g.add_edge("a", "b", 0.0)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_graph_rejects_non_finite_weights(weight):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        WeightedGraph().add_edge("a", "b", weight)
 
 
 def test_shortest_path_src_equals_dst():
@@ -354,6 +361,152 @@ def test_tower_disjoint_corridor_of_20_chains():
         seen |= interior
 
 
+def test_tower_disjoint_rejects_adjacent_ends():
+    g = WeightedGraph()
+    g.add_edge("s", "t", 1.0)
+    g.add_edge("s", "m", 1.0)
+    g.add_edge("m", "t", 1.0)
+    with pytest.raises(ValueError, match="adjacent"):
+        graphcore.tower_disjoint_paths(g, "s", "t", 2)
+
+
+# The settle loop and disjoint paths as they were before searches took a
+# blocked set: every relaxed edge pushed a heap entry, and the disjoint
+# paths deleted nodes from a copy of the graph. Kept as the oracle for the
+# improving-only pushes and the blocked nodes.
+
+class ReferenceGraph(WeightedGraph):
+    """A WeightedGraph that can lose nodes and edges, as the library graph
+    could before its searches took a blocked set."""
+
+    @classmethod
+    def copy_of(cls, g: WeightedGraph) -> "ReferenceGraph":
+        h = cls()
+        for node in g.nodes():
+            h.add_node(node)
+        for a, b, w in g.edges():
+            h.add_edge(a, b, w)
+        return h
+
+    def remove_node(self, node: str) -> None:
+        for nbr in self._adj.pop(node, {}):
+            del self._adj[nbr][node]
+
+    def remove_edge(self, a: str, b: str) -> None:
+        del self._adj[a][b]
+        del self._adj[b][a]
+
+
+def reference_settled_paths(g, src):
+    """Dijkstra from src, yielding each node's path as it settles; heap keys are
+    (weight, node sequence), so equal weights settle the smallest sequence first."""
+    heap = [(0.0, (src,))]
+    settled = set()
+    while heap:
+        dist, nodes = heapq.heappop(heap)
+        node = nodes[-1]
+        if node in settled:
+            continue
+        settled.add(node)
+        yield Path(nodes, dist)
+        for nbr, w in g.neighbors(node).items():
+            if nbr not in settled:
+                heapq.heappush(heap, (dist + w, nodes + (nbr,)))
+
+
+def reference_shortest_path(g, src, dst):
+    for p in reference_settled_paths(g, src):
+        if p.nodes[-1] == dst:
+            return p
+    return None
+
+
+def reference_shortest_paths_from(g, src):
+    return {p.nodes[-1]: p for p in reference_settled_paths(g, src)}
+
+
+def reference_tower_disjoint_paths(g, src, dst, n):
+    work = ReferenceGraph.copy_of(g)
+    paths = []
+    for _ in range(n):
+        p = reference_shortest_path(work, src, dst)
+        if p is None:
+            break
+        paths.append(p)
+        if p.interior:
+            for node in p.interior:
+                work.remove_node(node)
+        else:
+            work.remove_edge(src, dst)
+    return paths
+
+
+def tied_random_graph(seed, weights, n=36, p=0.14):
+    """Seeded random graph whose weights are drawn from `weights`, so many
+    routes tie on km exactly and the node-sequence rule decides."""
+    rng = np.random.default_rng(seed)
+    g = WeightedGraph()
+    names = [f"n{i:02d}" for i in range(n)]
+    for name in names:
+        g.add_node(name)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                g.add_edge(names[i], names[j], float(rng.choice(weights)))
+    return g, rng
+
+
+def count_ties(g, paths):
+    """Settled nodes reached at their least km through two or more neighbours."""
+    km = {v: p.total_weight for v, p in paths.items()}
+    return sum(len([u for u, w in g.neighbors(v).items() if u in km and km[u] + w == km[v]]) > 1
+               for v in km)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("weights", [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3)])
+def test_settle_loop_matches_reference(seed, weights):
+    g, _ = tied_random_graph(seed, weights)
+    nodes = sorted(g.nodes())
+    ties = 0
+    for src in nodes:
+        want = reference_shortest_paths_from(g, src)
+        assert graphcore.shortest_paths_from(g, src) == want
+        ties += count_ties(g, want)
+    assert ties > 0
+    for src in nodes[:6]:
+        for dst in nodes:
+            assert graphcore.shortest_path(g, src, dst) == reference_shortest_path(g, src, dst)
+            if dst != src and not g.has_edge(src, dst):
+                assert (graphcore.tower_disjoint_paths(g, src, dst, 4)
+                        == reference_tower_disjoint_paths(g, src, dst, 4))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("weights", [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3)])
+def test_blocked_nodes_match_reference_on_removed_copy(seed, weights):
+    g, rng = tied_random_graph(100 + seed, weights)
+    nodes = sorted(g.nodes())
+    for src in nodes[::3]:
+        others = [v for v in nodes if v != src]
+        blocked = set(rng.choice(others, size=6, replace=False).tolist())
+        removed = ReferenceGraph.copy_of(g)
+        for node in blocked:
+            removed.remove_node(node)
+        want = reference_shortest_paths_from(removed, src)
+        assert graphcore.shortest_paths_from(g, src, blocked=blocked) == want
+        assert not blocked & set(want)
+        for dst in others:
+            got = graphcore.shortest_path(g, src, dst, blocked=blocked)
+            if dst in blocked:
+                assert got is None
+                continue
+            assert got == reference_shortest_path(removed, src, dst)
+            if not g.has_edge(src, dst):
+                assert (graphcore.tower_disjoint_paths(g, src, dst, 3, blocked=blocked)
+                        == reference_tower_disjoint_paths(removed, src, dst, 3))
+
+
 def test_bridges_on_square_with_tail():
     g = WeightedGraph()
     g.add_edge("a", "b", 1.0)
@@ -366,8 +519,12 @@ def test_bridges_on_square_with_tail():
 
 def test_bridges_oracle_on_random_graphs():
     def is_bridge(g, a, b):
-        h = g.copy()
-        h.remove_edge(a, b)
+        h = WeightedGraph()
+        for node in g.nodes():
+            h.add_node(node)
+        for u, v, w in g.edges():
+            if (u, v) != (a, b):
+                h.add_edge(u, v, w)
         return not graphcore.connected(h, [a, b])
 
     rng = np.random.default_rng(9)
