@@ -303,6 +303,7 @@ def cmd_fiber(cfg, args) -> int:
         {pair_key(a, b): 1.0 for i, a in enumerate(sites) for b in sites[i + 1:]})
     model = fiberbase.LeaseCostModel(**cfg["lease_cost"])
     steps = fiberbase.prune_links(fiber, sites, weights)
+    costs = []
     with open(os.path.join(outdir, "fiber_pruning.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["links", "mean", "median", "p95", "total_fiber_km",
@@ -310,13 +311,12 @@ def cmd_fiber(cfg, args) -> int:
         for step in steps:
             plan = fiberbase.provision_wavelengths(step.graph, sites, demand,
                                                    cfg["aggregate_gbps"])
-            cost = fiberbase.lease_cost(plan, step.graph, model)
+            costs.append(fiberbase.lease_cost(plan, step.graph, model))
             writer.writerow([step.link_count, repr(step.stats.mean),
                              repr(step.stats.median), repr(step.stats.p95),
-                             repr(step.total_fiber_km), repr(cost.total_usd)])
-    base = steps[0].stats
-    plan = fiberbase.provision_wavelengths(fiber, sites, demand, cfg["aggregate_gbps"])
-    cost = fiberbase.lease_cost(plan, fiber, model)
+                             repr(step.total_fiber_km), repr(costs[-1].total_usd)])
+    # The first step is the unpruned graph: its plan is the baseline's.
+    base, cost = steps[0].stats, costs[0]
     _write_json({
         "stats": {"mean": base.mean, "median": base.median, "p95": base.p95,
                   "weighting": base.weighting, "pair_count": base.pair_count,

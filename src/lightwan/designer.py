@@ -11,6 +11,7 @@ inflated budget followed by local improvement.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -122,11 +123,10 @@ class NetworkDesign:
 
 
 class HybridEvaluator:
-    """Hybrid weights and cached objectives for one instance; matrices follow inp.site_ids."""
+    """Pure scorer of link sets: hybrid weights and demand arrays; matrices follow inp.site_ids."""
 
     def __init__(self, inp: DesignInput) -> None:
         self.inp = inp
-        self._cache: dict[frozenset, float] = {}
         self.index = {s: i for i, s in enumerate(inp.site_ids)}
         self.fiber = weight_matrix(inp.site_ids, inp.fiber_km_eq)
         demands = list(inp.traffic.items())
@@ -146,23 +146,22 @@ class HybridEvaluator:
                 w[i, j] = w[j, i] = m
         return w
 
-    def objectives(self, sets: Sequence[frozenset]) -> list[float]:
+    def objectives(self, sets: Iterable[frozenset]) -> list[float]:
         """Objective of each built-link set, in order: sum over pairs of
         (h/d) x routed latency-equivalent km, +inf when some demand pair is
-        unroutable. The cache misses share batched kernel calls; each
-        value is bitwise equal to a one-set call."""
-        missing = [s for s in dict.fromkeys(sets) if s not in self._cache]
+        unroutable. Sets are pulled one kernel batch at a time, never held
+        whole; each value is bitwise equal to a one-set call."""
+        it = iter(sets)
         step = max(1, _BATCH_ELEMENTS // self.fiber.size)
-        for start in range(0, len(missing), step):
-            batch = missing[start:start + step]
-            dist = distance_matrix(np.array([self.graph_for(s) for s in batch]))
-            for built, d in zip(batch, dist):
+        out: list[float] = []
+        while batch := list(itertools.islice(it, step)):
+            for d in distance_matrix(np.array([self.graph_for(s) for s in batch])):
                 # One contiguous vector per set keeps the dot product's
                 # summation order that of a one-set call. An unroutable
                 # pair makes the sum inf or nan (0 x inf).
                 total = float(self._coef @ d[self._rows, self._cols])
-                self._cache[built] = total if math.isfinite(total) else math.inf
-        return [self._cache[s] for s in sets]
+                out.append(total if math.isfinite(total) else math.inf)
+        return out
 
     def objective(self, built: frozenset) -> float:
         """Objective of one built-link set (see `objectives`)."""
@@ -209,8 +208,7 @@ def eliminate_dominated(inp: DesignInput) -> list[Pair]:
     return keep
 
 
-def greedy_candidates(inp: DesignInput, inflation: float = 2.0,
-                      evaluator: HybridEvaluator | None = None) -> list[Pair]:
+def greedy_candidates(inp: DesignInput, inflation: float = 2.0) -> list[Pair]:
     """Greedy candidate links under an inflated budget.
 
     Repeatedly adds the single link whose addition lowers the objective
@@ -223,7 +221,7 @@ def greedy_candidates(inp: DesignInput, inflation: float = 2.0,
     """
     if inflation < 1.0:
         raise ValueError("inflation must be >= 1")
-    ev = evaluator or HybridEvaluator(inp)
+    ev = HybridEvaluator(inp)
     pool = eliminate_dominated(inp)
     chosen: list[Pair] = []
     chosen_set: frozenset = frozenset()
@@ -232,7 +230,7 @@ def greedy_candidates(inp: DesignInput, inflation: float = 2.0,
     current = ev.objective(chosen_set)
     while cost < cap:
         rest = [pair for pair in pool if pair not in chosen_set]
-        vals = ev.objectives([chosen_set | {pair} for pair in rest])
+        vals = ev.objectives(chosen_set | {pair} for pair in rest)
         best_pair = None
         best_val = current
         for pair, val in zip(rest, vals):
@@ -281,17 +279,20 @@ def _branch_and_bound(inp: DesignInput, cands: Sequence[Pair],
         taken = chosen | {cands[k]}
         inc_free, inc_relaxed = relax(taken, cost + costs[k], rest)
         exc_relaxed = relaxed - {cands[k]}
-        inc_bound, exc_bound = ev.objectives([inc_relaxed, exc_relaxed])
+        if inc_free == rest:  # the include child's bound set is this node's
+            inc_bound, exc_bound = bound, ev.objective(exc_relaxed)
+        else:
+            inc_bound, exc_bound = ev.objectives([inc_relaxed, exc_relaxed])
         dfs(taken, cost + costs[k], inc_free, inc_relaxed, inc_bound)
         dfs(chosen, cost, rest, exc_relaxed, exc_bound)
 
     free, relaxed = relax(best_set, 0.0, range(len(cands)))
-    dfs(best_set, 0.0, free, relaxed, ev.objective(relaxed))
+    if free:  # else the root's bound set is the empty incumbent
+        dfs(best_set, 0.0, free, relaxed, ev.objective(relaxed))
     return best_set
 
 
-def solve_exact(inp: DesignInput, candidates: Sequence[Pair],
-                evaluator: HybridEvaluator | None = None) -> NetworkDesign:
+def solve_exact(inp: DesignInput, candidates: Sequence[Pair]) -> NetworkDesign:
     """Optimal candidate subset under the budget by branch-and-bound.
 
     The DFS decides candidates in sorted order, including a link before
@@ -317,7 +318,7 @@ def solve_exact(inp: DesignInput, candidates: Sequence[Pair],
     for pair in cands:
         if pair not in inp.mw_km:
             raise ValueError(f"candidate {pair} is not an available MW link")
-    best = _branch_and_bound(inp, cands, evaluator or HybridEvaluator(inp))
+    best = _branch_and_bound(inp, cands, HybridEvaluator(inp))
     return evaluate_design(inp, sorted(best))
 
 
@@ -328,22 +329,25 @@ def _local_improve(inp: DesignInput, ev: HybridEvaluator, built: set[Pair],
     Moves are single additions within remaining budget (links are free
     capacity-wise, so an improving add is always safe) and single swaps
     (remove one built, add one unbuilt) that respect the budget. Each
-    iteration scores all its moves in one batch and takes the first
-    strictly best, adds before swaps.
+    iteration streams its moves through the evaluator and takes the first
+    strictly best, adds before swaps. Swaps removing the link the previous
+    move added are skipped: each such set is the previous base or one of its
+    moves, already scored at or above the value now current, so none wins.
     """
     built = set(built)
     cost = sum(inp.mw_cost[p] for p in built)
     current = ev.objective(frozenset(built))
+    last = None
     for _ in range(max_moves):
         base = frozenset(built)
         unbuilt = [p for p in pool if p not in built]
         moves: list[tuple[Pair | None, Pair]] = [
             (None, added) for added in unbuilt
             if cost + inp.mw_cost[added] <= inp.budget]
-        moves += [(removed, added) for removed in sorted(built) for added in unbuilt
+        moves += [(removed, added) for removed in sorted(built - {last}) for added in unbuilt
                   if cost - inp.mw_cost[removed] + inp.mw_cost[added] <= inp.budget]
         # An add is the move (None, added); removing None changes nothing.
-        vals = ev.objectives([base - {removed} | {added} for removed, added in moves])
+        vals = ev.objectives(base - {removed} | {added} for removed, added in moves)
         best_move: tuple[Pair | None, Pair] | None = None
         best_val = current
         for move, val in zip(moves, vals):
@@ -359,6 +363,7 @@ def _local_improve(inp: DesignInput, ev: HybridEvaluator, built: set[Pair],
         built.add(added)
         cost += inp.mw_cost[added]
         current = best_val
+        last = added
     return built
 
 
@@ -373,11 +378,11 @@ def solve_heuristic(inp: DesignInput) -> NetworkDesign:
     improvement pass over the full pool, which recovers cheap
     complementary links the greedy cutoff can miss.
     """
-    ev = HybridEvaluator(inp)
     pool = eliminate_dominated(inp)
     if len(pool) <= EXACT_CANDIDATE_GUARD:
-        return solve_exact(inp, pool, evaluator=ev)
-    cands = greedy_candidates(inp, 2.0, evaluator=ev)
+        return solve_exact(inp, pool)
+    ev = HybridEvaluator(inp)
+    cands = greedy_candidates(inp, 2.0)
     if len(cands) <= EXACT_CANDIDATE_GUARD:
         built = set(_branch_and_bound(inp, sorted(cands), ev))
     else:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, LatencyModel, geodesic_km
+from .geo import GeoPoint, LatencyModel, csv_line, geodesic_km
 from .graphcore import (
     BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, bridges, distance_matrix,
     next_hop_walks, weight_matrix,
@@ -100,18 +100,17 @@ def load_fiber_csv(conduits_path: str, endpoints_path: str) -> FiberGraph:
         if reader.fieldnames is None or not {"id", "lat", "lon"} <= set(reader.fieldnames):
             raise ValueError(f"{endpoints_path}: expected header id,lat,lon[,population]")
         for row in reader:
-            pop = float(row["population"]) if row.get("population") else 0.0
-            g.add_endpoint(FiberEndpoint(row["id"],
-                                         GeoPoint(float(row["lat"]), float(row["lon"])), pop))
+            with csv_line(endpoints_path, reader):
+                pop = float(row["population"]) if row.get("population") else 0.0
+                g.add_endpoint(FiberEndpoint(row["id"],
+                                             GeoPoint(float(row["lat"]), float(row["lon"])), pop))
     with open(conduits_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"endpoint_a", "endpoint_b", "fiber_km"} <= set(reader.fieldnames):
             raise ValueError(f"{conduits_path}: expected header endpoint_a,endpoint_b,fiber_km")
         for row in reader:
-            try:
+            with csv_line(conduits_path, reader):
                 g.add_link(row["endpoint_a"], row["endpoint_b"], float(row["fiber_km"]))
-            except ValueError as exc:
-                raise ValueError(f"{conduits_path}: line {reader.line_num}: {exc}") from None
     return g
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 EARTH_RADIUS_KM = 6371.0
 C_VACUUM_KM_S = 299792.458
@@ -102,6 +104,16 @@ def stretch(path_latency_ms: float, src: GeoPoint, dst: GeoPoint,
     return path_latency_ms / base
 
 
+@contextmanager
+def csv_line(path: str, reader: csv.DictReader) -> Iterator[None]:
+    """Prefix a ValueError raised while handling the reader's current row
+    with `path: line N:`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_sites_csv(path: str) -> list[Site]:
     """Read sites from a CSV with header id,lat,lon,population (population optional)."""
     sites: list[Site] = []
@@ -110,8 +122,9 @@ def load_sites_csv(path: str) -> list[Site]:
         if reader.fieldnames is None or not {"id", "lat", "lon"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected header with id,lat,lon[,population]")
         for row in reader:
-            pop = float(row["population"]) if row.get("population") else 0.0
-            sites.append(Site(row["id"], GeoPoint(float(row["lat"]), float(row["lon"])), pop))
+            with csv_line(path, reader):
+                pop = float(row["population"]) if row.get("population") else 0.0
+                sites.append(Site(row["id"], GeoPoint(float(row["lat"]), float(row["lon"])), pop))
     ids = [s.id for s in sites]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{path}: duplicate site ids")

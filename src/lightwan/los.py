@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km
+from .geo import EARTH_RADIUS_KM, GeoPoint, csv_line, geodesic_km
 from .graphcore import WeightedGraph
 
 # Terrain samples per clearance pass: amortises numpy's per-call cost over
@@ -384,17 +384,18 @@ def load_towers_csv(path: str, terrain: TerrainGrid | None = None) -> list[Tower
         if reader.fieldnames is None or not {"id", "lat", "lon", "height_m"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected header id,lat,lon,height_m[,ground_elevation_m]")
         for row in reader:
-            loc = GeoPoint(float(row["lat"]), float(row["lon"]))
-            ground = row.get("ground_elevation_m")
-            if ground is None or ground == "":
-                if terrain is None:
-                    raise ValueError(f"{path}: tower {row['id']} lacks ground elevation "
-                                     "and no terrain was supplied")
-                if not terrain.contains(loc):
-                    raise ValueError(f"{path}: tower {row['id']!r} outside terrain bounds")
-                unset.append(len(towers))
-                ground = 0.0
-            towers.append(Tower(row["id"], loc, float(row["height_m"]), float(ground)))
+            with csv_line(path, reader):
+                loc = GeoPoint(float(row["lat"]), float(row["lon"]))
+                ground = row.get("ground_elevation_m")
+                if ground is None or ground == "":
+                    if terrain is None:
+                        raise ValueError(f"tower {row['id']} lacks ground elevation "
+                                         "and no terrain was supplied")
+                    if not terrain.contains(loc):
+                        raise ValueError(f"tower {row['id']!r} outside terrain bounds")
+                    unset.append(len(towers))
+                    ground = 0.0
+                towers.append(Tower(row["id"], loc, float(row["height_m"]), float(ground)))
     if unset:
         elev = terrain.sample_many([towers[k].location.lat for k in unset],
                                    [towers[k].location.lon for k in unset])
@@ -422,9 +423,10 @@ def load_hops_csv(path: str, towers: list[Tower]) -> HopGraph:
         if reader.fieldnames is None or not {"tower_a", "tower_b", "length_km"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected header tower_a,tower_b,length_km")
         for row in reader:
-            a, b, km = row["tower_a"], row["tower_b"], float(row["length_km"])
-            if a not in by_id or b not in by_id or a == b or not 0 < km < math.inf:
-                raise ValueError(f"{path}: line {reader.line_num}: hop ({a}, {b}) needs two "
-                                 f"known towers and a finite length_km > 0, got {km}")
-            hops.append(Hop(a, b, km))
+            with csv_line(path, reader):
+                a, b, km = row["tower_a"], row["tower_b"], float(row["length_km"])
+                if a not in by_id or b not in by_id or a == b or not 0 < km < math.inf:
+                    raise ValueError(f"hop ({a}, {b}) needs two known towers and a "
+                                     f"finite length_km > 0, got {km}")
+                hops.append(Hop(a, b, km))
     return HopGraph(by_id, hops)

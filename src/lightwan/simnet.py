@@ -78,8 +78,11 @@ class SimLink:
     capacity_gbps: float
 
     def __post_init__(self) -> None:
-        if self.length_km <= 0 or self.capacity_gbps <= 0:
-            raise ValueError("link length and capacity must be > 0")
+        for name in ("length_km", "capacity_gbps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"link ({self.a}, {self.b}): {name} must be "
+                                 f"finite and > 0, got {value}")
 
 
 @dataclass

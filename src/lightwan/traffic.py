@@ -14,7 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geo import Site, geodesic_km
+from .geo import Site, csv_line, geodesic_km
 
 Pair = tuple[str, str]
 
@@ -174,5 +174,6 @@ def read_matrix_csv(path: str) -> TrafficMatrix:
         if reader.fieldnames is None or not {"src", "dst", "weight"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected header src,dst,weight")
         for row in reader:
-            weights[pair_key(row["src"], row["dst"])] = float(row["weight"])
+            with csv_line(path, reader):
+                weights[pair_key(row["src"], row["dst"])] = float(row["weight"])
     return TrafficMatrix(weights)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .designer import DesignInput, HybridEvaluator, NetworkDesign
 from .fiberbase import StretchStats, stretch_stats, weighted_quantile
-from .geo import GeoPoint, geodesic_km
+from .geo import GeoPoint, csv_line, geodesic_km
 from .graphcore import distance_matrix
 from .los import TerrainGrid, _path_samples
 from .traffic import Pair
@@ -106,7 +106,8 @@ def load_rain_csv(path: str) -> LinkRainSeries:
         if reader.fieldnames is None or not {"timestamp", "link_id", "rain_mm_h"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected header timestamp,link_id,rain_mm_h")
         for row in reader:
-            data.setdefault(row["timestamp"], {})[row["link_id"]] = float(row["rain_mm_h"])
+            with csv_line(path, reader):
+                data.setdefault(row["timestamp"], {})[row["link_id"]] = float(row["rain_mm_h"])
     return LinkRainSeries(data)
 
 

@@ -415,6 +415,28 @@ def test_exit_code_on_bad_hop_row(pipeline, tmp_path, capsys, bad):
     assert f"{hops}: line 5: hop ({rows[3]['tower_a']}, {rows[3]['tower_b']})" in err
 
 
+@pytest.mark.parametrize("key", ["hops_csv", "sites_csv"])
+def test_exit_code_names_file_and_line_of_a_non_number(pipeline, tmp_path, capsys, key):
+    # A hop row `ta01,ta02,abc` on line 5, or a site row `zz,abc,1.0,5`
+    # appended after the demo's six lines.
+    source = pipeline["hops_csv"] if key == "hops_csv" else os.path.join(DEMO, "sites.csv")
+    with open(source) as fh:
+        lines = fh.read().splitlines()
+    if key == "hops_csv":
+        lines[4] = ",".join(lines[4].split(",")[:2] + ["abc"])
+    else:
+        lines.append("zz,abc,1.0,5")
+    bad = tmp_path / os.path.basename(source)
+    bad.write_text("\n".join(lines) + "\n")
+    line = 5 if key == "hops_csv" else 7
+    cfgp = write_config(tmp_path, demo_config(**{"hops_csv": pipeline["hops_csv"],
+                                                 key: str(bad)}))
+    capsys.readouterr()
+    assert main(["design", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert (f"{bad}: line {line}: could not convert string to float: 'abc'"
+            in capsys.readouterr().err)
+
+
 def test_exit_code_on_nan_conduit(tmp_path, capsys):
     with open(os.path.join(DEMO, "fiber_conduits.csv")) as fh:
         text = fh.read()

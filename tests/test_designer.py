@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -276,6 +277,37 @@ def reference_heuristic(inp: DesignInput) -> set:
     return reference_local_improve(inp, ev, built, pool)
 
 
+class MemoEvaluator(HybridEvaluator):
+    """The evaluator with the per-set cache it once kept, for the reference
+    solvers: their kernel work is the number of distinct sets they score."""
+
+    def __init__(self, inp: DesignInput) -> None:
+        super().__init__(inp)
+        self.memo: dict = {}
+
+    def objective(self, built: frozenset) -> float:
+        if built not in self.memo:
+            self.memo[built] = super().objective(built)
+        return self.memo[built]
+
+
+def kernel_rows(monkeypatch, fn, *args):
+    """fn(*args) and the number of matrices it passed to
+    designer.distance_matrix (a stack counts each of its matrices)."""
+    rows = 0
+    kernel = designer.distance_matrix
+
+    def counting(w):
+        nonlocal rows
+        rows += len(w) if w.ndim == 3 else 1
+        return kernel(w)
+
+    with monkeypatch.context() as m:
+        m.setattr(designer, "distance_matrix", counting)
+        out = fn(*args)
+    return out, rows
+
+
 # --- instance generator --------------------------------------------------------
 
 def random_instance(seed, n_sites=6, mw_fraction=0.5, budget_fraction=0.45,
@@ -514,25 +546,57 @@ def test_objectives_batch_bitwise_equals_single_calls(monkeypatch):
         sets += [frozenset(), sets[3], frozenset(links), sets[3]]
         single = [HybridEvaluator(inp).objective(s).hex() for s in sets]
         assert "inf" in single and any(v != "inf" for v in single)
-        # A small batch cap splits the misses over several kernel calls.
+        # A small batch cap splits the sets over several kernel calls.
         monkeypatch.setattr(designer, "_BATCH_ELEMENTS", 3 * len(links) ** 2)
         ev = HybridEvaluator(inp)
-        assert [v.hex() for v in ev.objectives(sets)] == single
-        assert len(ev._cache) == len(set(sets))
+        vals, rows = kernel_rows(monkeypatch, ev.objectives, sets)
+        assert [v.hex() for v in vals] == single
+        assert rows == len(sets)
         assert [v.hex() for v in ev.objectives(sets[::-1])] == single[::-1]
 
 
+def test_objectives_streams_sets_and_keeps_no_state(monkeypatch):
+    inp = random_instance(2, n_sites=7, mw_fraction=0.7)
+    links = sorted(inp.mw_km)
+    step = 3
+    monkeypatch.setattr(designer, "_BATCH_ELEMENTS", step * len(inp.site_ids) ** 2)
+    pulled = scored = 0
+    kernel = designer.distance_matrix
+
+    def counting(w):
+        nonlocal scored
+        assert pulled <= scored + step  # at most one batch pulled ahead
+        scored += len(w)
+        return kernel(w)
+
+    def prefixes():
+        nonlocal pulled
+        for k in range(len(links) + 1):
+            pulled += 1
+            yield frozenset(links[:k])
+
+    ev = HybridEvaluator(inp)
+    want = [ev.objective(s) for s in prefixes()]
+    pulled = 0
+    state = pickle.dumps(vars(ev))
+    monkeypatch.setattr(designer, "distance_matrix", counting)
+    assert ev.objectives(prefixes()) == want
+    assert scored == pulled == len(links) + 1
+    assert pickle.dumps(vars(ev)) == state
+
+
 @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.45, 0.7])
-def test_branch_and_bound_matches_reference(fraction):
+def test_branch_and_bound_matches_reference(fraction, monkeypatch):
     for seed in range(30):
         inp = random_instance(seed, n_sites=6 + seed % 2, mw_fraction=0.6,
                               budget_fraction=fraction)
         pool = eliminate_dominated(inp)
-        ev, ref_ev = HybridEvaluator(inp), HybridEvaluator(inp)
-        design = solve_exact(inp, pool, evaluator=ev)
-        assert design.built_links == tuple(sorted(
-            reference_branch_and_bound(inp, pool, ref_ev)))
-        assert len(ev._cache) <= len(ref_ev._cache)
+        ref_ev = MemoEvaluator(inp)
+        best, rows = kernel_rows(monkeypatch, designer._branch_and_bound, inp, pool,
+                                 HybridEvaluator(inp))
+        assert solve_exact(inp, pool).built_links == tuple(sorted(best))
+        assert best == reference_branch_and_bound(inp, pool, ref_ev)
+        assert rows <= len(ref_ev.memo)
 
 
 @pytest.mark.parametrize("fraction", [0.08, 0.2, 0.45])
@@ -542,24 +606,25 @@ def test_greedy_and_local_search_match_reference(fraction):
     for seed in range(30):
         inp = random_instance(seed, n_sites=10, mw_fraction=0.75, budget_fraction=fraction)
         pool = eliminate_dominated(inp)
-        ev, ref_ev = HybridEvaluator(inp), HybridEvaluator(inp)
-        assert greedy_candidates(inp, 2.0, evaluator=ev) == reference_greedy(inp, ref_ev)
+        ev, ref_ev = HybridEvaluator(inp), MemoEvaluator(inp)
+        assert greedy_candidates(inp, 2.0) == reference_greedy(inp, ref_ev)
         assert (designer._local_improve(inp, ev, set(), pool, max_moves=4)
                 == reference_local_improve(inp, ref_ev, set(), pool, max_moves=4))
         if fraction < 0.3 or seed < 10:  # local search over a large built set is slow
             assert set(solve_heuristic(inp).built_links) == reference_heuristic(inp)
 
 
-def test_solve_exact_no_affordable_candidate_evaluates_once():
+def test_solve_exact_no_affordable_candidate_evaluates_once(monkeypatch):
     inp = random_instance(3, n_sites=6, mw_fraction=0.8)
     pool = eliminate_dominated(inp)
     inp.budget = min(inp.mw_cost[p] for p in pool) - 0.5
-    ev = HybridEvaluator(inp)
-    assert solve_exact(inp, pool, evaluator=ev).built_links == ()
-    assert len(ev._cache) == 1
+    assert solve_exact(inp, pool).built_links == ()
+    best, rows = kernel_rows(monkeypatch, designer._branch_and_bound, inp, pool,
+                             HybridEvaluator(inp))
+    assert (best, rows) == (frozenset(), 1)
 
 
-def test_solve_exact_returns_at_root_when_affordable_links_fit():
+def test_solve_exact_returns_at_root_when_affordable_links_fit(monkeypatch):
     # The dearest link cannot fit; all the others fit together, so the
     # root's bound set is feasible. The looser reference bound branches.
     inp = random_instance(3, n_sites=6, mw_fraction=0.8)
@@ -568,12 +633,13 @@ def test_solve_exact_returns_at_root_when_affordable_links_fit():
     others = pool[1:]
     inp.budget = sum(inp.mw_cost[p] for p in others)
     inp.mw_cost[dear] = inp.budget + 1.0
-    ev, ref_ev = HybridEvaluator(inp), HybridEvaluator(inp)
-    design = solve_exact(inp, pool, evaluator=ev)
-    assert design.built_links == tuple(others)
-    assert len(ev._cache) == 2
+    ref_ev = MemoEvaluator(inp)
+    assert solve_exact(inp, pool).built_links == tuple(others)
+    best, rows = kernel_rows(monkeypatch, designer._branch_and_bound, inp, pool,
+                             HybridEvaluator(inp))
+    assert (best, rows) == (frozenset(others), 2)
     assert set(others) == reference_branch_and_bound(inp, pool, ref_ev)
-    assert len(ref_ev._cache) > 2
+    assert len(ref_ev.memo) > 2
 
 
 def test_solve_exact_fractional_budget_uses_include_test():
@@ -598,6 +664,19 @@ def test_solve_heuristic_matches_exhaustive_small():
         best_val, _ = exhaustive_optimum(inp)
         assert design.stats.mean <= best_val + 0.01
         assert design.towers_used <= inp.budget
+
+
+# Kernel rows of solve_heuristic on random_instance(seed, n_sites=9), seeds
+# 0-5, counted by kernel_rows while HybridEvaluator still cached every set
+# it scored: its cache misses plus one matrix each for dominance elimination
+# and evaluate_design. All six take the exact path (pools of 16-22 links).
+CACHED_SOLVER_ROWS = [408, 4873, 304, 722, 3634, 2053]
+
+
+def test_solve_heuristic_kernel_rows_within_cached_solver(monkeypatch):
+    for seed, cached in enumerate(CACHED_SOLVER_ROWS):
+        _, rows = kernel_rows(monkeypatch, solve_heuristic, random_instance(seed, n_sites=9))
+        assert rows <= 1.05 * cached, f"seed {seed}: {rows} rows"
 
 
 def test_solve_heuristic_budget_zero_is_fiber_only():

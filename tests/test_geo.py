@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lightwan import geo
+from lightwan import fiberbase, geo, los, traffic, weather
 
 
 def law_of_cosines_km(a, b):
@@ -111,3 +112,21 @@ def test_load_sites_csv(tmp_path):
     bad.write_text("name,x\nfoo,1\n")
     with pytest.raises(ValueError):
         geo.load_sites_csv(str(bad))
+
+
+ENDPOINTS = "id,lat,lon,population\nf_a,0.1,0.2,5\n"
+
+
+@pytest.mark.parametrize("text, line, load", [
+    ("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,95,0\nt2,0.1,0.3,abc,0\n", 3,
+     los.load_towers_csv),
+    (ENDPOINTS + "f_b,abc,0.3,5\n", 3, lambda p: fiberbase.load_fiber_csv(p, p)),
+    ("timestamp,link_id,rain_mm_h\nt0,a|b,abc\n", 2, weather.load_rain_csv),
+    ("src,dst,weight\na,b,1.0\na,c,abc\n", 3, traffic.read_matrix_csv),
+], ids=["towers", "fiber_endpoints", "rain", "traffic_matrix"])
+def test_csv_loaders_name_file_and_line_of_a_non_number(tmp_path, text, line, load):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    want = f"{path}: line {line}: could not convert string to float: 'abc'"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load(str(path))

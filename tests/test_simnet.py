@@ -603,6 +603,23 @@ def test_topology_validation():
         SimTopology(["a"], [SimLink("a", "b", 1.0, "mw", 1.0)])
 
 
+@pytest.mark.parametrize("field", ["length_km", "capacity_gbps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_link_rejects_non_finite_or_non_positive(field, value):
+    kwargs = {"length_km": 10.0, "capacity_gbps": 1.0, field: value}
+    with pytest.raises(ValueError, match=rf"link \(a, b\): {field} must be finite"):
+        SimLink("a", "b", medium="mw", **kwargs)
+
+
+def test_load_topology_names_a_nan_link(tmp_path):
+    path = tmp_path / "topology.json"
+    path.write_text('{"nodes": ["a", "b", "c"], "links": ['
+                    '{"a": "a", "b": "b", "length_km": 10.0, "medium": "mw", "capacity_gbps": 1.0},'
+                    '{"a": "b", "b": "c", "length_km": NaN, "medium": "mw", "capacity_gbps": 1.0}]}')
+    with pytest.raises(ValueError, match=r"link \(b, c\): length_km must be finite"):
+        simnet.load_topology(str(path))
+
+
 def test_single_flow_no_contention():
     topo = single_link_topology(cap=0.1)
     m = TrafficMatrix({("a", "b"): 1.0})
