@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Subcommands run the pipeline stages on file artifacts: `hopgraph` builds
+Commands run the pipeline stages on file artifacts: `hopgraph` builds
 tower-tower hop graphs, `design` optimizes topologies over budget
 ladders, `fiber` runs the fiber-only baseline, `augment` provisions
 bandwidth, `weather` replays precipitation failures, `simulate` drives
@@ -465,15 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lightwan",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in COMMANDS.items():
-        p = sub.add_parser(name, help=func.__doc__)
-        p.add_argument("--config", help="JSON config file; defaults apply otherwise")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override any config field by dotted path, "
-                            "e.g. --set los.max_range_km=70")
+    parser.add_argument("command", choices=COMMANDS, help="pipeline stage to run")
+    parser.add_argument("--config", help="JSON config file; defaults apply otherwise")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override any config field by dotted path, "
+                             "e.g. --set los.max_range_km=70")
     return parser
 
 

@@ -4,7 +4,6 @@ iterative link-pruning heuristic, and wavelength-lease costing.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, LatencyModel, csv_line, geodesic_km
+from .geo import GeoPoint, LatencyModel, geodesic_km, read_csv
 from .graphcore import (
     BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, bridges, distance_matrix,
     next_hop_walks, weight_matrix,
@@ -95,22 +94,14 @@ def load_fiber_csv(conduits_path: str, endpoints_path: str) -> FiberGraph:
     """Build a FiberGraph from endpoints (id,lat,lon,population) and conduits
     (endpoint_a,endpoint_b,fiber_km) CSV files."""
     g = FiberGraph()
-    with open(endpoints_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "lat", "lon"} <= set(reader.fieldnames):
-            raise ValueError(f"{endpoints_path}: expected header id,lat,lon[,population]")
-        for row in reader:
-            with csv_line(endpoints_path, reader):
-                pop = float(row["population"]) if row.get("population") else 0.0
-                g.add_endpoint(FiberEndpoint(row["id"],
-                                             GeoPoint(float(row["lat"]), float(row["lon"])), pop))
-    with open(conduits_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"endpoint_a", "endpoint_b", "fiber_km"} <= set(reader.fieldnames):
-            raise ValueError(f"{conduits_path}: expected header endpoint_a,endpoint_b,fiber_km")
-        for row in reader:
-            with csv_line(conduits_path, reader):
-                g.add_link(row["endpoint_a"], row["endpoint_b"], float(row["fiber_km"]))
+
+    def endpoint(eid, lat, lon, pop):
+        pop = float(pop) if pop else 0.0
+        g.add_endpoint(FiberEndpoint(eid, GeoPoint(float(lat), float(lon)), pop))
+
+    read_csv(endpoints_path, "id,lat,lon[,population]", endpoint)
+    read_csv(conduits_path, "endpoint_a,endpoint_b,fiber_km",
+             lambda a, b, km: g.add_link(a, b, float(km)))
     return g
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 EARTH_RADIUS_KM = 6371.0
 C_VACUUM_KM_S = 299792.458
@@ -104,27 +104,48 @@ def stretch(path_latency_ms: float, src: GeoPoint, dst: GeoPoint,
     return path_latency_ms / base
 
 
-@contextmanager
-def csv_line(path: str, reader: csv.DictReader) -> Iterator[None]:
-    """Prefix a ValueError raised while handling the reader's current row
-    with `path: line N:`."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+def read_csv(path: str, columns: str, row: Callable) -> list:
+    """`row(*fields)` for each non-blank row of a CSV file.
+
+    `columns` names the header fields to pass, in order, e.g.
+    "id,lat,lon[,population]"; bracketed ones are optional and read as ""
+    where the header or a row lacks them. Other columns and extra trailing
+    fields are ignored. A ValueError raised by `row`, or a row too short
+    for the required columns, is prefixed with `path: line N:`.
+    """
+    names = columns.replace("[", "").replace("]", "").split(",")
+    required = columns.split("[")[0].count(",") + 1
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        index = {name: i for i, name in enumerate(header)}
+        if not all(name in index for name in names[:required]):
+            raise ValueError(f"{path}: expected header {columns}")
+        # An optional column missing from the header reads the padding field.
+        cols = [index.get(name, len(header)) for name in names]
+        need, width = max(cols[:required]) + 1, max(cols) + 1
+        fields = operator.itemgetter(*cols)
+        out = []
+        try:
+            for rec in reader:
+                if len(rec) < width:
+                    if not rec:
+                        continue
+                    if len(rec) < need:
+                        raise ValueError(f"expected {need} fields, found {len(rec)}")
+                    rec += [""] * (width - len(rec))
+                out.append(row(*fields(rec)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return out
 
 
 def load_sites_csv(path: str) -> list[Site]:
     """Read sites from a CSV with header id,lat,lon,population (population optional)."""
-    sites: list[Site] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "lat", "lon"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header with id,lat,lon[,population]")
-        for row in reader:
-            with csv_line(path, reader):
-                pop = float(row["population"]) if row.get("population") else 0.0
-                sites.append(Site(row["id"], GeoPoint(float(row["lat"]), float(row["lon"])), pop))
+    def site(sid, lat, lon, pop):
+        pop = float(pop) if pop else 0.0
+        return Site(sid, GeoPoint(float(lat), float(lon)), pop)
+    sites = read_csv(path, "id,lat,lon[,population]", site)
     ids = [s.id for s in sites]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{path}: duplicate site ids")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_KM, GeoPoint, csv_line, geodesic_km
+from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km, read_csv
 from .graphcore import WeightedGraph
 
 # Terrain samples per clearance pass: amortises numpy's per-call cost over
@@ -22,6 +22,8 @@ from .graphcore import WeightedGraph
 _CHUNK_SAMPLES = 4096
 # Tower rows per block of the pairwise range screen (memory O(towers x rows)).
 _SCREEN_ROWS = 64
+# ESRI ASCII grid header keys; all but the last are required.
+_ASC_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
 @dataclass(frozen=True)
@@ -156,23 +158,26 @@ class TerrainGrid:
 
 
 def load_terrain_asc(path: str) -> TerrainGrid:
-    """Read an ESRI ASCII grid (ncols/nrows/xllcorner/yllcorner/cellsize/NODATA_value)."""
+    """Read an ESRI ASCII grid: header keys (ncols/nrows/xllcorner/yllcorner/cellsize
+    [/NODATA_value], any case) first, then the values in any whitespace layout."""
     header: dict[str, float] = {}
-    rows: list[list[float]] = []
+    body: list[str] = []
     with open(path) as fh:
         for line in fh:
             parts = line.split()
-            if not parts:
-                continue
-            key = parts[0].lower()
-            if key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"):
-                header[key] = float(parts[1])
-            else:
-                rows.append([float(tok) for tok in parts])
-    for req in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+            if parts and parts[0].lower() not in _ASC_HEADER:
+                body = [line, *fh]
+                break
+            if parts:
+                header[parts[0].lower()] = float(parts[1])
+    for req in _ASC_HEADER[:5]:
         if req not in header:
             raise ValueError(f"{path}: missing header field {req}")
-    values = np.array([v for row in rows for v in row], dtype=float)
+    try:
+        values = np.loadtxt(body, comments=None, ndmin=1) if body else np.empty(0)
+    except ValueError:  # lines of uneven length (rows wrapped), or a bad token
+        values = np.loadtxt(["".join(body).replace("\n", " ")], comments=None, ndmin=1)
+    del body  # the text goes before TerrainGrid copies the values
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     if values.size != ncols * nrows:
         raise ValueError(f"{path}: expected {ncols * nrows} values, found {values.size}")
@@ -377,30 +382,24 @@ def load_towers_csv(path: str, terrain: TerrainGrid | None = None) -> list[Tower
     When ground elevation is absent it is sampled from `terrain`, for all
     such towers in one call.
     """
-    towers: list[Tower] = []
-    unset: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "lat", "lon", "height_m"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header id,lat,lon,height_m[,ground_elevation_m]")
-        for row in reader:
-            with csv_line(path, reader):
-                loc = GeoPoint(float(row["lat"]), float(row["lon"]))
-                ground = row.get("ground_elevation_m")
-                if ground is None or ground == "":
-                    if terrain is None:
-                        raise ValueError(f"tower {row['id']} lacks ground elevation "
-                                         "and no terrain was supplied")
-                    if not terrain.contains(loc):
-                        raise ValueError(f"tower {row['id']!r} outside terrain bounds")
-                    unset.append(len(towers))
-                    ground = 0.0
-                towers.append(Tower(row["id"], loc, float(row["height_m"]), float(ground)))
-    if unset:
-        elev = terrain.sample_many([towers[k].location.lat for k in unset],
-                                   [towers[k].location.lon for k in unset])
-        for k, e in zip(unset, elev.tolist()):
-            towers[k] = replace(towers[k], ground_elevation_m=e)
+    def tower(tid, lat, lon, height, ground):
+        loc = GeoPoint(float(lat), float(lon))
+        if not ground:
+            if terrain is None:
+                raise ValueError(f"tower {tid} lacks ground elevation and no terrain was supplied")
+            if not terrain.contains(loc):
+                raise ValueError(f"tower {tid!r} outside terrain bounds")
+        height, ground = float(height), float(ground) if ground else None
+        if height <= 0:
+            raise ValueError(f"tower {tid!r}: height must be > 0")
+        return tid, loc, height, ground
+
+    rows = read_csv(path, "id,lat,lon,height_m[,ground_elevation_m]", tower)
+    unset = [loc for _, loc, _, ground in rows if ground is None]
+    elev = iter(terrain.sample_many([p.lat for p in unset], [p.lon for p in unset]).tolist()
+                if unset else ())
+    towers = [Tower(tid, loc, height, next(elev) if ground is None else ground)
+              for tid, loc, height, ground in rows]
     ids = [t.id for t in towers]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{path}: duplicate tower ids")
@@ -417,16 +416,12 @@ def save_hops_csv(hop_graph: HopGraph, path: str) -> None:
 
 def load_hops_csv(path: str, towers: list[Tower]) -> HopGraph:
     by_id = {t.id: t for t in towers}
-    hops: list[Hop] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"tower_a", "tower_b", "length_km"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header tower_a,tower_b,length_km")
-        for row in reader:
-            with csv_line(path, reader):
-                a, b, km = row["tower_a"], row["tower_b"], float(row["length_km"])
-                if a not in by_id or b not in by_id or a == b or not 0 < km < math.inf:
-                    raise ValueError(f"hop ({a}, {b}) needs two known towers and a "
-                                     f"finite length_km > 0, got {km}")
-                hops.append(Hop(a, b, km))
-    return HopGraph(by_id, hops)
+
+    def hop(a, b, km):
+        km = float(km)
+        if a not in by_id or b not in by_id or a == b or not 0 < km < math.inf:
+            raise ValueError(f"hop ({a}, {b}) needs two known towers and a "
+                             f"finite length_km > 0, got {km}")
+        return Hop(a, b, km)
+
+    return HopGraph(by_id, read_csv(path, "tower_a,tower_b,length_km", hop))

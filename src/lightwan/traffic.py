@@ -14,7 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geo import Site, csv_line, geodesic_km
+from .geo import Site, geodesic_km, read_csv
 
 Pair = tuple[str, str]
 
@@ -168,12 +168,5 @@ def write_matrix_csv(matrix: TrafficMatrix, path: str) -> None:
 
 
 def read_matrix_csv(path: str) -> TrafficMatrix:
-    weights: dict[Pair, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"src", "dst", "weight"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header src,dst,weight")
-        for row in reader:
-            with csv_line(path, reader):
-                weights[pair_key(row["src"], row["dst"])] = float(row["weight"])
-    return TrafficMatrix(weights)
+    return TrafficMatrix(dict(read_csv(path, "src,dst,weight",
+                                       lambda a, b, w: (pair_key(a, b), float(w)))))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .designer import DesignInput, HybridEvaluator, NetworkDesign
 from .fiberbase import StretchStats, stretch_stats, weighted_quantile
-from .geo import GeoPoint, csv_line, geodesic_km
+from .geo import GeoPoint, geodesic_km, read_csv
 from .graphcore import distance_matrix
 from .los import TerrainGrid, _path_samples
 from .traffic import Pair
@@ -101,13 +101,9 @@ class LinkRainSeries:
 
 def load_rain_csv(path: str) -> LinkRainSeries:
     data: dict[str, dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"timestamp", "link_id", "rain_mm_h"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header timestamp,link_id,rain_mm_h")
-        for row in reader:
-            with csv_line(path, reader):
-                data.setdefault(row["timestamp"], {})[row["link_id"]] = float(row["rain_mm_h"])
+    for t, lid, rate in read_csv(path, "timestamp,link_id,rain_mm_h",
+                                 lambda t, lid, rate: (t, lid, float(rate))):
+        data.setdefault(t, {})[lid] = rate
     return LinkRainSeries(data)
 
 
@@ -193,17 +189,21 @@ def stretch_under_failures(inp: DesignInput, design: NetworkDesign,
 def reroute_and_stats(inp: DesignInput, design: NetworkDesign,
                       failures_by_interval: Sequence[tuple[str, Iterable[Pair]]]) -> WeatherReport:
     """Recompute shortest routes per interval with failed links removed and
-    record per-pair stretch plus traffic-weighted summary statistics."""
+    record per-pair stretch plus traffic-weighted summary statistics. Each
+    distinct failure set is rerouted once: intervals that share it share one
+    (read-only) per-pair dict and one StretchStats."""
+    rerouted: dict[tuple[Pair, ...], tuple[dict[Pair, float], StretchStats]] = {}
     intervals = []
     for t, failed in failures_by_interval:
         failed_tuple = tuple(sorted(set(failed)))
-        per_pair = stretch_under_failures(inp, design, failed_tuple)
-        finite = {k: v for k, v in per_pair.items() if math.isfinite(v)}
-        if not finite:
-            raise ValueError(f"interval {t}: no connected pairs")
-        stats = stretch_stats(finite, inp.traffic,
-                              excluded_pairs=len(per_pair) - len(finite))
-        intervals.append(IntervalResult(t, failed_tuple, per_pair, stats))
+        if failed_tuple not in rerouted:
+            per_pair = stretch_under_failures(inp, design, failed_tuple)
+            finite = {k: v for k, v in per_pair.items() if math.isfinite(v)}
+            if not finite:
+                raise ValueError(f"interval {t}: no connected pairs")
+            rerouted[failed_tuple] = (per_pair, stretch_stats(
+                finite, inp.traffic, excluded_pairs=len(per_pair) - len(finite)))
+        intervals.append(IntervalResult(t, failed_tuple, *rerouted[failed_tuple]))
     return WeatherReport(tuple(intervals))
 
 

@@ -5,14 +5,15 @@ import sys
 
 import pytest
 
-from lightwan import designer, fiberbase, los, simnet
-from lightwan.cli import main
+from lightwan import designer, fiberbase, los, simnet, weather
+from lightwan.cli import COMMANDS, main
 from lightwan.traffic import TrafficMatrix, pair_key
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_designer import assert_design_matches_reference  # noqa: E402
 from test_fiberbase import reference_route_fiber_demand  # noqa: E402
 from test_simnet import assert_routing_matches_reference  # noqa: E402
+from test_weather import assert_one_reroute_per_failure_set  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 DEMO = os.path.join(DATA, "demo")
@@ -448,8 +449,51 @@ def test_exit_code_on_nan_conduit(tmp_path, capsys):
     assert f"{conduits}: line 3: link (f_cb, f_cc): fiber_km" in capsys.readouterr().err
 
 
-def test_usage_error_exits_one():
+def test_usage_error_exits_one(capsys):
     assert main(["design", "--config"]) == 1
+    assert main([]) == 1
+    assert "required: command" in capsys.readouterr().err
+    assert main(["bogus", "--out", "o"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in out
+    assert len(COMMANDS) == 7
+
+
+@pytest.mark.parametrize("command, key", [("hopgraph", "towers_csv"), ("design", "hops_csv"),
+                                          ("design", "sites_csv")])
+def test_exit_code_names_file_and_line_of_a_short_row(pipeline, tmp_path, capsys, command, key):
+    # Line 3 keeps only its first two fields, e.g. `ta02,0.1000`.
+    source = {"towers_csv": os.path.join(DEMO, "towers.csv"), "hops_csv": pipeline["hops_csv"],
+              "sites_csv": os.path.join(DEMO, "sites.csv")}[key]
+    with open(source) as fh:
+        lines = fh.read().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:2])
+    bad = tmp_path / os.path.basename(source)
+    bad.write_text("\n".join(lines) + "\n")
+    cfgp = write_config(tmp_path, demo_config(**{"hops_csv": pipeline["hops_csv"],
+                                                 key: str(bad)}))
+    capsys.readouterr()
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    need = 4 if key == "towers_csv" else 3
+    assert f"{bad}: line 3: expected {need} fields, found 2" in capsys.readouterr().err
+
+
+def test_weather_reroutes_once_per_failure_set_on_demo(pipeline, monkeypatch):
+    inp = designer.load_design_input(pipeline["instance"])
+    built = designer.built_links_from_design_doc(designer.load_design(pipeline["design"]))
+    design = designer.evaluate_design(inp, built)
+    coords = {s.id: s.location for s in inp.sites}
+    coords.update((t.id, t.location) for t in los.load_towers_csv(os.path.join(DEMO, "towers.csv")))
+    field = weather.load_rain_csv(os.path.join(DEMO, "rain.csv"))
+    report = assert_one_reroute_per_failure_set(monkeypatch, inp, design, field, coords)
+    assert any(i.failed for i in report.intervals)
 
 
 def test_hopgraph_names_tower_outside_terrain(tmp_path, capsys):

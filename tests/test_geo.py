@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -130,3 +131,64 @@ def test_csv_loaders_name_file_and_line_of_a_non_number(tmp_path, text, line, lo
     want = f"{path}: line {line}: could not convert string to float: 'abc'"
     with pytest.raises(ValueError, match=re.escape(want)):
         load(str(path))
+
+
+DEMO_ENDPOINTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "data", "demo", "fiber_endpoints.csv")
+
+
+@pytest.mark.parametrize("text, line, need, found, load", [
+    ("id,lat,lon,height_m,ground_elevation_m\nt0001,0.1,0.2,95,0\nt0004,0.5\n", 3, 4, 2,
+     los.load_towers_csv),
+    ("tower_a,tower_b,length_km\nta,tb\n", 2, 3, 2, lambda p: los.load_hops_csv(p, [])),
+    ("id,lat,lon,population\nnyc,40.7\n", 2, 3, 2, geo.load_sites_csv),
+    (ENDPOINTS + "f_b,0.1\n", 3, 3, 2, lambda p: fiberbase.load_fiber_csv(p, p)),
+    ("endpoint_a,endpoint_b,fiber_km\nf_ca,f_cb,130.5\nf_cb\n", 3, 3, 1,
+     lambda p: fiberbase.load_fiber_csv(p, DEMO_ENDPOINTS)),
+    ("timestamp,link_id,rain_mm_h\nt0,a|b\n", 2, 3, 2, weather.load_rain_csv),
+    ("src,dst,weight\na,b,1.0\n\na,c\n", 4, 3, 2, traffic.read_matrix_csv),
+], ids=["towers", "hops", "sites", "fiber_endpoints", "fiber_conduits", "rain",
+        "traffic_matrix"])
+def test_csv_loaders_name_file_and_line_of_a_short_row(tmp_path, text, line, need, found, load):
+    # A row with too few fields for the required columns is named, not a
+    # TypeError from a missing field; blank lines still count as lines.
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    want = f"{path}: line {line}: expected {need} fields, found {found}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load(str(path))
+
+
+@pytest.mark.parametrize("text, message, load", [
+    ("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,95,0\nt2,0.1,0.3,0,0\n",
+     "line 3: tower 't2': height must be > 0", los.load_towers_csv),
+    ("id,lat,lon,population\nnyc,40.7,-74.0,5\nzz,91.0,1.0,5\n",
+     "line 3: latitude 91.0 outside [-90, 90]", geo.load_sites_csv),
+    (ENDPOINTS + "f_a,0.3,0.4,1\n", "line 3: duplicate endpoint 'f_a'",
+     lambda p: fiberbase.load_fiber_csv(p, p)),
+    ("src,dst,weight\na,a,1.0\n", "line 2: pair with identical endpoints 'a'",
+     traffic.read_matrix_csv),
+], ids=["height_zero", "latitude", "duplicate_endpoint", "self_pair"])
+def test_csv_loaders_name_file_and_line_of_a_bad_row(tmp_path, text, message, load):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load(str(path))
+
+
+def test_csv_loaders_ignore_extra_fields_and_read_missing_optional_ones_as_absent(tmp_path):
+    p = tmp_path / "sites.csv"
+    p.write_text("lat,id,lon,population,note\n"
+                 "40.5,nyc,-74.0,8,a,b,c\n"
+                 "\n"
+                 "34.0,la,-118.2\n")
+    sites = geo.load_sites_csv(str(p))
+    assert sites == [geo.Site("nyc", geo.GeoPoint(40.5, -74.0), 8.0),
+                     geo.Site("la", geo.GeoPoint(34.0, -118.2), 0.0)]
+    # A header without the optional column reads it as absent on every row.
+    p.write_text("id,lat,lon\nnyc,40.5,-74.0\n")
+    assert geo.load_sites_csv(str(p))[0].population == 0.0
+    towers = tmp_path / "towers.csv"
+    towers.write_text("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,95\n")
+    with pytest.raises(ValueError, match="line 2: tower t1 lacks ground elevation"):
+        los.load_towers_csv(str(towers))

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -501,3 +503,94 @@ def test_towers_csv_missing_ground_names_first_tower(tmp_path):
                  "z,0.0,1.5,80,\n")
     with pytest.raises(ValueError, match="tower 'z' outside terrain bounds"):
         los.load_towers_csv(str(p), terrain=terr)
+
+
+def reference_load_terrain_asc(path):
+    """The one-float-at-a-time ESRI ASCII reader that `load_terrain_asc` replaced."""
+    header: dict[str, float] = {}
+    rows: list[list[float]] = []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            key = parts[0].lower()
+            if key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"):
+                header[key] = float(parts[1])
+            else:
+                rows.append([float(tok) for tok in parts])
+    for req in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+        if req not in header:
+            raise ValueError(f"{path}: missing header field {req}")
+    values = np.array([v for row in rows for v in row], dtype=float)
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    if values.size != ncols * nrows:
+        raise ValueError(f"{path}: expected {ncols * nrows} values, found {values.size}")
+    return TerrainGrid(values.reshape(nrows, ncols), header["xllcorner"],
+                       header["yllcorner"], header["cellsize"],
+                       header.get("nodata_value", -9999.0))
+
+
+def asc_text(values, header="ncols {c}\nnrows {r}\nxllcorner -1.5\nyllcorner 0.25\n"
+             "cellsize 0.02\nNODATA_value -9999\n", sep="\n"):
+    rows = [" ".join(f"{v:g}" for v in row) for row in values]
+    return header.format(r=len(values), c=len(values[0])) + sep.join(rows) + "\n"
+
+
+def ridged_values(seed, nrows=70, ncols=130):
+    # Rounded to 0.1 m and written with %g, as bench/inputs.py writes its terrain.
+    rng = np.random.default_rng(seed)
+    lat, lon = np.meshgrid(np.linspace(0.0, 1.4, nrows), np.linspace(0.0, 2.6, ncols),
+                           indexing="ij")
+    z = 20.0 + 15.0 * np.sin(lon * rng.uniform(2, 5)) * np.cos(lat * rng.uniform(2, 5))
+    z += rng.uniform(250.0, 450.0) * np.exp(-((lon - lat - 0.6) / 0.04) ** 2)
+    return np.round(z, 1)
+
+
+def _terrain_cases():
+    demo = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "demo", "terrain.asc")
+    with open(demo) as fh:
+        yield "demo", fh.read()
+    yield "generated", asc_text(ridged_values(0))
+    holes = np.random.default_rng(1).uniform(-50.0, 900.0, (6, 9)).round(3)
+    holes[1, 2] = holes[4, 0] = holes[5, 8] = -9999.0
+    yield "nodata_cells", asc_text(holes)
+    yield "upper_case_keys", asc_text(holes, header="NCOLS {c}\nNROWS {r}\nXLLCORNER -1.5\n"
+                                      "YLLCORNER 0.25\nCELLSIZE 0.02\nNODATA_VALUE -9999\n")
+    yield "blank_lines", asc_text(holes, header="ncols {c}\n\nnrows {r}\nxllcorner -1.5\n"
+                                  "yllcorner 0.25\ncellsize 0.02\n\n", sep="\n\n  \n")
+    wrapped = asc_text(holes).splitlines()
+    cut = wrapped[8].split(" ")
+    wrapped[8] = " ".join(cut[:4]) + "\n\t" + " ".join(cut[4:])
+    yield "row_wrapped", "\n".join(wrapped) + "\n"
+    yield "no_nodata_value", asc_text(ridged_values(2, 5, 7),
+                                      header="ncols {c}\nnrows {r}\nxllcorner 3\nyllcorner -4\n"
+                                      "cellsize 0.5\n")
+    yield "one_line", asc_text([holes.ravel()]).replace(f"ncols {holes.size}\nnrows 1",
+                                                        "ncols 9\nnrows 6")
+
+
+@pytest.mark.parametrize("text", [t for _, t in _terrain_cases()],
+                         ids=[name for name, _ in _terrain_cases()])
+def test_load_terrain_asc_matches_reference_bitwise(tmp_path, text):
+    p = tmp_path / "t.asc"
+    p.write_text(text)
+    got, want = los.load_terrain_asc(str(p)), reference_load_terrain_asc(str(p))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert ((got.nrows, got.ncols, got.xllcorner, got.yllcorner, got.cellsize, got.nodata)
+            == (want.nrows, want.ncols, want.xllcorner, want.yllcorner, want.cellsize,
+                want.nodata))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ncols 2\nnrows 1\nxllcorner 0\ncellsize 1\n1 2\n", "missing header field yllcorner"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3\n",
+     "expected 4 values, found 3"),
+    ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n", "expected 2 values, found 0"),
+])
+def test_load_terrain_asc_errors(tmp_path, text, message):
+    p = tmp_path / "t.asc"
+    p.write_text(text)
+    for load in (los.load_terrain_asc, reference_load_terrain_asc):
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: {message}"):
+            load(str(p))

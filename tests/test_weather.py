@@ -265,3 +265,53 @@ def test_rain_csv_loader(tmp_path):
     pt = GeoPoint(0, 0)
     assert series.hop_rain("2015-07-01T10:00", "s0|s3", pt, pt) == 25.0
     assert series.hop_rain("2015-07-01T10:00", "other", pt, pt) == 0.0
+
+
+def reference_reroute_and_stats(inp, design, failures_by_interval):
+    """The per-interval loop that `reroute_and_stats` replaced: one reroute
+    per interval, repeated failure sets included."""
+    intervals = []
+    for t, failed in failures_by_interval:
+        failed_tuple = tuple(sorted(set(failed)))
+        per_pair = weather.stretch_under_failures(inp, design, failed_tuple)
+        finite = {k: v for k, v in per_pair.items() if math.isfinite(v)}
+        if not finite:
+            raise ValueError(f"interval {t}: no connected pairs")
+        stats = weather.stretch_stats(finite, inp.traffic,
+                                      excluded_pairs=len(per_pair) - len(finite))
+        intervals.append(weather.IntervalResult(t, failed_tuple, per_pair, stats))
+    return weather.WeatherReport(tuple(intervals))
+
+
+def assert_one_reroute_per_failure_set(monkeypatch, inp, design, field, coords):
+    """`analyze` equals the per-interval oracle and reroutes each distinct
+    failure set once; returns the report."""
+    times = field.timestamps()
+    want = reference_reroute_and_stats(inp, design, [
+        (t, failed_links(design, inp.tower_paths, coords, field, t)) for t in times])
+    calls = []
+    original = weather.stretch_under_failures
+
+    def counted(inp, design, failed):
+        calls.append(tuple(failed))
+        return original(inp, design, failed)
+
+    monkeypatch.setattr(weather, "stretch_under_failures", counted)
+    got = weather.analyze(inp, design, field, coords)
+    assert got == want
+    assert [i.timestamp for i in got.intervals] == times
+    distinct = {i.failed for i in got.intervals}
+    assert len(calls) == len(distinct) < len(times)
+    assert set(calls) == distinct
+    return got
+
+
+def test_reroute_once_per_distinct_failure_set(monkeypatch):
+    inp, design, coords = hexagon_instance()
+    links = [weather.link_id(p) for p in design.built_links]
+    patterns = [{}, {links[0]: 400.0}, {links[1]: 300.0, links[2]: 500.0}, {links[0]: 1.0}]
+    series = LinkRainSeries({f"2015-07-01T{h:02d}:00": patterns[h * 7 % 4] for h in range(12)})
+    report = assert_one_reroute_per_failure_set(monkeypatch, inp, design, series, coords)
+    # Dry and drizzle hours share the no-failure result.
+    assert {i.failed for i in report.intervals} == {
+        (), (design.built_links[0],), tuple(sorted(design.built_links[1:3]))}
