@@ -22,7 +22,7 @@ import numpy as np
 from .fiberbase import StretchStats, stretch_stats
 from .geo import GeoPoint, Site, geodesic_km
 from .graphcore import (
-    BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, distance_matrix, next_hop_walks,
+    BATCH_ELEMENTS as _BATCH_ELEMENTS, CsrGraph, distance_matrix, next_hop_walks,
     shortest_paths_from, weight_matrix,
 )
 from .los import HopGraph
@@ -444,19 +444,23 @@ class SiteLink:
 
 
 def site_tower_graph(sites: Sequence[Site], hop_graph: HopGraph,
-                     radius_km: float) -> WeightedGraph:
+                     radius_km: float) -> CsrGraph:
     """The tower graph with every site attached to the towers at
     0 < geodesic km <= radius_km. A site id that is also a tower id is a
     ValueError: the site would merge with that tower."""
-    g = hop_graph.graph()
+    stubs = []
     for site in sites:
         if site.id in hop_graph.towers:
             raise ValueError(f"site id {site.id!r} is also a tower id")
-        g.add_node(site.id)
-        for tid, tower in hop_graph.towers.items():
-            if 0 < (d := geodesic_km(site.location, tower.location)) <= radius_km:
-                g.add_edge(site.id, tid, d)
-    return g
+        stubs += [(site.id, t, d) for t, tower in enumerate(hop_graph.towers.values())
+                  if 0 < (d := geodesic_km(site.location, tower.location)) <= radius_km]
+    ids = sorted({*hop_graph.towers, *(s.id for s in sites)})
+    index = {v: i for i, v in enumerate(ids)}
+    tower_at = np.array([index[t] for t in hop_graph.towers], dtype=np.int64)
+    hops = hop_graph.hops
+    return CsrGraph(ids, np.concatenate([tower_at[hops["a"]], [index[s] for s, _, _ in stubs]]),
+                    np.concatenate([tower_at[hops["b"]], tower_at[[t for _, t, _ in stubs]]]),
+                    np.concatenate([hops["km"], [d for _, _, d in stubs]]))
 
 
 def site_links(sites: Sequence[Site], hop_graph: HopGraph,

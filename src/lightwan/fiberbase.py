@@ -13,7 +13,7 @@ import numpy as np
 
 from .geo import GeoPoint, LatencyModel, geodesic_km, read_csv
 from .graphcore import (
-    BATCH_ELEMENTS as _BATCH_ELEMENTS, WeightedGraph, bridges, distance_matrix,
+    BATCH_ELEMENTS as _BATCH_ELEMENTS, bridges, distance_matrix,
     next_hop_walks, weight_matrix,
 )
 from .traffic import Pair, TrafficMatrix, pair_key
@@ -64,14 +64,6 @@ class FiberGraph:
 
     def remove_link(self, a: str, b: str) -> None:
         del self.links[pair_key(a, b)]
-
-    def graph(self) -> WeightedGraph:
-        g = WeightedGraph()
-        for eid in self.endpoints:
-            g.add_node(eid)
-        for (a, b), km in self.links.items():
-            g.add_edge(a, b, km)
-        return g
 
     def distances(self) -> tuple[dict[str, int], list[list[float]]]:
         """Endpoint index and shortest-path fiber km between all endpoints
@@ -235,7 +227,7 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
     wts = np.array([1.0 if weights is None else weights.weight(s, t) for s, t in pairs])
     step = max(1, _BATCH_ELEMENTS // len(nodes) ** 2)
     while True:
-        safe = bridges(work.graph())
+        safe = bridges(work.links)
         candidates = sorted(k for k in work.links if k not in safe)
         if not candidates:
             break

@@ -1,15 +1,16 @@
 """Weighted-graph algorithms shared across the toolkit.
 
-Distances between sites come from one dense kernel, `distance_matrix`
-(Floyd-Warshall over a `weight_matrix`), and site-level routes from its
-next hops (`next_hop_walks`): design evaluation, fiber demand routing and
-simulator routing, with exact ties to the smallest node index. Dijkstra
-remains only on the sparse tower graphs (site links and disjoint tower
-paths): one settle loop serves the early-exit `shortest_path`,
-`shortest_paths_from` and the tests' oracle `shortest_path_lengths`, with
-ties broken toward the lexicographically smallest node-id sequence so
-designs are reproducible. It pushes only improving heap entries and never
-enters a caller's `blocked` nodes, so no query copies or edits a graph.
+Two graph formats: dense weight matrices over sites and `CsrGraph` over
+towers. Distances between sites come from one dense kernel,
+`distance_matrix` (Floyd-Warshall over a `weight_matrix`), and site-level
+routes from its next hops (`next_hop_walks`): design evaluation, fiber
+demand routing and simulator routing, with exact ties to the smallest node
+index. Dijkstra remains only on the sparse tower graphs (site links and
+disjoint tower paths): one settle loop over node indices serves the
+early-exit `shortest_path` and `shortest_paths_from`, with ties broken
+toward the lexicographically smallest node-id sequence so designs are
+reproducible. It pushes only improving heap entries and never enters a
+caller's `blocked` nodes, so no query copies or edits a graph.
 """
 
 from __future__ import annotations
@@ -38,83 +39,85 @@ class Path:
         return self.nodes[1:-1]
 
 
-class WeightedGraph:
-    """Undirected graph with finite positive edge weights and opaque string ids."""
+class CsrGraph:
+    """Undirected graph in compressed sparse row layout: node i's neighbours
+    are `nbrs[indptr[i]:indptr[i + 1]]`, ascending, with matching `weights`.
 
-    def __init__(self) -> None:
-        self._adj: dict[str, dict[str, float]] = {}
+    Edge k joins ids[a[k]] and ids[b[k]] with weight w[k]. `ids` must be
+    sorted and unique, so node indices order like ids and the settle loop's
+    index sequences tie-break like id sequences. Weights must be finite and
+    > 0 and no edge may join a node to itself; a pair listed more than once,
+    in either order, keeps its last weight.
+    """
 
-    def add_node(self, node: str) -> None:
-        self._adj.setdefault(node, {})
-
-    def add_edge(self, a: str, b: str, weight: float) -> None:
-        if a == b:
-            raise ValueError(f"self-loop on {a!r}")
-        if not 0 < weight < math.inf:
-            raise ValueError(f"edge weight must be finite and > 0, got {weight}")
-        self.add_node(a)
-        self.add_node(b)
-        self._adj[a][b] = weight
-        self._adj[b][a] = weight
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._adj
-
-    def nodes(self) -> list[str]:
-        return list(self._adj)
+    def __init__(self, ids: Sequence[str], a, b, w) -> None:
+        self.ids = list(ids)
+        if any(x >= y for x, y in zip(self.ids, self.ids[1:])):
+            raise ValueError("node ids must be sorted and unique")
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        w = np.asarray(w, dtype=float)
+        if (loop := np.flatnonzero(a == b)).size:
+            raise ValueError(f"self-loop on {self.ids[a[loop[0]]]!r}")
+        if (bad := np.flatnonzero(~((w > 0) & (w < math.inf)))).size:
+            raise ValueError(f"edge weight must be finite and > 0, got {float(w[bad[0]])}")
+        n = len(self.ids)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first = np.unique((lo * n + hi)[::-1], return_index=True)
+        keep = len(w) - 1 - first
+        src = np.concatenate([lo[keep], hi[keep]])
+        dst = np.concatenate([hi[keep], lo[keep]])
+        order = np.lexsort((dst, src))
+        self.index = {v: i for i, v in enumerate(self.ids)}
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        self.nbrs = dst[order]
+        self.weights = np.concatenate([w[keep], w[keep]])[order]
 
     def neighbors(self, node: str) -> dict[str, float]:
-        return self._adj[node]
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return a in self._adj and b in self._adj[a]
-
-    def edge_weight(self, a: str, b: str) -> float:
-        return self._adj[a][b]
-
-    def edges(self) -> Iterator[tuple[str, str, float]]:
-        for a, nbrs in self._adj.items():
-            for b, w in nbrs.items():
-                if a < b:
-                    yield a, b, w
+        i = self.index[node]
+        span = slice(self.indptr[i], self.indptr[i + 1])
+        return dict(zip([self.ids[j] for j in self.nbrs[span].tolist()],
+                        self.weights[span].tolist()))
 
 
-def _check_nodes(g: WeightedGraph, *nodes: str) -> None:
-    for n in nodes:
-        if n not in g:
-            raise KeyError(f"unknown node {n!r}")
-
-
-# The best heap entry of a node not yet pushed: any finite entry beats it.
-_UNSEEN = (math.inf, ())
-
-
-def _settled_paths(g: WeightedGraph, src: str, blocked: Collection[str] = ()) -> Iterator[Path]:
+def _settled(g: CsrGraph, src: str,
+             blocked: Collection[str]) -> Iterator[tuple[float, tuple[int, ...]]]:
     """Dijkstra from src that never enters a node of `blocked`, yielding each
-    node's path as it settles; heap keys are (weight, node sequence), so equal
-    weights settle the smallest sequence first. An entry is pushed only when it
-    beats the best one pushed for its node: a skipped entry could never pop first."""
-    _check_nodes(g, src)
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
-    best: dict[str, tuple[float, tuple[str, ...]]] = {src: heap[0]}
-    settled: set[str] = set()
+    node's (weight, node-index sequence) as it settles; heap keys are those
+    pairs, so equal weights settle the smallest sequence first. A settled
+    node relaxes its neighbours in one vector step, and an entry is pushed
+    only when it beats the best one pushed for its node: a skipped entry
+    could never pop first. A settled or blocked node's best km is -inf, so
+    no entry beats it."""
+    start = g.index[src]
+    km_best = np.full(len(g.ids), math.inf)
+    km_best[[g.index[v] for v in blocked if v in g.index]] = -math.inf
+    km_best[start] = 0.0  # the search starts at src even when src is blocked
+    seq_best = {start: (start,)}
+    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (start,))]
+    indptr = g.indptr.tolist()
     while heap:
         dist, nodes = heapq.heappop(heap)
         node = nodes[-1]
-        if node in settled:
+        if km_best[node] == -math.inf:
             continue
-        settled.add(node)
-        yield Path(nodes, dist)
-        for nbr, w in g.neighbors(node).items():
-            km, old = dist + w, best.get(nbr, _UNSEEN)
-            if km <= old[0] and nbr not in settled and nbr not in blocked:
-                entry = (km, nodes + (nbr,))
-                if entry < old:
-                    best[nbr] = entry
-                    heapq.heappush(heap, entry)
+        km_best[node] = -math.inf
+        yield dist, nodes
+        nbrs = g.nbrs[indptr[node]:indptr[node + 1]]
+        km = dist + g.weights[indptr[node]:indptr[node + 1]]
+        old = km_best[nbrs]
+        hit = (km <= old).nonzero()[0]
+        for nbr, k, o in zip(nbrs[hit].tolist(), km[hit].tolist(), old[hit].tolist()):
+            seq = nodes + (nbr,)
+            if k < o or seq < seq_best[nbr]:
+                km_best[nbr], seq_best[nbr] = k, seq
+                heapq.heappush(heap, (k, seq))
 
 
-def shortest_path(g: WeightedGraph, src: str, dst: str,
+def _path(g: CsrGraph, dist: float, nodes: tuple[int, ...]) -> Path:
+    return Path(tuple(map(g.ids.__getitem__, nodes)), dist)
+
+
+def shortest_path(g: CsrGraph, src: str, dst: str,
                   blocked: Collection[str] = ()) -> Path | None:
     """Minimal-weight path from src to dst that enters no node of `blocked`,
     or None when there is none.
@@ -122,23 +125,18 @@ def shortest_path(g: WeightedGraph, src: str, dst: str,
     Among equal-weight alternatives the lexicographically smallest node
     sequence wins. src == dst yields a zero-weight single-node path.
     """
-    _check_nodes(g, src, dst)
-    for p in _settled_paths(g, src, blocked):
-        if p.nodes[-1] == dst:
-            return p
+    end = g.index[dst]
+    for dist, nodes in _settled(g, src, blocked):
+        if nodes[-1] == end:
+            return _path(g, dist, nodes)
     return None
 
 
-def shortest_paths_from(g: WeightedGraph, src: str,
+def shortest_paths_from(g: CsrGraph, src: str,
                         blocked: Collection[str] = ()) -> dict[str, Path]:
     """Tie-broken shortest paths from src to every node it reaches without
     entering a node of `blocked`."""
-    return {p.nodes[-1]: p for p in _settled_paths(g, src, blocked)}
-
-
-def shortest_path_lengths(g: WeightedGraph, src: str) -> dict[str, float]:
-    """Dijkstra distances from src; no library caller: the tests' oracle for `distance_matrix`."""
-    return {p.nodes[-1]: p.total_weight for p in _settled_paths(g, src)}
+    return {g.ids[nodes[-1]]: _path(g, dist, nodes) for dist, nodes in _settled(g, src, blocked)}
 
 
 # Float64 entries per batched `distance_matrix` call (2 MB), so scoring many
@@ -189,7 +187,7 @@ def next_hop_walks(weights: np.ndarray, dist: np.ndarray,
         yield nodes
 
 
-def tower_disjoint_paths(g: WeightedGraph, src: str, dst: str, n: int,
+def tower_disjoint_paths(g: CsrGraph, src: str, dst: str, n: int,
                          blocked: Collection[str] = ()) -> list[Path]:
     """Up to n successively interior-disjoint shortest paths from src to dst.
 
@@ -200,8 +198,7 @@ def tower_disjoint_paths(g: WeightedGraph, src: str, dst: str, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_nodes(g, src, dst)
-    if src == dst or g.has_edge(src, dst):
+    if src == dst or dst in g.neighbors(src):
         raise ValueError("src and dst are adjacent")
     avoid = set(blocked)
     paths: list[Path] = []
@@ -214,17 +211,21 @@ def tower_disjoint_paths(g: WeightedGraph, src: str, dst: str, n: int,
     return paths
 
 
-def bridges(g: WeightedGraph) -> set[tuple[str, str]]:
-    """Edges whose removal disconnects their component (canonical (min,max) keys)."""
+def bridges(links: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
+    """Links whose removal disconnects their component (canonical (min,max) keys)."""
+    adj: dict[str, set[str]] = {}
+    for a, b in links:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     out: set[tuple[str, str]] = set()
     counter = 0
-    for root in sorted(g.nodes()):
+    for root in sorted(adj):
         if root in index:
             continue
         # Iterative DFS; stack entries are (node, parent, neighbor iterator).
-        stack = [(root, None, iter(sorted(g.neighbors(root))))]
+        stack = [(root, None, iter(sorted(adj[root])))]
         index[root] = low[root] = counter
         counter += 1
         while stack:
@@ -234,7 +235,7 @@ def bridges(g: WeightedGraph) -> set[tuple[str, str]]:
                 if nbr not in index:
                     index[nbr] = low[nbr] = counter
                     counter += 1
-                    stack.append((nbr, node, iter(sorted(g.neighbors(nbr)))))
+                    stack.append((nbr, node, iter(sorted(adj[nbr]))))
                     advanced = True
                     break
                 elif nbr != parent:
@@ -247,21 +248,3 @@ def bridges(g: WeightedGraph) -> set[tuple[str, str]]:
                     if low[node] > index[pnode]:
                         out.add((min(pnode, node), max(pnode, node)))
     return out
-
-
-def connected(g: WeightedGraph, nodes: Iterable[str]) -> bool:
-    """True when every listed node lies in one connected component."""
-    targets = set(nodes)
-    _check_nodes(g, *targets)
-    if len(targets) <= 1:
-        return True
-    start = next(iter(targets))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for nbr in g.neighbors(node):
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append(nbr)
-    return targets <= seen

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km, read_csv
-from .graphcore import WeightedGraph
 
 # Terrain samples per clearance pass: amortises numpy's per-call cost over
 # many hops while keeping the work arrays out of the peak memory.
@@ -24,6 +23,8 @@ _CHUNK_SAMPLES = 4096
 _SCREEN_ROWS = 64
 # ESRI ASCII grid header keys; all but the last are required.
 _ASC_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+# A hop row of HopGraph.hops: two tower indices and the length in km.
+HOP_DTYPE = np.dtype([("a", np.int64), ("b", np.int64), ("km", float)])
 
 
 @dataclass(frozen=True)
@@ -69,29 +70,14 @@ class LosParams:
             raise ValueError("sample_step_m must be > 0")
 
 
-@dataclass(frozen=True)
-class Hop:
-    """A feasible tower-tower segment; length is the base geodesic."""
-
-    tower_a: str
-    tower_b: str
-    length_km: float
-
-
 @dataclass
 class HopGraph:
-    """Towers plus the feasible hops between them."""
+    """Towers in id order plus the feasible hops between them: one
+    `HOP_DTYPE` row per hop, with the indices `a` and `b` of its towers in
+    `towers` and its base geodesic length `km`."""
 
     towers: dict[str, Tower]
-    hops: list[Hop]
-
-    def graph(self) -> WeightedGraph:
-        g = WeightedGraph()
-        for tid in self.towers:
-            g.add_node(tid)
-        for hop in self.hops:
-            g.add_edge(hop.tower_a, hop.tower_b, hop.length_km)
-        return g
+    hops: np.ndarray
 
 
 class TerrainGrid:
@@ -163,20 +149,35 @@ def load_terrain_asc(path: str) -> TerrainGrid:
     header: dict[str, float] = {}
     body: list[str] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if parts and parts[0].lower() not in _ASC_HEADER:
                 body = [line, *fh]
                 break
+            if len(parts) == 1:
+                raise ValueError(f"{path}: line {lineno}: header field {parts[0]!r} has no value")
             if parts:
-                header[parts[0].lower()] = float(parts[1])
+                try:
+                    header[parts[0].lower()] = float(parts[1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
     for req in _ASC_HEADER[:5]:
         if req not in header:
             raise ValueError(f"{path}: missing header field {req}")
     try:
         values = np.loadtxt(body, comments=None, ndmin=1) if body else np.empty(0)
     except ValueError:  # lines of uneven length (rows wrapped), or a bad token
-        values = np.loadtxt(["".join(body).replace("\n", " ")], comments=None, ndmin=1)
+        try:
+            values = np.loadtxt(["".join(body).replace("\n", " ")], comments=None, ndmin=1)
+        except ValueError as exc:
+            # Name the file line of the first token that is not a number.
+            for n, line in enumerate(body, lineno):
+                for token in line.split():
+                    try:
+                        float(token)
+                    except ValueError as bad:
+                        raise ValueError(f"{path}: line {n}: {bad}") from None
+            raise ValueError(f"{path}: {exc}") from None
     del body  # the text goes before TerrainGrid copies the values
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     if values.size != ncols * nrows:
@@ -344,10 +345,10 @@ def build_hop_graph(towers: list[Tower], terrain: TerrainGrid, p: LosParams) -> 
                 ia.append(r0 + r)
                 ib.append(j)
                 lengths.append(d)
-    clear = _clearance(ordered, np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64),
-                       np.array(lengths), terrain, p)
-    hops = [Hop(ordered[i].id, ordered[j].id, d)
-            for i, j, d, ok in zip(ia, ib, lengths, clear.tolist()) if ok]
+    ia, ib, lengths = np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64), np.array(lengths)
+    clear = _clearance(ordered, ia, ib, lengths, terrain, p)
+    hops = np.empty(int(clear.sum()), dtype=HOP_DTYPE)
+    hops["a"], hops["b"], hops["km"] = ia[clear], ib[clear], lengths[clear]
     return HopGraph({t.id: t for t in ordered}, hops)
 
 
@@ -407,21 +408,25 @@ def load_towers_csv(path: str, terrain: TerrainGrid | None = None) -> list[Tower
 
 
 def save_hops_csv(hop_graph: HopGraph, path: str) -> None:
+    ids = list(hop_graph.towers)
+    hops = hop_graph.hops[np.lexsort((hop_graph.hops["b"], hop_graph.hops["a"]))]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tower_a", "tower_b", "length_km"])
-        for hop in sorted(hop_graph.hops, key=lambda h: (h.tower_a, h.tower_b)):
-            writer.writerow([hop.tower_a, hop.tower_b, f"{hop.length_km:.6f}"])
+        for a, b, km in hops.tolist():
+            writer.writerow([ids[a], ids[b], f"{km:.6f}"])
 
 
 def load_hops_csv(path: str, towers: list[Tower]) -> HopGraph:
-    by_id = {t.id: t for t in towers}
+    by_id = {t.id: t for t in sorted(towers, key=lambda t: t.id)}
+    index = {tid: i for i, tid in enumerate(by_id)}
 
     def hop(a, b, km):
         km = float(km)
-        if a not in by_id or b not in by_id or a == b or not 0 < km < math.inf:
+        if a not in index or b not in index or a == b or not 0 < km < math.inf:
             raise ValueError(f"hop ({a}, {b}) needs two known towers and a "
                              f"finite length_km > 0, got {km}")
-        return Hop(a, b, km)
+        return index[a], index[b], km
 
-    return HopGraph(by_id, read_csv(path, "tower_a,tower_b,length_km", hop))
+    return HopGraph(by_id, np.array(read_csv(path, "tower_a,tower_b,length_km", hop),
+                                    dtype=HOP_DTYPE))

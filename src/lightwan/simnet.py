@@ -38,7 +38,7 @@ import numpy as np
 
 from .designer import DesignInput, InfeasibleDesignError, NetworkDesign
 from .geo import LatencyModel, Site, latency_ms
-from .graphcore import WeightedGraph, distance_matrix, next_hop_walks, weight_matrix
+from .graphcore import distance_matrix, next_hop_walks, weight_matrix
 from .traffic import Pair, TrafficMatrix, pair_key, perturb
 
 ROUTING_SCHEMES = ("shortest_path", "min_max_util", "throughput_optimal")
@@ -100,14 +100,6 @@ class SimTopology:
             if link.a not in known or link.b not in known:
                 raise ValueError(f"link {key} references unknown node")
             seen.add(key)
-
-    def latency_graph(self, model: LatencyModel = LatencyModel()) -> WeightedGraph:
-        g = WeightedGraph()
-        for n in self.nodes:
-            g.add_node(n)
-        for link in self.links:
-            g.add_edge(link.a, link.b, latency_ms(link.length_km, link.medium, model))
-        return g
 
     def link_for(self, a: str, b: str) -> SimLink:
         key = pair_key(a, b)

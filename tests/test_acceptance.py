@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from dict_graph import WeightedGraph, latency_graph, to_csr  # noqa: E402
 from test_designer import (  # noqa: E402
     exhaustive_optimum, fw_pair_lengths, random_instance,
 )
@@ -130,7 +131,7 @@ def test_criterion_6_simulator_behavior():
         return simnet.run(topo, inp.traffic, table, cfg)
 
     stats70 = sweep(0.7)
-    g = topo.latency_graph()
+    g = to_csr(latency_graph(topo))
     qsum, qn = 0.0, 0
     for (a, b), rec in stats70.flows.items():
         if rec.delivered == 0:
@@ -194,13 +195,19 @@ def test_criterion_7_weather_extremes():
                   f"pairs={monotone}, {elapsed:.1f}s (<120s)")
 
 
+def _sites_connected(fiber: FiberGraph, sites) -> bool:
+    """True when every pair of `sites` has a finite fiber distance."""
+    index, dist = fiber.distances()
+    return all(math.isfinite(dist[index[s]][index[t]]) for s in sites for t in sites)
+
+
 def test_criterion_8_fiber_pruning():
     t0 = time.time()
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from test_fiberbase import build_mesh_12, exhaustive_mean_stretch
     g, sites = build_mesh_12()
     steps = fiberbase.prune_links(g, sites)
-    connected_ok = all(graphcore.connected(s.graph.graph(), sites) for s in steps)
+    connected_ok = all(_sites_connected(s.graph, sites) for s in steps)
     means = [s.stats.mean for s in steps]
     monotone = all(later >= earlier - 1e-12 for earlier, later in zip(means, means[1:]))
     minimal = True
@@ -210,7 +217,7 @@ def test_criterion_8_fiber_pruning():
         for key in sorted(current.links):
             trial = current.copy()
             trial.remove_link(*key)
-            if not graphcore.connected(trial.graph(), sites):
+            if not _sites_connected(trial, sites):
                 continue
             damages[key] = exhaustive_mean_stretch(trial, sites)
         best = min(sorted(damages), key=lambda k: damages[k])
@@ -230,7 +237,7 @@ def test_criterion_9_oracle_equivalence():
     # Shortest paths and all-pairs on a 200-node random graph.
     rng = np.random.default_rng(200)
     names = [f"n{i:03d}" for i in range(200)]
-    g = graphcore.WeightedGraph()
+    g = WeightedGraph()
     for n in names:
         g.add_node(n)
     for i in range(200):
@@ -245,8 +252,9 @@ def test_criterion_9_oracle_equivalence():
     for k in range(200):
         mat = np.minimum(mat, mat[:, k:k + 1] + mat[k:k + 1, :])
     paths_ok = True
+    csr = to_csr(g)
     for src in names[:10]:
-        lengths = graphcore.shortest_path_lengths(g, src)
+        lengths = {v: p.total_weight for v, p in graphcore.shortest_paths_from(csr, src).items()}
         for dst in names:
             want = mat[idx[src], idx[dst]]
             got = lengths.get(dst, math.inf)

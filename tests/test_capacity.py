@@ -12,12 +12,12 @@ from lightwan.capacity import (
     parallel_spacing_km, route_demand, series_needed,
 )
 from lightwan.geo import GeoPoint, Site, geodesic_km
-from lightwan.graphcore import tower_disjoint_paths
 from lightwan.los import LosParams, TerrainGrid, Tower
 from lightwan.traffic import TrafficMatrix, gravity_matrix, pair_key
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from test_designer import random_tower_instance, reference_pair_graph  # noqa: E402
+from dict_graph import hop_graph_of, hop_rows, tower_disjoint_paths  # noqa: E402
+from test_designer import random_tower_instance, reference_pair_graph, relisted_hops  # noqa: E402
 
 KM_PER_DEG = math.pi * 6371.0 / 180.0
 
@@ -213,9 +213,9 @@ def test_augment_other_sites_never_relay():
         Tower("q1", GeoPoint(0.0, 0.05), 50.0), Tower("q2", GeoPoint(-0.1, 0.12), 50.0),
         Tower("q3", GeoPoint(-0.1, 0.18), 50.0), Tower("q4", GeoPoint(0.0, 0.25), 50.0),
         Tower("r1", GeoPoint(0.08, 0.05), 50.0), Tower("r2", GeoPoint(0.08, 0.25), 50.0))}
-    hops = [los.Hop(a, b, geodesic_km(towers[a].location, towers[b].location))
+    hops = [(a, b, geodesic_km(towers[a].location, towers[b].location))
             for a, b in (("q1", "q2"), ("q2", "q3"), ("q3", "q4"))]
-    hg = los.HopGraph(towers, hops)
+    hg = hop_graph_of(towers.values(), hops)
     sites = [Site(sid, GeoPoint(lat, lon)) for sid, lat, lon in (
         ("k", 0.16, 0.05), ("m", 0.1, 0.15), ("u", 0.0, 0.0), ("v", 0.0, 0.3), ("z", 0.1, 0.16))]
     links = (("k", "m"), ("m", "z"), ("u", "v"))
@@ -225,6 +225,22 @@ def test_augment_other_sites_never_relay():
     assert plan == reference_augment(design, loads, hg, sites, 13.0)
     uv = plan.links[2]
     assert (uv.series_count, uv.series_found, uv.towers_used) == (2, 0, ("q1", "q2", "q3", "q4"))
+
+
+def test_augment_repeated_hop_keeps_last_length(tmp_path):
+    # A shortcut from the first to the last tower of a built link's primary
+    # series, listed at 0.5 km and then reversed at 1,000 km: the later
+    # length wins, so the shortcut is never taken and the plan is unchanged.
+    sites, hg, radius, inp, design = random_design(0)
+    loads = route_demand(design, inp.traffic, 40.0)
+    plan = augment(design, loads, hg, sites, radius_km=radius)
+    hops = {frozenset((a, b)) for a, b, _ in hop_rows(hg)}
+    first, last = next((p[1], p[-2]) for p in map(inp.tower_paths.get, design.built_links)
+                       if len(p) >= 5 and frozenset((p[1], p[-2])) not in hops)
+    relisted = relisted_hops(tmp_path, hg, [(first, last, 0.5), (last, first, 1000.0)])
+    assert len(relisted.hops) == len(hg.hops) + 2
+    got = augment(design, loads, relisted, sites, radius_km=radius)
+    assert got == reference_augment(design, loads, relisted, sites, radius) == plan
 
 
 def test_augment_rejects_site_id_of_a_tower():

@@ -506,3 +506,22 @@ def test_hopgraph_names_tower_outside_terrain(tmp_path, capsys):
     capsys.readouterr()
     assert main(["hopgraph", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
     assert "tower 'zz_west' outside terrain bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect", ["header", "body"])
+def test_hopgraph_names_file_and_line_of_a_bad_terrain_field(tmp_path, capsys, defect):
+    # The demo terrain with `ncols` left without its value (line 1), or with
+    # one cell of its second body row (line 8) replaced by `x`.
+    with open(os.path.join(DEMO, "terrain.asc")) as fh:
+        lines = fh.read().splitlines()
+    if defect == "header":
+        lines[0], line, message = "ncols", 1, "header field 'ncols' has no value"
+    else:
+        lines[7] = lines[7].replace("0", "x", 1)
+        line, message = 8, "could not convert string to float: 'x'"
+    terrain = tmp_path / "terrain.asc"
+    terrain.write_text("\n".join(lines) + "\n")
+    cfgp = write_config(tmp_path, demo_config(terrain_asc=str(terrain)))
+    capsys.readouterr()
+    assert main(["hopgraph", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert f"{terrain}: line {line}: {message}" in capsys.readouterr().err

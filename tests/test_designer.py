@@ -18,11 +18,14 @@ from lightwan.designer import (
 )
 from lightwan.fiberbase import stretch_stats
 from lightwan.geo import GeoPoint, Site, geodesic_km
-from lightwan.graphcore import WeightedGraph, distance_matrix, shortest_paths_from
+from lightwan.graphcore import distance_matrix
 from lightwan.los import LosParams, TerrainGrid, Tower
 from lightwan.traffic import TrafficMatrix, gravity_matrix, pair_key
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from dict_graph import (  # noqa: E402
+    WeightedGraph, hop_dict_graph, hop_graph_of, hop_rows, shortest_paths_from,
+)
 from test_graphcore import assert_walk_matches  # noqa: E402
 
 
@@ -808,7 +811,7 @@ def test_site_links_over_corridor():
 
 def reference_pair_graph(hop_graph, a, b, radius_km):
     """Tower graph with the two sites attached to all towers within radius_km."""
-    g = hop_graph.graph()
+    g = hop_dict_graph(hop_graph)
     for site in (a, b):
         g.add_node(site.id)
         for tid, tower in hop_graph.towers.items():
@@ -864,12 +867,12 @@ def lattice_hop_graph(n=6, step_deg=0.125):
     """An n x n tower lattice on the equator with every hop 10 km long, so
     many routes tie on km and the node-sequence rule decides. The step is
     a power of two, so cell-centre sites see mirrored towers at equal km."""
-    towers = {f"t{i}{j}": Tower(f"t{i}{j}", GeoPoint(i * step_deg, j * step_deg), 50.0)
-              for i in range(n) for j in range(n)}
-    hops = [los.Hop(f"t{i}{j}", f"t{i + di}{j + dj}", 10.0)
+    towers = [Tower(f"t{i}{j}", GeoPoint(i * step_deg, j * step_deg), 50.0)
+              for i in range(n) for j in range(n)]
+    hops = [(f"t{i}{j}", f"t{i + di}{j + dj}", 10.0)
             for i in range(n) for j in range(n) for di, dj in ((0, 1), (1, 0))
             if i + di < n and j + dj < n]
-    return los.HopGraph(towers, hops)
+    return hop_graph_of(towers, hops)
 
 
 def test_site_links_match_reference_on_tied_lattice():
@@ -904,6 +907,31 @@ def test_site_links_other_sites_never_relay():
     got = designer.site_links([west, mid, east], hg, radius_km=35.0)
     assert got == reference_site_links([west, mid, east], hg, radius_km=35.0)
     assert set(got) == {("mid", "west"), ("mid", "zeast")}
+
+
+def relisted_hops(tmp_path, hg, rows):
+    """`hg` saved to a hops.csv, then `rows` (tower_a, tower_b, km) appended
+    and the file loaded back."""
+    path = tmp_path / "hops.csv"
+    los.save_hops_csv(hg, str(path))
+    with open(path, "a") as fh:
+        fh.writelines(f"{a},{b},{km:.6f}\n" for a, b, km in rows)
+    return los.load_hops_csv(str(path), list(hg.towers.values()))
+
+
+def test_site_links_repeated_hop_keeps_last_length(tmp_path):
+    # A hop of some site link's tower path listed again, reversed and three
+    # times longer: the search graph keeps the later length, as a dict of
+    # weights does, so that link gets longer or takes another route.
+    sites, hg, radius = random_tower_instance(0)
+    base = designer.site_links(sites, hg, radius)
+    pair, link = next((p, v) for p, v in base.items() if v.tower_count >= 2)
+    hop = {frozenset((a, b)): (a, b, km) for a, b, km in hop_rows(hg)}[frozenset(link.path[1:3])]
+    relisted = relisted_hops(tmp_path, hg, [(hop[1], hop[0], 3.0 * hop[2])])
+    assert len(relisted.hops) == len(hg.hops) + 1
+    got = designer.site_links(sites, relisted, radius)
+    assert got == reference_site_links(sites, relisted, radius)
+    assert got[pair] != link
 
 
 def test_site_links_rejects_site_id_of_a_tower():

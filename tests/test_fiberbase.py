@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from lightwan.fiberbase import (
 )
 from lightwan.geo import GeoPoint, geodesic_km
 from lightwan.traffic import TrafficMatrix, pair_key
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from dict_graph import connected, fiber_dict_graph, shortest_paths_from  # noqa: E402
 
 
 def make_graph(points, links, inflation=1.0):
@@ -132,8 +137,7 @@ def test_prune_square_with_diagonal_removes_min_damage_link():
     for key in g.links:
         trial = g.copy()
         trial.remove_link(*key)
-        wg = trial.graph()
-        if not graphcore.connected(wg, sites):
+        if not connected(fiber_dict_graph(trial), sites):
             continue
         damages[key] = exhaustive_mean_stretch(trial, sites)
     assert first_removed == min(sorted(damages), key=lambda k: damages[k])
@@ -167,7 +171,7 @@ def test_prune_mesh_properties():
     for earlier, later in zip(means, means[1:]):
         assert later >= earlier - 1e-12
     for step in steps:
-        assert graphcore.connected(step.graph.graph(), sites)
+        assert connected(fiber_dict_graph(step.graph), sites)
         assert step.stats.excluded_pairs == 0
     counts = [s.link_count for s in steps]
     assert counts == sorted(counts, reverse=True)
@@ -279,7 +283,7 @@ def reference_prune_links(g, sites, weights=None, model=fiberbase.LatencyModel()
                                  fiberbase.fiber_stretch_stats(work, sites, weights, model),
                                  len(work.links), None, work.total_fiber_km())]
     while True:
-        safe = graphcore.bridges(work.graph())
+        safe = graphcore.bridges(work.links)
         candidates = sorted(k for k in work.links if k not in safe)
         if not candidates:
             break
@@ -382,13 +386,13 @@ def test_prune_links_trial_chunks_match_reference(monkeypatch):
 # node sequence. Loads must come out bitwise equal.
 
 def reference_route_fiber_demand(g, weights, aggregate_gbps):
-    wg = g.graph()
+    wg = fiber_dict_graph(g)
     loads = {key: 0.0 for key in g.links}
     demands = weights.scaled(aggregate_gbps)
     for src in sorted({s for pair in demands for s in pair}):
         if src not in g.endpoints:
             raise KeyError(f"unknown site {src!r}")
-        paths = graphcore.shortest_paths_from(wg, src)
+        paths = shortest_paths_from(wg, src)
         for (a, b), gbps in demands.items():
             if a != src:
                 continue

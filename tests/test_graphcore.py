@@ -1,5 +1,7 @@
 import heapq
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ import pytest
 from lightwan import graphcore
 from lightwan.designer import DesignInput, HybridEvaluator
 from lightwan.geo import GeoPoint, Site, geodesic_km
-from lightwan.graphcore import Path, WeightedGraph
+from lightwan.graphcore import CsrGraph, Path
 from lightwan.traffic import TrafficMatrix
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from dict_graph import WeightedGraph, connected, shortest_path_lengths, to_csr  # noqa: E402
 
 
 def bellman_ford(g: WeightedGraph, src: str) -> dict[str, float]:
@@ -42,23 +47,46 @@ def random_graph(rng, n=50, p=0.12) -> WeightedGraph:
     return g
 
 
-def test_graph_rejects_self_loops_and_bad_weights():
+def graph(*edges, nodes=()) -> CsrGraph:
+    """A CSR graph from (a, b, weight) edges plus isolated `nodes`."""
     g = WeightedGraph()
-    with pytest.raises(ValueError):
-        g.add_edge("a", "a", 1.0)
-    with pytest.raises(ValueError):
-        g.add_edge("a", "b", 0.0)
+    for node in nodes:
+        g.add_node(node)
+    for a, b, w in edges:
+        g.add_edge(a, b, w)
+    return to_csr(g)
+
+
+def test_graph_rejects_self_loops_and_bad_weights():
+    with pytest.raises(ValueError, match="self-loop on 'b'"):
+        CsrGraph(["a", "b"], [0, 1], [1, 1], [1.0, 1.0])
+    for weight in (0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            CsrGraph(["a", "b"], [0, 1], [1, 0], [1.0, weight])
+    for ids in (["b", "a"], ["a", "a"]):
+        with pytest.raises(ValueError, match="sorted and unique"):
+            CsrGraph(ids, [0], [1], [1.0])
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf])
 def test_graph_rejects_non_finite_weights(weight):
     with pytest.raises(ValueError, match="finite and > 0"):
-        WeightedGraph().add_edge("a", "b", weight)
+        CsrGraph(["a", "b"], [0], [1], [weight])
+
+
+def test_graph_keeps_last_weight_of_a_repeated_pair():
+    # As in a dict of weights: (a, b) then (b, a) leaves the second length,
+    # even when it is the longer one.
+    g = CsrGraph(["a", "b", "c"], [0, 1, 2, 1], [1, 2, 0, 0], [3.0, 1.0, 2.0, 5.0])
+    assert g.neighbors("a") == {"b": 5.0, "c": 2.0}
+    assert g.neighbors("b") == {"a": 5.0, "c": 1.0}
+    assert g.indptr.tolist() == [0, 2, 4, 6]
+    p = graphcore.shortest_path(g, "a", "b")
+    assert (p.nodes, p.total_weight) == (("a", "c", "b"), 3.0)
 
 
 def test_shortest_path_src_equals_dst():
-    g = WeightedGraph()
-    g.add_node("a")
+    g = graph(nodes=["a"])
     p = graphcore.shortest_path(g, "a", "a")
     assert p.nodes == ("a",)
     assert p.total_weight == 0.0
@@ -66,36 +94,26 @@ def test_shortest_path_src_equals_dst():
 
 
 def test_shortest_path_triangle():
-    g = WeightedGraph()
-    g.add_edge("a", "b", 1.0)
-    g.add_edge("b", "c", 1.0)
-    g.add_edge("a", "c", 3.0)
+    g = graph(("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 3.0))
     p = graphcore.shortest_path(g, "a", "c")
     assert p.nodes == ("a", "b", "c")
     assert p.total_weight == 2.0
 
 
 def test_shortest_path_unknown_node():
-    g = WeightedGraph()
-    g.add_node("a")
+    g = graph(nodes=["a"])
     with pytest.raises(KeyError):
         graphcore.shortest_path(g, "a", "zz")
 
 
 def test_shortest_path_disconnected():
-    g = WeightedGraph()
-    g.add_node("a")
-    g.add_node("b")
+    g = graph(nodes=["a", "b"])
     assert graphcore.shortest_path(g, "a", "b") is None
 
 
 def test_shortest_path_lexicographic_tie_break():
     # Two equal-weight routes a-b-d and a-c-d; the smaller sequence wins.
-    g = WeightedGraph()
-    g.add_edge("a", "b", 1.0)
-    g.add_edge("b", "d", 1.0)
-    g.add_edge("a", "c", 1.0)
-    g.add_edge("c", "d", 1.0)
+    g = graph(("a", "b", 1.0), ("b", "d", 1.0), ("a", "c", 1.0), ("c", "d", 1.0))
     p = graphcore.shortest_path(g, "a", "d")
     assert p.nodes == ("a", "b", "d")
     # Same tie broken from the other side.
@@ -109,7 +127,7 @@ def test_shortest_path_matches_bellman_ford_oracle():
         g = random_graph(rng)
         dist = bellman_ford(g, "n000")
         for node in g.nodes():
-            p = graphcore.shortest_path(g, "n000", node)
+            p = graphcore.shortest_path(to_csr(g), "n000", node)
             if math.isinf(dist[node]):
                 assert p is None
             else:
@@ -121,7 +139,7 @@ def test_shortest_path_matches_bellman_ford_oracle():
 
 def test_shortest_paths_from_agrees_with_per_pair():
     rng = np.random.default_rng(3)
-    g = random_graph(rng, n=30)
+    g = to_csr(random_graph(rng, n=30))
     paths = graphcore.shortest_paths_from(g, "n000")
     for node, p in paths.items():
         single = graphcore.shortest_path(g, "n000", node)
@@ -155,9 +173,10 @@ def test_distance_matrix_matches_per_pair_calls():
     rng = np.random.default_rng(5)
     g = random_graph(rng, n=40)
     nodes, dist = graph_distances(g)
+    csr = to_csr(g)
     for i, s in enumerate(nodes[:20]):
         for j, t in enumerate(nodes[:20]):
-            p = graphcore.shortest_path(g, s, t)
+            p = graphcore.shortest_path(csr, s, t)
             if p is None:
                 assert math.isinf(dist[i, j])
             else:
@@ -175,7 +194,7 @@ def test_distance_matrix_matches_dijkstra_oracle(seed):
     nodes, dist = graph_distances(g)
     assert any(math.isinf(v) for v in dist.ravel())
     for i, s in enumerate(nodes):
-        lengths = graphcore.shortest_path_lengths(g, s)
+        lengths = shortest_path_lengths(g, s)
         for j, t in enumerate(nodes):
             if t in lengths:
                 assert dist[i, j] == pytest.approx(lengths[t], rel=1e-9)
@@ -221,7 +240,7 @@ def test_distance_matrix_hybrid_mw_not_shorter_than_fiber():
     for (a, b), km in list(fiber.items()) + list(mw.items()):
         g.add_edge(a, b, min(km, g.edge_weight(a, b)) if g.has_edge(a, b) else km)
     for i, s in enumerate(ids):
-        lengths = graphcore.shortest_path_lengths(g, s)
+        lengths = shortest_path_lengths(g, s)
         for j, t in enumerate(ids):
             if t in lengths:
                 assert dist[i, j] == pytest.approx(lengths[t], rel=1e-9)
@@ -322,34 +341,29 @@ def test_next_hop_walks_raises_instead_of_looping():
 
 
 def test_tower_disjoint_single_interior_node():
-    g = WeightedGraph()
-    g.add_edge("s", "m", 1.0)
-    g.add_edge("m", "t", 1.0)
+    g = graph(("s", "m", 1.0), ("m", "t", 1.0))
     paths = graphcore.tower_disjoint_paths(g, "s", "t", 2)
     assert len(paths) == 1
     assert paths[0].nodes == ("s", "m", "t")
 
 
 def test_tower_disjoint_two_routes_ordered_by_weight():
-    g = WeightedGraph()
-    g.add_edge("s", "x", 2.0)
-    g.add_edge("x", "t", 3.0)
-    g.add_edge("s", "y", 3.0)
-    g.add_edge("y", "t", 4.0)
+    g = graph(("s", "x", 2.0), ("x", "t", 3.0), ("s", "y", 3.0), ("y", "t", 4.0))
     paths = graphcore.tower_disjoint_paths(g, "s", "t", 3)
     assert [p.total_weight for p in paths] == [5.0, 7.0]
 
 
 def test_tower_disjoint_corridor_of_20_chains():
     # 20 parallel chains of increasing length between the same endpoints.
-    g = WeightedGraph()
+    edges = []
     for c in range(20):
         prev = "s"
         for h in range(3):
             node = f"c{c:02d}h{h}"
-            g.add_edge(prev, node, 1.0 + 0.01 * c)
+            edges.append((prev, node, 1.0 + 0.01 * c))
             prev = node
-        g.add_edge(prev, "t", 1.0 + 0.01 * c)
+        edges.append((prev, "t", 1.0 + 0.01 * c))
+    g = graph(*edges)
     paths = graphcore.tower_disjoint_paths(g, "s", "t", 25)
     assert len(paths) == 20
     weights = [p.total_weight for p in paths]
@@ -362,10 +376,7 @@ def test_tower_disjoint_corridor_of_20_chains():
 
 
 def test_tower_disjoint_rejects_adjacent_ends():
-    g = WeightedGraph()
-    g.add_edge("s", "t", 1.0)
-    g.add_edge("s", "m", 1.0)
-    g.add_edge("m", "t", 1.0)
+    g = graph(("s", "t", 1.0), ("s", "m", 1.0), ("m", "t", 1.0))
     with pytest.raises(ValueError, match="adjacent"):
         graphcore.tower_disjoint_paths(g, "s", "t", 2)
 
@@ -467,18 +478,19 @@ def count_ties(g, paths):
 @pytest.mark.parametrize("weights", [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3)])
 def test_settle_loop_matches_reference(seed, weights):
     g, _ = tied_random_graph(seed, weights)
+    csr = to_csr(g)
     nodes = sorted(g.nodes())
     ties = 0
     for src in nodes:
         want = reference_shortest_paths_from(g, src)
-        assert graphcore.shortest_paths_from(g, src) == want
+        assert graphcore.shortest_paths_from(csr, src) == want
         ties += count_ties(g, want)
     assert ties > 0
     for src in nodes[:6]:
         for dst in nodes:
-            assert graphcore.shortest_path(g, src, dst) == reference_shortest_path(g, src, dst)
+            assert graphcore.shortest_path(csr, src, dst) == reference_shortest_path(g, src, dst)
             if dst != src and not g.has_edge(src, dst):
-                assert (graphcore.tower_disjoint_paths(g, src, dst, 4)
+                assert (graphcore.tower_disjoint_paths(csr, src, dst, 4)
                         == reference_tower_disjoint_paths(g, src, dst, 4))
 
 
@@ -486,6 +498,7 @@ def test_settle_loop_matches_reference(seed, weights):
 @pytest.mark.parametrize("weights", [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3)])
 def test_blocked_nodes_match_reference_on_removed_copy(seed, weights):
     g, rng = tied_random_graph(100 + seed, weights)
+    csr = to_csr(g)
     nodes = sorted(g.nodes())
     for src in nodes[::3]:
         others = [v for v in nodes if v != src]
@@ -494,27 +507,24 @@ def test_blocked_nodes_match_reference_on_removed_copy(seed, weights):
         for node in blocked:
             removed.remove_node(node)
         want = reference_shortest_paths_from(removed, src)
-        assert graphcore.shortest_paths_from(g, src, blocked=blocked) == want
+        assert graphcore.shortest_paths_from(csr, src, blocked=blocked) == want
         assert not blocked & set(want)
         for dst in others:
-            got = graphcore.shortest_path(g, src, dst, blocked=blocked)
+            got = graphcore.shortest_path(csr, src, dst, blocked=blocked)
             if dst in blocked:
                 assert got is None
                 continue
             assert got == reference_shortest_path(removed, src, dst)
             if not g.has_edge(src, dst):
-                assert (graphcore.tower_disjoint_paths(g, src, dst, 3, blocked=blocked)
+                assert (graphcore.tower_disjoint_paths(csr, src, dst, 3, blocked=blocked)
                         == reference_tower_disjoint_paths(removed, src, dst, 3))
 
 
 def test_bridges_on_square_with_tail():
-    g = WeightedGraph()
-    g.add_edge("a", "b", 1.0)
-    g.add_edge("b", "c", 1.0)
-    g.add_edge("c", "d", 1.0)
-    g.add_edge("d", "a", 1.0)
-    g.add_edge("d", "e", 1.0)
-    assert graphcore.bridges(g) == {("d", "e")}
+    links = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("d", "e")]
+    assert graphcore.bridges(links) == {("d", "e")}
+    # A link listed twice, in either order, is still one link.
+    assert graphcore.bridges(links + [("b", "a"), ("e", "d")]) == {("d", "e")}
 
 
 def test_bridges_oracle_on_random_graphs():
@@ -525,18 +535,18 @@ def test_bridges_oracle_on_random_graphs():
         for u, v, w in g.edges():
             if (u, v) != (a, b):
                 h.add_edge(u, v, w)
-        return not graphcore.connected(h, [a, b])
+        return not connected(h, [a, b])
 
     rng = np.random.default_rng(9)
     for _ in range(5):
         g = random_graph(rng, n=18, p=0.15)
         expected = {(a, b) for a, b, _ in g.edges() if is_bridge(g, a, b)}
-        assert graphcore.bridges(g) == expected
+        assert graphcore.bridges((a, b) for a, b, _ in g.edges()) == expected
 
 
 def test_determinism_identical_runs():
     rng = np.random.default_rng(13)
-    g = random_graph(rng, n=25)
-    a = [graphcore.shortest_path(g, "n000", n) for n in sorted(g.nodes())]
-    b = [graphcore.shortest_path(g, "n000", n) for n in sorted(g.nodes())]
+    g = to_csr(random_graph(rng, n=25))
+    a = [graphcore.shortest_path(g, "n000", n) for n in g.ids]
+    b = [graphcore.shortest_path(g, "n000", n) for n in g.ids]
     assert a == b

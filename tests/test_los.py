@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ import pytest
 from lightwan import los
 from lightwan.geo import GeoPoint, geodesic_km
 from lightwan.los import LosParams, TerrainGrid, Tower
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from dict_graph import hop_rows  # noqa: E402
 
 KM_PER_DEG = math.pi * 6371.0 / 180.0  # equatorial degree of longitude
 
@@ -181,7 +185,7 @@ def test_hop_monotone_in_constraints():
 def test_build_hop_graph_single_tower():
     terr = flat_terrain()
     hg = los.build_hop_graph([tower_at("solo", 0.0, 0.0)], terr, LosParams())
-    assert hg.hops == []
+    assert len(hg.hops) == 0
 
 
 def test_build_hop_graph_collinear_range_arithmetic():
@@ -189,7 +193,7 @@ def test_build_hop_graph_collinear_range_arithmetic():
     spacing = 60.0 / KM_PER_DEG
     towers = [tower_at(f"t{i}", 0.0, (i - 1) * spacing, height=400.0) for i in range(3)]
     hg = los.build_hop_graph(towers, terr, LosParams(max_range_km=100.0))
-    edges = {(h.tower_a, h.tower_b) for h in hg.hops}
+    edges = {(a, b) for a, b, _ in hop_rows(hg)}
     assert edges == {("t0", "t1"), ("t1", "t2")}
 
 
@@ -210,7 +214,7 @@ def test_build_hop_graph_matches_bruteforce():
             if los.hop_feasible(a, b, terr, params):
                 key = (min(a.id, b.id), max(a.id, b.id))
                 expected.add(key)
-    got = {(h.tower_a, h.tower_b) for h in hg.hops}
+    got = {(a, b) for a, b, _ in hop_rows(hg)}
     assert got == expected
 
 
@@ -253,8 +257,25 @@ def test_hops_csv_roundtrip(tmp_path):
     path = tmp_path / "hops.csv"
     los.save_hops_csv(hg, str(path))
     back = los.load_hops_csv(str(path), towers)
-    assert {(h.tower_a, h.tower_b) for h in back.hops} == \
-        {(h.tower_a, h.tower_b) for h in hg.hops}
+    assert {(a, b) for a, b, _ in hop_rows(back)} == {(a, b) for a, b, _ in hop_rows(hg)}
+
+
+def test_hops_csv_keeps_every_row_and_saves_in_id_order(tmp_path):
+    # Rows out of order, one pair listed twice (once reversed): loading
+    # keeps all four rows in file order, and saving sorts them by
+    # (tower_a, tower_b) with equal keys in file order.
+    towers = [tower_at(t, 0.0, 0.1 * i) for i, t in enumerate(["c", "a", "b"])]
+    path = tmp_path / "hops.csv"
+    path.write_text("tower_a,tower_b,length_km\nb,c,3.5\na,b,2.0\nc,b,4.25\nb,c,1.0\n")
+    hg = los.load_hops_csv(str(path), towers)
+    assert list(hg.towers) == ["a", "b", "c"]
+    assert len(hg.hops) == 4
+    assert hop_rows(hg) == [("b", "c", 3.5), ("a", "b", 2.0), ("c", "b", 4.25), ("b", "c", 1.0)]
+    out = tmp_path / "saved.csv"
+    los.save_hops_csv(hg, str(out))
+    assert out.read_text().splitlines() == [
+        "tower_a,tower_b,length_km", "a,b,2.000000", "b,c,3.500000", "b,c,1.000000",
+        "c,b,4.250000"]
 
 
 # --- slow reference: the per-pair clearance loop ---------------------------------
@@ -315,7 +336,7 @@ def reference_hops(towers, terrain, p):
 
 
 def hop_list(hop_graph):
-    return [(h.tower_a, h.tower_b, float(h.length_km).hex()) for h in hop_graph.hops]
+    return [(a, b, km.hex()) for a, b, km in hop_rows(hop_graph)]
 
 
 class RecordingTerrain(TerrainGrid):
@@ -594,3 +615,23 @@ def test_load_terrain_asc_errors(tmp_path, text, message):
     for load in (los.load_terrain_asc, reference_load_terrain_asc):
         with pytest.raises(ValueError, match=f"{re.escape(str(p))}: {message}"):
             load(str(p))
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("ncols\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 4\n", 1,
+     "header field 'ncols' has no value"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\nCELLSIZE\n1 2\n3 4\n", 5,
+     "header field 'CELLSIZE' has no value"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner abc\ncellsize 1\n1 2\n3 4\n", 4,
+     "could not convert string to float: 'abc'"),
+    # The bad value is on line 7; the retry on the joined body would call it row 0.
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 x\n", 7,
+     "could not convert string to float: 'x'"),
+    ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n\n1 2 3\n\n  4e1.5\n", 9,
+     "could not convert string to float: '4e1.5'"),
+])
+def test_load_terrain_asc_names_line_of_a_bad_field(tmp_path, text, line, message):
+    p = tmp_path / "t.asc"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: line {line}: {message}')}$"):
+        los.load_terrain_asc(str(p))

@@ -12,9 +12,7 @@ import pytest
 from lightwan import designer, simnet
 from lightwan.capacity import route_demand, series_needed
 from lightwan.geo import GeoPoint, LatencyModel, Site, latency_ms
-from lightwan.graphcore import (
-    distance_matrix, shortest_path_lengths, shortest_paths_from, weight_matrix,
-)
+from lightwan.graphcore import distance_matrix, shortest_path, weight_matrix
 from lightwan.simnet import (
     FlowRecord, FlowStats, SimConfig, SimLink, SimTopology, build_routing,
     expected_link_loads, perturbation_experiment, run, topology_from_design,
@@ -22,6 +20,9 @@ from lightwan.simnet import (
 from lightwan.traffic import TrafficMatrix, gravity_matrix
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from dict_graph import (  # noqa: E402
+    latency_graph, shortest_path_lengths, shortest_paths_from, to_csr,
+)
 from test_designer import affordable_links, random_instance  # noqa: E402
 from test_graphcore import assert_walk_matches  # noqa: E402
 
@@ -182,7 +183,7 @@ def reference_run(topology, traffic, table, cfg, model=LatencyModel()) -> FlowSt
 # latency graph, ties to the lexicographically smallest node sequence.
 
 def reference_shortest_path_table(topology, traffic, model=LatencyModel()) -> dict:
-    g = topology.latency_graph(model)
+    g = latency_graph(topology, model)
     demands = simnet._directed_demands(traffic)
     table = {}
     for dst in sorted({dst for _, dst in demands}):
@@ -275,7 +276,7 @@ def reference_build_routing(topology, traffic, iterations=300, model=LatencyMode
     computed it, `iterations` rounds over the Dijkstra downhill DAGs."""
     demands = simnet._directed_demands(traffic)
     destinations = sorted({dst for _, dst in demands})
-    dist, weights = reference_downhill_dag(topology.latency_graph(model), destinations)
+    dist, weights = reference_downhill_dag(latency_graph(topology, model), destinations)
     caps = {}
     for link in topology.links:
         caps[(link.a, link.b)] = link.capacity_gbps
@@ -399,7 +400,7 @@ def assert_routing_matches_reference(topo, traffic, monkeypatch) -> int:
     edges equal, 30-iteration min_max_util tables equal on both DAGs and
     close to the dict loop's, fluid loads close to the Kahn walk's for both
     tables. Returns the number of changed shortest-path walks."""
-    g = topo.latency_graph()
+    g = latency_graph(topo)
     nodes = sorted(g.nodes())
     index = {n: i for i, n in enumerate(nodes)}
     w = weight_matrix(nodes, {(a, b): x for a, b, x in g.edges()})
@@ -464,7 +465,7 @@ def lp_min_max_utilization(topo, traffic) -> float:
     from scipy.optimize import linprog
     from scipy.sparse import coo_matrix
 
-    g = topo.latency_graph()
+    g = latency_graph(topo)
     nodes = sorted(g.nodes())
     demands = simnet._directed_demands(traffic)
     dests = sorted({dst for _, dst in demands})
@@ -796,13 +797,12 @@ def test_designed_topology_seventy_percent_load_clean():
     stats = run(topo, inp.traffic, table, cfg)
     assert stats.loss_rate == 0.0
     # Mean queuing delay: subtract each flow's propagation + transmission bound.
-    g = topo.latency_graph()
+    g = to_csr(latency_graph(topo))
     total_q = 0.0
     n = 0
     for (a, b), rec in stats.flows.items():
         if rec.delivered == 0:
             continue
-        from lightwan.graphcore import shortest_path
         p = shortest_path(g, a, b)
         tx = sum(500 * 8 / (topo.link_for(u, v).capacity_gbps * 1e9) * 1000.0
                  for u, v in p.edges)
