@@ -123,49 +123,117 @@ class NetworkDesign:
 
 
 class HybridEvaluator:
-    """Pure scorer of link sets: hybrid weights and demand arrays; matrices follow inp.site_ids."""
+    """Pure scorer of link sets; matrices follow inp.site_ids.
+
+    Available MW link k (`link[pair]`, its index in sorted(inp.mw_km))
+    owns the entries (i, j) and (j, i) of a weight matrix, flat positions
+    `_at[k]`: `_mw[k]` when built (MW only when strictly shorter than fiber;
+    a tie stays fiber, as in eliminate_dominated), else its fiber weight
+    `_fib[k]`. No two links share an entry, so the searches derive a set's
+    matrix from a neighbouring set's by rewriting the entries of the links
+    that differ (`with_links`, `move_stack`), bitwise the matrix `graph_for`
+    builds.
+    Everything is scored by `score`, and the value of a matrix does not
+    depend on the others in its kernel call. So a search may hold a matrix
+    back and score it in a later call it makes anyway (branch-and-bound's
+    exclude bounds): the matrix still costs one row and reads the same
+    float.
+    """
 
     def __init__(self, inp: DesignInput) -> None:
         self.inp = inp
         self.index = {s: i for i, s in enumerate(inp.site_ids)}
         self.fiber = weight_matrix(inp.site_ids, inp.fiber_km_eq)
+        n = len(self.index)
         demands = list(inp.traffic.items())
-        self._rows = np.array([self.index[a] for (a, _), _ in demands], dtype=int)
-        self._cols = np.array([self.index[b] for (_, b), _ in demands], dtype=int)
+        self._demand_at = np.array([self.index[a] * n + self.index[b] for (a, b), _ in demands],
+                                   dtype=np.intp)
         self._coef = np.array([h / inp.geodesic[pair] for pair, h in demands])
+        links = sorted(inp.mw_km)
+        self.link = {pair: k for k, pair in enumerate(links)}
+        i = np.array([self.index[a] for a, _ in links], dtype=np.intp)
+        j = np.array([self.index[b] for _, b in links], dtype=np.intp)
+        self._at = np.stack([i * n + j, j * n + i], axis=1)
+        self._fib = self.fiber[i, j]
+        m = np.array([inp.mw_km[p] for p in links])
+        self._mw = np.where(m < self._fib, m, self._fib)
+        # The same per link as Python scalars, for writes into one matrix.
+        self._cells = list(zip(i.tolist(), j.tolist(), self._mw.tolist(), self._fib.tolist()))
 
-    def graph_for(self, built: Iterable[Pair]) -> np.ndarray:
-        """Latency-equivalent km weights of fiber plus the built MW links. A
-        built link replaces its fiber link only when strictly shorter (a tie
-        stays fiber, as in eliminate_dominated)."""
-        w = self.fiber.copy()
-        for pair in built:
-            i, j = self.index[pair[0]], self.index[pair[1]]
-            m = self.inp.mw_km[pair]
-            if m < w[i, j]:
-                w[i, j] = w[j, i] = m
+    def _step(self) -> int:
+        """Matrices per kernel call, read from the cap at call time."""
+        return max(1, _BATCH_ELEMENTS // self.fiber.size)
+
+    def with_links(self, w: np.ndarray, built: Iterable[int] = (),
+                   dropped: Iterable[int] = ()) -> np.ndarray:
+        """A copy of weight matrix `w` with the links of index `built` at their
+        built weight and those of index `dropped` reset to fiber."""
+        w = w.copy()
+        for k in dropped:
+            i, j, _, f = self._cells[k]
+            w[i, j] = w[j, i] = f
+        for k in built:
+            i, j, m, _ = self._cells[k]
+            w[i, j] = w[j, i] = m
         return w
 
-    def objectives(self, sets: Iterable[frozenset]) -> list[float]:
-        """Objective of each built-link set, in order: sum over pairs of
-        (h/d) x routed latency-equivalent km, +inf when some demand pair is
-        unroutable. Sets are pulled one kernel batch at a time, never held
-        whole; each value is bitwise equal to a one-set call."""
-        it = iter(sets)
-        step = max(1, _BATCH_ELEMENTS // self.fiber.size)
+    def graph_for(self, built: Iterable[Pair]) -> np.ndarray:
+        """Latency-equivalent km weights of fiber plus the built MW links."""
+        return self.with_links(self.fiber, built=[self.link[p] for p in built])
+
+    def move_stack(self, base: np.ndarray, added: np.ndarray,
+                   removed: np.ndarray | None = None) -> np.ndarray:
+        """One copy of `base` per entry of `added`: the link at the same entry
+        of `removed` reset to fiber, then the added link built. Without
+        `removed` every move is an add (the added link resets itself)."""
+        removed = added if removed is None else removed
+        stack = np.repeat(base[None], len(added), axis=0)
+        flat = stack.reshape(len(added), -1)
+        row = np.arange(len(added))[:, None]
+        flat[row, self._at[removed]] = self._fib[removed, None]
+        flat[row, self._at[added]] = self._mw[added, None]
+        return stack
+
+    def move_objectives(self, base: np.ndarray, added: np.ndarray,
+                        removed: np.ndarray | None = None) -> list[float]:
+        """Objectives of the move stack of `base` (see `move_stack`), built
+        and scored one kernel batch at a time."""
+        removed = added if removed is None else removed
+        step = self._step()
+        return [v for s in range(0, len(added), step)
+                for v in self.score(self.move_stack(base, added[s:s + step], removed[s:s + step]))]
+
+    def score(self, stack: np.ndarray) -> list[float]:
+        """Objective of each weight matrix of `stack`, in order: sum over pairs
+        of (h/d) x routed latency-equivalent km, +inf when some demand pair
+        is unroutable. The stack is solved in kernel calls of at most
+        `_step()` matrices and the demand entries gathered once per call;
+        each value is bitwise equal to that of a one-matrix call."""
+        step = self._step()
         out: list[float] = []
-        while batch := list(itertools.islice(it, step)):
-            for d in distance_matrix(np.array([self.graph_for(s) for s in batch])):
+        for s in range(0, len(stack), step):
+            d = distance_matrix(stack[s:s + step])
+            # take() returns C order, so each set's demand row is contiguous.
+            for v in d.reshape(len(d), -1).take(self._demand_at, axis=1):
                 # One contiguous vector per set keeps the dot product's
                 # summation order that of a one-set call. An unroutable
                 # pair makes the sum inf or nan (0 x inf).
-                total = float(self._coef @ d[self._rows, self._cols])
+                total = float(self._coef @ v)
                 out.append(total if math.isfinite(total) else math.inf)
         return out
 
+    def objectives(self, sets: Iterable[frozenset]) -> list[float]:
+        """Objective of each built-link set, in order (see `score`). Sets are
+        pulled one kernel batch at a time, never held whole."""
+        it = iter(sets)
+        out: list[float] = []
+        while batch := list(itertools.islice(it, self._step())):
+            out += self.score(np.array([self.graph_for(s) for s in batch]))
+        return out
+
     def objective(self, built: frozenset) -> float:
-        """Objective of one built-link set (see `objectives`)."""
-        return self.objectives([built])[0]
+        """Objective of one built-link set (see `score`)."""
+        return self.score(self.graph_for(built)[None])[0]
 
 
 def objective(inp: DesignInput, design: NetworkDesign) -> float:
@@ -221,27 +289,35 @@ def greedy_candidates(inp: DesignInput, inflation: float = 2.0) -> list[Pair]:
     """
     if inflation < 1.0:
         raise ValueError("inflation must be >= 1")
-    ev = HybridEvaluator(inp)
-    pool = eliminate_dominated(inp)
+    return _greedy(inp, HybridEvaluator(inp), eliminate_dominated(inp), inflation)
+
+
+def _greedy(inp: DesignInput, ev: HybridEvaluator, pool: Sequence[Pair],
+            inflation: float) -> list[Pair]:
+    """greedy_candidates over the caller's evaluator and dominance-free pool.
+    Each round scores one move stack: the chosen set's matrix with each
+    remaining link built in turn."""
+    links = np.array([ev.link[p] for p in pool], dtype=np.intp)
+    rest = list(range(len(pool)))
     chosen: list[Pair] = []
-    chosen_set: frozenset = frozenset()
+    base = ev.fiber
     cost = 0.0
     cap = inflation * inp.budget
-    current = ev.objective(chosen_set)
+    current = ev.objective(frozenset())
     while cost < cap:
-        rest = [pair for pair in pool if pair not in chosen_set]
-        vals = ev.objectives(chosen_set | {pair} for pair in rest)
-        best_pair = None
+        vals = ev.move_objectives(base, links[rest])
+        best = None
         best_val = current
-        for pair, val in zip(rest, vals):
+        for r, val in zip(rest, vals):
             if val < best_val:
                 best_val = val
-                best_pair = pair
-        if best_pair is None:
+                best = r
+        if best is None:
             break
-        chosen.append(best_pair)
-        chosen_set = chosen_set | {best_pair}
-        cost += inp.mw_cost[best_pair]
+        chosen.append(pool[best])
+        rest.remove(best)
+        base = ev.with_links(base, built=[links[best]])
+        cost += inp.mw_cost[pool[best]]
         current = best_val
     return chosen
 
@@ -249,47 +325,70 @@ def greedy_candidates(inp: DesignInput, inflation: float = 2.0) -> list[Pair]:
 def _branch_and_bound(inp: DesignInput, cands: Sequence[Pair],
                       ev: HybridEvaluator) -> frozenset:
     """Best subset of the sorted, distinct `cands` under the budget (see
-    solve_exact)."""
-    costs = [inp.mw_cost[p] for p in cands]
-    best_set = frozenset()
-    best_val = ev.objective(best_set)
+    solve_exact).
 
-    def relax(chosen: frozenset, cost: float,
-              undecided: Iterable[int]) -> tuple[list[int], frozenset]:
+    A node carries the weight matrix of its bound set; a child's is a copy
+    of its parent's with the links it drops reset to fiber. An exclude
+    child's bound is read only once the include subtree is done, so its
+    matrix waits in `pending` and rides along in the next kernel call the
+    search makes anyway, an include bound's; a node reached while its own
+    bound still waits scores every waiting matrix in one call. Every
+    exclude child is visited, so each waiting matrix is scored exactly
+    once, as when it was scored beside its include sibling: deferring adds
+    no rows and changes no value, only the number of calls.
+    """
+    costs = [inp.mw_cost[p] for p in cands]
+    link = [ev.link[p] for p in cands]
+    # A node's bound is a list: [value] once scored, [] while its matrix
+    # waits here.
+    pending: list[tuple[np.ndarray, list[float]]] = []
+
+    def scored(*stack: np.ndarray) -> list[float]:
+        # Values of `stack`; the waiting bounds are scored in the same call.
+        vals = ev.score(np.array([w for w, _ in pending] + list(stack)))
+        for (_, box), val in zip(pending, vals):
+            box.append(val)
+        pending.clear()
+        return vals[len(vals) - len(stack):]
+
+    def fits(cost: float, undecided: Iterable[int]) -> list[int]:
         # Undecided links that still fit on their own, by the include
         # branch's own test; cost only grows deeper, so no other link
         # can join any completion of this node.
-        free = [k for k in undecided if cost + costs[k] <= inp.budget]
-        return free, chosen | {cands[k] for k in free}
+        return [k for k in undecided if cost + costs[k] <= inp.budget]
 
-    def dfs(chosen: frozenset, cost: float, free: list[int], relaxed: frozenset,
-            bound: float) -> None:
-        nonlocal best_set, best_val
-        if bound >= best_val - _REL_TOL * max(1.0, abs(best_val)):
+    def dfs(chosen: tuple[int, ...], cost: float, free: list[int], w: np.ndarray,
+            bound: list[float]) -> None:
+        nonlocal best, best_val
+        if not bound:
+            scored()
+        if bound[0] >= best_val - _REL_TOL * max(1.0, abs(best_val)):
             return
         fill = cost
         for k in free:
             fill += costs[k]
         if fill <= inp.budget:
-            best_set, best_val = relaxed, bound
+            best, best_val = chosen + tuple(free), bound[0]
             return
-        # Both children are always visited, so their bounds share one
-        # batched evaluation.
         k, rest = free[0], free[1:]
-        taken = chosen | {cands[k]}
-        inc_free, inc_relaxed = relax(taken, cost + costs[k], rest)
-        exc_relaxed = relaxed - {cands[k]}
+        exc_w, exc_bound = ev.with_links(w, dropped=[link[k]]), []
+        pending.append((exc_w, exc_bound))
+        inc_free = fits(cost + costs[k], rest)
         if inc_free == rest:  # the include child's bound set is this node's
-            inc_bound, exc_bound = bound, ev.objective(exc_relaxed)
+            inc_w, inc_bound = w, bound
         else:
-            inc_bound, exc_bound = ev.objectives([inc_relaxed, exc_relaxed])
-        dfs(taken, cost + costs[k], inc_free, inc_relaxed, inc_bound)
-        dfs(chosen, cost, rest, exc_relaxed, exc_bound)
+            inc_w = ev.with_links(w, dropped=[link[q] for q in rest if q not in inc_free])
+            inc_bound = scored(inc_w)
+        dfs(chosen + (k,), cost + costs[k], inc_free, inc_w, inc_bound)
+        dfs(chosen, cost, rest, exc_w, exc_bound)
 
-    free, relaxed = relax(best_set, 0.0, range(len(cands)))
+    best: tuple[int, ...] = ()
+    best_val = ev.objective(frozenset())
+    free = fits(0.0, range(len(cands)))
     if free:  # else the root's bound set is the empty incumbent
-        dfs(best_set, 0.0, free, relaxed, ev.objective(relaxed))
-    return best_set
+        root = ev.with_links(ev.fiber, built=[link[k] for k in free])
+        dfs((), 0.0, free, root, scored(root))
+    return frozenset(cands[k] for k in best)
 
 
 def solve_exact(inp: DesignInput, candidates: Sequence[Pair]) -> NetworkDesign:
@@ -307,9 +406,17 @@ def solve_exact(inp: DesignInput, candidates: Sequence[Pair]) -> NetworkDesign:
     the looser bound with every undecided link built: Floyd-Warshall and
     the objective's fixed-order dot product are monotone in the link set
     under IEEE rounding, and the search accepts the same incumbents.
+    Each bound set is scored once, from the same matrix, whichever kernel
+    call it lands in: an exclude child's bound waits for a later call
+    (see `_branch_and_bound`) but is still needed, so waiting adds no rows.
     Refuses more than EXACT_CANDIDATE_GUARD candidates; callers fall back
     to solve_heuristic's greedy path.
     """
+    return _solve_exact(inp, candidates, HybridEvaluator(inp))
+
+
+def _solve_exact(inp: DesignInput, candidates: Sequence[Pair],
+                 ev: HybridEvaluator) -> NetworkDesign:
     cands = sorted(set(candidates))
     if len(cands) > EXACT_CANDIDATE_GUARD:
         raise ExactGuardExceeded(
@@ -318,8 +425,7 @@ def solve_exact(inp: DesignInput, candidates: Sequence[Pair]) -> NetworkDesign:
     for pair in cands:
         if pair not in inp.mw_km:
             raise ValueError(f"candidate {pair} is not an available MW link")
-    best = _branch_and_bound(inp, cands, HybridEvaluator(inp))
-    return evaluate_design(inp, sorted(best))
+    return _evaluate_design(inp, sorted(_branch_and_bound(inp, cands, ev)), ev)
 
 
 def _local_improve(inp: DesignInput, ev: HybridEvaluator, built: set[Pair],
@@ -329,25 +435,30 @@ def _local_improve(inp: DesignInput, ev: HybridEvaluator, built: set[Pair],
     Moves are single additions within remaining budget (links are free
     capacity-wise, so an improving add is always safe) and single swaps
     (remove one built, add one unbuilt) that respect the budget. Each
-    iteration streams its moves through the evaluator and takes the first
-    strictly best, adds before swaps. Swaps removing the link the previous
-    move added are skipped: each such set is the previous base or one of its
-    moves, already scored at or above the value now current, so none wins.
+    iteration scores one move stack off the current set's matrix and takes
+    the first strictly best move, adds before swaps. Swaps removing the link
+    the previous move added are skipped: each such set is the previous base
+    or one of its moves, already scored at or above the value now current,
+    so none wins.
     """
     built = set(built)
     cost = sum(inp.mw_cost[p] for p in built)
+    base = ev.graph_for(built)
     current = ev.objective(frozenset(built))
     last = None
     for _ in range(max_moves):
-        base = frozenset(built)
         unbuilt = [p for p in pool if p not in built]
         moves: list[tuple[Pair | None, Pair]] = [
             (None, added) for added in unbuilt
             if cost + inp.mw_cost[added] <= inp.budget]
         moves += [(removed, added) for removed in sorted(built - {last}) for added in unbuilt
                   if cost - inp.mw_cost[removed] + inp.mw_cost[added] <= inp.budget]
-        # An add is the move (None, added); removing None changes nothing.
-        vals = ev.objectives(base - {removed} | {added} for removed, added in moves)
+        # An add is the move (None, added); its row resets the added link
+        # itself before building it (see move_stack).
+        vals = ev.move_objectives(
+            base, np.array([ev.link[added] for _, added in moves], dtype=np.intp),
+            np.array([ev.link[added if removed is None else removed]
+                      for removed, added in moves], dtype=np.intp))
         best_move: tuple[Pair | None, Pair] | None = None
         best_val = current
         for move, val in zip(moves, vals):
@@ -362,6 +473,7 @@ def _local_improve(inp: DesignInput, ev: HybridEvaluator, built: set[Pair],
             cost -= inp.mw_cost[removed]
         built.add(added)
         cost += inp.mw_cost[added]
+        base = ev.graph_for(built)
         current = best_val
         last = added
     return built
@@ -376,13 +488,14 @@ def solve_heuristic(inp: DesignInput) -> NetworkDesign:
     generation at 2x budget, exact search over those candidates when they
     fit the guard (else greedy selection trimmed to budget), and a local
     improvement pass over the full pool, which recovers cheap
-    complementary links the greedy cutoff can miss.
+    complementary links the greedy cutoff can miss. One pool and one
+    evaluator serve every stage.
     """
     pool = eliminate_dominated(inp)
-    if len(pool) <= EXACT_CANDIDATE_GUARD:
-        return solve_exact(inp, pool)
     ev = HybridEvaluator(inp)
-    cands = greedy_candidates(inp, 2.0)
+    if len(pool) <= EXACT_CANDIDATE_GUARD:
+        return _solve_exact(inp, pool, ev)
+    cands = _greedy(inp, ev, pool, 2.0)
     if len(cands) <= EXACT_CANDIDATE_GUARD:
         built = set(_branch_and_bound(inp, sorted(cands), ev))
     else:
@@ -394,7 +507,7 @@ def solve_heuristic(inp: DesignInput) -> NetworkDesign:
                 built.add(pair)
                 cost += inp.mw_cost[pair]
     built = _local_improve(inp, ev, built, pool)
-    return evaluate_design(inp, sorted(built))
+    return _evaluate_design(inp, sorted(built), ev)
 
 
 def evaluate_design(inp: DesignInput, built_links: Sequence[Pair]) -> NetworkDesign:
@@ -404,6 +517,11 @@ def evaluate_design(inp: DesignInput, built_links: Sequence[Pair]) -> NetworkDes
     Raises InfeasibleDesignError when any site pair is unreachable and
     ValueError when the built set exceeds the budget.
     """
+    return _evaluate_design(inp, built_links, HybridEvaluator(inp))
+
+
+def _evaluate_design(inp: DesignInput, built_links: Sequence[Pair],
+                     ev: HybridEvaluator) -> NetworkDesign:
     built = sorted(set(pair_key(*p) for p in built_links))
     for pair in built:
         if pair not in inp.mw_km:
@@ -412,7 +530,6 @@ def evaluate_design(inp: DesignInput, built_links: Sequence[Pair]) -> NetworkDes
     if towers > inp.budget + 1e-9:
         raise ValueError(f"built links cost {towers} towers, budget is {inp.budget}")
 
-    ev = HybridEvaluator(inp)
     w = ev.graph_for(built)
     dist = distance_matrix(w)
     ids = inp.site_ids

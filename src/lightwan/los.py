@@ -79,6 +79,11 @@ class HopGraph:
     towers: dict[str, Tower]
     hops: np.ndarray
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HopGraph):
+            return NotImplemented
+        return self.towers == other.towers and np.array_equal(self.hops, other.hops)
+
 
 class TerrainGrid:
     """Surface elevation raster (terrain plus clutter) in ESRI ASCII layout.

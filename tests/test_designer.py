@@ -294,21 +294,27 @@ class MemoEvaluator(HybridEvaluator):
         return self.memo[built]
 
 
-def kernel_rows(monkeypatch, fn, *args):
-    """fn(*args) and the number of matrices it passed to
+def kernel_calls(monkeypatch, fn, *args):
+    """fn(*args) and the number of matrices of each of its calls to
     designer.distance_matrix (a stack counts each of its matrices)."""
-    rows = 0
+    sizes = []
     kernel = designer.distance_matrix
 
     def counting(w):
-        nonlocal rows
-        rows += len(w) if w.ndim == 3 else 1
+        sizes.append(len(w) if w.ndim == 3 else 1)
         return kernel(w)
 
     with monkeypatch.context() as m:
         m.setattr(designer, "distance_matrix", counting)
         out = fn(*args)
-    return out, rows
+    return out, sizes
+
+
+def kernel_rows(monkeypatch, fn, *args):
+    """fn(*args) and the number of matrices it passed to
+    designer.distance_matrix."""
+    out, sizes = kernel_calls(monkeypatch, fn, *args)
+    return out, sum(sizes)
 
 
 # --- instance generator --------------------------------------------------------
@@ -680,6 +686,90 @@ def test_solve_heuristic_kernel_rows_within_cached_solver(monkeypatch):
     for seed, cached in enumerate(CACHED_SOLVER_ROWS):
         _, rows = kernel_rows(monkeypatch, solve_heuristic, random_instance(seed, n_sites=9))
         assert rows <= 1.05 * cached, f"seed {seed}: {rows} rows"
+
+
+# Branch-and-bound kernel work on random_instance(seed, n_sites=9), seeds
+# 0-5. The rows are those of scoring both children's bounds at their parent,
+# one call per node, which takes 278 / 3,245 / 181 / 443 / 2,293 / 1,321
+# calls; deferring exclude bounds to the next call keeps every row.
+BNB_ROWS = [406, 4871, 302, 720, 3632, 2051]
+BNB_MAX_CALLS = [130, 1628, 123, 279, 1341, 732]
+
+
+def test_branch_and_bound_defers_exclude_bounds_without_extra_rows(monkeypatch):
+    for seed, (want_rows, max_calls) in enumerate(zip(BNB_ROWS, BNB_MAX_CALLS)):
+        inp = random_instance(seed, n_sites=9)
+        pool = eliminate_dominated(inp)
+        best, sizes = kernel_calls(monkeypatch, designer._branch_and_bound, inp, pool,
+                                   HybridEvaluator(inp))
+        assert best == reference_branch_and_bound(inp, pool, MemoEvaluator(inp))
+        assert sum(sizes) == want_rows, f"seed {seed}"
+        assert len(sizes) <= max_calls, f"seed {seed}: {len(sizes)} calls"
+
+
+def test_searches_split_kernel_calls_at_the_batch_cap(monkeypatch):
+    # A cap of three matrices, read at call time: the waiting exclude
+    # bounds and the move stacks are split at it, with the same answers.
+    for seed in range(4):
+        inp = random_instance(seed, n_sites=9)
+        pool = eliminate_dominated(inp)
+        unsplit = max(kernel_calls(monkeypatch, designer._branch_and_bound, inp, pool,
+                                   HybridEvaluator(inp))[1])
+        monkeypatch.setattr(designer, "_BATCH_ELEMENTS", 3 * len(inp.site_ids) ** 2)
+        best, sizes = kernel_calls(monkeypatch, designer._branch_and_bound, inp, pool,
+                                   HybridEvaluator(inp))
+        monkeypatch.undo()
+        assert unsplit > 3 and max(sizes) == 3
+        assert sum(sizes) == BNB_ROWS[seed]
+        assert best == reference_branch_and_bound(inp, pool, MemoEvaluator(inp))
+    for seed in range(4):
+        inp = random_instance(seed, n_sites=10, mw_fraction=0.75, budget_fraction=0.08)
+        pool = eliminate_dominated(inp)
+        ref_ev = MemoEvaluator(inp)
+        monkeypatch.setattr(designer, "_BATCH_ELEMENTS", 3 * len(inp.site_ids) ** 2)
+        ev = HybridEvaluator(inp)
+        cands, sizes = kernel_calls(monkeypatch, greedy_candidates, inp, 2.0)
+        assert max(sizes) == 3
+        assert cands == reference_greedy(inp, ref_ev)
+        built, sizes = kernel_calls(monkeypatch, designer._local_improve, inp, ev,
+                                    set(cands[:2]), pool, 3)
+        assert max(sizes) == 3
+        assert built == reference_local_improve(inp, ref_ev, set(cands[:2]), pool, 3)
+        monkeypatch.undo()
+
+
+def test_move_stacks_match_graph_for():
+    base_inp = random_instance(4, n_sites=7, mw_fraction=0.8)
+    links = sorted(base_inp.mw_km)
+    tie, longer = links[1], links[4]
+    # Two available MW links that are not shorter than their fiber entry.
+    inp = dataclasses.replace(base_inp, mw_km={
+        **base_inp.mw_km, tie: base_inp.fiber_km_eq[tie],
+        longer: 1.1 * base_inp.fiber_km_eq[longer]})
+    ev = HybridEvaluator(inp)
+    assert ev.graph_for([tie, longer]).tobytes() == ev.fiber.tobytes()
+    for built in (frozenset(links[::2]), frozenset(links[1::2])):
+        # The matrix as graph_for once built it, one link at a time.
+        want = ev.fiber.copy()
+        for a, b in built:
+            i, j = ev.index[a], ev.index[b]
+            if inp.mw_km[(a, b)] < want[i, j]:
+                want[i, j] = want[j, i] = inp.mw_km[(a, b)]
+        base = ev.graph_for(built)
+        assert base.tobytes() == want.tobytes()
+        unbuilt = [p for p in links if p not in built]
+        assert {tie, longer} & set(unbuilt) and {tie, longer} & built
+        adds = ev.move_stack(base, np.array([ev.link[p] for p in unbuilt]))
+        assert len(adds) == len(unbuilt)
+        for added, w in zip(unbuilt, adds):
+            assert w.tobytes() == ev.graph_for(built | {added}).tobytes()
+        swaps = [(removed, added) for removed in sorted(built) for added in unbuilt]
+        stack = ev.move_stack(base, np.array([ev.link[a] for _, a in swaps]),
+                              np.array([ev.link[r] for r, _ in swaps]))
+        assert len(stack) == len(swaps)
+        for (removed, added), w in zip(swaps, stack):
+            assert w.tobytes() == ev.graph_for(built - {removed} | {added}).tobytes()
+        assert base.tobytes() == want.tobytes()  # the stacks are copies
 
 
 def test_solve_heuristic_budget_zero_is_fiber_only():

@@ -197,6 +197,24 @@ def test_build_hop_graph_collinear_range_arithmetic():
     assert edges == {("t0", "t1"), ("t1", "t2")}
 
 
+def test_hop_graph_equality_compares_towers_and_hop_rows():
+    terr = flat_terrain(half_extent_deg=2.5, cellsize=0.1)
+    spacing = 60.0 / KM_PER_DEG
+    towers = [tower_at(f"t{i}", 0.0, (i - 1) * spacing, height=400.0) for i in range(3)]
+    hg = los.build_hop_graph(towers, terr, LosParams(max_range_km=100.0))
+    assert len(hg.hops) == 2
+    same = los.HopGraph(dict(hg.towers), hg.hops.copy())
+    assert same == hg and not same != hg
+    longer = hg.hops.copy()
+    longer["km"][0] += 1e-9
+    assert los.HopGraph(hg.towers, longer) != hg
+    assert los.HopGraph(hg.towers, hg.hops[:1]) != hg
+    zeros = np.zeros(2, los.HOP_DTYPE)
+    assert los.HopGraph({}, zeros) == los.HopGraph({}, zeros.copy())
+    assert los.HopGraph({"t0": towers[0]}, hg.hops) != hg
+    assert hg != (hg.towers, hg.hops)
+
+
 def test_build_hop_graph_matches_bruteforce():
     rng = np.random.default_rng(33)
     terr = flat_terrain()
