@@ -337,7 +337,7 @@ def _load_instance_and_design(cfg):
     inp = designer.load_design_input(cfg["instance_json"])
     doc = designer.load_design(cfg["design_json"])
     built = designer.built_links_from_design_doc(doc)
-    return inp, designer.evaluate_design(inp, built)
+    return inp, designer.evaluate_design(designer.HybridEvaluator(inp), built)
 
 
 def cmd_augment(cfg, args) -> int:

@@ -7,15 +7,21 @@ their tower count. The solver pipeline is: provably-safe elimination of
 fiber-dominated candidates, exact branch-and-bound when the candidate
 pool is small, and otherwise greedy candidate generation under an
 inflated budget followed by local improvement.
+
+Every step takes one shared `HybridEvaluator` first and reads the
+instance as `ev.inp`: `eliminate_dominated(ev)`, `greedy_candidates(ev,
+pool)`, `solve_exact(ev, candidates)` and `evaluate_design(ev,
+built_links)` take and return site pairs, while the searches behind them
+work on link indices (`ev.link[pair]`). `solve_heuristic(inp)` builds the
+evaluator once and runs the steps on it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +35,8 @@ from .los import HopGraph
 from .traffic import Pair, TrafficMatrix, pair_key
 
 EXACT_CANDIDATE_GUARD = 25
+# greedy_candidates runs until its links cost this multiple of the budget.
+GREEDY_INFLATION = 2.0
 _REL_TOL = 1e-9
 
 
@@ -125,14 +133,15 @@ class NetworkDesign:
 class HybridEvaluator:
     """Pure scorer of link sets; matrices follow inp.site_ids.
 
-    Available MW link k (`link[pair]`, its index in sorted(inp.mw_km))
-    owns the entries (i, j) and (j, i) of a weight matrix, flat positions
-    `_at[k]`: `_mw[k]` when built (MW only when strictly shorter than fiber;
-    a tie stays fiber, as in eliminate_dominated), else its fiber weight
-    `_fib[k]`. No two links share an entry, so the searches derive a set's
-    matrix from a neighbouring set's by rewriting the entries of the links
-    that differ (`with_links`, `move_stack`), bitwise the matrix `graph_for`
-    builds.
+    Available MW link k (`links[k]`, `link[pair]`: sorted(inp.mw_km) order,
+    so link order is sorted pair order) owns the entries (i, j) and (j, i)
+    of a weight matrix, flat positions `_at[k]`: `_mw[k]` when built (MW
+    only when strictly shorter than fiber; a tie stays fiber, as in
+    eliminate_dominated), else its fiber weight `_fib[k]`. It costs
+    `cost[k]` towers. No two links share an entry, so the searches derive a
+    set's matrix from a neighbouring set's by rewriting the entries of the
+    links that differ (`with_links`, `move_stack`), bitwise the matrix
+    `graph_for` builds.
     Everything is scored by `score`, and the value of a matrix does not
     depend on the others in its kernel call. So a search may hold a matrix
     back and score it in a later call it makes anyway (branch-and-bound's
@@ -149,13 +158,14 @@ class HybridEvaluator:
         self._demand_at = np.array([self.index[a] * n + self.index[b] for (a, b), _ in demands],
                                    dtype=np.intp)
         self._coef = np.array([h / inp.geodesic[pair] for pair, h in demands])
-        links = sorted(inp.mw_km)
-        self.link = {pair: k for k, pair in enumerate(links)}
-        i = np.array([self.index[a] for a, _ in links], dtype=np.intp)
-        j = np.array([self.index[b] for _, b in links], dtype=np.intp)
+        self.links = sorted(inp.mw_km)
+        self.link = {pair: k for k, pair in enumerate(self.links)}
+        self.cost = np.array([inp.mw_cost[p] for p in self.links])
+        i = np.array([self.index[a] for a, _ in self.links], dtype=np.intp)
+        j = np.array([self.index[b] for _, b in self.links], dtype=np.intp)
         self._at = np.stack([i * n + j, j * n + i], axis=1)
         self._fib = self.fiber[i, j]
-        m = np.array([inp.mw_km[p] for p in links])
+        m = np.array([inp.mw_km[p] for p in self.links])
         self._mw = np.where(m < self._fib, m, self._fib)
         # The same per link as Python scalars, for writes into one matrix.
         self._cells = list(zip(i.tolist(), j.tolist(), self._mw.tolist(), self._fib.tolist()))
@@ -222,16 +232,7 @@ class HybridEvaluator:
                 out.append(total if math.isfinite(total) else math.inf)
         return out
 
-    def objectives(self, sets: Iterable[frozenset]) -> list[float]:
-        """Objective of each built-link set, in order (see `score`). Sets are
-        pulled one kernel batch at a time, never held whole."""
-        it = iter(sets)
-        out: list[float] = []
-        while batch := list(itertools.islice(it, self._step())):
-            out += self.score(np.array([self.graph_for(s) for s in batch]))
-        return out
-
-    def objective(self, built: frozenset) -> float:
+    def objective(self, built: Iterable[Pair]) -> float:
         """Objective of one built-link set (see `score`)."""
         return self.score(self.graph_for(built)[None])[0]
 
@@ -251,15 +252,13 @@ def objective(inp: DesignInput, design: NetworkDesign) -> float:
     return total
 
 
-def fiber_shortest_lengths(inp: DesignInput) -> dict[Pair, float]:
-    """Shortest fiber-only latency-equivalent km per connected site pair."""
-    ids = inp.site_ids
-    dist = distance_matrix(weight_matrix(ids, inp.fiber_km_eq)).tolist()
-    return {(s, t): dist[i][j] for i, s in enumerate(ids)
-            for j, t in enumerate(ids) if i < j and math.isfinite(dist[i][j])}
+def _first_best(vals: Sequence[float], current: float) -> int | None:
+    """Index of the first least of `vals` when it is below `current`."""
+    best = min(range(len(vals)), key=vals.__getitem__, default=None)
+    return best if best is not None and vals[best] < current else None
 
 
-def eliminate_dominated(inp: DesignInput) -> list[Pair]:
+def eliminate_dominated(ev: HybridEvaluator) -> list[Pair]:
     """Candidate MW links that can carry some flow in an optimal design.
 
     A link whose MW length is at least the best fiber path between its
@@ -267,63 +266,43 @@ def eliminate_dominated(inp: DesignInput) -> list[Pair]:
     without increasing any path length, so dropping it preserves the
     optimum while saving budget.
     """
-    fiber = fiber_shortest_lengths(inp)
-    keep = []
-    for pair in sorted(inp.mw_km):
-        best_fiber = fiber.get(pair, math.inf)
-        if inp.mw_km[pair] < best_fiber:
-            keep.append(pair)
-    return keep
+    fiber = distance_matrix(ev.fiber).ravel()[ev._at[:, 0]].tolist()
+    return [p for p, best in zip(ev.links, fiber) if ev.inp.mw_km[p] < best]
 
 
-def greedy_candidates(inp: DesignInput, inflation: float = 2.0) -> list[Pair]:
-    """Greedy candidate links under an inflated budget.
+def greedy_candidates(ev: HybridEvaluator, pool: Sequence[Pair]) -> list[Pair]:
+    """Greedy candidate links from `pool` under an inflated budget.
 
     Repeatedly adds the single link whose addition lowers the objective
-    the most (ties to the lexicographically smallest pair) while the cost
-    so far is below inflation x budget; the terminating addition may
+    the most (ties to the earliest in `pool`) while the cost so far is
+    below GREEDY_INFLATION x budget; the terminating addition may
     overshoot the inflated budget, which is fine because the final solver
     enforces the real one. Stops early when no addition strictly
     improves. The add order does not depend on the budget, so candidate
-    lists for nested budgets are nested prefixes.
+    lists for nested budgets are nested prefixes. Each round scores one
+    move stack: the chosen set's matrix with each remaining link built in
+    turn.
     """
-    if inflation < 1.0:
-        raise ValueError("inflation must be >= 1")
-    return _greedy(inp, HybridEvaluator(inp), eliminate_dominated(inp), inflation)
-
-
-def _greedy(inp: DesignInput, ev: HybridEvaluator, pool: Sequence[Pair],
-            inflation: float) -> list[Pair]:
-    """greedy_candidates over the caller's evaluator and dominance-free pool.
-    Each round scores one move stack: the chosen set's matrix with each
-    remaining link built in turn."""
-    links = np.array([ev.link[p] for p in pool], dtype=np.intp)
-    rest = list(range(len(pool)))
+    rest = np.array([ev.link[p] for p in pool], dtype=np.intp)
     chosen: list[Pair] = []
     base = ev.fiber
     cost = 0.0
-    cap = inflation * inp.budget
-    current = ev.objective(frozenset())
-    while cost < cap:
-        vals = ev.move_objectives(base, links[rest])
-        best = None
-        best_val = current
-        for r, val in zip(rest, vals):
-            if val < best_val:
-                best_val = val
-                best = r
+    current = ev.objective(())
+    while cost < GREEDY_INFLATION * ev.inp.budget:
+        vals = ev.move_objectives(base, rest)
+        best = _first_best(vals, current)
         if best is None:
             break
-        chosen.append(pool[best])
-        rest.remove(best)
-        base = ev.with_links(base, built=[links[best]])
-        cost += inp.mw_cost[pool[best]]
-        current = best_val
+        k = rest[best]
+        chosen.append(ev.links[k])
+        rest = np.delete(rest, best)
+        base = ev.with_links(base, built=[k])
+        cost += ev.cost[k]
+        current = vals[best]
     return chosen
 
 
-def _branch_and_bound(inp: DesignInput, cands: Sequence[Pair],
-                      ev: HybridEvaluator) -> frozenset:
+def _branch_and_bound(ev: HybridEvaluator, cands: Sequence[Pair]) -> frozenset:
     """Best subset of the sorted, distinct `cands` under the budget (see
     solve_exact).
 
@@ -337,8 +316,9 @@ def _branch_and_bound(inp: DesignInput, cands: Sequence[Pair],
     once, as when it was scored beside its include sibling: deferring adds
     no rows and changes no value, only the number of calls.
     """
-    costs = [inp.mw_cost[p] for p in cands]
+    budget = ev.inp.budget
     link = [ev.link[p] for p in cands]
+    costs = ev.cost[link].tolist()
     # A node's bound is a list: [value] once scored, [] while its matrix
     # waits here.
     pending: list[tuple[np.ndarray, list[float]]] = []
@@ -355,7 +335,7 @@ def _branch_and_bound(inp: DesignInput, cands: Sequence[Pair],
         # Undecided links that still fit on their own, by the include
         # branch's own test; cost only grows deeper, so no other link
         # can join any completion of this node.
-        return [k for k in undecided if cost + costs[k] <= inp.budget]
+        return [k for k in undecided if cost + costs[k] <= budget]
 
     def dfs(chosen: tuple[int, ...], cost: float, free: list[int], w: np.ndarray,
             bound: list[float]) -> None:
@@ -367,7 +347,7 @@ def _branch_and_bound(inp: DesignInput, cands: Sequence[Pair],
         fill = cost
         for k in free:
             fill += costs[k]
-        if fill <= inp.budget:
+        if fill <= budget:
             best, best_val = chosen + tuple(free), bound[0]
             return
         k, rest = free[0], free[1:]
@@ -383,7 +363,7 @@ def _branch_and_bound(inp: DesignInput, cands: Sequence[Pair],
         dfs(chosen, cost, rest, exc_w, exc_bound)
 
     best: tuple[int, ...] = ()
-    best_val = ev.objective(frozenset())
+    best_val = ev.objective(())
     free = fits(0.0, range(len(cands)))
     if free:  # else the root's bound set is the empty incumbent
         root = ev.with_links(ev.fiber, built=[link[k] for k in free])
@@ -391,7 +371,7 @@ def _branch_and_bound(inp: DesignInput, cands: Sequence[Pair],
     return frozenset(cands[k] for k in best)
 
 
-def solve_exact(inp: DesignInput, candidates: Sequence[Pair]) -> NetworkDesign:
+def solve_exact(ev: HybridEvaluator, candidates: Sequence[Pair]) -> NetworkDesign:
     """Optimal candidate subset under the budget by branch-and-bound.
 
     The DFS decides candidates in sorted order, including a link before
@@ -412,71 +392,63 @@ def solve_exact(inp: DesignInput, candidates: Sequence[Pair]) -> NetworkDesign:
     Refuses more than EXACT_CANDIDATE_GUARD candidates; callers fall back
     to solve_heuristic's greedy path.
     """
-    return _solve_exact(inp, candidates, HybridEvaluator(inp))
-
-
-def _solve_exact(inp: DesignInput, candidates: Sequence[Pair],
-                 ev: HybridEvaluator) -> NetworkDesign:
     cands = sorted(set(candidates))
     if len(cands) > EXACT_CANDIDATE_GUARD:
         raise ExactGuardExceeded(
             f"{len(cands)} candidates exceed the exact-search guard "
             f"({EXACT_CANDIDATE_GUARD})")
     for pair in cands:
-        if pair not in inp.mw_km:
+        if pair not in ev.link:
             raise ValueError(f"candidate {pair} is not an available MW link")
-    return _evaluate_design(inp, sorted(_branch_and_bound(inp, cands, ev)), ev)
+    return evaluate_design(ev, sorted(_branch_and_bound(ev, cands)))
 
 
-def _local_improve(inp: DesignInput, ev: HybridEvaluator, built: set[Pair],
-                   pool: Sequence[Pair], max_moves: int = 1000) -> set[Pair]:
+def _local_improve(ev: HybridEvaluator, built: Collection[Pair], pool: Sequence[Pair],
+                   max_moves: int = 1000) -> set[Pair]:
     """Local improvement to a first local optimum, bounded at `max_moves`.
 
     Moves are single additions within remaining budget (links are free
     capacity-wise, so an improving add is always safe) and single swaps
     (remove one built, add one unbuilt) that respect the budget. Each
     iteration scores one move stack off the current set's matrix and takes
-    the first strictly best move, adds before swaps. Swaps removing the link
+    the first strictly best move: adds in pool order, then swaps by removed
+    link ascending and added link in pool order. Swaps removing the link
     the previous move added are skipped: each such set is the previous base
     or one of its moves, already scored at or above the value now current,
-    so none wins.
+    so none wins. The moves are two link-index arrays of equal length; an
+    add resets the added link itself before building it (see move_stack).
     """
-    built = set(built)
-    cost = sum(inp.mw_cost[p] for p in built)
+    budget = ev.inp.budget
+    current = ev.objective(built)
     base = ev.graph_for(built)
-    current = ev.objective(frozenset(built))
-    last = None
+    pool = np.array([ev.link[p] for p in pool], dtype=np.intp)
+    is_built = np.zeros(len(ev.links), dtype=bool)
+    is_built[[ev.link[p] for p in built]] = True
+    cost = ev.cost[is_built].sum()
+    last = -1
     for _ in range(max_moves):
-        unbuilt = [p for p in pool if p not in built]
-        moves: list[tuple[Pair | None, Pair]] = [
-            (None, added) for added in unbuilt
-            if cost + inp.mw_cost[added] <= inp.budget]
-        moves += [(removed, added) for removed in sorted(built - {last}) for added in unbuilt
-                  if cost - inp.mw_cost[removed] + inp.mw_cost[added] <= inp.budget]
-        # An add is the move (None, added); its row resets the added link
-        # itself before building it (see move_stack).
-        vals = ev.move_objectives(
-            base, np.array([ev.link[added] for _, added in moves], dtype=np.intp),
-            np.array([ev.link[added if removed is None else removed]
-                      for removed, added in moves], dtype=np.intp))
-        best_move: tuple[Pair | None, Pair] | None = None
-        best_val = current
-        for move, val in zip(moves, vals):
-            if val < best_val:
-                best_val = val
-                best_move = move
-        if best_move is None:
+        unbuilt = pool[~is_built[pool]]
+        adds = unbuilt[cost + ev.cost[unbuilt] <= budget]
+        removable = np.flatnonzero(is_built)
+        removable = removable[removable != last]
+        removed = np.repeat(removable, len(unbuilt))
+        added = np.tile(unbuilt, len(removable))
+        fits = cost - ev.cost[removed] + ev.cost[added] <= budget
+        removed = np.concatenate([adds, removed[fits]])
+        added = np.concatenate([adds, added[fits]])
+        vals = ev.move_objectives(base, added, removed)
+        best = _first_best(vals, current)
+        if best is None:
             break
-        removed, added = best_move
-        if removed is not None:
-            built.remove(removed)
-            cost -= inp.mw_cost[removed]
-        built.add(added)
-        cost += inp.mw_cost[added]
-        base = ev.graph_for(built)
-        current = best_val
-        last = added
-    return built
+        r, a = removed[best], added[best]
+        if r != a:
+            is_built[r] = False
+            cost -= ev.cost[r]
+        is_built[a] = True
+        cost += ev.cost[a]
+        base = ev.with_links(base, built=[a], dropped=[r])
+        current, last = vals[best], a
+    return {ev.links[k] for k in np.flatnonzero(is_built)}
 
 
 def solve_heuristic(inp: DesignInput) -> NetworkDesign:
@@ -485,46 +457,40 @@ def solve_heuristic(inp: DesignInput) -> NetworkDesign:
     Dominated candidates are eliminated first (optimality-preserving).
     When the surviving pool fits the exact-search guard the answer is the
     true optimum over it. Larger instances go through greedy candidate
-    generation at 2x budget, exact search over those candidates when they
-    fit the guard (else greedy selection trimmed to budget), and a local
-    improvement pass over the full pool, which recovers cheap
-    complementary links the greedy cutoff can miss. One pool and one
-    evaluator serve every stage.
+    generation at GREEDY_INFLATION x budget, exact search over those
+    candidates when they fit the guard (else greedy selection trimmed to
+    budget), and a local improvement pass over the full pool, which
+    recovers cheap complementary links the greedy cutoff can miss. One
+    pool and one evaluator serve every step.
     """
-    pool = eliminate_dominated(inp)
     ev = HybridEvaluator(inp)
+    pool = eliminate_dominated(ev)
     if len(pool) <= EXACT_CANDIDATE_GUARD:
-        return _solve_exact(inp, pool, ev)
-    cands = _greedy(inp, ev, pool, 2.0)
+        return solve_exact(ev, pool)
+    cands = greedy_candidates(ev, pool)
     if len(cands) <= EXACT_CANDIDATE_GUARD:
-        built = set(_branch_and_bound(inp, sorted(cands), ev))
+        built = _branch_and_bound(ev, sorted(cands))
     else:
         # Walk the greedy order, keeping every link that still fits.
-        built = set()
-        cost = 0.0
+        built, cost = [], 0.0
         for pair in cands:
             if cost + inp.mw_cost[pair] <= inp.budget:
-                built.add(pair)
+                built.append(pair)
                 cost += inp.mw_cost[pair]
-    built = _local_improve(inp, ev, built, pool)
-    return _evaluate_design(inp, sorted(built), ev)
+    return evaluate_design(ev, sorted(_local_improve(ev, built, pool)))
 
 
-def evaluate_design(inp: DesignInput, built_links: Sequence[Pair]) -> NetworkDesign:
+def evaluate_design(ev: HybridEvaluator, built_links: Sequence[Pair]) -> NetworkDesign:
     """Route every site pair over built MW plus all fiber links and
     summarize traffic-weighted stretch.
 
     Raises InfeasibleDesignError when any site pair is unreachable and
     ValueError when the built set exceeds the budget.
     """
-    return _evaluate_design(inp, built_links, HybridEvaluator(inp))
-
-
-def _evaluate_design(inp: DesignInput, built_links: Sequence[Pair],
-                     ev: HybridEvaluator) -> NetworkDesign:
+    inp = ev.inp
     built = sorted(set(pair_key(*p) for p in built_links))
     for pair in built:
-        if pair not in inp.mw_km:
+        if pair not in ev.link:
             raise ValueError(f"built link {pair} is not an available MW link")
     towers = sum(inp.mw_cost[p] for p in built)
     if towers > inp.budget + 1e-9:
@@ -536,15 +502,17 @@ def _evaluate_design(inp: DesignInput, built_links: Sequence[Pair],
     if np.isinf(dist).any():
         i, j = np.argwhere(np.isinf(dist))[0]  # row-major, so i < j
         raise InfeasibleDesignError(f"pair ({ids[i]}, {ids[j]}) cannot be routed")
+    # Python lists, read once per call: the per-edge and per-pair reads
+    # below then cost no numpy scalar each.
+    is_mw = (w < ev.fiber).tolist()
+    km = dist.tolist()
     pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
     routes: dict[Pair, PairRoute] = {}
     for (i, j), walk in zip(pairs, next_hop_walks(w, dist, pairs)):
         a, b = ids[i], ids[j]
-        media = tuple("mw" if w[u, v] < ev.fiber[u, v] else "fiber"
-                      for u, v in zip(walk, walk[1:]))
-        km = float(dist[i, j])
-        routes[(a, b)] = PairRoute(tuple(ids[u] for u in walk), media, km,
-                                   km / inp.geodesic[(a, b)])
+        media = tuple("mw" if is_mw[u][v] else "fiber" for u, v in zip(walk, walk[1:]))
+        routes[(a, b)] = PairRoute(tuple(ids[u] for u in walk), media, km[i][j],
+                                   km[i][j] / inp.geodesic[(a, b)])
     stats = stretch_stats({p: r.stretch for p, r in routes.items()}, inp.traffic)
     return NetworkDesign(tuple(built), routes, stats, towers, inp.budget)
 

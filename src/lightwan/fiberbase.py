@@ -177,10 +177,14 @@ def pair_stretches(g: FiberGraph, sites: Sequence[str],
             if d == 0:
                 raise ValueError(f"coincident sites ({s}, {t}): stretch undefined")
             out[(s, t)] = km * model.fiber_slowdown / d
+    _warn_cut(cut)
+    return out, len(cut)
+
+
+def _warn_cut(cut: list[Pair]) -> None:
     if cut:
         logger.warning("%d site pairs disconnected in fiber graph, first (%s, %s)",
                        len(cut), *cut[0])
-    return out, len(cut)
 
 
 def fiber_stretch_stats(g: FiberGraph, sites: Sequence[str],
@@ -211,7 +215,11 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
     back as a single step. Connectivity is never broken because bridge
     links are exempt. Each round scores its trial removals with stacked
     `distance_matrix` calls; a trial's mean sums, in sorted pair order,
-    the same terms as `stretch_stats(pair_stretches(trial)).mean`.
+    the same terms as `stretch_stats(pair_stretches(trial)).mean`. A
+    step's statistics come from its chosen trial's per-pair stretches: the
+    same node order and weight matrix as `fiber_stretch_stats` of the
+    pruned graph, so the same floats, and no second solve. The first step
+    is that reference itself.
     """
     work = g.copy()
     steps = [PruneStep(work.copy(), fiber_stretch_stats(work, sites, weights, model),
@@ -232,7 +240,8 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
         if not candidates:
             break
         base = weight_matrix(nodes, work.links)
-        means: list[float] = []
+        # The first least mean wins; its trial's stretches become the step's.
+        best_mean, best_key, best_trial = math.inf, None, None
         for start in range(0, len(candidates), step):
             batch = candidates[start:start + step]
             trials = np.repeat(base[None], len(batch), axis=0)
@@ -240,12 +249,17 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
                 trials[t, index[a], index[b]] = trials[t, index[b], index[a]] = math.inf
             km = distance_matrix(trials)[:, rows, cols]
             connected = np.isfinite(km)
-            terms = np.where(connected, km, 0.0) * model.fiber_slowdown / geo_km * wts
-            for up, row in zip(connected, terms):
-                means.append(sum(row[up].tolist()) / sum(wts[up].tolist()))
-        best_key = candidates[means.index(min(means))]
+            stretch = np.where(connected, km, 0.0) * model.fiber_slowdown / geo_km
+            for key, up, row, terms in zip(batch, connected, stretch, stretch * wts):
+                mean = sum(terms[up].tolist()) / sum(wts[up].tolist())
+                if best_key is None or mean < best_mean:
+                    best_mean, best_key, best_trial = mean, key, (up, row)
         work.remove_link(*best_key)
-        steps.append(PruneStep(work.copy(), fiber_stretch_stats(work, sites, weights, model),
+        up, row = best_trial
+        cut = [p for p, u in zip(pairs, up.tolist()) if not u]
+        _warn_cut(cut)
+        per_pair = {p: s for p, u, s in zip(pairs, up.tolist(), row.tolist()) if u}
+        steps.append(PruneStep(work.copy(), stretch_stats(per_pair, weights, len(cut)),
                                len(work.links), best_key, work.total_fiber_km()))
     return steps
 

@@ -22,7 +22,7 @@ from test_designer import (  # noqa: E402
 )
 
 from lightwan import capacity, designer, fiberbase, graphcore, los, simnet, weather
-from lightwan.designer import evaluate_design, solve_heuristic
+from lightwan.designer import HybridEvaluator, evaluate_design, solve_heuristic
 from lightwan.fiberbase import FiberEndpoint, FiberGraph, LeaseCostModel
 from lightwan.geo import GeoPoint
 from lightwan.traffic import TrafficMatrix, pair_key
@@ -77,7 +77,7 @@ def test_criterion_3_budget_monotonicity():
     for budget in budgets:
         means.append(solve_heuristic(ladder_instance(budget)).stats.mean)
     monotone = all(later <= earlier + 1e-9 for earlier, later in zip(means, means[1:]))
-    fiber_only = evaluate_design(ladder_instance(0), []).stats.mean
+    fiber_only = evaluate_design(HybridEvaluator(ladder_instance(0)), []).stats.mean
     zero_matches = means[0] == fiber_only
     elapsed = time.time() - t0
     report(3, monotone and zero_matches and elapsed < 120.0,
@@ -166,7 +166,7 @@ def test_criterion_7_weather_extremes():
     report0 = weather.reroute_and_stats(inp, design, [("t", set())])
     base_ok = all(report0.intervals[0].per_pair_stretch[p] == r.stretch
                   for p, r in design.routes.items())
-    fiber_only = evaluate_design(inp, [])
+    fiber_only = evaluate_design(HybridEvaluator(inp), [])
     report_all = weather.reroute_and_stats(
         inp, design, [("t", set(design.built_links))])
     fiber_ok = all(report_all.intervals[0].per_pair_stretch[p] == r.stretch

@@ -62,7 +62,7 @@ def two_site_design(mw_len=100.0, with_fiber=True):
     o = {("aa", "bb"): 1.6 * d[("aa", "bb")]} if with_fiber else {}
     inp = designer.DesignInput(sites, TrafficMatrix({("aa", "bb"): 1.0}), d, m,
                                {("aa", "bb"): 2.0}, o, budget=5.0)
-    return inp, designer.evaluate_design(inp, [("aa", "bb")])
+    return inp, designer.evaluate_design(designer.HybridEvaluator(inp), [("aa", "bb")])
 
 
 def test_route_demand_zero_aggregate():

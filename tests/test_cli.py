@@ -154,7 +154,7 @@ def test_design_budget_zero_is_fiber_only(pipeline):
     assert float(rows[0]["towers_used"]) == 0.0
     inp = designer.load_design_input(
         os.path.join(pipeline["design_dir"], "instance_B0.json"))
-    fiber_only = designer.evaluate_design(inp, [])
+    fiber_only = designer.evaluate_design(designer.HybridEvaluator(inp), [])
     assert float(rows[0]["mean"]) == pytest.approx(fiber_only.stats.mean, rel=1e-12)
 
 
@@ -248,7 +248,7 @@ def test_weather_raster_directory_mode(pipeline, tmp_path):
     doc = designer.load_design(pipeline["design"])
     baseline = {f"{r['src']}|{r['dst']}": r["stretch"] for r in doc["per_pair"]}
     inp = designer.load_design_input(pipeline["instance"])
-    fiber_only = designer.evaluate_design(inp, [])
+    fiber_only = designer.evaluate_design(designer.HybridEvaluator(inp), [])
     fiber = {f"{a}|{b}": repr(r.stretch) for (a, b), r in fiber_only.routes.items()}
     for row in rows:
         if row["timestamp"] == "2015-08-01T00:00":
@@ -488,7 +488,7 @@ def test_exit_code_names_file_and_line_of_a_short_row(pipeline, tmp_path, capsys
 def test_weather_reroutes_once_per_failure_set_on_demo(pipeline, monkeypatch):
     inp = designer.load_design_input(pipeline["instance"])
     built = designer.built_links_from_design_doc(designer.load_design(pipeline["design"]))
-    design = designer.evaluate_design(inp, built)
+    design = designer.evaluate_design(designer.HybridEvaluator(inp), built)
     coords = {s.id: s.location for s in inp.sites}
     coords.update((t.id, t.location) for t in los.load_towers_csv(os.path.join(DEMO, "towers.csv")))
     field = weather.load_rain_csv(os.path.join(DEMO, "rain.csv"))

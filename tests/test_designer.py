@@ -147,7 +147,7 @@ def assert_design_matches_reference(inp: DesignInput, built) -> set:
     """evaluate_design against reference_evaluate_design: stats, lengths and
     stretches bitwise equal, node sequences by `assert_walk_matches`.
     Returns the pairs whose node sequence changed."""
-    got = evaluate_design(inp, built)
+    got = evaluate_design(HybridEvaluator(inp), built)
     want = reference_evaluate_design(inp, built)
     assert got.stats == want.stats
     assert (got.built_links, got.towers_used) == (want.built_links, want.towers_used)
@@ -207,11 +207,11 @@ def reference_branch_and_bound(inp: DesignInput, cands, ev) -> frozenset:
     return best_set
 
 
-def reference_greedy(inp: DesignInput, ev, inflation=2.0) -> list:
-    pool = eliminate_dominated(inp)
+def reference_greedy(inp: DesignInput, ev) -> list:
+    pool = eliminate_dominated(ev)
     chosen, chosen_set, cost = [], frozenset(), 0.0
     current = ev.objective(chosen_set)
-    while cost < inflation * inp.budget:
+    while cost < 2.0 * inp.budget:
         best_pair, best_val = None, current
         for pair in pool:
             if pair in chosen_set:
@@ -265,7 +265,7 @@ def reference_local_improve(inp: DesignInput, ev, built, pool, max_moves=1000) -
 def reference_heuristic(inp: DesignInput) -> set:
     """Built set of the reference solve_heuristic."""
     ev = HybridEvaluator(inp)
-    pool = eliminate_dominated(inp)
+    pool = eliminate_dominated(ev)
     if len(pool) <= designer.EXACT_CANDIDATE_GUARD:
         return set(reference_branch_and_bound(inp, pool, ev))
     cands = reference_greedy(inp, ev)
@@ -278,6 +278,13 @@ def reference_heuristic(inp: DesignInput) -> set:
                 built.add(pair)
                 cost += inp.mw_cost[pair]
     return reference_local_improve(inp, ev, built, pool)
+
+
+def greedy(inp: DesignInput) -> list:
+    """greedy_candidates over the dominance-free pool, as solve_heuristic
+    runs it."""
+    ev = HybridEvaluator(inp)
+    return greedy_candidates(ev, eliminate_dominated(ev))
 
 
 class MemoEvaluator(HybridEvaluator):
@@ -379,7 +386,7 @@ def test_objective_hand_summed_three_sites():
     c = {("a", "b"): 2.0}
     h = TrafficMatrix({("a", "b"): 0.5, ("a", "c"): 0.3, ("b", "c"): 0.2})
     inp = DesignInput(sites, h, d, m, c, o, budget=10.0)
-    design = evaluate_design(inp, [("a", "b")])
+    design = evaluate_design(HybridEvaluator(inp), [("a", "b")])
     # Routes: a-b direct MW 105; a-c fiber 210; b-c fiber 240.
     expected = 0.5 / 100 * 105 + 0.3 / 120 * 210 + 0.2 / 150 * 240
     assert designer.objective(inp, design) == pytest.approx(expected, rel=1e-12)
@@ -389,7 +396,7 @@ def test_objective_all_mw_geodesic_sums_to_one():
     inp = random_instance(2, n_sites=5, mw_fraction=1.0)
     inp.mw_km = {k: inp.geodesic[k] for k in inp.mw_km}
     inp.budget = sum(inp.mw_cost.values())
-    design = evaluate_design(inp, sorted(inp.mw_km))
+    design = evaluate_design(HybridEvaluator(inp), sorted(inp.mw_km))
     assert designer.objective(inp, design) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -398,7 +405,7 @@ def test_objective_fiber_only_at_exact_slowdown():
     d = {("a", "b"): geodesic_km(sites[0].location, sites[1].location)}
     o = {("a", "b"): 1.5 * d[("a", "b")]}
     inp = DesignInput(sites, TrafficMatrix({("a", "b"): 1.0}), d, {}, {}, o, budget=0.0)
-    design = evaluate_design(inp, [])
+    design = evaluate_design(HybridEvaluator(inp), [])
     assert designer.objective(inp, design) == pytest.approx(1.5, rel=1e-12)
 
 
@@ -414,7 +421,7 @@ def test_objective_raises_on_unrouted_pair():
     d = {("a", "b"): 111.0}
     inp = DesignInput(sites, TrafficMatrix({("a", "b"): 1.0}), d, {}, {}, {}, budget=0.0)
     with pytest.raises(designer.InfeasibleDesignError, match=r"pair \(a, b\) cannot be routed"):
-        evaluate_design(inp, [])
+        evaluate_design(HybridEvaluator(inp), [])
 
 
 def test_input_validation():
@@ -437,10 +444,10 @@ def test_input_validation():
 def test_eliminate_dominated_simple_cases():
     inp = random_instance(4, n_sites=5, mw_fraction=1.0)
     # Make one MW link twice its own fiber path: dominated.
-    fiber = designer.fiber_shortest_lengths(inp)
+    fiber = fw_pair_lengths(inp, [])
     victim = sorted(inp.mw_km)[0]
     inp.mw_km[victim] = 2.0 * fiber[victim]
-    keep = eliminate_dominated(inp)
+    keep = eliminate_dominated(HybridEvaluator(inp))
     assert victim not in keep
     # All links strictly under their fiber alternative survive.
     for pair in inp.mw_km:
@@ -452,14 +459,14 @@ def test_eliminate_dominated_preserves_exact_optimum():
     for seed in range(8):
         inp = random_instance(seed, n_sites=6, mw_fraction=0.5)
         full_val, _ = exhaustive_optimum(inp)
-        reduced_val, _ = exhaustive_optimum(inp, pool=eliminate_dominated(inp))
+        reduced_val, _ = exhaustive_optimum(inp, pool=eliminate_dominated(HybridEvaluator(inp)))
         assert reduced_val == pytest.approx(full_val, rel=1e-12)
 
 
 def test_greedy_budget_zero_empty():
     inp = random_instance(1)
     inp.budget = 0.0
-    assert greedy_candidates(inp, 2.0) == []
+    assert greedy(inp) == []
 
 
 def test_greedy_two_sites_single_link():
@@ -469,12 +476,12 @@ def test_greedy_two_sites_single_link():
     m = {("a", "b"): 1.01 * d[("a", "b")]}
     inp = DesignInput(sites, TrafficMatrix({("a", "b"): 1.0}), d, m,
                       {("a", "b"): 3.0}, o, budget=2.0)
-    assert greedy_candidates(inp, 2.0) == [("a", "b")]  # fits within 2x budget
+    assert greedy(inp) == [("a", "b")]  # fits within 2x budget
     # The terminating addition may overshoot the inflated budget; the exact
     # solver still rejects it under the real one.
     inp2 = DesignInput(sites, TrafficMatrix({("a", "b"): 1.0}), d, m,
                        {("a", "b"): 3.0}, o, budget=1.0)
-    assert greedy_candidates(inp2, 2.0) == [("a", "b")]
+    assert greedy(inp2) == [("a", "b")]
     assert solve_heuristic(inp2).built_links == ()
 
 
@@ -484,7 +491,7 @@ def test_greedy_candidates_contain_exhaustive_optimum():
     for seed in (0, 2, 3, 4):
         inp = random_instance(seed, n_sites=8, mw_fraction=0.35, budget_fraction=0.4)
         _, best_set = exhaustive_optimum(inp)
-        cands = set(greedy_candidates(inp, 2.0))
+        cands = set(greedy(inp))
         assert best_set <= cands, f"seed {seed}: {best_set - cands} missing"
 
 
@@ -494,7 +501,7 @@ def test_greedy_miss_recovered_by_local_improvement():
     # exhaustive optimum.
     inp = random_instance(1, n_sites=8, mw_fraction=0.35, budget_fraction=0.4)
     best_val, best_set = exhaustive_optimum(inp)
-    assert not best_set <= set(greedy_candidates(inp, 2.0))
+    assert not best_set <= set(greedy(inp))
     assert solve_heuristic(inp).stats.mean == pytest.approx(best_val, rel=1e-9)
 
 
@@ -504,24 +511,24 @@ def test_greedy_nested_budgets_give_nested_candidates():
     for budget in np.linspace(0, sum(base.mw_cost.values()), 6):
         inp = random_instance(9, n_sites=7, mw_fraction=0.6)
         inp.budget = float(budget)
-        cands = greedy_candidates(inp, 2.0)
+        cands = greedy(inp)
         assert cands[:len(prev)] == prev
         prev = cands
 
 
 def test_solve_exact_zero_candidates_is_fiber_only():
     inp = random_instance(5)
-    design = solve_exact(inp, [])
+    design = solve_exact(HybridEvaluator(inp), [])
     assert design.built_links == ()
     assert design.stats.mean == pytest.approx(fw_objective(inp, []), rel=1e-12)
 
 
 def test_solve_exact_two_candidates_budget_for_one():
     inp = random_instance(12, n_sites=5, mw_fraction=0.9)
-    cands = eliminate_dominated(inp)[:2]
+    cands = eliminate_dominated(HybridEvaluator(inp))[:2]
     assert len(cands) == 2
     inp.budget = max(inp.mw_cost[c] for c in cands)
-    design = solve_exact(inp, cands)
+    design = solve_exact(HybridEvaluator(inp), cands)
     best_val, best_set = exhaustive_optimum(inp, pool=cands)
     assert design.stats.mean == pytest.approx(best_val, rel=1e-9)
 
@@ -529,8 +536,8 @@ def test_solve_exact_two_candidates_budget_for_one():
 def test_solve_exact_matches_bruteforce_enumeration():
     for seed in range(6):
         inp = random_instance(seed, n_sites=6, mw_fraction=0.5)
-        cands = eliminate_dominated(inp)
-        design = solve_exact(inp, cands)
+        cands = eliminate_dominated(HybridEvaluator(inp))
+        design = solve_exact(HybridEvaluator(inp), cands)
         best_val, _ = exhaustive_optimum(inp, pool=cands)
         assert design.stats.mean == pytest.approx(best_val, rel=1e-9)
         assert design.towers_used <= inp.budget
@@ -540,7 +547,7 @@ def test_solve_exact_guard():
     inp = random_instance(0, n_sites=8, mw_fraction=1.0)
     fake = [pair_key(f"s{i}", f"s{j}") for i in range(8) for j in range(i + 1, 8)]
     with pytest.raises(ExactGuardExceeded):
-        solve_exact(inp, fake[:26])
+        solve_exact(HybridEvaluator(inp), fake[:26])
 
 
 def test_objectives_batch_bitwise_equals_single_calls(monkeypatch):
@@ -555,43 +562,16 @@ def test_objectives_batch_bitwise_equals_single_calls(monkeypatch):
         sets += [frozenset(), sets[3], frozenset(links), sets[3]]
         single = [HybridEvaluator(inp).objective(s).hex() for s in sets]
         assert "inf" in single and any(v != "inf" for v in single)
-        # A small batch cap splits the sets over several kernel calls.
-        monkeypatch.setattr(designer, "_BATCH_ELEMENTS", 3 * len(links) ** 2)
+        # A small batch cap splits the stack over several kernel calls.
+        monkeypatch.setattr(designer, "_BATCH_ELEMENTS", 3 * len(inp.site_ids) ** 2)
         ev = HybridEvaluator(inp)
-        vals, rows = kernel_rows(monkeypatch, ev.objectives, sets)
+        stack = np.array([ev.graph_for(s) for s in sets])
+        state = pickle.dumps(vars(ev))
+        vals, sizes = kernel_calls(monkeypatch, ev.score, stack)
         assert [v.hex() for v in vals] == single
-        assert rows == len(sets)
-        assert [v.hex() for v in ev.objectives(sets[::-1])] == single[::-1]
-
-
-def test_objectives_streams_sets_and_keeps_no_state(monkeypatch):
-    inp = random_instance(2, n_sites=7, mw_fraction=0.7)
-    links = sorted(inp.mw_km)
-    step = 3
-    monkeypatch.setattr(designer, "_BATCH_ELEMENTS", step * len(inp.site_ids) ** 2)
-    pulled = scored = 0
-    kernel = designer.distance_matrix
-
-    def counting(w):
-        nonlocal scored
-        assert pulled <= scored + step  # at most one batch pulled ahead
-        scored += len(w)
-        return kernel(w)
-
-    def prefixes():
-        nonlocal pulled
-        for k in range(len(links) + 1):
-            pulled += 1
-            yield frozenset(links[:k])
-
-    ev = HybridEvaluator(inp)
-    want = [ev.objective(s) for s in prefixes()]
-    pulled = 0
-    state = pickle.dumps(vars(ev))
-    monkeypatch.setattr(designer, "distance_matrix", counting)
-    assert ev.objectives(prefixes()) == want
-    assert scored == pulled == len(links) + 1
-    assert pickle.dumps(vars(ev)) == state
+        assert sum(sizes) == len(sets) and max(sizes) == 3
+        assert [v.hex() for v in ev.score(stack[::-1])] == single[::-1]
+        assert pickle.dumps(vars(ev)) == state
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.45, 0.7])
@@ -599,11 +579,11 @@ def test_branch_and_bound_matches_reference(fraction, monkeypatch):
     for seed in range(30):
         inp = random_instance(seed, n_sites=6 + seed % 2, mw_fraction=0.6,
                               budget_fraction=fraction)
-        pool = eliminate_dominated(inp)
+        pool = eliminate_dominated(HybridEvaluator(inp))
         ref_ev = MemoEvaluator(inp)
-        best, rows = kernel_rows(monkeypatch, designer._branch_and_bound, inp, pool,
-                                 HybridEvaluator(inp))
-        assert solve_exact(inp, pool).built_links == tuple(sorted(best))
+        best, rows = kernel_rows(monkeypatch, designer._branch_and_bound,
+                                 HybridEvaluator(inp), pool)
+        assert solve_exact(HybridEvaluator(inp), pool).built_links == tuple(sorted(best))
         assert best == reference_branch_and_bound(inp, pool, ref_ev)
         assert rows <= len(ref_ev.memo)
 
@@ -614,10 +594,10 @@ def test_greedy_and_local_search_match_reference(fraction):
     # greedy returns more than the guard and its order is trimmed.
     for seed in range(30):
         inp = random_instance(seed, n_sites=10, mw_fraction=0.75, budget_fraction=fraction)
-        pool = eliminate_dominated(inp)
+        pool = eliminate_dominated(HybridEvaluator(inp))
         ev, ref_ev = HybridEvaluator(inp), MemoEvaluator(inp)
-        assert greedy_candidates(inp, 2.0) == reference_greedy(inp, ref_ev)
-        assert (designer._local_improve(inp, ev, set(), pool, max_moves=4)
+        assert greedy(inp) == reference_greedy(inp, ref_ev)
+        assert (designer._local_improve(ev, set(), pool, max_moves=4)
                 == reference_local_improve(inp, ref_ev, set(), pool, max_moves=4))
         if fraction < 0.3 or seed < 10:  # local search over a large built set is slow
             assert set(solve_heuristic(inp).built_links) == reference_heuristic(inp)
@@ -625,11 +605,11 @@ def test_greedy_and_local_search_match_reference(fraction):
 
 def test_solve_exact_no_affordable_candidate_evaluates_once(monkeypatch):
     inp = random_instance(3, n_sites=6, mw_fraction=0.8)
-    pool = eliminate_dominated(inp)
+    pool = eliminate_dominated(HybridEvaluator(inp))
     inp.budget = min(inp.mw_cost[p] for p in pool) - 0.5
-    assert solve_exact(inp, pool).built_links == ()
-    best, rows = kernel_rows(monkeypatch, designer._branch_and_bound, inp, pool,
-                             HybridEvaluator(inp))
+    assert solve_exact(HybridEvaluator(inp), pool).built_links == ()
+    best, rows = kernel_rows(monkeypatch, designer._branch_and_bound,
+                             HybridEvaluator(inp), pool)
     assert (best, rows) == (frozenset(), 1)
 
 
@@ -637,15 +617,15 @@ def test_solve_exact_returns_at_root_when_affordable_links_fit(monkeypatch):
     # The dearest link cannot fit; all the others fit together, so the
     # root's bound set is feasible. The looser reference bound branches.
     inp = random_instance(3, n_sites=6, mw_fraction=0.8)
-    pool = eliminate_dominated(inp)
+    pool = eliminate_dominated(HybridEvaluator(inp))
     dear = pool[0]
     others = pool[1:]
     inp.budget = sum(inp.mw_cost[p] for p in others)
     inp.mw_cost[dear] = inp.budget + 1.0
     ref_ev = MemoEvaluator(inp)
-    assert solve_exact(inp, pool).built_links == tuple(others)
-    best, rows = kernel_rows(monkeypatch, designer._branch_and_bound, inp, pool,
-                             HybridEvaluator(inp))
+    assert solve_exact(HybridEvaluator(inp), pool).built_links == tuple(others)
+    best, rows = kernel_rows(monkeypatch, designer._branch_and_bound,
+                             HybridEvaluator(inp), pool)
     assert (best, rows) == (frozenset(others), 2)
     assert set(others) == reference_branch_and_bound(inp, pool, ref_ev)
     assert len(ref_ev.memo) > 2
@@ -655,13 +635,13 @@ def test_solve_exact_fractional_budget_uses_include_test():
     # 1.1 + 1.2 == 2.3 in floats but 2.3 - 1.1 < 1.2: a fit test written
     # as c <= budget - cost would drop y once x is taken and miss {x, y}.
     inp = random_instance(12, n_sites=5, mw_fraction=0.9)
-    x, z, y = eliminate_dominated(inp)[:3]
+    x, z, y = eliminate_dominated(HybridEvaluator(inp))[:3]
     inp.mw_cost.update({x: 1.1, z: 2.0, y: 1.2})  # z fits only alone
     inp.budget = 2.3
     assert 1.1 + 1.2 <= 2.3 < 1.1 + 2.0 and not 1.2 <= 2.3 - 1.1
     best_val, best_set = exhaustive_optimum(inp, pool=[x, z, y])
     assert best_set == {x, y}
-    design = solve_exact(inp, [x, z, y])
+    design = solve_exact(HybridEvaluator(inp), [x, z, y])
     assert design.built_links == (x, y)
     assert design.stats.mean == pytest.approx(best_val, rel=1e-12)
 
@@ -699,9 +679,9 @@ BNB_MAX_CALLS = [130, 1628, 123, 279, 1341, 732]
 def test_branch_and_bound_defers_exclude_bounds_without_extra_rows(monkeypatch):
     for seed, (want_rows, max_calls) in enumerate(zip(BNB_ROWS, BNB_MAX_CALLS)):
         inp = random_instance(seed, n_sites=9)
-        pool = eliminate_dominated(inp)
-        best, sizes = kernel_calls(monkeypatch, designer._branch_and_bound, inp, pool,
-                                   HybridEvaluator(inp))
+        pool = eliminate_dominated(HybridEvaluator(inp))
+        best, sizes = kernel_calls(monkeypatch, designer._branch_and_bound,
+                                   HybridEvaluator(inp), pool)
         assert best == reference_branch_and_bound(inp, pool, MemoEvaluator(inp))
         assert sum(sizes) == want_rows, f"seed {seed}"
         assert len(sizes) <= max_calls, f"seed {seed}: {len(sizes)} calls"
@@ -712,30 +692,72 @@ def test_searches_split_kernel_calls_at_the_batch_cap(monkeypatch):
     # bounds and the move stacks are split at it, with the same answers.
     for seed in range(4):
         inp = random_instance(seed, n_sites=9)
-        pool = eliminate_dominated(inp)
-        unsplit = max(kernel_calls(monkeypatch, designer._branch_and_bound, inp, pool,
-                                   HybridEvaluator(inp))[1])
+        pool = eliminate_dominated(HybridEvaluator(inp))
+        unsplit = max(kernel_calls(monkeypatch, designer._branch_and_bound,
+                                   HybridEvaluator(inp), pool)[1])
         monkeypatch.setattr(designer, "_BATCH_ELEMENTS", 3 * len(inp.site_ids) ** 2)
-        best, sizes = kernel_calls(monkeypatch, designer._branch_and_bound, inp, pool,
-                                   HybridEvaluator(inp))
+        best, sizes = kernel_calls(monkeypatch, designer._branch_and_bound,
+                                   HybridEvaluator(inp), pool)
         monkeypatch.undo()
         assert unsplit > 3 and max(sizes) == 3
         assert sum(sizes) == BNB_ROWS[seed]
         assert best == reference_branch_and_bound(inp, pool, MemoEvaluator(inp))
     for seed in range(4):
         inp = random_instance(seed, n_sites=10, mw_fraction=0.75, budget_fraction=0.08)
-        pool = eliminate_dominated(inp)
+        pool = eliminate_dominated(HybridEvaluator(inp))
         ref_ev = MemoEvaluator(inp)
         monkeypatch.setattr(designer, "_BATCH_ELEMENTS", 3 * len(inp.site_ids) ** 2)
         ev = HybridEvaluator(inp)
-        cands, sizes = kernel_calls(monkeypatch, greedy_candidates, inp, 2.0)
+        cands, sizes = kernel_calls(monkeypatch, greedy, inp)
         assert max(sizes) == 3
         assert cands == reference_greedy(inp, ref_ev)
-        built, sizes = kernel_calls(monkeypatch, designer._local_improve, inp, ev,
+        built, sizes = kernel_calls(monkeypatch, designer._local_improve, ev,
                                     set(cands[:2]), pool, 3)
         assert max(sizes) == 3
         assert built == reference_local_improve(inp, ref_ev, set(cands[:2]), pool, 3)
         monkeypatch.undo()
+
+
+class MoveLog(HybridEvaluator):
+    """The evaluator, recording each move stack it scores as (added link
+    indices, removed link indices, values)."""
+
+    def __init__(self, inp: DesignInput) -> None:
+        super().__init__(inp)
+        self.log: list = []
+
+    def move_objectives(self, base, added, removed=None):
+        vals = super().move_objectives(base, added, removed)
+        self.log.append((added.tolist(), removed.tolist(), vals))
+        return vals
+
+
+def test_local_improve_moves_in_reference_order():
+    # Only exact ties read the order, so compare the move lists themselves:
+    # adds in pool order, then swaps by removed pair ascending and added
+    # pair in pool order, never removing the link the last move added.
+    moved = 0
+    for seed in range(6):
+        inp = random_instance(seed, n_sites=10, mw_fraction=0.75, budget_fraction=0.2)
+        ev = MoveLog(inp)
+        pool = eliminate_dominated(ev)[::-1]  # pool order is not pair order
+        start = set(greedy(inp)[:2])
+        got = designer._local_improve(ev, start, pool, max_moves=3)
+        built, last, current = set(start), None, ev.objective(start)
+        for added, removed, vals in ev.log:
+            cost = sum(inp.mw_cost[p] for p in built)
+            unbuilt = [p for p in pool if p not in built]
+            moves = [(a, a) for a in unbuilt if cost + inp.mw_cost[a] <= inp.budget]
+            moves += [(r, a) for r in sorted(built - {last}) for a in unbuilt
+                      if cost - inp.mw_cost[r] + inp.mw_cost[a] <= inp.budget]
+            assert [(ev.links[r], ev.links[a]) for a, r in zip(added, removed)] == moves
+            if not vals or min(vals) >= current:
+                break
+            (r, last), current = moves[vals.index(min(vals))], min(vals)
+            built = built - {r} | {last}
+            moved += 1
+        assert got == built
+    assert moved >= 6
 
 
 def test_move_stacks_match_graph_for():
@@ -785,7 +807,7 @@ def test_solve_heuristic_unconstrained_budget_builds_all_useful():
     inp.budget = sum(inp.mw_cost.values())
     design = solve_heuristic(inp)
     lengths = fw_pair_lengths(inp, design.built_links)
-    fiber = designer.fiber_shortest_lengths(inp)
+    fiber = fw_pair_lengths(inp, [])
     for pair in inp.traffic.pairs():
         best = min(fiber.get(pair, math.inf),
                    inp.mw_km.get(pair, math.inf))
@@ -842,7 +864,7 @@ def test_evaluate_design_budget_enforced():
     inp = random_instance(6, n_sites=5, mw_fraction=0.9)
     inp.budget = 0.0
     with pytest.raises(ValueError):
-        evaluate_design(inp, sorted(inp.mw_km)[:1])
+        evaluate_design(HybridEvaluator(inp), sorted(inp.mw_km)[:1])
 
 
 def test_evaluate_design_media_annotation():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -421,3 +422,21 @@ def test_route_fiber_demand_names_pair_at_fault():
             route(g, weights, 40.0)
         with pytest.raises(KeyError, match="unknown site 'aa'"):
             route(g, TrafficMatrix({("e01", "e02"): 1.0, ("aa", "e05"): 2.0}), 40.0)
+
+
+@pytest.mark.parametrize("seed, weighting, island", [
+    (2, "uniform", False), (3, "gravity", False), (4, "uniform", True), (5, "gravity", True)])
+def test_prune_step_stats_equal_a_fresh_summary(seed, weighting, island):
+    # Each step's statistics come from its chosen trial; they must be
+    # those of a full summary of the pruned graph, float for float.
+    g, sites = random_conduits(seed, island=island)
+    weights = None if weighting == "uniform" else gravity_like(np.random.default_rng(seed), sites)
+    steps = fiberbase.prune_links(g, sites, weights)
+    assert len(steps) > 2
+    for step in steps:
+        want = fiberbase.fiber_stretch_stats(step.graph, sites, weights)
+        for field in dataclasses.fields(want):
+            got, ref = getattr(step.stats, field.name), getattr(want, field.name)
+            assert type(got) is type(ref), field.name
+            assert (got.hex() == ref.hex()) if isinstance(ref, float) else got == ref, field.name
+        assert want.excluded_pairs == (20 if island else 0)

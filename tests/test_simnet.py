@@ -439,7 +439,7 @@ def seeded_cases():
     """24 seeded (instance, topology) cases of 6 to 20 sites."""
     for seed in range(24):
         inp = random_instance(seed, n_sites=6 + seed % 15)
-        design = designer.evaluate_design(inp, affordable_links(inp, seed))
+        design = designer.evaluate_design(designer.HybridEvaluator(inp), affordable_links(inp, seed))
         yield inp, topology_from_design(inp, design)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lightwan import designer, los, weather
-from lightwan.designer import DesignInput, evaluate_design
+from lightwan.designer import DesignInput, HybridEvaluator, evaluate_design
 from lightwan.geo import GeoPoint, Site, geodesic_km
 from lightwan.los import TerrainGrid
 from lightwan.traffic import TrafficMatrix, pair_key
@@ -86,7 +86,7 @@ def hexagon_instance():
         tower_paths[key] = (key[0], t1, t2, key[1])
     traffic = TrafficMatrix({(a, b): 1.0 for a, b in d})
     inp = DesignInput(sites, traffic, d, m, c, o, budget=8.0, tower_paths=tower_paths)
-    design = evaluate_design(inp, sorted(m))
+    design = evaluate_design(HybridEvaluator(inp), sorted(m))
     return inp, design, coords
 
 
@@ -165,7 +165,7 @@ def test_reroute_no_failures_equals_baseline_bit_exact():
 
 def test_reroute_all_failed_equals_fiber_only_bit_exact():
     inp, design, coords = hexagon_instance()
-    fiber_only = evaluate_design(inp, [])
+    fiber_only = evaluate_design(HybridEvaluator(inp), [])
     report = reroute_and_stats(inp, design, [("t0", set(design.built_links))])
     got = report.intervals[0].per_pair_stretch
     for pair, route in fiber_only.routes.items():
@@ -215,7 +215,7 @@ def test_stretch_monotone_under_failure_inclusion():
     rng = np.random.default_rng(4)
     links = list(design.built_links)
     fair = {p: r.stretch for p, r in design.routes.items()}
-    fiber_only = {p: r.stretch for p, r in evaluate_design(inp, []).routes.items()}
+    fiber_only = {p: r.stretch for p, r in evaluate_design(HybridEvaluator(inp), []).routes.items()}
     for _ in range(50):
         size_small = int(rng.integers(0, len(links)))
         small = set(rng.choice(len(links), size=size_small, replace=False))
