@@ -18,7 +18,6 @@ import copy
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -44,34 +43,19 @@ DEFAULT_CONFIG: dict = {
     "site_link_radius_km": 15.0,
     "traffic_model": "gravity",  # gravity | inter_dc | dc_edge | mix
     "mix_ratios": [4.0, 3.0, 3.0],
-    "los": {
-        "f_ghz": 11.0, "k_factor": 1.3, "max_range_km": 100.0,
-        "usable_height_fraction": 1.0, "obstruction_margin_m": 0.0,
-        "sample_step_m": 30.0,
-    },
+    "los": dataclasses.asdict(los.LosParams()),
     "cull": {
         "enabled": False, "min_height_m": 100.0, "grid_cell_deg": 0.5,
         "max_per_cell": 50,
     },
-    "mw_cost": {
-        "link_cost_1gbps": 150000.0, "new_tower": 100000.0, "rent_per_tower_year": 37500.0,
-        "term_years": 5, "per_series_capacity_gbps": 1.0,
-    },
-    "lease_cost": {
-        "price_per_gbps_km_month": 0.25, "equipment_per_site": 10000.0,
-        "colo_per_site_month": 2000.0, "term_months": 60,
-    },
-    "attenuation": {
-        "k_coeff": weather.DEFAULT_K_COEFF, "alpha": weather.DEFAULT_ALPHA,
-        "fail_threshold_db": 30.0,
-    },
+    "mw_cost": dataclasses.asdict(capacity.MwCostModel()),
+    "lease_cost": dataclasses.asdict(fiberbase.LeaseCostModel()),
+    "attenuation": dataclasses.asdict(weather.AttenuationModel()),
     "weather": {"intervals_per_day": 0},  # 0 = use every timestamp
-    "sim": {
-        "packet_bytes": 500, "sim_seconds": 1.0,
-        "queue_capacity_packets": 1000, "routing": "shortest_path",
-        "warmup_fraction": 0.1, "per_flow_hashing": False,
-        "fiber_capacity_gbps": 1000.0, "gammas": [], "loads": [],
-    },
+    # The run-wide aggregate_gbps and seed stay top-level keys.
+    "sim": {**{k: v for k, v in dataclasses.asdict(simnet.SimConfig()).items()
+               if k not in ("aggregate_gbps", "seed")},
+            "fiber_capacity_gbps": 1000.0, "gammas": [], "loads": []},
 }
 
 
@@ -200,29 +184,6 @@ def _load_sites(cfg):
     return cities, dcs
 
 
-def _fiber_pair_lengths(fiber: fiberbase.FiberGraph, sites) -> dict:
-    """Per-pair fiber km: shortest conduit path between the endpoints
-    nearest to each site, plus the site-to-endpoint stub distances (which
-    keeps path lengths at or above the site geodesic)."""
-    nearest = {}
-    stub = {}
-    for site in sites:
-        best = min(fiber.endpoints.values(),
-                   key=lambda ep: (geo.geodesic_km(site.location, ep.location), ep.id))
-        nearest[site.id] = best.id
-        stub[site.id] = geo.geodesic_km(site.location, best.location)
-    index, dist = fiber.distances()
-    out = {}
-    ordered = sorted(sites, key=lambda s: s.id)
-    for i, a in enumerate(ordered):
-        row = dist[index[nearest[a.id]]]
-        for b in ordered[i + 1:]:
-            km = stub[a.id] + row[index[nearest[b.id]]] + stub[b.id]
-            if 0 < km < math.inf:
-                out[pair_key(a.id, b.id)] = km
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -254,9 +215,8 @@ def _assemble_input(cfg, budget: float) -> designer.DesignInput:
         hop_graph = los.build_hop_graph(towers, terrain, _los_params(cfg))
     _require(cfg, "fiber_endpoints_csv", "fiber_conduits_csv")
     fiber = fiberbase.load_fiber_csv(cfg["fiber_conduits_csv"], cfg["fiber_endpoints_csv"])
-    fiber_lengths = _fiber_pair_lengths(fiber, sites)
     return designer.build_design_input(
-        sites, matrix, hop_graph, fiber_lengths, budget,
+        sites, matrix, hop_graph, fiberbase.site_fiber_km(fiber, sites), budget,
         radius_km=cfg["site_link_radius_km"])
 
 
@@ -293,12 +253,11 @@ def cmd_fiber(cfg, args) -> int:
     outdir = _outdir(args)
     _require(cfg, "fiber_endpoints_csv", "fiber_conduits_csv")
     fiber = fiberbase.load_fiber_csv(cfg["fiber_conduits_csv"], cfg["fiber_endpoints_csv"])
-    sites = sorted(fiber.endpoints)
-    populations = {eid: ep.population for eid, ep in fiber.endpoints.items()}
-    weights = None
-    if all(p > 0 for p in populations.values()):
-        weights = TrafficMatrix({pair_key(a, b): populations[a] * populations[b]
-                                 for i, a in enumerate(sites) for b in sites[i + 1:]})
+    endpoints = sorted(fiber.endpoints.values(), key=lambda ep: ep.id)
+    sites = [ep.id for ep in endpoints]
+    # Gravity weighting needs every population; otherwise pairs weigh alike.
+    weights = (traffic.gravity_matrix(endpoints)
+               if all(ep.population > 0 for ep in endpoints) else None)
     demand = weights if weights is not None else TrafficMatrix(
         {pair_key(a, b): 1.0 for i, a in enumerate(sites) for b in sites[i + 1:]})
     model = fiberbase.LeaseCostModel(**cfg["lease_cost"])
@@ -309,12 +268,11 @@ def cmd_fiber(cfg, args) -> int:
         writer.writerow(["links", "mean", "median", "p95", "total_fiber_km",
                          "cost_total_usd"])
         for step in steps:
-            plan = fiberbase.provision_wavelengths(step.graph, sites, demand,
-                                                   cfg["aggregate_gbps"])
+            plan = fiberbase.provision_wavelengths(step.graph, demand, cfg["aggregate_gbps"])
             costs.append(fiberbase.lease_cost(plan, step.graph, model))
-            writer.writerow([step.link_count, repr(step.stats.mean),
+            writer.writerow([len(step.graph.links), repr(step.stats.mean),
                              repr(step.stats.median), repr(step.stats.p95),
-                             repr(step.total_fiber_km), repr(costs[-1].total_usd)])
+                             repr(step.graph.total_fiber_km()), repr(costs[-1].total_usd)])
     # The first step is the unpruned graph: its plan is the baseline's.
     base, cost = steps[0].stats, costs[0]
     _write_json({
@@ -407,12 +365,9 @@ def cmd_simulate(cfg, args) -> int:
                                        fiber_capacity_gbps=sim["fiber_capacity_gbps"],
                                        per_series_capacity_gbps=per_series)
     simnet.save_topology(topo, os.path.join(outdir, "topology.json"))
-    base_cfg = simnet.SimConfig(
-        packet_bytes=sim["packet_bytes"], sim_seconds=sim["sim_seconds"],
-        queue_capacity_packets=sim["queue_capacity_packets"],
-        aggregate_gbps=aggregate, routing=sim["routing"], seed=cfg["seed"],
-        warmup_fraction=sim["warmup_fraction"],
-        per_flow_hashing=sim["per_flow_hashing"])
+    fields = {f.name for f in dataclasses.fields(simnet.SimConfig)}
+    base_cfg = simnet.SimConfig(**{k: v for k, v in sim.items() if k in fields},
+                                aggregate_gbps=aggregate, seed=cfg["seed"])
     if sim["gammas"] and sim["loads"]:
         results = simnet.perturbation_experiment(
             topo, inp.sites, base_cfg, sim["gammas"], sim["loads"],

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, LatencyModel, geodesic_km, read_csv
+from .geo import LatencyModel, Site, geodesic_km, load_sites_csv, read_csv
 from .graphcore import (
     BATCH_ELEMENTS as _BATCH_ELEMENTS, bridges, distance_matrix,
     next_hop_walks, weight_matrix,
@@ -30,24 +30,19 @@ UTILIZATION_CEILING = 0.90
 SECONDS_PER_MONTH = 365.25 / 12.0 * 86400.0
 
 
-@dataclass(frozen=True)
-class FiberEndpoint:
-    id: str
-    location: GeoPoint
-    population: float = 0.0
-
-
 class FiberGraph:
-    """Conduit endpoints and long-haul fiber links with physical lengths."""
+    """Conduit endpoints (sites, kept in insertion order, which is the node
+    order of every fiber matrix) and long-haul fiber links with physical
+    lengths."""
 
     def __init__(self) -> None:
-        self.endpoints: dict[str, FiberEndpoint] = {}
+        self.endpoints: dict[str, Site] = {}
         self.links: dict[Pair, float] = {}
 
-    def add_endpoint(self, ep: FiberEndpoint) -> None:
-        if ep.id in self.endpoints:
-            raise ValueError(f"duplicate endpoint {ep.id!r}")
-        self.endpoints[ep.id] = ep
+    def add_endpoint(self, site: Site) -> None:
+        if site.id in self.endpoints:
+            raise ValueError(f"duplicate endpoint {site.id!r}")
+        self.endpoints[site.id] = site
 
     def add_link(self, a: str, b: str, fiber_km: float) -> None:
         if a not in self.endpoints or b not in self.endpoints:
@@ -83,15 +78,12 @@ class FiberGraph:
 
 
 def load_fiber_csv(conduits_path: str, endpoints_path: str) -> FiberGraph:
-    """Build a FiberGraph from endpoints (id,lat,lon,population) and conduits
+    """Build a FiberGraph from endpoints (a sites file, read by
+    `load_sites_csv`, kept in file order) and conduits
     (endpoint_a,endpoint_b,fiber_km) CSV files."""
     g = FiberGraph()
-
-    def endpoint(eid, lat, lon, pop):
-        pop = float(pop) if pop else 0.0
-        g.add_endpoint(FiberEndpoint(eid, GeoPoint(float(lat), float(lon)), pop))
-
-    read_csv(endpoints_path, "id,lat,lon[,population]", endpoint)
+    for site in load_sites_csv(endpoints_path):
+        g.add_endpoint(site)
     read_csv(conduits_path, "endpoint_a,endpoint_b,fiber_km",
              lambda a, b, km: g.add_link(a, b, float(km)))
     return g
@@ -196,13 +188,34 @@ def fiber_stretch_stats(g: FiberGraph, sites: Sequence[str],
     return stretch_stats(per_pair, weights, excluded)
 
 
+def site_fiber_km(g: FiberGraph, sites: Sequence[Site]) -> dict[Pair, float]:
+    """Per-pair fiber km: shortest conduit path between the endpoints
+    nearest to each site, plus the site-to-endpoint stub distances (which
+    keeps path lengths at or above the site geodesic)."""
+    nearest = {}
+    stub = {}
+    for site in sites:
+        best = min(g.endpoints.values(),
+                   key=lambda ep: (geodesic_km(site.location, ep.location), ep.id))
+        nearest[site.id] = best.id
+        stub[site.id] = geodesic_km(site.location, best.location)
+    index, dist = g.distances()
+    out = {}
+    ordered = sorted(sites, key=lambda s: s.id)
+    for i, a in enumerate(ordered):
+        row = dist[index[nearest[a.id]]]
+        for b in ordered[i + 1:]:
+            km = stub[a.id] + row[index[nearest[b.id]]] + stub[b.id]
+            if 0 < km < math.inf:
+                out[pair_key(a.id, b.id)] = km
+    return out
+
+
 @dataclass(frozen=True)
 class PruneStep:
     graph: FiberGraph
     stats: StretchStats
-    link_count: int
     removed: Pair | None
-    total_fiber_km: float
 
 
 def prune_links(g: FiberGraph, sites: Sequence[str],
@@ -222,8 +235,7 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
     is that reference itself.
     """
     work = g.copy()
-    steps = [PruneStep(work.copy(), fiber_stretch_stats(work, sites, weights, model),
-                       len(work.links), None, work.total_fiber_km())]
+    steps = [PruneStep(work.copy(), fiber_stretch_stats(work, sites, weights, model), None)]
     nodes = list(work.endpoints)
     index = {n: i for i, n in enumerate(nodes)}
     ordered = sorted(set(sites))
@@ -260,7 +272,7 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
         _warn_cut(cut)
         per_pair = {p: s for p, u, s in zip(pairs, up.tolist(), row.tolist()) if u}
         steps.append(PruneStep(work.copy(), stretch_stats(per_pair, weights, len(cut)),
-                               len(work.links), best_key, work.total_fiber_km()))
+                               best_key))
     return steps
 
 
@@ -304,16 +316,19 @@ def _pick_wavelength(demand: float) -> tuple[float, int, bool, bool]:
 def route_fiber_demand(g: FiberGraph, weights: TrafficMatrix,
                        aggregate_gbps: float) -> dict[Pair, float]:
     """Per-link Gbps after placing each pair's demand, in the matrix's sorted
-    pair order, on its shortest fiber path (`next_hop_walks`, endpoints by id)."""
+    pair order, on its shortest fiber path (`next_hop_walks`, endpoints by
+    id). A pair naming no endpoint raises KeyError, a disconnected one
+    ValueError."""
     nodes = sorted(g.endpoints)
     index = {n: i for i, n in enumerate(nodes)}
     w = weight_matrix(nodes, g.links)
     dist = distance_matrix(w)
     demands = weights.scaled(aggregate_gbps)
     for a, b in demands:
-        if a not in index:
-            raise KeyError(f"unknown site {a!r}")
-        if b not in index or math.isinf(dist[index[a], index[b]]):
+        for s in (a, b):
+            if s not in index:
+                raise KeyError(f"unknown site {s!r}")
+        if math.isinf(dist[index[a], index[b]]):
             raise ValueError(f"site pair ({a}, {b}) disconnected in fiber graph")
     loads: dict[Pair, float] = {key: 0.0 for key in g.links}
     walks = next_hop_walks(w, dist, [(index[a], index[b]) for a, b in demands])
@@ -323,17 +338,13 @@ def route_fiber_demand(g: FiberGraph, weights: TrafficMatrix,
     return loads
 
 
-def provision_wavelengths(g: FiberGraph, sites: Sequence[str], weights: TrafficMatrix,
+def provision_wavelengths(g: FiberGraph, weights: TrafficMatrix,
                           aggregate_gbps: float) -> WavelengthPlan:
     """Choose wavelength capacity/count per link for shortest-path routed
     demand. Every link of the topology is leased, including ones the
     routing leaves idle."""
     if aggregate_gbps <= 0:
         raise ValueError("aggregate must be > 0")
-    site_set = set(sites)
-    for a, b in weights.pairs():
-        if a not in site_set or b not in site_set:
-            raise ValueError(f"traffic pair ({a}, {b}) outside the site set")
     loads = route_fiber_demand(g, weights, aggregate_gbps)
     assignments = []
     for key in sorted(g.links):
@@ -370,17 +381,15 @@ class LeaseCostReport:
 
 
 def lease_cost(plan: WavelengthPlan, g: FiberGraph,
-               model: LeaseCostModel = LeaseCostModel(),
-               aggregate_gbps: float | None = None,
-               term_months: int | None = None) -> LeaseCostReport:
-    """Wavelength-lease cost over the term plus per-site equipment/colo.
+               model: LeaseCostModel = LeaseCostModel()) -> LeaseCostReport:
+    """Wavelength-lease cost over the model's term plus per-site
+    equipment/colo.
 
     Sites are the endpoints incident to leased links. Dollars per GB
-    amortize the total over the aggregate input rate running continuously
-    for the term.
+    amortize the total over the plan's aggregate input rate running
+    continuously for the term.
     """
-    months = model.term_months if term_months is None else term_months
-    aggregate = plan.aggregate_gbps if aggregate_gbps is None else aggregate_gbps
+    months, aggregate = model.term_months, plan.aggregate_gbps
     bandwidth = 0.0
     touched: set[str] = set()
     for a in plan.links:

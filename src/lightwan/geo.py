@@ -69,6 +69,11 @@ class Site:
     location: GeoPoint
     population: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.population < math.inf:
+            raise ValueError(f"site {self.id!r}: population {self.population} "
+                             "must be finite and >= 0")
+
 
 def geodesic_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in km (haversine on a sphere of radius 6371 km)."""
@@ -141,12 +146,13 @@ def read_csv(path: str, columns: str, row: Callable) -> list:
 
 
 def load_sites_csv(path: str) -> list[Site]:
-    """Read sites from a CSV with header id,lat,lon,population (population optional)."""
+    """Sites in file order from a CSV with header id,lat,lon,population
+    (population optional, 0 when absent); a repeated id is an error."""
+    seen: set[str] = set()
+
     def site(sid, lat, lon, pop):
-        pop = float(pop) if pop else 0.0
-        return Site(sid, GeoPoint(float(lat), float(lon)), pop)
-    sites = read_csv(path, "id,lat,lon[,population]", site)
-    ids = [s.id for s in sites]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{path}: duplicate site ids")
-    return sites
+        if sid in seen:
+            raise ValueError(f"duplicate site id {sid!r}")
+        seen.add(sid)
+        return Site(sid, GeoPoint(float(lat), float(lon)), float(pop) if pop else 0.0)
+    return read_csv(path, "id,lat,lon[,population]", site)

@@ -22,15 +22,12 @@ from .graphcore import distance_matrix
 from .los import TerrainGrid, _path_samples
 from .traffic import Pair
 
-# ITU-R P.838 power-law coefficients for 11 GHz, horizontal polarization.
-DEFAULT_K_COEFF = 0.01217
-DEFAULT_ALPHA = 1.2571
-
 
 @dataclass(frozen=True)
 class AttenuationModel:
-    k_coeff: float = DEFAULT_K_COEFF
-    alpha: float = DEFAULT_ALPHA
+    # ITU-R P.838 power-law coefficients for 11 GHz, horizontal polarization.
+    k_coeff: float = 0.01217
+    alpha: float = 1.2571
     fail_threshold_db: float = 30.0  # fade margin; no single standard value, tune per deployment
 
     def __post_init__(self) -> None:
@@ -114,20 +111,14 @@ def load_rain_rasters(paths: Mapping[str, str]) -> RasterRainField:
 
 
 def failed_links(design: NetworkDesign, tower_paths: Mapping[Pair, Sequence[str]],
-                 coords: Mapping[str, GeoPoint], field, t: str,
-                 model: AttenuationModel = AttenuationModel()) -> set[Pair]:
-    """MW links whose worst hop exceeds the fade margin at time t.
+                 coords: Mapping[str, GeoPoint], field, times: Sequence[str],
+                 model: AttenuationModel = AttenuationModel()) -> list[set[Pair]]:
+    """Per time of `times`, the MW links whose worst hop exceeds the fade
+    margin; every hop is measured once.
 
     `tower_paths` gives each built link's node chain (sites included) and
     `coords` the positions of every node on those chains.
     """
-    return _failures(design, tower_paths, coords, field, [t], model)[0]
-
-
-def _failures(design: NetworkDesign, tower_paths: Mapping[Pair, Sequence[str]],
-              coords: Mapping[str, GeoPoint], field, times: Sequence[str],
-              model: AttenuationModel) -> list[set[Pair]]:
-    """`failed_links` at each of `times`, measuring every hop once."""
     links = []
     for pair in design.built_links:
         chain = tower_paths.get(pair)
@@ -175,12 +166,13 @@ class WeatherReport:
         return out
 
 
-def stretch_under_failures(inp: DesignInput, design: NetworkDesign,
+def stretch_under_failures(ev: HybridEvaluator, design: NetworkDesign,
                            failed: Iterable[Pair]) -> dict[Pair, float]:
     """Per-pair stretch with the failed MW links removed (fiber always up)."""
     failed_set = set(failed)
     surviving = [p for p in design.built_links if p not in failed_set]
-    dist = distance_matrix(HybridEvaluator(inp).graph_for(surviving)).tolist()
+    dist = distance_matrix(ev.graph_for(surviving)).tolist()
+    inp = ev.inp
     ids = inp.site_ids
     return {(s, t): dist[i][j] / inp.geodesic[(s, t)]
             for i, s in enumerate(ids) for j, t in enumerate(ids) if i < j}
@@ -190,14 +182,15 @@ def reroute_and_stats(inp: DesignInput, design: NetworkDesign,
                       failures_by_interval: Sequence[tuple[str, Iterable[Pair]]]) -> WeatherReport:
     """Recompute shortest routes per interval with failed links removed and
     record per-pair stretch plus traffic-weighted summary statistics. Each
-    distinct failure set is rerouted once: intervals that share it share one
-    (read-only) per-pair dict and one StretchStats."""
+    distinct failure set is rerouted once, all over one evaluator: intervals
+    that share it share one (read-only) per-pair dict and one StretchStats."""
+    ev = HybridEvaluator(inp)
     rerouted: dict[tuple[Pair, ...], tuple[dict[Pair, float], StretchStats]] = {}
     intervals = []
     for t, failed in failures_by_interval:
         failed_tuple = tuple(sorted(set(failed)))
         if failed_tuple not in rerouted:
-            per_pair = stretch_under_failures(inp, design, failed_tuple)
+            per_pair = stretch_under_failures(ev, design, failed_tuple)
             finite = {k: v for k, v in per_pair.items() if math.isfinite(v)}
             if not finite:
                 raise ValueError(f"interval {t}: no connected pairs")
@@ -213,7 +206,7 @@ def analyze(inp: DesignInput, design: NetworkDesign, field,
             timestamps: Sequence[str] | None = None) -> WeatherReport:
     """End-to-end weather run: compute failures per interval, then reroute."""
     times = list(timestamps) if timestamps is not None else field.timestamps()
-    failures = list(zip(times, _failures(design, inp.tower_paths, coords, field, times, model)))
+    failures = list(zip(times, failed_links(design, inp.tower_paths, coords, field, times, model)))
     return reroute_and_stats(inp, design, failures)
 
 

@@ -23,8 +23,8 @@ from test_designer import (  # noqa: E402
 
 from lightwan import capacity, designer, fiberbase, graphcore, los, simnet, weather
 from lightwan.designer import HybridEvaluator, evaluate_design, solve_heuristic
-from lightwan.fiberbase import FiberEndpoint, FiberGraph, LeaseCostModel
-from lightwan.geo import GeoPoint
+from lightwan.fiberbase import FiberGraph, LeaseCostModel
+from lightwan.geo import GeoPoint, Site
 from lightwan.traffic import TrafficMatrix, pair_key
 
 
@@ -94,12 +94,11 @@ def test_criterion_4_augmentation_thresholds():
 
 def test_criterion_5_lease_cost_anchor():
     g = FiberGraph()
-    g.add_endpoint(FiberEndpoint("nyc", GeoPoint(40.7128, -74.0060)))
-    g.add_endpoint(FiberEndpoint("chi", GeoPoint(41.8781, -87.6298)))
+    g.add_endpoint(Site("nyc", GeoPoint(40.7128, -74.0060)))
+    g.add_endpoint(Site("chi", GeoPoint(41.8781, -87.6298)))
     g.add_link("nyc", "chi", 1200.0)
-    plan = fiberbase.provision_wavelengths(
-        g, ["nyc", "chi"], TrafficMatrix({("chi", "nyc"): 1.0}), 75.0)
-    cost = fiberbase.lease_cost(plan, g, LeaseCostModel(), term_months=1)
+    plan = fiberbase.provision_wavelengths(g, TrafficMatrix({("chi", "nyc"): 1.0}), 75.0)
+    cost = fiberbase.lease_cost(plan, g, LeaseCostModel(term_months=1))
     ok = (plan.links[0].capacity_gbps, plan.links[0].count) == (100.0, 1) \
         and cost.bandwidth_usd == 30000.0
     report(5, ok, f"100 Gbps x 1200 km x $0.25 = ${cost.bandwidth_usd:,.0f}/month "

@@ -106,14 +106,19 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def assert_matches_golden(path, name):
-    """Numeric-tolerant golden comparison; regenerate with
+def assert_matches_golden(path, name, exact=False):
+    """Golden comparison, numeric-tolerant unless `exact` (then the text
+    must be equal, line endings aside); regenerate with
     LIGHTWAN_REGEN_GOLDEN=1."""
     golden_path = os.path.join(GOLDEN, name)
     if REGEN:
         os.makedirs(GOLDEN, exist_ok=True)
         with open(path) as src, open(golden_path, "w") as dst:
             dst.write(src.read())
+        return
+    if exact:
+        with open(path) as got, open(golden_path) as want:
+            assert got.read() == want.read(), name
         return
     got = read_csv(path)
     want = read_csv(golden_path)
@@ -201,6 +206,24 @@ def test_fiber_tree_conduit_single_step(tmp_path):
     assert main(["fiber", "--config", cfgp, "--out", out]) == 0
     rows = read_csv(os.path.join(out, "fiber_pruning.csv"))
     assert len(rows) == 1
+
+
+def test_fiber_keeps_endpoint_file_order(tmp_path):
+    # The endpoint file's order is the node order of every fiber matrix: in
+    # reverse id order the first step's median differs from the demo's in
+    # its last bit.
+    with open(os.path.join(DEMO, "fiber_endpoints.csv")) as fh:
+        header, *rows = fh.read().splitlines()
+    rows.sort(reverse=True)
+    eps = tmp_path / "fiber_endpoints.csv"
+    eps.write_text("\n".join([header, *rows]) + "\n")
+    fiber = fiberbase.load_fiber_csv(os.path.join(DEMO, "fiber_conduits.csv"), str(eps))
+    assert list(fiber.endpoints) == [row.split(",")[0] for row in rows]
+    cfgp = write_config(tmp_path, demo_config(fiber_endpoints_csv=str(eps)))
+    out = str(tmp_path / "fiber")
+    assert main(["fiber", "--config", cfgp, "--out", out]) == 0
+    assert_matches_golden(os.path.join(out, "fiber_pruning.csv"),
+                          "fiber_pruning_reversed_endpoints.csv", exact=True)
 
 
 def test_weather_zero_rain_intervals_match_baseline(pipeline):
@@ -447,6 +470,27 @@ def test_exit_code_on_nan_conduit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["fiber", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
     assert f"{conduits}: line 3: link (f_cb, f_cc): fiber_km" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("design", "sites_csv"),
+                                          ("fiber", "fiber_endpoints_csv")])
+def test_exit_code_names_file_and_line_of_a_nan_population(pipeline, tmp_path, capsys,
+                                                           command, key):
+    # The demo's `cb` site (line 3) with population nan: design used to
+    # report a nan mean stretch, and fiber to fall back to uniform weights.
+    source = demo_config()[key]
+    with open(source) as fh:
+        lines = fh.read().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+    bad = tmp_path / os.path.basename(source)
+    bad.write_text("\n".join(lines) + "\n")
+    cfgp = write_config(tmp_path, demo_config(**{"hops_csv": pipeline["hops_csv"],
+                                                 key: str(bad)}))
+    capsys.readouterr()
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    site = lines[2].split(",")[0]
+    assert (f"{bad}: line 3: site '{site}': population nan must be finite and >= 0"
+            in capsys.readouterr().err)
 
 
 def test_usage_error_exits_one(capsys):

@@ -164,11 +164,18 @@ def test_csv_loaders_name_file_and_line_of_a_short_row(tmp_path, text, line, nee
      "line 3: tower 't2': height must be > 0", los.load_towers_csv),
     ("id,lat,lon,population\nnyc,40.7,-74.0,5\nzz,91.0,1.0,5\n",
      "line 3: latitude 91.0 outside [-90, 90]", geo.load_sites_csv),
-    (ENDPOINTS + "f_a,0.3,0.4,1\n", "line 3: duplicate endpoint 'f_a'",
+    (ENDPOINTS + "f_a,0.3,0.4,1\n", "line 3: duplicate site id 'f_a'",
      lambda p: fiberbase.load_fiber_csv(p, p)),
+    ("id,lat,lon,population\nnyc,40.7,-74.0,5\nla,34.0,-118.2,4\nnyc,40.8,-74.1,1\n",
+     "line 4: duplicate site id 'nyc'", geo.load_sites_csv),
+    ("id,lat,lon,population\nnyc,40.7,-74.0,inf\n",
+     "line 2: site 'nyc': population inf must be finite and >= 0", geo.load_sites_csv),
+    ("id,lat,lon,population\nnyc,40.7,-74.0,0\nla,34.0,-118.2,-1\n",
+     "line 3: site 'la': population -1.0 must be finite and >= 0", geo.load_sites_csv),
     ("src,dst,weight\na,a,1.0\n", "line 2: pair with identical endpoints 'a'",
      traffic.read_matrix_csv),
-], ids=["height_zero", "latitude", "duplicate_endpoint", "self_pair"])
+], ids=["height_zero", "latitude", "duplicate_endpoint", "duplicate_site",
+        "infinite_population", "negative_population", "self_pair"])
 def test_csv_loaders_name_file_and_line_of_a_bad_row(tmp_path, text, message, load):
     path = tmp_path / "input.csv"
     path.write_text(text)

@@ -93,21 +93,22 @@ def hexagon_instance():
 def test_failed_links_zero_rain_empty():
     inp, design, coords = hexagon_instance()
     series = LinkRainSeries({"t0": {}})
-    assert failed_links(design, inp.tower_paths, coords, series, "t0") == set()
+    assert failed_links(design, inp.tower_paths, coords, series, ["t0"]) == [set()]
 
 
 def test_failed_links_extreme_rain_everywhere():
     inp, design, coords = hexagon_instance()
     rates = {weather.link_id(p): 500.0 for p in design.built_links}
     series = LinkRainSeries({"t0": rates})
-    assert failed_links(design, inp.tower_paths, coords, series, "t0") == set(design.built_links)
+    assert failed_links(design, inp.tower_paths, coords, series, ["t0"]) == [
+        set(design.built_links)]
 
 
 def test_failed_links_single_target():
     inp, design, coords = hexagon_instance()
     victim = design.built_links[0]
     series = LinkRainSeries({"t0": {weather.link_id(victim): 400.0}})
-    assert failed_links(design, inp.tower_paths, coords, series, "t0") == {victim}
+    assert failed_links(design, inp.tower_paths, coords, series, ["t0"]) == [{victim}]
 
 
 def test_failed_links_raster_rain_cell_over_one_hop():
@@ -123,7 +124,7 @@ def test_failed_links_raster_rain_cell_over_one_hop():
     rain[max(0, 120 - 1 - i - 4):120 - 1 - i + 5, max(0, j - 4):j + 5] = 300.0
     grid = TerrainGrid(rain, -2.0, -2.0, 0.05)
     field = RasterRainField({"t0": grid})
-    failed = failed_links(design, inp.tower_paths, coords, field, "t0")
+    [failed] = failed_links(design, inp.tower_paths, coords, field, ["t0"])
     assert victim in failed
 
 
@@ -273,7 +274,7 @@ def reference_reroute_and_stats(inp, design, failures_by_interval):
     intervals = []
     for t, failed in failures_by_interval:
         failed_tuple = tuple(sorted(set(failed)))
-        per_pair = weather.stretch_under_failures(inp, design, failed_tuple)
+        per_pair = weather.stretch_under_failures(HybridEvaluator(inp), design, failed_tuple)
         finite = {k: v for k, v in per_pair.items() if math.isfinite(v)}
         if not finite:
             raise ValueError(f"interval {t}: no connected pairs")
@@ -285,19 +286,28 @@ def reference_reroute_and_stats(inp, design, failures_by_interval):
 
 def assert_one_reroute_per_failure_set(monkeypatch, inp, design, field, coords):
     """`analyze` equals the per-interval oracle and reroutes each distinct
-    failure set once; returns the report."""
+    failure set once, all over one evaluator; returns the report."""
     times = field.timestamps()
     want = reference_reroute_and_stats(inp, design, [
-        (t, failed_links(design, inp.tower_paths, coords, field, t)) for t in times])
+        (t, failed_links(design, inp.tower_paths, coords, field, [t])[0]) for t in times])
     calls = []
     original = weather.stretch_under_failures
 
-    def counted(inp, design, failed):
+    def counted(ev, design, failed):
         calls.append(tuple(failed))
-        return original(inp, design, failed)
+        return original(ev, design, failed)
+
+    evaluators = []
+
+    class Counted(HybridEvaluator):
+        def __init__(self, inp):
+            evaluators.append(inp)
+            super().__init__(inp)
 
     monkeypatch.setattr(weather, "stretch_under_failures", counted)
+    monkeypatch.setattr(weather, "HybridEvaluator", Counted)
     got = weather.analyze(inp, design, field, coords)
+    assert evaluators == [inp]
     assert got == want
     assert [i.timestamp for i in got.intervals] == times
     distinct = {i.failed for i in got.intervals}
