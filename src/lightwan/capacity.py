@@ -10,14 +10,12 @@ both ends of every hop, deliberately overestimating expense.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .designer import NetworkDesign, site_tower_graph
-from .geo import Site
+from .geo import Site, write_csv, write_json
 from .graphcore import tower_disjoint_paths
 from .los import HopGraph
 from .traffic import Pair, TrafficMatrix, pair_key
@@ -235,17 +233,11 @@ def plan_to_json(plan: AugmentationPlan, report: MwCostReport | None, path: str)
             "total_usd": report.total_usd, "dollars_per_gb": report.dollars_per_gb,
             "towers_rented": report.towers_rented,
         }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def plan_categories_csv(plan: AugmentationPlan, path: str) -> None:
     """Per-link categories for map rendering (series count -> line weight)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["link_a", "link_b", "demand_gbps", "series_count",
-                         "new_towers_per_hop_end", "primary_hops"])
-        for e in sorted(plan.links, key=lambda e: e.link):
-            writer.writerow([e.link[0], e.link[1], f"{e.demand_gbps:.6f}",
-                             e.series_count, e.category, e.primary_hops])
+    write_csv(path, "link_a,link_b,demand_gbps,series_count,new_towers_per_hop_end,primary_hops",
+              ([*e.link, f"{e.demand_gbps:.6f}", e.series_count, e.category, e.primary_hops]
+               for e in sorted(plan.links, key=lambda e: e.link)))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import dataclasses
 import json
 import os
@@ -119,21 +118,6 @@ def _require(cfg: dict, *keys: str) -> None:
             raise InputError(f"config field {key!r} is required for this command")
 
 
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _write_json(doc, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _echo_config(cfg: dict, outdir: str) -> None:
-    _write_json(cfg, os.path.join(outdir, "config_used.json"))
-
-
 def _load_terrain(cfg) -> los.TerrainGrid:
     _require(cfg, "terrain_asc")
     return los.load_terrain_asc(cfg["terrain_asc"])
@@ -188,17 +172,14 @@ def _load_sites(cfg):
 # Commands
 
 
-def cmd_hopgraph(cfg, args) -> int:
-    outdir = _outdir(args)
+def cmd_hopgraph(cfg, outdir) -> None:
     terrain = _load_terrain(cfg)
     towers = _load_towers(cfg, terrain)
     hop_graph = los.build_hop_graph(towers, terrain, _los_params(cfg))
     los.save_hops_csv(hop_graph, os.path.join(outdir, "hops.csv"))
     summary = {"towers": len(towers), "hops": len(hop_graph.hops)}
-    _write_json(summary, os.path.join(outdir, "hopgraph_summary.json"))
-    _echo_config(cfg, outdir)
+    geo.write_json(summary, os.path.join(outdir, "hopgraph_summary.json"))
     print(f"hopgraph: {summary['towers']} towers, {summary['hops']} feasible hops")
-    return 0
 
 
 def _assemble_input(cfg, budget: float) -> designer.DesignInput:
@@ -220,8 +201,7 @@ def _assemble_input(cfg, budget: float) -> designer.DesignInput:
         radius_km=cfg["site_link_radius_km"])
 
 
-def cmd_design(cfg, args) -> int:
-    outdir = _outdir(args)
+def cmd_design(cfg, outdir) -> None:
     ladder = list(cfg["budget_ladder"]) or [cfg["budget"]]
     # Nothing but the budget varies along the ladder: build the instance once.
     if cfg.get("instance_json"):
@@ -235,22 +215,17 @@ def cmd_design(cfg, args) -> int:
         tag = f"{budget:g}"
         designer.save_design_input(inp, os.path.join(outdir, f"instance_B{tag}.json"))
         designer.save_design(design, os.path.join(outdir, f"design_B{tag}.json"))
-        _write_json(designer.design_to_geojson(inp, design),
-                    os.path.join(outdir, f"links_B{tag}.geojson"))
+        geo.write_json(designer.design_to_geojson(inp, design),
+                       os.path.join(outdir, f"links_B{tag}.geojson"))
         stats_rows.append([budget, design.towers_used, design.stats.mean,
                            design.stats.median, design.stats.p95])
         print(f"design B={tag}: mean stretch {design.stats.mean:.4f}, "
               f"{len(design.built_links)} MW links, {design.towers_used:g} towers")
-    with open(os.path.join(outdir, "design_stats.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["budget", "towers_used", "mean", "median", "p95"])
-        writer.writerows(stats_rows)
-    _echo_config(cfg, outdir)
-    return 0
+    geo.write_csv(os.path.join(outdir, "design_stats.csv"),
+                  "budget,towers_used,mean,median,p95", stats_rows)
 
 
-def cmd_fiber(cfg, args) -> int:
-    outdir = _outdir(args)
+def cmd_fiber(cfg, outdir) -> None:
     _require(cfg, "fiber_endpoints_csv", "fiber_conduits_csv")
     fiber = fiberbase.load_fiber_csv(cfg["fiber_conduits_csv"], cfg["fiber_endpoints_csv"])
     endpoints = sorted(fiber.endpoints.values(), key=lambda ep: ep.id)
@@ -262,20 +237,18 @@ def cmd_fiber(cfg, args) -> int:
         {pair_key(a, b): 1.0 for i, a in enumerate(sites) for b in sites[i + 1:]})
     model = fiberbase.LeaseCostModel(**cfg["lease_cost"])
     steps = fiberbase.prune_links(fiber, sites, weights)
-    costs = []
-    with open(os.path.join(outdir, "fiber_pruning.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["links", "mean", "median", "p95", "total_fiber_km",
-                         "cost_total_usd"])
-        for step in steps:
-            plan = fiberbase.provision_wavelengths(step.graph, demand, cfg["aggregate_gbps"])
-            costs.append(fiberbase.lease_cost(plan, step.graph, model))
-            writer.writerow([len(step.graph.links), repr(step.stats.mean),
-                             repr(step.stats.median), repr(step.stats.p95),
-                             repr(step.graph.total_fiber_km()), repr(costs[-1].total_usd)])
+    aggregate = cfg["aggregate_gbps"]
+    costs = [fiberbase.lease_cost(fiberbase.provision_wavelengths(step.graph, demand, aggregate),
+                                  step.graph, model) for step in steps]
+    geo.write_csv(os.path.join(outdir, "fiber_pruning.csv"),
+                  "links,mean,median,p95,total_fiber_km,cost_total_usd",
+                  ([len(step.graph.links), *map(repr, (
+                      step.stats.mean, step.stats.median, step.stats.p95,
+                      step.graph.total_fiber_km(), cost.total_usd))]
+                   for step, cost in zip(steps, costs)))
     # The first step is the unpruned graph: its plan is the baseline's.
     base, cost = steps[0].stats, costs[0]
-    _write_json({
+    geo.write_json({
         "stats": {"mean": base.mean, "median": base.median, "p95": base.p95,
                   "weighting": base.weighting, "pair_count": base.pair_count,
                   "excluded_pairs": base.excluded_pairs},
@@ -284,10 +257,8 @@ def cmd_fiber(cfg, args) -> int:
                        "dollars_per_gb": cost.dollars_per_gb,
                        "site_count": cost.site_count},
     }, os.path.join(outdir, "fiber_baseline.json"))
-    _echo_config(cfg, outdir)
     print(f"fiber: median stretch {base.median:.3f}, "
           f"{len(steps)} pruning steps, ${cost.total_usd:,.0f} lease")
-    return 0
 
 
 def _load_instance_and_design(cfg):
@@ -298,8 +269,7 @@ def _load_instance_and_design(cfg):
     return inp, designer.evaluate_design(designer.HybridEvaluator(inp), built)
 
 
-def cmd_augment(cfg, args) -> int:
-    outdir = _outdir(args)
+def cmd_augment(cfg, outdir) -> None:
     inp, design = _load_instance_and_design(cfg)
     _require(cfg, "towers_csv", "hops_csv")
     hop_graph = los.load_hops_csv(cfg["hops_csv"], _read_towers(cfg))
@@ -311,14 +281,11 @@ def cmd_augment(cfg, args) -> int:
     report = capacity.mw_cost(design, plan, model, cfg["aggregate_gbps"])
     capacity.plan_to_json(plan, report, os.path.join(outdir, "augment_plan.json"))
     capacity.plan_categories_csv(plan, os.path.join(outdir, "augment_categories.csv"))
-    _echo_config(cfg, outdir)
     print(f"augment: {plan.total_new_towers} new towers, "
           f"${report.total_usd:,.0f} total, ${report.dollars_per_gb:.3f}/GB")
-    return 0
 
 
-def cmd_weather(cfg, args) -> int:
-    outdir = _outdir(args)
+def cmd_weather(cfg, outdir) -> None:
     inp, design = _load_instance_and_design(cfg)
     if cfg.get("rain_csv"):
         field = weather.load_rain_csv(cfg["rain_csv"])
@@ -345,15 +312,12 @@ def cmd_weather(cfg, args) -> int:
     report = weather.analyze(inp, design, field, coords, model, stamps)
     weather.write_intervals_csv(report, os.path.join(outdir, "weather_intervals.csv"))
     weather.write_percentiles_csv(report, os.path.join(outdir, "weather_percentiles.csv"))
-    _echo_config(cfg, outdir)
     worst = max(i.stats.mean for i in report.intervals)
     print(f"weather: {len(report.intervals)} intervals, "
           f"worst interval mean stretch {worst:.4f}")
-    return 0
 
 
-def cmd_simulate(cfg, args) -> int:
-    outdir = _outdir(args)
+def cmd_simulate(cfg, outdir) -> None:
     inp, design = _load_instance_and_design(cfg)
     sim = cfg["sim"]
     aggregate = cfg["aggregate_gbps"]
@@ -377,31 +341,23 @@ def cmd_simulate(cfg, args) -> int:
     else:
         table = simnet.build_routing(topo, inp.traffic, sim["routing"])
         stats = simnet.run(topo, inp.traffic, table, base_cfg)
-        with open(os.path.join(outdir, "flows.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["src", "dst", "rate_gbps", "sent", "delivered",
-                             "dropped", "in_flight", "mean_delay_ms",
-                             "max_delay_ms", "loss"])
-            for (a, b), r in sorted(stats.flows.items()):
-                writer.writerow([a, b, repr(r.rate_gbps), r.sent, r.delivered,
-                                 r.dropped, r.in_flight, repr(r.mean_delay_ms),
-                                 repr(r.max_delay_ms), repr(r.loss)])
+        geo.write_csv(os.path.join(outdir, "flows.csv"),
+                      "src,dst,rate_gbps,sent,delivered,dropped,in_flight,"
+                      "mean_delay_ms,max_delay_ms,loss",
+                      ([a, b, repr(r.rate_gbps), r.sent, r.delivered, r.dropped,
+                        r.in_flight, repr(r.mean_delay_ms), repr(r.max_delay_ms),
+                        repr(r.loss)] for (a, b), r in sorted(stats.flows.items())))
         simnet.write_utilization_csv(stats, os.path.join(outdir, "link_utilization.csv"))
         print(f"simulate: mean delay {stats.mean_delay_ms:.4f} ms, "
               f"loss {stats.loss_rate:.4f}")
-    _echo_config(cfg, outdir)
-    return 0
 
 
-def cmd_export_geojson(cfg, args) -> int:
-    outdir = _outdir(args)
+def cmd_export_geojson(cfg, outdir) -> None:
     inp, design = _load_instance_and_design(cfg)
     towers = {t.id: t for t in _read_towers(cfg)} if cfg.get("towers_csv") else None
     gj = designer.design_to_geojson(inp, design, towers)
-    _write_json(gj, os.path.join(outdir, "links.geojson"))
-    _echo_config(cfg, outdir)
+    geo.write_json(gj, os.path.join(outdir, "links.geojson"))
     print(f"export-geojson: {len(gj['features'])} features")
-    return 0
 
 
 COMMANDS = {
@@ -435,7 +391,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args.set, args.seed)
-        return COMMANDS[args.command](cfg, args)
+        os.makedirs(args.out, exist_ok=True)
+        COMMANDS[args.command](cfg, args.out)
+        # Echoed only once the stage succeeds, so a failed run leaves none.
+        geo.write_json(cfg, os.path.join(args.out, "config_used.json"))
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

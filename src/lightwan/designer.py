@@ -26,7 +26,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .fiberbase import StretchStats, stretch_stats
-from .geo import GeoPoint, Site, geodesic_km
+from .geo import GeoPoint, LatencyModel, Site, geodesic_km, write_json
 from .graphcore import (
     BATCH_ELEMENTS as _BATCH_ELEMENTS, CsrGraph, distance_matrix, next_hop_walks,
     shortest_paths_from, weight_matrix,
@@ -54,7 +54,7 @@ class DesignInput:
 
     Matrices are keyed by canonical unordered site pairs: `geodesic` (d),
     `mw_km` (m, absent where MW is infeasible), `mw_cost` (towers, c),
-    and `fiber_km_eq` (o, fiber path km already multiplied by the 1.5
+    and `fiber_km_eq` (o, fiber path km already multiplied by the fiber
     slowdown so all lengths are latency-equivalent km). `tower_paths`
     optionally records the tower chain realizing each MW link for
     augmentation and weather analysis downstream.
@@ -67,7 +67,7 @@ class DesignInput:
     mw_cost: dict[Pair, float]
     fiber_km_eq: dict[Pair, float]
     budget: float
-    fiber_slowdown: float = 1.5
+    fiber_slowdown: float = LatencyModel.fiber_slowdown
     tower_paths: dict[Pair, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -577,13 +577,12 @@ def site_links(sites: Sequence[Site], hop_graph: HopGraph,
 
 def build_design_input(sites: Sequence[Site], traffic: TrafficMatrix,
                        hop_graph: HopGraph | None, fiber_lengths: dict[Pair, float],
-                       budget: float, radius_km: float = 15.0,
-                       fiber_slowdown: float = 1.5) -> DesignInput:
+                       budget: float, radius_km: float = 15.0) -> DesignInput:
     """Assemble a DesignInput from pipeline artifacts.
 
     `fiber_lengths` holds physical shortest-path fiber km per site pair
     (from the conduit graph); they are converted to latency-equivalent km
-    here.
+    here, at the `DesignInput` default fiber slowdown.
     """
     geodesic = {}
     ordered = sorted(sites, key=lambda s: s.id)
@@ -597,9 +596,8 @@ def build_design_input(sites: Sequence[Site], traffic: TrafficMatrix,
         geodesic=geodesic,
         mw_km={k: v.length_km for k, v in links.items()},
         mw_cost={k: float(v.tower_count) for k, v in links.items()},
-        fiber_km_eq={k: v * fiber_slowdown for k, v in fiber_lengths.items()},
+        fiber_km_eq={k: v * DesignInput.fiber_slowdown for k, v in fiber_lengths.items()},
         budget=budget,
-        fiber_slowdown=fiber_slowdown,
         tower_paths={k: v.path for k, v in links.items()},
     )
 
@@ -645,9 +643,7 @@ def save_design_input(inp: DesignInput, path: str) -> None:
         "fiber_km_eq": _dense(inp.fiber_km_eq, ids),
         "tower_paths": {f"{a}|{b}": list(p) for (a, b), p in sorted(inp.tower_paths.items())},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_design_input(path: str) -> DesignInput:
@@ -668,7 +664,7 @@ def load_design_input(path: str) -> DesignInput:
         mw_cost=_sparse(doc["mw_cost_towers"], ids),
         fiber_km_eq=_sparse(doc["fiber_km_eq"], ids),
         budget=doc["budget"],
-        fiber_slowdown=doc.get("fiber_slowdown", 1.5),
+        fiber_slowdown=doc.get("fiber_slowdown", DesignInput.fiber_slowdown),
         tower_paths=tower_paths,
     )
 
@@ -689,9 +685,7 @@ def save_design(design: NetworkDesign, path: str) -> None:
             for (a, b), r in sorted(design.routes.items())
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_design(path: str) -> dict:

@@ -148,8 +148,7 @@ def stretch_stats(per_pair: dict[Pair, float], weights: TrafficMatrix | None,
     )
 
 
-def pair_stretches(g: FiberGraph, sites: Sequence[str],
-                   model: LatencyModel = LatencyModel()) -> tuple[dict[Pair, float], int]:
+def pair_stretches(g: FiberGraph, sites: Sequence[str]) -> tuple[dict[Pair, float], int]:
     """Per-pair fiber stretch (path km x slowdown / geodesic km) and the
     number of disconnected pairs, which are excluded and logged once per call."""
     for s in sites:
@@ -168,7 +167,7 @@ def pair_stretches(g: FiberGraph, sites: Sequence[str],
             d = geodesic_km(g.endpoints[s].location, g.endpoints[t].location)
             if d == 0:
                 raise ValueError(f"coincident sites ({s}, {t}): stretch undefined")
-            out[(s, t)] = km * model.fiber_slowdown / d
+            out[(s, t)] = km * LatencyModel.fiber_slowdown / d
     _warn_cut(cut)
     return out, len(cut)
 
@@ -180,11 +179,10 @@ def _warn_cut(cut: list[Pair]) -> None:
 
 
 def fiber_stretch_stats(g: FiberGraph, sites: Sequence[str],
-                        weights: TrafficMatrix | None = None,
-                        model: LatencyModel = LatencyModel()) -> StretchStats:
+                        weights: TrafficMatrix | None = None) -> StretchStats:
     """Stretch statistics over the site set; gravity-weighted when `weights`
     is given, else uniform over pairs."""
-    per_pair, excluded = pair_stretches(g, sites, model)
+    per_pair, excluded = pair_stretches(g, sites)
     return stretch_stats(per_pair, weights, excluded)
 
 
@@ -219,8 +217,7 @@ class PruneStep:
 
 
 def prune_links(g: FiberGraph, sites: Sequence[str],
-                weights: TrafficMatrix | None = None,
-                model: LatencyModel = LatencyModel()) -> list[PruneStep]:
+                weights: TrafficMatrix | None = None) -> list[PruneStep]:
     """Iteratively drop the non-bridge link whose removal least increases
     mean stretch, until only bridges remain.
 
@@ -235,7 +232,7 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
     is that reference itself.
     """
     work = g.copy()
-    steps = [PruneStep(work.copy(), fiber_stretch_stats(work, sites, weights, model), None)]
+    steps = [PruneStep(work.copy(), fiber_stretch_stats(work, sites, weights), None)]
     nodes = list(work.endpoints)
     index = {n: i for i, n in enumerate(nodes)}
     ordered = sorted(set(sites))
@@ -261,7 +258,7 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
                 trials[t, index[a], index[b]] = trials[t, index[b], index[a]] = math.inf
             km = distance_matrix(trials)[:, rows, cols]
             connected = np.isfinite(km)
-            stretch = np.where(connected, km, 0.0) * model.fiber_slowdown / geo_km
+            stretch = np.where(connected, km, 0.0) * LatencyModel.fiber_slowdown / geo_km
             for key, up, row, terms in zip(batch, connected, stretch, stretch * wts):
                 mean = sum(terms[up].tolist()) / sum(wts[up].tolist())
                 if best_key is None or mean < best_mean:
@@ -316,10 +313,10 @@ def _pick_wavelength(demand: float) -> tuple[float, int, bool, bool]:
 def route_fiber_demand(g: FiberGraph, weights: TrafficMatrix,
                        aggregate_gbps: float) -> dict[Pair, float]:
     """Per-link Gbps after placing each pair's demand, in the matrix's sorted
-    pair order, on its shortest fiber path (`next_hop_walks`, endpoints by
-    id). A pair naming no endpoint raises KeyError, a disconnected one
-    ValueError."""
-    nodes = sorted(g.endpoints)
+    pair order, on its shortest fiber path (`next_hop_walks`, endpoints in
+    file order). A pair naming no endpoint raises KeyError, a disconnected
+    one ValueError."""
+    nodes = list(g.endpoints)
     index = {n: i for i, n in enumerate(nodes)}
     w = weight_matrix(nodes, g.links)
     dist = distance_matrix(w)

@@ -8,6 +8,7 @@ milliseconds (callers double for RTT).
 from __future__ import annotations
 
 import csv
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -143,6 +144,22 @@ def read_csv(path: str, columns: str, row: Callable) -> list:
         except ValueError as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
+
+
+def write_csv(path: str, header: str, rows) -> None:
+    """Write the `header` fields ("a,b,c") and then `rows` in the default
+    csv dialect, so lines end in CRLF."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
+def write_json(doc, path: str) -> None:
+    """`doc` as JSON with one-space indent, sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def load_sites_csv(path: str) -> list[Site]:

@@ -8,13 +8,12 @@ a configurable obstruction margin.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km, read_csv
+from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km, read_csv, write_csv
 
 # Terrain samples per clearance pass: amortises numpy's per-call cost over
 # many hops while keeping the work arrays out of the peak memory.
@@ -386,9 +385,14 @@ def load_towers_csv(path: str, terrain: TerrainGrid | None = None) -> list[Tower
     """Read a tower inventory: id,lat,lon,height_m[,ground_elevation_m].
 
     When ground elevation is absent it is sampled from `terrain`, for all
-    such towers in one call.
+    such towers in one call. A repeated id is an error.
     """
+    seen: set[str] = set()
+
     def tower(tid, lat, lon, height, ground):
+        if tid in seen:
+            raise ValueError(f"duplicate tower id {tid!r}")
+        seen.add(tid)
         loc = GeoPoint(float(lat), float(lon))
         if not ground:
             if terrain is None:
@@ -404,22 +408,15 @@ def load_towers_csv(path: str, terrain: TerrainGrid | None = None) -> list[Tower
     unset = [loc for _, loc, _, ground in rows if ground is None]
     elev = iter(terrain.sample_many([p.lat for p in unset], [p.lon for p in unset]).tolist()
                 if unset else ())
-    towers = [Tower(tid, loc, height, next(elev) if ground is None else ground)
-              for tid, loc, height, ground in rows]
-    ids = [t.id for t in towers]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{path}: duplicate tower ids")
-    return towers
+    return [Tower(tid, loc, height, next(elev) if ground is None else ground)
+            for tid, loc, height, ground in rows]
 
 
 def save_hops_csv(hop_graph: HopGraph, path: str) -> None:
     ids = list(hop_graph.towers)
     hops = hop_graph.hops[np.lexsort((hop_graph.hops["b"], hop_graph.hops["a"]))]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tower_a", "tower_b", "length_km"])
-        for a, b, km in hops.tolist():
-            writer.writerow([ids[a], ids[b], f"{km:.6f}"])
+    write_csv(path, "tower_a,tower_b,length_km",
+              ([ids[a], ids[b], f"{km:.6f}"] for a, b, km in hops.tolist()))
 
 
 def load_hops_csv(path: str, towers: list[Tower]) -> HopGraph:

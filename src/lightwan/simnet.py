@@ -24,7 +24,6 @@ time a packet arrives has left the queue before it is admitted.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import heapq
 import itertools
@@ -37,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .designer import DesignInput, InfeasibleDesignError, NetworkDesign
-from .geo import LatencyModel, Site, latency_ms
+from .geo import LatencyModel, Site, latency_ms, write_csv, write_json
 from .graphcore import distance_matrix, next_hop_walks, weight_matrix
 from .traffic import Pair, TrafficMatrix, pair_key, perturb
 
@@ -134,9 +133,7 @@ def save_topology(topology: SimTopology, path: str) -> None:
            "links": [{"a": l.a, "b": l.b, "length_km": l.length_km,
                       "medium": l.medium, "capacity_gbps": l.capacity_gbps}
                      for l in topology.links]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_topology(path: str) -> SimTopology:
@@ -533,17 +530,11 @@ def perturbation_experiment(topology: SimTopology, sites: Sequence[Site],
 
 
 def write_results_csv(results: Sequence[PerturbationResult], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "load", "mean_delay_ms", "loss_rate"])
-        for r in results:
-            writer.writerow([r.gamma, r.load_fraction, repr(r.mean_delay_ms),
-                             repr(r.loss_rate)])
+    write_csv(path, "gamma,load,mean_delay_ms,loss_rate",
+              ([r.gamma, r.load_fraction, repr(r.mean_delay_ms), repr(r.loss_rate)]
+               for r in results))
 
 
 def write_utilization_csv(stats: FlowStats, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["link_from", "link_to", "utilization"])
-        for (a, b), u in stats.link_utilization.items():
-            writer.writerow([a, b, repr(u)])
+    write_csv(path, "link_from,link_to,utilization",
+              ([a, b, repr(u)] for (a, b), u in stats.link_utilization.items()))

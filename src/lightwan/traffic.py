@@ -8,13 +8,12 @@ scale factor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geo import Site, geodesic_km, read_csv
+from .geo import Site, geodesic_km
 
 Pair = tuple[str, str]
 
@@ -62,9 +61,6 @@ class TrafficMatrix:
     def items(self) -> Iterator[tuple[Pair, float]]:
         return iter(self._weights.items())
 
-    def pairs(self) -> list[Pair]:
-        return list(self._weights)
-
     def as_dict(self) -> dict[Pair, float]:
         return dict(self._weights)
 
@@ -73,9 +69,6 @@ class TrafficMatrix:
         if aggregate_gbps < 0:
             raise ValueError("aggregate must be >= 0")
         return {k: w * aggregate_gbps for k, w in self._weights.items()}
-
-    def total(self) -> float:
-        return sum(self._weights.values())
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -157,16 +150,3 @@ def perturb(sites: Sequence[Site], gamma: float, seed: int) -> TrafficMatrix:
     factors = {s.id: rng.uniform(1.0 - gamma, 1.0 + gamma) for s in order}
     shifted = [Site(s.id, s.location, s.population * factors[s.id]) for s in sites]
     return gravity_matrix(shifted)
-
-
-def write_matrix_csv(matrix: TrafficMatrix, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "weight"])
-        for (a, b), w in matrix.items():
-            writer.writerow([a, b, repr(w)])
-
-
-def read_matrix_csv(path: str) -> TrafficMatrix:
-    return TrafficMatrix(dict(read_csv(path, "src,dst,weight",
-                                       lambda a, b, w: (pair_key(a, b), float(w)))))

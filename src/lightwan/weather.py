@@ -8,7 +8,6 @@ unaffected; per interval, traffic reroutes over whatever survives.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -17,7 +16,7 @@ import numpy as np
 
 from .designer import DesignInput, HybridEvaluator, NetworkDesign
 from .fiberbase import StretchStats, stretch_stats, weighted_quantile
-from .geo import GeoPoint, geodesic_km, read_csv
+from .geo import GeoPoint, geodesic_km, read_csv, write_csv
 from .graphcore import distance_matrix
 from .los import TerrainGrid, _path_samples
 from .traffic import Pair
@@ -229,18 +228,12 @@ def select_intervals(timestamps: Sequence[str], per_day: int = 1, seed: int = 0)
 
 
 def write_intervals_csv(report: WeatherReport, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "pair", "stretch"])
-        for interval in report.intervals:
-            for pair, s in sorted(interval.per_pair_stretch.items()):
-                writer.writerow([interval.timestamp, link_id(pair), repr(s)])
+    write_csv(path, "timestamp,pair,stretch",
+              ([interval.timestamp, link_id(pair), repr(s)] for interval in report.intervals
+               for pair, s in sorted(interval.per_pair_stretch.items())))
 
 
 def write_percentiles_csv(report: WeatherReport, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair", "min", "median", "p95", "p99", "max"])
-        for pair, row in report.pair_percentiles().items():
-            writer.writerow([link_id(pair)] + [repr(row[k])
-                                               for k in ("min", "median", "p95", "p99", "max")])
+    write_csv(path, "pair,min,median,p95,p99,max",
+              ([link_id(pair), *map(repr, row.values())]
+               for pair, row in report.pair_percentiles().items()))

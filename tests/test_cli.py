@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from lightwan import designer, fiberbase, los, simnet, weather
-from lightwan.cli import COMMANDS, main
+from lightwan.cli import COMMANDS, build_parser, load_config, main
 from lightwan.traffic import TrafficMatrix, pair_key
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -50,53 +50,57 @@ def pipeline(tmp_path_factory):
     """One full demo pipeline run shared by the checks below."""
     root = tmp_path_factory.mktemp("pipeline")
     cfgp = write_config(root, demo_config())
-    out = {"root": root, "config": cfgp}
+    out = {"root": root, "config": cfgp, "argv": []}
+
+    def run(argv):
+        assert main(argv) == 0
+        out["argv"].append(argv)
 
     hop_dir = str(root / "hop")
-    assert main(["hopgraph", "--config", cfgp, "--out", hop_dir]) == 0
+    run(["hopgraph", "--config", cfgp, "--out", hop_dir])
     out["hops_csv"] = os.path.join(hop_dir, "hops.csv")
     out["hop_summary"] = os.path.join(hop_dir, "hopgraph_summary.json")
 
     design_dir = str(root / "design")
-    assert main(["design", "--config", cfgp, "--out", design_dir,
-                 "--set", f"hops_csv={out['hops_csv']}",
-                 "--set", "budget_ladder=[0, 10, 25]"]) == 0
+    run(["design", "--config", cfgp, "--out", design_dir,
+         "--set", f"hops_csv={out['hops_csv']}",
+         "--set", "budget_ladder=[0, 10, 25]"])
     out["design_dir"] = design_dir
     out["instance"] = os.path.join(design_dir, "instance_B25.json")
     out["design"] = os.path.join(design_dir, "design_B25.json")
     out["stats_csv"] = os.path.join(design_dir, "design_stats.csv")
 
     fiber_dir = str(root / "fiber")
-    assert main(["fiber", "--config", cfgp, "--out", fiber_dir]) == 0
+    run(["fiber", "--config", cfgp, "--out", fiber_dir])
     out["pruning_csv"] = os.path.join(fiber_dir, "fiber_pruning.csv")
     out["fiber_baseline"] = os.path.join(fiber_dir, "fiber_baseline.json")
 
     aug_dir = str(root / "aug")
-    assert main(["augment", "--config", cfgp, "--out", aug_dir,
-                 "--set", f"instance_json={out['instance']}",
-                 "--set", f"design_json={out['design']}",
-                 "--set", f"hops_csv={out['hops_csv']}"]) == 0
+    run(["augment", "--config", cfgp, "--out", aug_dir,
+         "--set", f"instance_json={out['instance']}",
+         "--set", f"design_json={out['design']}",
+         "--set", f"hops_csv={out['hops_csv']}"])
     out["augment_plan"] = os.path.join(aug_dir, "augment_plan.json")
 
     weather_dir = str(root / "weather")
-    assert main(["weather", "--config", cfgp, "--out", weather_dir,
-                 "--set", f"instance_json={out['instance']}",
-                 "--set", f"design_json={out['design']}"]) == 0
+    run(["weather", "--config", cfgp, "--out", weather_dir,
+         "--set", f"instance_json={out['instance']}",
+         "--set", f"design_json={out['design']}"])
     out["weather_intervals"] = os.path.join(weather_dir, "weather_intervals.csv")
     out["weather_pct"] = os.path.join(weather_dir, "weather_percentiles.csv")
 
     sim_dir = str(root / "sim")
-    assert main(["simulate", "--config", cfgp, "--out", sim_dir,
-                 "--set", f"instance_json={out['instance']}",
-                 "--set", f"design_json={out['design']}",
-                 "--set", "sim.sim_seconds=0.02"]) == 0
+    run(["simulate", "--config", cfgp, "--out", sim_dir,
+         "--set", f"instance_json={out['instance']}",
+         "--set", f"design_json={out['design']}",
+         "--set", "sim.sim_seconds=0.02"])
     out["flows_csv"] = os.path.join(sim_dir, "flows.csv")
     out["util_csv"] = os.path.join(sim_dir, "link_utilization.csv")
 
     gj_dir = str(root / "gj")
-    assert main(["export-geojson", "--config", cfgp, "--out", gj_dir,
-                 "--set", f"instance_json={out['instance']}",
-                 "--set", f"design_json={out['design']}"]) == 0
+    run(["export-geojson", "--config", cfgp, "--out", gj_dir,
+         "--set", f"instance_json={out['instance']}",
+         "--set", f"design_json={out['design']}"])
     out["geojson"] = os.path.join(gj_dir, "links.geojson")
     return out
 
@@ -355,6 +359,18 @@ def test_effective_config_echoed(pipeline):
         cfg = json.load(fh)
     assert cfg["seed"] == 7
     assert cfg["site_link_radius_km"] == 50.0
+
+
+def test_every_stage_echoes_its_effective_config_and_a_failed_one_none(pipeline, tmp_path):
+    assert sorted(argv[0] for argv in pipeline["argv"]) == sorted(COMMANDS)
+    for argv in pipeline["argv"]:
+        args = build_parser().parse_args(argv)
+        with open(os.path.join(args.out, "config_used.json")) as fh:
+            assert json.load(fh) == load_config(args.config, args.set, args.seed), argv[0]
+    out = tmp_path / "o"
+    cfgp = write_config(tmp_path, demo_config(towers_csv="/nonexistent.csv"))
+    assert main(["hopgraph", "--config", cfgp, "--out", str(out)]) == 1
+    assert out.is_dir() and not (out / "config_used.json").exists()
 
 
 def test_exit_code_on_missing_file(tmp_path):

@@ -808,7 +808,7 @@ def test_solve_heuristic_unconstrained_budget_builds_all_useful():
     design = solve_heuristic(inp)
     lengths = fw_pair_lengths(inp, design.built_links)
     fiber = fw_pair_lengths(inp, [])
-    for pair in inp.traffic.pairs():
+    for pair, _ in inp.traffic.items():
         best = min(fiber.get(pair, math.inf),
                    inp.mw_km.get(pair, math.inf))
         assert lengths[pair] <= best + 1e-9

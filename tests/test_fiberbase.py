@@ -276,10 +276,10 @@ def test_fiber_graph_flags_subgeodesic_links(caplog):
 # `prune_links` as it was before stacked trial scoring. The stacked code must
 # take the same steps with bitwise the same statistics.
 
-def reference_prune_links(g, sites, weights=None, model=fiberbase.LatencyModel()):
+def reference_prune_links(g, sites, weights=None):
     work = g.copy()
     steps = [fiberbase.PruneStep(work.copy(),
-                                 fiberbase.fiber_stretch_stats(work, sites, weights, model),
+                                 fiberbase.fiber_stretch_stats(work, sites, weights),
                                  None)]
     while True:
         safe = graphcore.bridges(work.links)
@@ -291,14 +291,14 @@ def reference_prune_links(g, sites, weights=None, model=fiberbase.LatencyModel()
         for key in candidates:
             trial = work.copy()
             trial.remove_link(*key)
-            per_pair, _ = fiberbase.pair_stretches(trial, sites, model)
+            per_pair, _ = fiberbase.pair_stretches(trial, sites)
             mean = fiberbase.stretch_stats(per_pair, weights).mean
             if mean < best_mean:
                 best_mean = mean
                 best_key = key
         work.remove_link(*best_key)
         steps.append(fiberbase.PruneStep(work.copy(),
-                                         fiberbase.fiber_stretch_stats(work, sites, weights, model),
+                                         fiberbase.fiber_stretch_stats(work, sites, weights),
                                          best_key))
     return steps
 

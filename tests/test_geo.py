@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from lightwan import fiberbase, geo, los, traffic, weather
+from lightwan import fiberbase, geo, los, weather
 
 
 def law_of_cosines_km(a, b):
@@ -123,8 +123,7 @@ ENDPOINTS = "id,lat,lon,population\nf_a,0.1,0.2,5\n"
      los.load_towers_csv),
     (ENDPOINTS + "f_b,abc,0.3,5\n", 3, lambda p: fiberbase.load_fiber_csv(p, p)),
     ("timestamp,link_id,rain_mm_h\nt0,a|b,abc\n", 2, weather.load_rain_csv),
-    ("src,dst,weight\na,b,1.0\na,c,abc\n", 3, traffic.read_matrix_csv),
-], ids=["towers", "fiber_endpoints", "rain", "traffic_matrix"])
+], ids=["towers", "fiber_endpoints", "rain"])
 def test_csv_loaders_name_file_and_line_of_a_non_number(tmp_path, text, line, load):
     path = tmp_path / "input.csv"
     path.write_text(text)
@@ -145,10 +144,8 @@ DEMO_ENDPOINTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
     (ENDPOINTS + "f_b,0.1\n", 3, 3, 2, lambda p: fiberbase.load_fiber_csv(p, p)),
     ("endpoint_a,endpoint_b,fiber_km\nf_ca,f_cb,130.5\nf_cb\n", 3, 3, 1,
      lambda p: fiberbase.load_fiber_csv(p, DEMO_ENDPOINTS)),
-    ("timestamp,link_id,rain_mm_h\nt0,a|b\n", 2, 3, 2, weather.load_rain_csv),
-    ("src,dst,weight\na,b,1.0\n\na,c\n", 4, 3, 2, traffic.read_matrix_csv),
-], ids=["towers", "hops", "sites", "fiber_endpoints", "fiber_conduits", "rain",
-        "traffic_matrix"])
+    ("timestamp,link_id,rain_mm_h\n\nt0,a|b\n", 3, 3, 2, weather.load_rain_csv),
+], ids=["towers", "hops", "sites", "fiber_endpoints", "fiber_conduits", "rain"])
 def test_csv_loaders_name_file_and_line_of_a_short_row(tmp_path, text, line, need, found, load):
     # A row with too few fields for the required columns is named, not a
     # TypeError from a missing field; blank lines still count as lines.
@@ -172,10 +169,10 @@ def test_csv_loaders_name_file_and_line_of_a_short_row(tmp_path, text, line, nee
      "line 2: site 'nyc': population inf must be finite and >= 0", geo.load_sites_csv),
     ("id,lat,lon,population\nnyc,40.7,-74.0,0\nla,34.0,-118.2,-1\n",
      "line 3: site 'la': population -1.0 must be finite and >= 0", geo.load_sites_csv),
-    ("src,dst,weight\na,a,1.0\n", "line 2: pair with identical endpoints 'a'",
-     traffic.read_matrix_csv),
+    ("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,95,0\nt1,0.1,0.3,90,0\n",
+     "line 3: duplicate tower id 't1'", los.load_towers_csv),
 ], ids=["height_zero", "latitude", "duplicate_endpoint", "duplicate_site",
-        "infinite_population", "negative_population", "self_pair"])
+        "infinite_population", "negative_population", "duplicate_tower"])
 def test_csv_loaders_name_file_and_line_of_a_bad_row(tmp_path, text, message, load):
     path = tmp_path / "input.csv"
     path.write_text(text)
@@ -199,3 +196,19 @@ def test_csv_loaders_ignore_extra_fields_and_read_missing_optional_ones_as_absen
     towers.write_text("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,95\n")
     with pytest.raises(ValueError, match="line 2: tower t1 lacks ground elevation"):
         los.load_towers_csv(str(towers))
+
+
+def test_write_csv_bytes(tmp_path):
+    # Default csv dialect: CRLF line ends, floats as repr, quoting only where needed.
+    path = tmp_path / "out.csv"
+    geo.write_csv(str(path), "a,b,c", [["x", 1, 0.1 + 0.2], ["y,z", 2.0, 1e-20]])
+    assert path.read_bytes() == (b"a,b,c\r\n"
+                                 b"x,1,0.30000000000000004\r\n"
+                                 b'"y,z",2.0,1e-20\r\n')
+
+
+def test_write_json_bytes(tmp_path):
+    path = tmp_path / "out.json"
+    geo.write_json({"b": [1, 0.1 + 0.2], "a": {"d": None, "c": "s"}}, str(path))
+    assert path.read_bytes() == (b'{\n "a": {\n  "c": "s",\n  "d": null\n },\n'
+                                 b' "b": [\n  1,\n  0.30000000000000004\n ]\n}\n')

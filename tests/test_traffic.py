@@ -116,7 +116,7 @@ def test_normalization_invariants():
         n = int(rng.integers(2, 9))
         sites = [city(f"s{i}", 0, i, float(rng.uniform(0.5, 50))) for i in range(n)]
         m = traffic.gravity_matrix(sites)
-        assert abs(m.total() - 1.0) <= 1e-12
+        assert abs(sum(w for _, w in m.items()) - 1.0) <= 1e-12
         for (a, b), w in m.items():
             assert a != b
             assert w >= 0
@@ -164,14 +164,6 @@ def test_matrix_rejects_diagonal_and_negative():
         TrafficMatrix({("a", "b"): -1.0})
     with pytest.raises(ValueError):
         TrafficMatrix({("a", "b"): 0.0})
-
-
-def test_matrix_csv_roundtrip(tmp_path):
-    m = TrafficMatrix({("a", "b"): 0.25, ("b", "c"): 0.75})
-    path = tmp_path / "m.csv"
-    traffic.write_matrix_csv(m, str(path))
-    back = traffic.read_matrix_csv(str(path))
-    assert back.as_dict() == m.as_dict()
 
 
 def test_scaled_demand():
