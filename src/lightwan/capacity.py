@@ -78,20 +78,13 @@ def series_needed(demand_gbps: float, per_series_capacity_gbps: float = 1.0) -> 
     return k
 
 
-def parallel_spacing_km(hop_km: float, separation_deg: float = 6.0) -> float:
-    """Distance between parallel series so antennae keep angular separation."""
-    if hop_km <= 0:
-        raise ValueError("hop length must be > 0")
-    return hop_km * math.tan(math.radians(separation_deg))
-
-
 @dataclass(frozen=True)
 class LinkAugmentation:
     """Augmentation outcome for one built MW link.
 
     Hop counts exclude the site-to-tower stubs: a series over t towers has
-    t - 1 radio hops. `category` is the new towers needed per hop end
-    (the shortfall in existing disjoint series).
+    t - 1 radio hops. `shortfall` is the new towers needed per hop end
+    (the series missing from the existing disjoint ones).
     """
 
     link: Pair
@@ -103,10 +96,6 @@ class LinkAugmentation:
     extra_series_hops: tuple[int, ...]
     new_towers: int
     towers_used: tuple[str, ...]
-
-    @property
-    def category(self) -> int:
-        return self.shortfall
 
     @property
     def radio_hops(self) -> int:
@@ -136,7 +125,7 @@ class AugmentationPlan:
     def hops_by_category(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for entry in self.links:
-            out[entry.category] = out.get(entry.category, 0) + entry.primary_hops
+            out[entry.shortfall] = out.get(entry.shortfall, 0) + entry.primary_hops
         return out
 
     @property
@@ -194,8 +183,7 @@ class MwCostReport:
     new_towers: int
 
 
-def mw_cost(design: NetworkDesign, plan: AugmentationPlan,
-            model: MwCostModel = MwCostModel(),
+def mw_cost(plan: AugmentationPlan, model: MwCostModel = MwCostModel(),
             aggregate_gbps: float = 0.0) -> MwCostReport:
     """Capex (radios per hop per series plus new towers) and rent over the
     term, amortized over the aggregate rate for dollars per GB."""
@@ -239,5 +227,5 @@ def plan_to_json(plan: AugmentationPlan, report: MwCostReport | None, path: str)
 def plan_categories_csv(plan: AugmentationPlan, path: str) -> None:
     """Per-link categories for map rendering (series count -> line weight)."""
     write_csv(path, "link_a,link_b,demand_gbps,series_count,new_towers_per_hop_end,primary_hops",
-              ([*e.link, f"{e.demand_gbps:.6f}", e.series_count, e.category, e.primary_hops]
+              ([*e.link, f"{e.demand_gbps:.6f}", e.series_count, e.shortfall, e.primary_hops]
                for e in sorted(plan.links, key=lambda e: e.link)))

@@ -34,7 +34,7 @@ DEFAULT_CONFIG: dict = {
     "instance_json": None,
     "design_json": None,
     "rain_csv": None,
-    "rain_rasters": None,  # {timestamp: path}
+    "rain_rasters": None,  # directory of <timestamp>.asc grids
     "seed": 0,
     "budget": 0.0,
     "budget_ladder": [],
@@ -264,8 +264,7 @@ def cmd_fiber(cfg, outdir) -> None:
 def _load_instance_and_design(cfg):
     _require(cfg, "instance_json", "design_json")
     inp = designer.load_design_input(cfg["instance_json"])
-    doc = designer.load_design(cfg["design_json"])
-    built = designer.built_links_from_design_doc(doc)
+    built = designer.load_built_links(cfg["design_json"])
     return inp, designer.evaluate_design(designer.HybridEvaluator(inp), built)
 
 
@@ -278,7 +277,7 @@ def cmd_augment(cfg, outdir) -> None:
     plan = capacity.augment(design, loads, hop_graph, inp.sites,
                             radius_km=cfg["site_link_radius_km"],
                             per_series_capacity_gbps=model.per_series_capacity_gbps)
-    report = capacity.mw_cost(design, plan, model, cfg["aggregate_gbps"])
+    report = capacity.mw_cost(plan, model, cfg["aggregate_gbps"])
     capacity.plan_to_json(plan, report, os.path.join(outdir, "augment_plan.json"))
     capacity.plan_categories_csv(plan, os.path.join(outdir, "augment_categories.csv"))
     print(f"augment: {plan.total_new_towers} new towers, "
@@ -290,14 +289,13 @@ def cmd_weather(cfg, outdir) -> None:
     if cfg.get("rain_csv"):
         field = weather.load_rain_csv(cfg["rain_csv"])
     elif cfg.get("rain_rasters"):
-        rasters = cfg["rain_rasters"]
-        if isinstance(rasters, str):
-            # Directory of .asc grids named by timestamp.
-            rasters = {os.path.splitext(name)[0]: os.path.join(rasters, name)
-                       for name in sorted(os.listdir(rasters))
-                       if name.endswith(".asc")}
-            if not rasters:
-                raise InputError(f"no .asc rasters in {cfg['rain_rasters']!r}")
+        folder = cfg["rain_rasters"]
+        if not isinstance(folder, str):
+            raise InputError(f"rain_rasters must name a directory, got {folder!r}")
+        rasters = {os.path.splitext(name)[0]: os.path.join(folder, name)
+                   for name in sorted(os.listdir(folder)) if name.endswith(".asc")}
+        if not rasters:
+            raise InputError(f"no .asc rasters in {folder!r}")
         field = weather.load_rain_rasters(rasters)
     else:
         raise InputError("weather needs rain_csv or rain_rasters")
@@ -399,7 +397,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (designer.InfeasibleDesignError, designer.ExactGuardExceeded) as exc:

@@ -145,8 +145,8 @@ class HybridEvaluator:
     Everything is scored by `score`, and the value of a matrix does not
     depend on the others in its kernel call. So a search may hold a matrix
     back and score it in a later call it makes anyway (branch-and-bound's
-    exclude bounds): the matrix still costs one row and reads the same
-    float.
+    exclude bounds ride with the next include bound): the matrix still
+    costs one row and reads the same float.
     """
 
     def __init__(self, inp: DesignInput) -> None:
@@ -309,12 +309,14 @@ def _branch_and_bound(ev: HybridEvaluator, cands: Sequence[Pair]) -> frozenset:
     A node carries the weight matrix of its bound set; a child's is a copy
     of its parent's with the links it drops reset to fiber. An exclude
     child's bound is read only once the include subtree is done, so its
-    matrix waits in `pending` and rides along in the next kernel call the
-    search makes anyway, an include bound's; a node reached while its own
-    bound still waits scores every waiting matrix in one call. Every
-    exclude child is visited, so each waiting matrix is scored exactly
-    once, as when it was scored beside its include sibling: deferring adds
-    no rows and changes no value, only the number of calls.
+    matrix waits in `pending` and rides along in the next include bound's
+    kernel call, which always comes first: `free` holds only links with
+    `cost + c <= budget`, so a branching node has two or more. Its include
+    chain keeps its bound and fill, so is neither pruned nor a leaf, until a
+    child drops a link and scores its bound, at the latest at free [a, b]:
+    `(cost + c_a) + c_b > budget` drops b there by the same float sum. Each
+    waiting matrix is so scored once, as beside its include sibling:
+    deferring adds no rows and changes no value, only the number of calls.
     """
     budget = ev.inp.budget
     link = [ev.link[p] for p in cands]
@@ -340,8 +342,6 @@ def _branch_and_bound(ev: HybridEvaluator, cands: Sequence[Pair]) -> frozenset:
     def dfs(chosen: tuple[int, ...], cost: float, free: list[int], w: np.ndarray,
             bound: list[float]) -> None:
         nonlocal best, best_val
-        if not bound:
-            scored()
         if bound[0] >= best_val - _REL_TOL * max(1.0, abs(best_val)):
             return
         fill = cost
@@ -387,8 +387,8 @@ def solve_exact(ev: HybridEvaluator, candidates: Sequence[Pair]) -> NetworkDesig
     the objective's fixed-order dot product are monotone in the link set
     under IEEE rounding, and the search accepts the same incumbents.
     Each bound set is scored once, from the same matrix, whichever kernel
-    call it lands in: an exclude child's bound waits for a later call
-    (see `_branch_and_bound`) but is still needed, so waiting adds no rows.
+    call it lands in: an exclude child's bound waits for the next include
+    bound's call (see `_branch_and_bound`), so waiting adds no rows.
     Refuses more than EXACT_CANDIDATE_GUARD candidates; callers fall back
     to solve_heuristic's greedy path.
     """
@@ -688,13 +688,10 @@ def save_design(design: NetworkDesign, path: str) -> None:
     write_json(doc, path)
 
 
-def load_design(path: str) -> dict:
+def load_built_links(path: str) -> list[Pair]:
+    """The built links of a design file written by `save_design`."""
     with open(path) as fh:
-        return json.load(fh)
-
-
-def built_links_from_design_doc(doc: dict) -> list[Pair]:
-    return [pair_key(a, b) for a, b in doc["built_links"]]
+        return [pair_key(a, b) for a, b in json.load(fh)["built_links"]]
 
 
 def design_to_geojson(inp: DesignInput, design: NetworkDesign,

@@ -289,9 +289,6 @@ class WavelengthPlan:
     links: tuple[WavelengthAssignment, ...]
     aggregate_gbps: float
 
-    def by_link(self) -> dict[Pair, WavelengthAssignment]:
-        return {a.link: a for a in self.links}
-
 
 def _pick_wavelength(demand: float) -> tuple[float, int, bool, bool]:
     """Smallest wavelength option covering `demand`; prefers utilization in

@@ -1,6 +1,6 @@
-"""Geodesic geometry, latency conversion, and stretch arithmetic.
+"""Geodesic geometry, latency conversion, sites and the CSV/JSON artifact IO.
 
-All functions are pure and operate on immutable values; distances are
+The geometry is pure and works on immutable values; distances are
 great-circle kilometers on a spherical Earth and latencies are one-way
 milliseconds (callers double for RTT).
 """
@@ -16,9 +16,6 @@ from typing import Callable
 
 EARTH_RADIUS_KM = 6371.0
 C_VACUUM_KM_S = 299792.458
-
-MEDIUM_MW = "mw"
-MEDIUM_FIBER = "fiber"
 
 
 @dataclass(frozen=True)
@@ -46,18 +43,15 @@ class LatencyModel:
 
     c_vacuum: float = C_VACUUM_KM_S  # km/s
     fiber_slowdown: float = 1.5
-    mw_slowdown: float = 1.0
 
     def __post_init__(self) -> None:
         if self.fiber_slowdown < 1.0:
             raise ValueError("fiber_slowdown must be >= 1")
-        if self.mw_slowdown < 1.0:
-            raise ValueError("mw_slowdown must be >= 1")
 
     def slowdown(self, medium: str) -> float:
-        if medium == MEDIUM_MW:
-            return self.mw_slowdown
-        if medium == MEDIUM_FIBER:
+        if medium == "mw":
+            return 1.0
+        if medium == "fiber":
             return self.fiber_slowdown
         raise ValueError(f"unknown medium {medium!r}")
 
@@ -91,23 +85,6 @@ def latency_ms(distance_km: float, medium: str, model: LatencyModel = LatencyMod
     if distance_km < 0:
         raise ValueError("distance must be >= 0")
     return distance_km * model.slowdown(medium) / model.c_vacuum * 1000.0
-
-
-def c_latency_ms(a: GeoPoint, b: GeoPoint, model: LatencyModel = LatencyModel()) -> float:
-    """Physical lower bound: geodesic distance divided by the vacuum speed of light."""
-    return geodesic_km(a, b) / model.c_vacuum * 1000.0
-
-
-def stretch(path_latency_ms: float, src: GeoPoint, dst: GeoPoint,
-            model: LatencyModel = LatencyModel()) -> float:
-    """Ratio of an achieved one-way latency to the pair's c-latency.
-
-    Raises ValueError for coincident endpoints, where the ratio is undefined.
-    """
-    base = c_latency_ms(src, dst, model)
-    if base == 0.0:
-        raise ValueError("stretch undefined for coincident endpoints")
-    return path_latency_ms / base
 
 
 def read_csv(path: str, columns: str, row: Callable) -> list:

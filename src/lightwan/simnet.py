@@ -148,15 +148,8 @@ def load_topology(path: str) -> SimTopology:
 # Routing tables
 
 
-@dataclass(frozen=True)
-class RoutingTable:
-    """Per (node, destination): weighted next hops, weights summing to 1."""
-
-    next_hops: dict[tuple[str, str], tuple[tuple[str, float], ...]]
-    scheme: str
-
-    def hops_for(self, node: str, dst: str) -> tuple[tuple[str, float], ...]:
-        return self.next_hops[(node, dst)]
+# Per (node, destination): weighted next hops, weights summing to 1.
+RoutingTable = dict[tuple[str, str], tuple[tuple[str, float], ...]]
 
 
 def _directed_demands(traffic: TrafficMatrix) -> dict[tuple[str, str], float]:
@@ -226,11 +219,11 @@ def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str,
             raise InfeasibleDesignError(f"pair ({nodes[s]}, {nodes[t]}) disconnected")
 
     if scheme == "shortest_path":
-        table: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
+        table: RoutingTable = {}
         for walk in next_hop_walks(lat, dmat, pairs):
             for u, v in zip(walk, walk[1:]):
                 table[(nodes[u], nodes[walk[-1]])] = ((nodes[v], 1.0),)
-        return RoutingTable(table, scheme)
+        return table
 
     down = _downhill_dag(nodes, lat, dmat, destinations)
     inject = np.zeros(down.shape[:2])
@@ -262,7 +255,7 @@ def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str,
         ws = best[k, u, vs].tolist()
         total = sum(ws)
         table[(nodes[u], destinations[k])] = tuple((nodes[v], w / total) for v, w in zip(vs, ws))
-    return RoutingTable(table, scheme)
+    return table
 
 
 def expected_link_loads(topology: SimTopology, table: RoutingTable, traffic: TrafficMatrix,
@@ -280,7 +273,7 @@ def expected_link_loads(topology: SimTopology, table: RoutingTable, traffic: Tra
     for (src, dst), h in demands.items():
         inject[row[dst], index[src]] = h * aggregate_gbps
     split = np.zeros((len(destinations), len(nodes), len(nodes)))
-    for (node, dst), hops in table.next_hops.items():
+    for (node, dst), hops in table.items():
         if dst in row and node != dst:
             for nbr, w in hops:
                 split[row[dst], index[node], index[nbr]] += w
@@ -345,7 +338,7 @@ def _hop(table: RoutingTable, links: dict[tuple[str, str], _LinkState], node: st
     if (node, dst) not in resolved:
         out = tuple((w, (links[(node, nh)],
                          None if nh == dst else _hop(table, links, nh, dst, resolved), None))
-                    for nh, w in table.hops_for(node, dst))
+                    for nh, w in table[(node, dst)])
         resolved[(node, dst)] = out[0][1] if len(out) == 1 else (None, None, out)
     return resolved[(node, dst)]
 

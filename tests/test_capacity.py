@@ -8,8 +8,8 @@ import pytest
 
 from lightwan import capacity, designer, los, simnet
 from lightwan.capacity import (
-    AugmentationPlan, LinkAugmentation, MwCostModel, augment, mw_cost,
-    parallel_spacing_km, route_demand, series_needed,
+    AugmentationPlan, LinkAugmentation, MwCostModel, augment, mw_cost, route_demand,
+    series_needed,
 )
 from lightwan.geo import GeoPoint, Site, geodesic_km
 from lightwan.los import LosParams, TerrainGrid, Tower
@@ -45,14 +45,6 @@ def test_series_invariant_random():
         assert k * k >= demand
         if k > 1:
             assert (k - 1) ** 2 < demand
-
-
-def test_parallel_spacing_examples():
-    assert parallel_spacing_km(100.0) == pytest.approx(10.5104235, abs=1e-6)
-    assert parallel_spacing_km(50.0) == pytest.approx(5.2552118, abs=1e-6)
-    assert parallel_spacing_km(0.001) == pytest.approx(0.000105, abs=1e-6)
-    with pytest.raises(ValueError):
-        parallel_spacing_km(0.0)
 
 
 def two_site_design(mw_len=100.0, with_fiber=True):
@@ -295,7 +287,7 @@ def test_augment_k_squared_invariant():
 
 def test_mw_cost_empty_design():
     plan = AugmentationPlan((), 1.0)
-    report = mw_cost(None, plan, MwCostModel(), aggregate_gbps=0.0)
+    report = mw_cost(plan, MwCostModel(), aggregate_gbps=0.0)
     assert report.total_usd == 0.0
     assert report.dollars_per_gb == 0.0
 
@@ -308,7 +300,7 @@ def test_mw_cost_single_hop_arithmetic():
                              extra_series_hops=(), new_towers=0,
                              towers_used=("t1", "t2"))
     plan = AugmentationPlan((entry,), 1.0)
-    report = mw_cost(None, plan, MwCostModel(), aggregate_gbps=1.0)
+    report = mw_cost(plan, MwCostModel(), aggregate_gbps=1.0)
     assert report.capex_usd == pytest.approx(150000.0)
     assert report.rent_usd == pytest.approx(37500.0 * 2 * 5)
     assert report.total_usd == pytest.approx(525000.0)
@@ -328,7 +320,7 @@ def test_mw_cost_toy_plan_spreadsheet():
     )
     plan = AugmentationPlan(entries, 1.0)
     model = MwCostModel()
-    report = mw_cost(None, plan, model, aggregate_gbps=10.0)
+    report = mw_cost(plan, model, aggregate_gbps=10.0)
     radios = (4 + 5 + 0 * 4) + 3 + (2 + 2 + 1 * 2)
     new_towers = 4
     towers = 11 + 4 + 3 + new_towers
@@ -345,14 +337,14 @@ def test_cost_monotone_in_aggregate():
     prev = 0.0
     for aggregate in (1.0, 2.0, 5.0, 9.0):
         plan = corridor_design(2, demand_gbps=aggregate)
-        report = mw_cost(None, plan, MwCostModel(), aggregate)
+        report = mw_cost(plan, MwCostModel(), aggregate)
         assert report.total_usd >= prev
         prev = report.total_usd
 
 
 def test_plan_serialization(tmp_path):
     plan = corridor_design(2, demand_gbps=3.0)
-    report = mw_cost(None, plan, MwCostModel(), 3.0)
+    report = mw_cost(plan, MwCostModel(), 3.0)
     jpath = tmp_path / "plan.json"
     cpath = tmp_path / "cats.csv"
     capacity.plan_to_json(plan, report, str(jpath))

@@ -109,7 +109,6 @@ def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 
-
 def assert_matches_golden(path, name, exact=False):
     """Golden comparison, numeric-tolerant unless `exact` (then the text
     must be equal, line endings aside); regenerate with
@@ -232,7 +231,8 @@ def test_fiber_keeps_endpoint_file_order(tmp_path):
 
 def test_weather_zero_rain_intervals_match_baseline(pipeline):
     rows = read_csv(pipeline["weather_intervals"])
-    doc = designer.load_design(pipeline["design"])
+    with open(pipeline["design"]) as fh:
+        doc = json.load(fh)
     baseline = {f"{r['src']}|{r['dst']}": r["stretch"] for r in doc["per_pair"]}
     dry = [r for r in rows if r["timestamp"] == "2015-07-01T00:00"]
     assert dry
@@ -272,7 +272,8 @@ def test_weather_raster_directory_mode(pipeline, tmp_path):
                  "--set", "rain_csv=null",
                  "--set", f"rain_rasters={rain_dir}"]) == 0
     rows = read_csv(os.path.join(out, "weather_intervals.csv"))
-    doc = designer.load_design(pipeline["design"])
+    with open(pipeline["design"]) as fh:
+        doc = json.load(fh)
     baseline = {f"{r['src']}|{r['dst']}": r["stretch"] for r in doc["per_pair"]}
     inp = designer.load_design_input(pipeline["instance"])
     fiber_only = designer.evaluate_design(designer.HybridEvaluator(inp), [])
@@ -323,8 +324,8 @@ def test_demo_routes_match_dijkstra_reference(pipeline, monkeypatch):
     for budget in (0, 10, 25):
         inp = designer.load_design_input(
             os.path.join(pipeline["design_dir"], f"instance_B{budget}.json"))
-        doc = designer.load_design(os.path.join(pipeline["design_dir"], f"design_B{budget}.json"))
-        built = designer.built_links_from_design_doc(doc)
+        built = designer.load_built_links(
+            os.path.join(pipeline["design_dir"], f"design_B{budget}.json"))
         changed[budget] = assert_design_matches_reference(inp, built)
     assert changed == {0: {("cb", "dcb"), ("ce", "dca")}, 10: {("dca", "dcb")}, 25: set()}
 
@@ -547,7 +548,7 @@ def test_exit_code_names_file_and_line_of_a_short_row(pipeline, tmp_path, capsys
 
 def test_weather_reroutes_once_per_failure_set_on_demo(pipeline, monkeypatch):
     inp = designer.load_design_input(pipeline["instance"])
-    built = designer.built_links_from_design_doc(designer.load_design(pipeline["design"]))
+    built = designer.load_built_links(pipeline["design"])
     design = designer.evaluate_design(designer.HybridEvaluator(inp), built)
     coords = {s.id: s.location for s in inp.sites}
     coords.update((t.id, t.location) for t in los.load_towers_csv(os.path.join(DEMO, "towers.csv")))
@@ -585,3 +586,66 @@ def test_hopgraph_names_file_and_line_of_a_bad_terrain_field(tmp_path, capsys, d
     capsys.readouterr()
     assert main(["hopgraph", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
     assert f"{terrain}: line {line}: {message}" in capsys.readouterr().err
+
+
+def test_os_errors_exit_one_naming_the_path(pipeline, tmp_path, capsys):
+    # `--out` naming a plain file, then `rain_rasters` naming one.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    weather_argv = ["weather", "--config", pipeline["config"], "--out", str(tmp_path / "w"),
+                    "--set", f"instance_json={pipeline['instance']}",
+                    "--set", f"design_json={pipeline['design']}", "--set", "rain_csv=null"]
+    for argv in (["fiber", "--config", pipeline["config"], "--out", str(afile)],
+                 weather_argv + ["--set", f"rain_rasters={afile}"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and str(afile) in err, argv[0]
+        assert "Traceback" not in err
+    # rain_rasters is a directory path; a {timestamp: path} map is refused.
+    assert main(weather_argv + ["--set", f'rain_rasters={{"t": "{afile}"}}']) == 1
+    assert "error: rain_rasters must name a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["conduit_endpoint", "mw_cost", "built_link", "tower_path"])
+def test_exit_code_names_the_line_or_pair_of_an_input_fault(pipeline, tmp_path, capsys, fault):
+    # One fault per case: a conduits row naming an unknown endpoint, an
+    # instance MW pair without a tower cost, a design link the instance
+    # lacks, and a built link without a recorded tower path.
+    inp = designer.load_design_input(pipeline["instance"])
+    with open(pipeline["instance"]) as fh:
+        instance = json.load(fh)
+    with open(pipeline["design"]) as fh:
+        design = json.load(fh)
+    ids = inp.site_ids
+    command = "export-geojson"
+    if fault == "conduit_endpoint":
+        with open(os.path.join(DEMO, "fiber_conduits.csv")) as fh:
+            rows = fh.read().splitlines()
+        bad = tmp_path / "conduits.csv"
+        bad.write_text("\n".join(rows[:2] + ["f_ca,f_zz,10.0"] + rows[2:]) + "\n")
+        command, sets = "fiber", [f"fiber_conduits_csv={bad}"]
+        message = f"{bad}: line 3: link (f_ca, f_zz) references unknown endpoint"
+    elif fault == "mw_cost":
+        pair = min(inp.mw_km)
+        i, j = ids.index(pair[0]), ids.index(pair[1])
+        instance["mw_cost_towers"][i][j] = instance["mw_cost_towers"][j][i] = None
+        message = f"mw pair {pair} lacks a cost entry"
+    elif fault == "built_link":
+        pair = min(p for p in inp.geodesic if p not in inp.mw_km)
+        design["built_links"].append(list(pair))
+        message = f"built link {pair} is not an available MW link"
+    else:
+        pair = tuple(design["built_links"][0])
+        del instance["tower_paths"]["|".join(pair)]
+        command, message = "weather", f"no tower path recorded for built link {pair}"
+    if fault != "conduit_endpoint":
+        sets = []
+        for key, doc in (("instance_json", instance), ("design_json", design)):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(doc))
+            sets.append(f"{key}={path}")
+    capsys.readouterr()
+    argv = [command, "--config", pipeline["config"], "--out", str(tmp_path / "o")]
+    assert main(argv + [a for s in sets for a in ("--set", s)]) == 1
+    assert message in capsys.readouterr().err

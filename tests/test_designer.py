@@ -1089,8 +1089,7 @@ def test_design_json_and_geojson(tmp_path):
     design = solve_heuristic(inp)
     dpath = tmp_path / "design.json"
     designer.save_design(design, str(dpath))
-    doc = designer.load_design(str(dpath))
-    assert designer.built_links_from_design_doc(doc) == list(design.built_links)
+    assert designer.load_built_links(str(dpath)) == list(design.built_links)
     gj = designer.design_to_geojson(inp, design)
     assert gj["type"] == "FeatureCollection"
     media = {f["properties"]["medium"] for f in gj["features"]}

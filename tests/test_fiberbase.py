@@ -199,8 +199,7 @@ def test_provision_zero_demand_link_flagged_under_floor():
     g = make_graph(points, [("a", "b"), ("b", "c"), ("a", "c")])
     m = TrafficMatrix({("a", "b"): 1.0})
     plan = provision_wavelengths(g, m, 5.0)
-    by_link = plan.by_link()
-    idle = by_link[("b", "c")]
+    idle = next(a for a in plan.links if a.link == ("b", "c"))
     assert idle.demand_gbps == 0.0
     assert (idle.capacity_gbps, idle.count) == (1.0, 1)
     assert idle.under_floor

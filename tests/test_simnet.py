@@ -93,7 +93,7 @@ def reference_run(topology, traffic, table, cfg, model=LatencyModel()) -> FlowSt
 
     def forward(fid: int, send_t: float, node: str, t: float) -> None:
         src, dst, _ = flows[fid]
-        hops = table.hops_for(node, dst)
+        hops = table[(node, dst)]
         if len(hops) == 1:
             nh = hops[0][0]
         else:
@@ -343,7 +343,7 @@ def reference_expected_link_loads(topology, table, traffic, aggregate_gbps) -> d
             node = stack.pop()
             if node == dst or node in out_edges:
                 continue
-            hops = table.hops_for(node, dst)
+            hops = table[(node, dst)]
             out_edges[node] = hops
             for nbr, _ in hops:
                 if nbr not in nodes:
@@ -406,7 +406,7 @@ def assert_routing_matches_reference(topo, traffic, monkeypatch) -> int:
     w = weight_matrix(nodes, {(a, b): x for a, b, x in g.edges()})
     dist = distance_matrix(w)
     demands = simnet._directed_demands(traffic)
-    got = build_routing(topo, traffic, "shortest_path").next_hops
+    got = build_routing(topo, traffic, "shortest_path")
     want = reference_shortest_path_table(topo, traffic)
     changed = 0
     for src, dst in demands:
@@ -425,7 +425,7 @@ def assert_routing_matches_reference(topo, traffic, monkeypatch) -> int:
     # A short rebalancing run keeps this cheap; every round reads the DAG.
     monkeypatch.setattr(simnet, "REBALANCE_ITERATIONS", 30)
     balanced = build_routing(topo, traffic, "min_max_util")
-    assert_tables_close(balanced.next_hops, reference_build_routing(topo, traffic, 30))
+    assert_tables_close(balanced, reference_build_routing(topo, traffic, 30))
     for table in (balanced, build_routing(topo, traffic, "shortest_path")):
         assert_loads_close(topo, table, traffic, 1.0)
     monkeypatch.setattr(simnet, "_downhill_dag",
@@ -550,7 +550,7 @@ def test_min_max_util_matches_dict_reference_on_hand_built_and_designed():
     inp, _, designed, _ = designed_topology()
     for topo, traffic, model in [(designed, inp.traffic, LatencyModel()), *hand_built_cases()]:
         balanced = build_routing(topo, traffic, "min_max_util", model)
-        assert_tables_close(balanced.next_hops,
+        assert_tables_close(balanced,
                             reference_build_routing(topo, traffic, model=model))
         for table in (balanced, build_routing(topo, traffic, "shortest_path", model)):
             assert_loads_close(topo, table, traffic, 1.0)
@@ -566,10 +566,9 @@ def test_expected_link_loads_raises_on_looping_table(idle_nodes):
     topo = SimTopology(["a", "b", "x", "y", *idle], [
         SimLink("a", "x", 10.0, "mw", 1.0), SimLink("x", "y", 10.0, "mw", 1.0),
         SimLink("y", "b", 10.0, "mw", 1.0), SimLink("x", "b", 10.0, "mw", 1.0)])
-    table = simnet.RoutingTable({
+    table = {
         ("a", "b"): (("x", 1.0),), ("x", "b"): (("y", 0.5), ("b", 0.5)),
-        ("y", "b"): (("x", 1.0),), ("b", "a"): (("x", 1.0),), ("x", "a"): (("a", 1.0),)},
-        "min_max_util")
+        ("y", "b"): (("x", 1.0),), ("b", "a"): (("x", 1.0),), ("x", "a"): (("a", 1.0),)}
     with pytest.raises(ValueError, match="routing loop towards 'b'"):
         expected_link_loads(topo, table, TrafficMatrix({("a", "b"): 1.0}), 1.0)
 
@@ -577,8 +576,7 @@ def test_expected_link_loads_raises_on_looping_table(idle_nodes):
 def test_expected_link_loads_raises_on_missing_entry():
     topo = SimTopology(["a", "m", "b"], [
         SimLink("a", "m", 10.0, "mw", 1.0), SimLink("m", "b", 10.0, "mw", 1.0)])
-    table = simnet.RoutingTable({("a", "b"): (("m", 1.0),), ("b", "a"): (("m", 1.0),),
-                                 ("m", "a"): (("a", 1.0),)}, "shortest_path")
+    table = {("a", "b"): (("m", 1.0),), ("b", "a"): (("m", 1.0),), ("m", "a"): (("a", 1.0),)}
     with pytest.raises(KeyError, match=r"\('m', 'b'\)"):
         expected_link_loads(topo, table, TrafficMatrix({("a", "b"): 1.0}), 1.0)
 
@@ -713,7 +711,7 @@ def test_min_max_util_symmetric_split():
     ])
     m = TrafficMatrix({("a", "b"): 1.0})
     table = build_routing(topo, m, "min_max_util")
-    hops = dict(table.hops_for("a", "b"))
+    hops = dict(table[("a", "b")])
     assert hops["x"] == pytest.approx(0.5, abs=1e-6)
     assert hops["y"] == pytest.approx(0.5, abs=1e-6)
 
@@ -724,8 +722,8 @@ def test_shortest_path_on_unequal_triangle():
         SimLink("a", "c", 300.0, "mw", 1.0)])
     m = TrafficMatrix({("a", "c"): 1.0})
     table = build_routing(topo, m, "shortest_path")
-    assert table.hops_for("a", "c") == (("b", 1.0),)
-    assert table.hops_for("b", "c") == (("c", 1.0),)
+    assert table[("a", "c")] == (("b", 1.0),)
+    assert table[("b", "c")] == (("c", 1.0),)
 
 
 def test_min_max_util_within_one_percent_of_grid_oracle():
@@ -1009,7 +1007,7 @@ def last_links(table, src, dst) -> set:
     seen, stack, last = {src}, [src], set()
     while stack:
         node = stack.pop()
-        for nbr, _ in table.hops_for(node, dst):
+        for nbr, _ in table[(node, dst)]:
             if nbr == dst:
                 last.add((node, dst))
             elif nbr not in seen:
