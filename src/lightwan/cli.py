@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import capacity, designer, fiberbase, geo, los, simnet, traffic, weather
-from .traffic import TrafficMatrix, pair_key
+from .traffic import TrafficMatrix
 
 DEFAULT_CONFIG: dict = {
     "towers_csv": None,
@@ -234,7 +234,7 @@ def cmd_fiber(cfg, outdir) -> None:
     weights = (traffic.gravity_matrix(endpoints)
                if all(ep.population > 0 for ep in endpoints) else None)
     demand = weights if weights is not None else TrafficMatrix(
-        {pair_key(a, b): 1.0 for i, a in enumerate(sites) for b in sites[i + 1:]})
+        dict.fromkeys(traffic.PairIndex(sites).pairs, 1.0))
     model = fiberbase.LeaseCostModel(**cfg["lease_cost"])
     steps = fiberbase.prune_links(fiber, sites, weights)
     aggregate = cfg["aggregate_gbps"]
@@ -248,15 +248,8 @@ def cmd_fiber(cfg, outdir) -> None:
                    for step, cost in zip(steps, costs)))
     # The first step is the unpruned graph: its plan is the baseline's.
     base, cost = steps[0].stats, costs[0]
-    geo.write_json({
-        "stats": {"mean": base.mean, "median": base.median, "p95": base.p95,
-                  "weighting": base.weighting, "pair_count": base.pair_count,
-                  "excluded_pairs": base.excluded_pairs},
-        "lease_cost": {"bandwidth_usd": cost.bandwidth_usd,
-                       "site_usd": cost.site_usd, "total_usd": cost.total_usd,
-                       "dollars_per_gb": cost.dollars_per_gb,
-                       "site_count": cost.site_count},
-    }, os.path.join(outdir, "fiber_baseline.json"))
+    geo.write_json({"stats": dataclasses.asdict(base), "lease_cost": dataclasses.asdict(cost)},
+                   os.path.join(outdir, "fiber_baseline.json"))
     print(f"fiber: median stretch {base.median:.3f}, "
           f"{len(steps)} pruning steps, ${cost.total_usd:,.0f} lease")
 
@@ -286,8 +279,10 @@ def cmd_augment(cfg, outdir) -> None:
 
 def cmd_weather(cfg, outdir) -> None:
     inp, design = _load_instance_and_design(cfg)
+    rasters = None
     if cfg.get("rain_csv"):
         field = weather.load_rain_csv(cfg["rain_csv"])
+        stamps = field.timestamps()
     elif cfg.get("rain_rasters"):
         folder = cfg["rain_rasters"]
         if not isinstance(folder, str):
@@ -296,17 +291,18 @@ def cmd_weather(cfg, outdir) -> None:
                    for name in sorted(os.listdir(folder)) if name.endswith(".asc")}
         if not rasters:
             raise InputError(f"no .asc rasters in {folder!r}")
-        field = weather.load_rain_rasters(rasters)
+        stamps = sorted(rasters)
     else:
         raise InputError("weather needs rain_csv or rain_rasters")
+    per_day = cfg["weather"]["intervals_per_day"]
+    if per_day:
+        stamps = weather.select_intervals(stamps, per_day, cfg["seed"])
+    if rasters is not None:  # read only the frames the intervals use
+        field = weather.load_rain_rasters({t: rasters[t] for t in stamps})
     coords = {s.id: s.location for s in inp.sites}
     if cfg.get("towers_csv"):
         coords.update((t.id, t.location) for t in _read_towers(cfg))
     model = weather.AttenuationModel(**cfg["attenuation"])
-    stamps = field.timestamps()
-    per_day = cfg["weather"]["intervals_per_day"]
-    if per_day:
-        stamps = weather.select_intervals(stamps, per_day, cfg["seed"])
     report = weather.analyze(inp, design, field, coords, model, stamps)
     weather.write_intervals_csv(report, os.path.join(outdir, "weather_intervals.csv"))
     weather.write_percentiles_csv(report, os.path.join(outdir, "weather_percentiles.csv"))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .graphcore import (
     shortest_paths_from, weight_matrix,
 )
 from .los import HopGraph
-from .traffic import Pair, TrafficMatrix, pair_key
+from .traffic import Pair, PairIndex, TrafficMatrix, pair_key
 
 EXACT_CANDIDATE_GUARD = 25
 # greedy_candidates runs until its links cost this multiple of the budget.
@@ -131,7 +132,7 @@ class NetworkDesign:
 
 
 class HybridEvaluator:
-    """Pure scorer of link sets; matrices follow inp.site_ids.
+    """Pure scorer of link sets; matrices and per-pair arrays follow `pairs`.
 
     Available MW link k (`links[k]`, `link[pair]`: sorted(inp.mw_km) order,
     so link order is sorted pair order) owns the entries (i, j) and (j, i)
@@ -146,13 +147,16 @@ class HybridEvaluator:
     depend on the others in its kernel call. So a search may hold a matrix
     back and score it in a later call it makes anyway (branch-and-bound's
     exclude bounds ride with the next include bound): the matrix still
-    costs one row and reads the same float.
+    costs one row and reads the same float. `fiber_dist` solves the fiber
+    matrix once, for dominance elimination and every search's empty set.
     """
 
     def __init__(self, inp: DesignInput) -> None:
         self.inp = inp
-        self.index = {s: i for i, s in enumerate(inp.site_ids)}
-        self.fiber = weight_matrix(inp.site_ids, inp.fiber_km_eq)
+        self.pairs = PairIndex(inp.site_ids, inp.traffic)
+        self.geodesic = np.array([inp.geodesic[p] for p in self.pairs.pairs])
+        self.index = {s: i for i, s in enumerate(self.pairs.ids)}
+        self.fiber = weight_matrix(self.pairs.ids, inp.fiber_km_eq)
         n = len(self.index)
         demands = list(inp.traffic.items())
         self._demand_at = np.array([self.index[a] * n + self.index[b] for (a, b), _ in demands],
@@ -220,21 +224,32 @@ class HybridEvaluator:
         `_step()` matrices and the demand entries gathered once per call;
         each value is bitwise equal to that of a one-matrix call."""
         step = self._step()
-        out: list[float] = []
-        for s in range(0, len(stack), step):
-            d = distance_matrix(stack[s:s + step])
-            # take() returns C order, so each set's demand row is contiguous.
-            for v in d.reshape(len(d), -1).take(self._demand_at, axis=1):
-                # One contiguous vector per set keeps the dot product's
-                # summation order that of a one-set call. An unroutable
-                # pair makes the sum inf or nan (0 x inf).
-                total = float(self._coef @ v)
-                out.append(total if math.isfinite(total) else math.inf)
+        if len(stack) > step:
+            return [v for s in range(0, len(stack), step) for v in self.score(stack[s:s + step])]
+        return self._objectives(distance_matrix(stack))
+
+    def _objectives(self, d: np.ndarray) -> list[float]:
+        # take() returns C order, so each set's demand row is contiguous.
+        out = []
+        for v in d.reshape(len(d), -1).take(self._demand_at, axis=1):
+            # One contiguous vector per set keeps the dot product's
+            # summation order that of a one-set call. An unroutable
+            # pair makes the sum inf or nan (0 x inf).
+            total = float(self._coef @ v)
+            out.append(total if math.isfinite(total) else math.inf)
         return out
 
+    @cached_property
+    def fiber_dist(self) -> np.ndarray:
+        """Distances of the fiber-only matrix, solved once per evaluator."""
+        return distance_matrix(self.fiber)
+
     def objective(self, built: Iterable[Pair]) -> float:
-        """Objective of one built-link set (see `score`)."""
-        return self.score(self.graph_for(built)[None])[0]
+        """Objective of one built-link set (see `score`); the empty set's is
+        read off `fiber_dist`, the same float."""
+        built = list(built)
+        return (self.score(self.graph_for(built)[None]) if built
+                else self._objectives(self.fiber_dist[None]))[0]
 
 
 def objective(inp: DesignInput, design: NetworkDesign) -> float:
@@ -266,7 +281,7 @@ def eliminate_dominated(ev: HybridEvaluator) -> list[Pair]:
     without increasing any path length, so dropping it preserves the
     optimum while saving budget.
     """
-    fiber = distance_matrix(ev.fiber).ravel()[ev._at[:, 0]].tolist()
+    fiber = ev.fiber_dist.ravel()[ev._at[:, 0]].tolist()
     return [p for p, best in zip(ev.links, fiber) if ev.inp.mw_km[p] < best]
 
 
@@ -498,22 +513,22 @@ def evaluate_design(ev: HybridEvaluator, built_links: Sequence[Pair]) -> Network
 
     w = ev.graph_for(built)
     dist = distance_matrix(w)
-    ids = inp.site_ids
+    ids = ev.pairs.ids
     if np.isinf(dist).any():
         i, j = np.argwhere(np.isinf(dist))[0]  # row-major, so i < j
         raise InfeasibleDesignError(f"pair ({ids[i]}, {ids[j]}) cannot be routed")
+    stretch = dist[ev.pairs.rows, ev.pairs.cols] / ev.geodesic
     # Python lists, read once per call: the per-edge and per-pair reads
     # below then cost no numpy scalar each.
     is_mw = (w < ev.fiber).tolist()
     km = dist.tolist()
-    pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    at = list(zip(ev.pairs.rows.tolist(), ev.pairs.cols.tolist()))
     routes: dict[Pair, PairRoute] = {}
-    for (i, j), walk in zip(pairs, next_hop_walks(w, dist, pairs)):
-        a, b = ids[i], ids[j]
+    for pair, (i, j), walk, s in zip(ev.pairs.pairs, at, next_hop_walks(w, dist, at),
+                                     stretch.tolist()):
         media = tuple("mw" if is_mw[u][v] else "fiber" for u, v in zip(walk, walk[1:]))
-        routes[(a, b)] = PairRoute(tuple(ids[u] for u in walk), media, km[i][j],
-                                   km[i][j] / inp.geodesic[(a, b)])
-    stats = stretch_stats({p: r.stretch for p, r in routes.items()}, inp.traffic)
+        routes[pair] = PairRoute(tuple(ids[u] for u in walk), media, km[i][j], s)
+    stats = stretch_stats(stretch, ev.pairs.weights)
     return NetworkDesign(tuple(built), routes, stats, towers, inp.budget)
 
 
@@ -584,11 +599,8 @@ def build_design_input(sites: Sequence[Site], traffic: TrafficMatrix,
     (from the conduit graph); they are converted to latency-equivalent km
     here, at the `DesignInput` default fiber slowdown.
     """
-    geodesic = {}
-    ordered = sorted(sites, key=lambda s: s.id)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            geodesic[pair_key(a.id, b.id)] = geodesic_km(a.location, b.location)
+    loc = {s.id: s.location for s in sites}
+    geodesic = {(a, b): geodesic_km(loc[a], loc[b]) for a, b in PairIndex(loc).pairs}
     links = site_links(sites, hop_graph, radius_km) if hop_graph is not None else {}
     return DesignInput(
         sites=list(sites),
@@ -618,14 +630,9 @@ def _dense(matrix: dict[Pair, float], ids: list[str]) -> list[list[float | None]
     return out
 
 
-def _sparse(dense: list[list[float | None]], ids: list[str]) -> dict[Pair, float]:
-    out: dict[Pair, float] = {}
-    for i, a in enumerate(ids):
-        for j in range(i + 1, len(ids)):
-            v = dense[i][j]
-            if v is not None:
-                out[pair_key(a, ids[j])] = float(v)
-    return out
+def _sparse(dense: list[list[float | None]], pairs: PairIndex) -> dict[Pair, float]:
+    cells = zip(pairs.pairs, pairs.rows.tolist(), pairs.cols.tolist())
+    return {p: float(dense[i][j]) for p, i, j in cells if dense[i][j] is not None}
 
 
 def save_design_input(inp: DesignInput, path: str) -> None:
@@ -651,18 +658,18 @@ def load_design_input(path: str) -> DesignInput:
         doc = json.load(fh)
     sites = [Site(s["id"], GeoPoint(s["lat"], s["lon"]), s.get("population", 0.0))
              for s in doc["sites"]]
-    ids = sorted(s.id for s in sites)
+    pairs = PairIndex(s.id for s in sites)
     tower_paths = {}
     for key, nodes in doc.get("tower_paths", {}).items():
         a, b = key.split("|")
         tower_paths[pair_key(a, b)] = tuple(nodes)
     return DesignInput(
         sites=sites,
-        traffic=TrafficMatrix(_sparse(doc["traffic"], ids)),
-        geodesic=_sparse(doc["geodesic_km"], ids),
-        mw_km=_sparse(doc["mw_km"], ids),
-        mw_cost=_sparse(doc["mw_cost_towers"], ids),
-        fiber_km_eq=_sparse(doc["fiber_km_eq"], ids),
+        traffic=TrafficMatrix(_sparse(doc["traffic"], pairs)),
+        geodesic=_sparse(doc["geodesic_km"], pairs),
+        mw_km=_sparse(doc["mw_km"], pairs),
+        mw_cost=_sparse(doc["mw_cost_towers"], pairs),
+        fiber_km_eq=_sparse(doc["fiber_km_eq"], pairs),
         budget=doc["budget"],
         fiber_slowdown=doc.get("fiber_slowdown", DesignInput.fiber_slowdown),
         tower_paths=tower_paths,

@@ -16,7 +16,7 @@ from .graphcore import (
     BATCH_ELEMENTS as _BATCH_ELEMENTS, bridges, distance_matrix,
     next_hop_walks, weight_matrix,
 )
-from .traffic import Pair, TrafficMatrix, pair_key
+from .traffic import Pair, PairIndex, TrafficMatrix, pair_key
 
 logger = logging.getLogger(__name__)
 
@@ -60,13 +60,6 @@ class FiberGraph:
     def remove_link(self, a: str, b: str) -> None:
         del self.links[pair_key(a, b)]
 
-    def distances(self) -> tuple[dict[str, int], list[list[float]]]:
-        """Endpoint index and shortest-path fiber km between all endpoints
-        (inf where disconnected)."""
-        nodes = list(self.endpoints)
-        dist = distance_matrix(weight_matrix(nodes, self.links))
-        return {n: i for i, n in enumerate(nodes)}, dist.tolist()
-
     def copy(self) -> "FiberGraph":
         g = FiberGraph()
         g.endpoints = dict(self.endpoints)
@@ -91,7 +84,7 @@ def load_fiber_csv(conduits_path: str, endpoints_path: str) -> FiberGraph:
 
 @dataclass(frozen=True)
 class StretchStats:
-    """Weighted stretch summary over site pairs."""
+    """Weighted stretch summary over site pairs, in Python numbers."""
 
     mean: float
     median: float
@@ -101,89 +94,96 @@ class StretchStats:
     excluded_pairs: int = 0
 
 
-def weighted_quantile(values: Sequence[float], weights: Sequence[float], q: float) -> float:
-    """Lower weighted quantile: smallest value whose cumulative weight
-    reaches q of the total. With equal weights this is the unweighted
-    lower quantile, so uniform and degenerate-gravity weightings agree
-    exactly."""
-    if not values:
+def weighted_quantiles(values: Sequence[float], weights: Sequence[float],
+                       qs: Sequence[float]) -> list[float]:
+    """Lower weighted quantiles: per q, the smallest value whose cumulative
+    weight, values in stable sorted order, reaches q of the total (within
+    1e-15 relative), else the largest. With equal weights this is the
+    unweighted lower quantile, so uniform and degenerate-gravity weightings
+    agree exactly. Weights must be >= 0."""
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    if not len(values):
         raise ValueError("no values")
-    if not 0.0 <= q <= 1.0:
+    if not all(0.0 <= q <= 1.0 for q in qs):
         raise ValueError("q must be in [0, 1]")
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    total = sum(weights)
+    # Totals and means are builtin sums over Python floats in pair order:
+    # np.sum adds pairwise and, from Python 3.12, the builtin compensates,
+    # so neither np.sum nor np.cumsum gives the same bits.
+    total = sum(weights.tolist())
     if total <= 0:
         raise ValueError("weights must have positive total")
-    target = q * total
-    acc = 0.0
-    for i in order:
-        acc += weights[i]
-        if acc >= target - 1e-15 * total:
-            return values[i]
-    return values[order[-1]]
+    order = np.argsort(values, kind="stable")
+    # np.cumsum only stands in for the running `acc += w`, which it matches;
+    # with weights >= 0 its sums never fall, so bisection finds the first.
+    acc = np.cumsum(weights[order])
+    at = np.searchsorted(acc, [q * total - 1e-15 * total for q in qs], side="left")
+    return values[order[np.minimum(at, len(acc) - 1)]].tolist()
 
 
-def stretch_stats(per_pair: dict[Pair, float], weights: TrafficMatrix | None,
-                  excluded_pairs: int = 0) -> StretchStats:
-    """Summarize per-pair stretch, traffic-weighted when a matrix is given."""
-    pairs = sorted(per_pair)
-    values = [per_pair[p] for p in pairs]
-    if weights is None:
-        wts = [1.0] * len(values)
-        label = "uniform"
-    else:
-        wts = [weights.weight(*p) for p in pairs]
-        label = "gravity"
-    total = sum(wts)
+def weighted_quantile(values: Sequence[float], weights: Sequence[float], q: float) -> float:
+    """One lower weighted quantile (see `weighted_quantiles`)."""
+    return weighted_quantiles(values, weights, (q,))[0]
+
+
+def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    """Sum of value x weight over the sum of weights (builtin sums, see
+    `weighted_quantiles`)."""
+    total = sum(weights.tolist())
     if total <= 0:
         raise ValueError("no weighted pairs to summarize")
-    mean = sum(v * w for v, w in zip(values, wts)) / total
-    return StretchStats(
-        mean=mean,
-        median=weighted_quantile(values, wts, 0.5),
-        p95=weighted_quantile(values, wts, 0.95),
-        weighting=label,
-        pair_count=len(values),
-        excluded_pairs=excluded_pairs,
-    )
+    return sum((values * weights).tolist()) / total
 
 
-def pair_stretches(g: FiberGraph, sites: Sequence[str]) -> tuple[dict[Pair, float], int]:
-    """Per-pair fiber stretch (path km x slowdown / geodesic km) and the
-    number of disconnected pairs, which are excluded and logged once per call."""
-    for s in sites:
-        if s not in g.endpoints:
-            raise KeyError(f"unknown site {s!r}")
-    index, dist = g.distances()
-    ordered = sorted(set(sites))
-    out: dict[Pair, float] = {}
-    cut: list[Pair] = []
-    for i, s in enumerate(ordered):
-        for t in ordered[i + 1:]:
-            km = dist[index[s]][index[t]]
-            if math.isinf(km):
-                cut.append((s, t))
-                continue
-            d = geodesic_km(g.endpoints[s].location, g.endpoints[t].location)
-            if d == 0:
-                raise ValueError(f"coincident sites ({s}, {t}): stretch undefined")
-            out[(s, t)] = km * LatencyModel.fiber_slowdown / d
-    _warn_cut(cut)
-    return out, len(cut)
+def stretch_stats(stretch: np.ndarray, weights: np.ndarray | None = None) -> StretchStats:
+    """Summarize per-pair stretch, an array in `PairIndex` order with inf
+    for a disconnected pair; those are left out and counted as
+    `excluded_pairs`. Traffic-weighted by a weight vector in the same order
+    (`PairIndex.weights`), else uniform."""
+    up = np.isfinite(stretch)
+    values = stretch[up]
+    wts = np.ones(len(values)) if weights is None else weights[up]
+    return StretchStats(weighted_mean(values, wts), *weighted_quantiles(values, wts, (0.5, 0.95)),
+                        "uniform" if weights is None else "gravity",
+                        len(values), len(stretch) - len(values))
 
 
-def _warn_cut(cut: list[Pair]) -> None:
-    if cut:
+def _site_pairs(g: FiberGraph, pairs: PairIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair's row and column over `g`'s endpoints, and its geodesic km."""
+    index = {n: i for i, n in enumerate(g.endpoints)}
+    if unknown := [s for s in pairs.ids if s not in index]:
+        raise KeyError(f"unknown site {unknown[0]!r}")
+    at = np.array([index[s] for s in pairs.ids], dtype=np.intp)
+    geo = np.array([geodesic_km(g.endpoints[s].location, g.endpoints[t].location)
+                    for s, t in pairs.pairs])
+    if (geo == 0).any():
+        s, t = pairs.pairs[int(np.argmin(geo))]
+        raise ValueError(f"coincident sites ({s}, {t}): stretch undefined")
+    return at[pairs.rows], at[pairs.cols], geo
+
+
+def pair_stretches(g: FiberGraph, sites: Sequence[str]) -> np.ndarray:
+    """Per-pair fiber stretch (path km x slowdown / geodesic km) over
+    `PairIndex(sites)`, inf where disconnected; one warning per call counts those."""
+    pairs = PairIndex(sites)
+    rows, cols, geo = _site_pairs(g, pairs)
+    km = distance_matrix(weight_matrix(list(g.endpoints), g.links))[rows, cols]
+    stretch = km * LatencyModel.fiber_slowdown / geo
+    _warn_cut(pairs, stretch)
+    return stretch
+
+
+def _warn_cut(pairs: PairIndex, stretch: np.ndarray) -> None:
+    cut = np.flatnonzero(np.isinf(stretch))
+    if len(cut):
         logger.warning("%d site pairs disconnected in fiber graph, first (%s, %s)",
-                       len(cut), *cut[0])
+                       len(cut), *pairs.pairs[cut[0]])
 
 
 def fiber_stretch_stats(g: FiberGraph, sites: Sequence[str],
                         weights: TrafficMatrix | None = None) -> StretchStats:
     """Stretch statistics over the site set; gravity-weighted when `weights`
     is given, else uniform over pairs."""
-    per_pair, excluded = pair_stretches(g, sites)
-    return stretch_stats(per_pair, weights, excluded)
+    return stretch_stats(pair_stretches(g, sites), PairIndex(sites, weights).weights)
 
 
 def site_fiber_km(g: FiberGraph, sites: Sequence[Site]) -> dict[Pair, float]:
@@ -197,15 +197,14 @@ def site_fiber_km(g: FiberGraph, sites: Sequence[Site]) -> dict[Pair, float]:
                    key=lambda ep: (geodesic_km(site.location, ep.location), ep.id))
         nearest[site.id] = best.id
         stub[site.id] = geodesic_km(site.location, best.location)
-    index, dist = g.distances()
+    nodes = list(g.endpoints)
+    index = {n: i for i, n in enumerate(nodes)}
+    dist = distance_matrix(weight_matrix(nodes, g.links)).tolist()
     out = {}
-    ordered = sorted(sites, key=lambda s: s.id)
-    for i, a in enumerate(ordered):
-        row = dist[index[nearest[a.id]]]
-        for b in ordered[i + 1:]:
-            km = stub[a.id] + row[index[nearest[b.id]]] + stub[b.id]
-            if 0 < km < math.inf:
-                out[pair_key(a.id, b.id)] = km
+    for a, b in PairIndex(nearest).pairs:
+        km = stub[a] + dist[index[nearest[a]]][index[nearest[b]]] + stub[b]
+        if 0 < km < math.inf:
+            out[(a, b)] = km
     return out
 
 
@@ -224,24 +223,20 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
     The returned sequence starts with the untouched input, so a tree comes
     back as a single step. Connectivity is never broken because bridge
     links are exempt. Each round scores its trial removals with stacked
-    `distance_matrix` calls; a trial's mean sums, in sorted pair order,
-    the same terms as `stretch_stats(pair_stretches(trial)).mean`. A
-    step's statistics come from its chosen trial's per-pair stretches: the
-    same node order and weight matrix as `fiber_stretch_stats` of the
-    pruned graph, so the same floats, and no second solve. The first step
-    is that reference itself.
+    `distance_matrix` calls; a trial's mean is `weighted_mean` over the
+    same per-pair terms as `stretch_stats(pair_stretches(trial)).mean`. A
+    step's statistics come from its chosen trial's stretch row: the same
+    node order and weight matrix as `fiber_stretch_stats` of the pruned
+    graph, so the same floats, and no second solve. The first step is that
+    reference itself.
     """
     work = g.copy()
     steps = [PruneStep(work.copy(), fiber_stretch_stats(work, sites, weights), None)]
     nodes = list(work.endpoints)
     index = {n: i for i, n in enumerate(nodes)}
-    ordered = sorted(set(sites))
-    pairs = [(s, t) for i, s in enumerate(ordered) for t in ordered[i + 1:]]
-    rows = [index[s] for s, _ in pairs]
-    cols = [index[t] for _, t in pairs]
-    geo_km = np.array([geodesic_km(work.endpoints[s].location, work.endpoints[t].location)
-                       for s, t in pairs])
-    wts = np.array([1.0 if weights is None else weights.weight(s, t) for s, t in pairs])
+    pairs = PairIndex(sites, weights)
+    rows, cols, geo_km = _site_pairs(work, pairs)
+    wts = np.ones(len(pairs.pairs)) if pairs.weights is None else pairs.weights
     step = max(1, _BATCH_ELEMENTS // len(nodes) ** 2)
     while True:
         safe = bridges(work.links)
@@ -249,27 +244,22 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
         if not candidates:
             break
         base = weight_matrix(nodes, work.links)
-        # The first least mean wins; its trial's stretches become the step's.
-        best_mean, best_key, best_trial = math.inf, None, None
+        # The first least mean wins; its trial's stretch row becomes the step's.
+        best_mean, best_key, best_row = math.inf, None, None
         for start in range(0, len(candidates), step):
             batch = candidates[start:start + step]
             trials = np.repeat(base[None], len(batch), axis=0)
             for t, (a, b) in enumerate(batch):
                 trials[t, index[a], index[b]] = trials[t, index[b], index[a]] = math.inf
-            km = distance_matrix(trials)[:, rows, cols]
-            connected = np.isfinite(km)
-            stretch = np.where(connected, km, 0.0) * LatencyModel.fiber_slowdown / geo_km
-            for key, up, row, terms in zip(batch, connected, stretch, stretch * wts):
-                mean = sum(terms[up].tolist()) / sum(wts[up].tolist())
+            stretch = distance_matrix(trials)[:, rows, cols] * LatencyModel.fiber_slowdown / geo_km
+            for key, row in zip(batch, stretch):
+                up = np.isfinite(row)
+                mean = weighted_mean(row[up], wts[up])
                 if best_key is None or mean < best_mean:
-                    best_mean, best_key, best_trial = mean, key, (up, row)
+                    best_mean, best_key, best_row = mean, key, row
         work.remove_link(*best_key)
-        up, row = best_trial
-        cut = [p for p, u in zip(pairs, up.tolist()) if not u]
-        _warn_cut(cut)
-        per_pair = {p: s for p, u, s in zip(pairs, up.tolist(), row.tolist()) if u}
-        steps.append(PruneStep(work.copy(), stretch_stats(per_pair, weights, len(cut)),
-                               best_key))
+        _warn_cut(pairs, best_row)
+        steps.append(PruneStep(work.copy(), stretch_stats(best_row, pairs.weights), best_key))
     return steps
 
 

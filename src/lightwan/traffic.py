@@ -9,7 +9,7 @@ scale factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +23,24 @@ def pair_key(a: str, b: str) -> Pair:
     if a == b:
         raise ValueError(f"pair with identical endpoints {a!r}")
     return (a, b) if a < b else (b, a)
+
+
+class PairIndex:
+    """The one site-pair order, sorted pair keys: pair k is `pairs[k]` =
+    (ids[rows[k]], ids[cols[k]]), `ids` sorted and distinct and `rows, cols =
+    np.triu_indices(n, 1)`. Per-pair values are float arrays in this order;
+    `weights` holds the traffic matrix's (0 for a pair it lacks) or None."""
+
+    def __init__(self, ids: Iterable[str], traffic: TrafficMatrix | None = None) -> None:
+        self.ids = sorted(set(ids))
+        n = len(self.ids)
+        # np.triu_indices's order; at design sizes that call costs more than this.
+        rows = [i for i in range(n) for _ in range(i + 1, n)]
+        cols = [j for i in range(n) for j in range(i + 1, n)]
+        self.rows, self.cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        self.pairs = list(zip([self.ids[i] for i in rows], [self.ids[j] for j in cols]))
+        self.weights = (None if traffic is None
+                        else np.array([traffic._weights.get(p, 0.0) for p in self.pairs]))
 
 
 @dataclass(frozen=True)
@@ -54,9 +72,6 @@ class TrafficMatrix:
         if total <= 0:
             raise ValueError("traffic matrix has no positive demand")
         self._weights = {k: w / total for k, w in sorted(acc.items())}
-
-    def weight(self, a: str, b: str) -> float:
-        return self._weights.get(pair_key(a, b), 0.0)
 
     def items(self) -> Iterator[tuple[Pair, float]]:
         return iter(self._weights.items())

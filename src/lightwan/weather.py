@@ -15,11 +15,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .designer import DesignInput, HybridEvaluator, NetworkDesign
-from .fiberbase import StretchStats, stretch_stats, weighted_quantile
+from .fiberbase import StretchStats, stretch_stats, weighted_quantiles
 from .geo import GeoPoint, geodesic_km, read_csv, write_csv
 from .graphcore import distance_matrix
 from .los import TerrainGrid, _path_samples
-from .traffic import Pair
+from .traffic import Pair, PairIndex
 
 
 @dataclass(frozen=True)
@@ -135,46 +135,36 @@ def failed_links(design: NetworkDesign, tower_paths: Mapping[Pair, Sequence[str]
 class IntervalResult:
     timestamp: str
     failed: tuple[Pair, ...]
-    per_pair_stretch: dict[Pair, float]
+    # Its failure set's read-only row in the report's pair order, inf if cut.
+    per_pair_stretch: np.ndarray
     stats: StretchStats
 
 
 @dataclass(frozen=True)
 class WeatherReport:
     intervals: tuple[IntervalResult, ...]
+    pairs: PairIndex
 
-    def pair_series(self) -> dict[Pair, list[float]]:
-        out: dict[Pair, list[float]] = {}
-        for interval in self.intervals:
-            for pair, s in interval.per_pair_stretch.items():
-                out.setdefault(pair, []).append(s)
-        return out
-
-    def pair_percentiles(self) -> dict[Pair, dict[str, float]]:
-        """Per-pair stretch percentiles over time, including p99."""
-        out = {}
-        for pair, series in sorted(self.pair_series().items()):
-            w = [1.0] * len(series)
-            out[pair] = {
-                "min": min(series),
-                "median": weighted_quantile(series, w, 0.5),
-                "p95": weighted_quantile(series, w, 0.95),
-                "p99": weighted_quantile(series, w, 0.99),
-                "max": max(series),
-            }
-        return out
+    def pair_percentiles(self) -> np.ndarray:
+        """Per-pair stretch percentiles over time: rows min, median, p95, p99
+        and max of the (intervals x pairs) array sorted down each column. At
+        equal weights a quantile's rank is the quantile of the ranks."""
+        s = np.sort(np.reshape([i.per_pair_stretch for i in self.intervals],
+                               (-1, len(self.pairs.pairs))), axis=0)
+        if not len(s):
+            return np.empty((5, 0))
+        ranks = weighted_quantiles(np.arange(len(s)), np.ones(len(s)), (0.5, 0.95, 0.99))
+        return s[[0, *map(int, ranks), -1]]
 
 
 def stretch_under_failures(ev: HybridEvaluator, design: NetworkDesign,
-                           failed: Iterable[Pair]) -> dict[Pair, float]:
-    """Per-pair stretch with the failed MW links removed (fiber always up)."""
+                           failed: Iterable[Pair]) -> np.ndarray:
+    """Per-pair stretch in `ev.pairs` order with the failed MW links removed
+    (fiber always up); inf for a pair they cut off."""
     failed_set = set(failed)
     surviving = [p for p in design.built_links if p not in failed_set]
-    dist = distance_matrix(ev.graph_for(surviving)).tolist()
-    inp = ev.inp
-    ids = inp.site_ids
-    return {(s, t): dist[i][j] / inp.geodesic[(s, t)]
-            for i, s in enumerate(ids) for j, t in enumerate(ids) if i < j}
+    dist = distance_matrix(ev.graph_for(surviving))
+    return dist[ev.pairs.rows, ev.pairs.cols] / ev.geodesic
 
 
 def reroute_and_stats(inp: DesignInput, design: NetworkDesign,
@@ -182,21 +172,20 @@ def reroute_and_stats(inp: DesignInput, design: NetworkDesign,
     """Recompute shortest routes per interval with failed links removed and
     record per-pair stretch plus traffic-weighted summary statistics. Each
     distinct failure set is rerouted once, all over one evaluator: intervals
-    that share it share one (read-only) per-pair dict and one StretchStats."""
+    that share it share one read-only stretch row and one StretchStats."""
     ev = HybridEvaluator(inp)
-    rerouted: dict[tuple[Pair, ...], tuple[dict[Pair, float], StretchStats]] = {}
+    rerouted: dict[tuple[Pair, ...], tuple[np.ndarray, StretchStats]] = {}
     intervals = []
     for t, failed in failures_by_interval:
         failed_tuple = tuple(sorted(set(failed)))
         if failed_tuple not in rerouted:
-            per_pair = stretch_under_failures(ev, design, failed_tuple)
-            finite = {k: v for k, v in per_pair.items() if math.isfinite(v)}
-            if not finite:
+            row = stretch_under_failures(ev, design, failed_tuple)
+            if not np.isfinite(row).any():
                 raise ValueError(f"interval {t}: no connected pairs")
-            rerouted[failed_tuple] = (per_pair, stretch_stats(
-                finite, inp.traffic, excluded_pairs=len(per_pair) - len(finite)))
+            row.flags.writeable = False
+            rerouted[failed_tuple] = (row, stretch_stats(row, ev.pairs.weights))
         intervals.append(IntervalResult(t, failed_tuple, *rerouted[failed_tuple]))
-    return WeatherReport(tuple(intervals))
+    return WeatherReport(tuple(intervals), ev.pairs)
 
 
 def analyze(inp: DesignInput, design: NetworkDesign, field,
@@ -228,12 +217,14 @@ def select_intervals(timestamps: Sequence[str], per_day: int = 1, seed: int = 0)
 
 
 def write_intervals_csv(report: WeatherReport, path: str) -> None:
+    links = [link_id(pair) for pair in report.pairs.pairs]
+    # tolist(): the cells are repr of Python floats, not of numpy scalars.
     write_csv(path, "timestamp,pair,stretch",
-              ([interval.timestamp, link_id(pair), repr(s)] for interval in report.intervals
-               for pair, s in sorted(interval.per_pair_stretch.items())))
+              ([interval.timestamp, lid, repr(s)] for interval in report.intervals
+               for lid, s in zip(links, interval.per_pair_stretch.tolist())))
 
 
 def write_percentiles_csv(report: WeatherReport, path: str) -> None:
     write_csv(path, "pair,min,median,p95,p99,max",
-              ([link_id(pair), *map(repr, row.values())]
-               for pair, row in report.pair_percentiles().items()))
+              ([link_id(pair), *map(repr, row)] for pair, row
+               in zip(report.pairs.pairs, report.pair_percentiles().T.tolist())))

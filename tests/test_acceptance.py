@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from dict_graph import WeightedGraph, latency_graph, to_csr  # noqa: E402
+from dict_graph import (  # noqa: E402
+    WeightedGraph, connected, fiber_dict_graph, latency_graph, to_csr,
+)
 from test_designer import (  # noqa: E402
     exhaustive_optimum, fw_pair_lengths, random_instance,
 )
@@ -163,13 +165,17 @@ def test_criterion_7_weather_extremes():
     t0 = time.time()
     inp, design, coords = _weather_instance()
     report0 = weather.reroute_and_stats(inp, design, [("t", set())])
-    base_ok = all(report0.intervals[0].per_pair_stretch[p] == r.stretch
-                  for p, r in design.routes.items())
+
+    def per_pair(report, k):
+        return dict(zip(report.pairs.pairs, report.intervals[k].per_pair_stretch.tolist()))
+
+    base = per_pair(report0, 0)
+    base_ok = all(base[p] == r.stretch for p, r in design.routes.items())
     fiber_only = evaluate_design(HybridEvaluator(inp), [])
     report_all = weather.reroute_and_stats(
         inp, design, [("t", set(design.built_links))])
-    fiber_ok = all(report_all.intervals[0].per_pair_stretch[p] == r.stretch
-                   for p, r in fiber_only.routes.items())
+    fiber = per_pair(report_all, 0)
+    fiber_ok = all(fiber[p] == r.stretch for p, r in fiber_only.routes.items())
     rng = np.random.default_rng(10)
     links = list(design.built_links)
     monotone = True
@@ -182,8 +188,7 @@ def test_criterion_7_weather_extremes():
         rep = weather.reroute_and_stats(inp, design, [
             ("a", {links[i] for i in small_idx}),
             ("b", {links[i] for i in big_idx})])
-        sa = rep.intervals[0].per_pair_stretch
-        sb = rep.intervals[1].per_pair_stretch
+        sa, sb = per_pair(rep, 0), per_pair(rep, 1)
         if any(sb[p] < sa[p] - 1e-12 for p in sa):
             monotone = False
             break
@@ -195,9 +200,8 @@ def test_criterion_7_weather_extremes():
 
 
 def _sites_connected(fiber: FiberGraph, sites) -> bool:
-    """True when every pair of `sites` has a finite fiber distance."""
-    index, dist = fiber.distances()
-    return all(math.isfinite(dist[index[s]][index[t]]) for s in sites for t in sites)
+    """True when every pair of `sites` is joined by fiber (a graph search)."""
+    return connected(fiber_dict_graph(fiber), sites)
 
 
 def test_criterion_8_fiber_pruning():

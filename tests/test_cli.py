@@ -285,6 +285,47 @@ def test_weather_raster_directory_mode(pipeline, tmp_path):
             assert float(row["stretch"]) == float(fiber[row["pair"]])
 
 
+def test_weather_reads_only_the_selected_raster_frames(pipeline, tmp_path, monkeypatch):
+    # Two days of a dry and a flooding frame each; one interval per day
+    # reads two files, and the CSVs are those of loading all four frames
+    # and then selecting.
+    rain_dir = tmp_path / "rain"
+    rain_dir.mkdir()
+    header = ("ncols 5\nnrows 3\nxllcorner -2.2\nyllcorner -0.2\n"
+              "cellsize 0.9\nNODATA_value -9999\n")
+    stamps = ["2015-08-01T00:00", "2015-08-01T12:00", "2015-08-02T00:00", "2015-08-02T12:00"]
+    paths = {t: str(rain_dir / f"{t}.asc") for t in stamps}
+    for k, t in enumerate(stamps):
+        row = " ".join([("0", "300")[k % 2]] * 5)
+        (rain_dir / f"{t}.asc").write_text(header + "\n".join([row] * 3) + "\n")
+    chosen = weather.select_intervals(stamps, 1, load_config(pipeline["config"], [], None)["seed"])
+    assert len(chosen) == 2 and chosen[0][:10] != chosen[1][:10]
+    read = []
+    load = los.load_terrain_asc
+    out = tmp_path / "weather"
+    with monkeypatch.context() as m:
+        m.setattr(los, "load_terrain_asc", lambda path: read.append(path) or load(path))
+        assert main(["weather", "--config", pipeline["config"], "--out", str(out),
+                     "--set", f"instance_json={pipeline['instance']}",
+                     "--set", f"design_json={pipeline['design']}",
+                     "--set", "rain_csv=null", "--set", f"rain_rasters={rain_dir}",
+                     "--set", "weather.intervals_per_day=1"]) == 0
+    # The demo config's terrain is read too, for the towers' ground elevations.
+    assert [p for p in read if p.startswith(str(rain_dir))] == [paths[t] for t in chosen]
+    inp = designer.load_design_input(pipeline["instance"])
+    design = designer.evaluate_design(designer.HybridEvaluator(inp),
+                                      designer.load_built_links(pipeline["design"]))
+    coords = {s.id: s.location for s in inp.sites}
+    coords.update((t.id, t.location) for t in los.load_towers_csv(os.path.join(DEMO, "towers.csv")))
+    report = weather.analyze(inp, design, weather.load_rain_rasters(paths), coords,
+                             timestamps=chosen)
+    weather.write_intervals_csv(report, str(tmp_path / "intervals.csv"))
+    weather.write_percentiles_csv(report, str(tmp_path / "percentiles.csv"))
+    for got, want in (("weather_intervals.csv", "intervals.csv"),
+                      ("weather_percentiles.csv", "percentiles.csv")):
+        assert (out / got).read_bytes() == (tmp_path / want).read_bytes()
+
+
 def test_augment_outputs(pipeline):
     with open(pipeline["augment_plan"]) as fh:
         plan = json.load(fh)

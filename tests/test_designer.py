@@ -16,7 +16,6 @@ from lightwan.designer import (
     build_design_input, eliminate_dominated, evaluate_design, greedy_candidates,
     solve_exact, solve_heuristic,
 )
-from lightwan.fiberbase import stretch_stats
 from lightwan.geo import GeoPoint, Site, geodesic_km
 from lightwan.graphcore import distance_matrix
 from lightwan.los import LosParams, TerrainGrid, Tower
@@ -26,6 +25,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from dict_graph import (  # noqa: E402
     WeightedGraph, hop_dict_graph, hop_graph_of, hop_rows, shortest_paths_from,
 )
+from dict_stats import reference_stretch_stats  # noqa: E402
 from test_graphcore import assert_walk_matches  # noqa: E402
 
 
@@ -139,7 +139,7 @@ def reference_evaluate_design(inp: DesignInput, built_links) -> NetworkDesign:
             s = dist[i][j] / inp.geodesic[(src, dst)]
             routes[(src, dst)] = PairRoute(p.nodes, media, dist[i][j], s)
             per_pair_stretch[(src, dst)] = s
-    stats = stretch_stats(per_pair_stretch, inp.traffic)
+    stats = reference_stretch_stats(per_pair_stretch, inp.traffic)
     return NetworkDesign(tuple(built), routes, stats, towers, inp.budget)
 
 
@@ -666,6 +666,38 @@ def test_solve_heuristic_kernel_rows_within_cached_solver(monkeypatch):
     for seed, cached in enumerate(CACHED_SOLVER_ROWS):
         _, rows = kernel_rows(monkeypatch, solve_heuristic, random_instance(seed, n_sites=9))
         assert rows <= 1.05 * cached, f"seed {seed}: {rows} rows"
+
+
+# Dominance elimination, branch-and-bound's empty incumbent and greedy's
+# first round each solved the fiber-only matrix: two matrices per exact
+# solve and three per greedy one. They now read the evaluator's one
+# `fiber_dist`.
+@pytest.mark.parametrize("case, exact", [
+    (dict(n_sites=9), {True}),
+    (dict(n_sites=9, mw_fraction=0.8, budget_fraction=0.04), {True, False}),
+    (dict(n_sites=9, mw_fraction=0.8, budget_fraction=0.08), {True, False})])
+def test_solve_heuristic_solves_the_fiber_matrix_once(monkeypatch, case, exact):
+    paths = set()
+    for seed in range(6):
+        inp = random_instance(seed, **case)
+        ev = HybridEvaluator(inp)
+        paths.add(len(eliminate_dominated(ev)) <= designer.EXACT_CANDIDATE_GUARD)
+        solved = []
+        kernel = designer.distance_matrix
+
+        def counting(w):
+            solved.extend(np.array_equal(m, ev.fiber) for m in (w if w.ndim == 3 else w[None]))
+            return kernel(w)
+
+        with monkeypatch.context() as m:
+            m.setattr(designer, "distance_matrix", counting)
+            design = solve_heuristic(inp)
+        assert sum(solved) == 1, f"seed {seed}"
+        assert set(design.built_links) == reference_heuristic(inp)
+        want = reference_evaluate_design(inp, design.built_links).stats
+        assert design.stats == want and design.stats.mean.hex() == want.mean.hex()
+        assert ev.objective(()).hex() == ev.score(ev.fiber[None])[0].hex()
+    assert paths == exact
 
 
 # Branch-and-bound kernel work on random_instance(seed, n_sites=9), seeds

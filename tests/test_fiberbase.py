@@ -9,10 +9,13 @@ import pytest
 from lightwan import fiberbase, graphcore
 from lightwan.fiberbase import FiberGraph, LeaseCostModel, lease_cost, provision_wavelengths
 from lightwan.geo import GeoPoint, Site, geodesic_km
-from lightwan.traffic import TrafficMatrix, pair_key
+from lightwan.traffic import PairIndex, TrafficMatrix, pair_key
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from dict_graph import connected, fiber_dict_graph, shortest_paths_from  # noqa: E402
+from dict_stats import (  # noqa: E402
+    finite_dict, reference_stretch_stats, reference_weighted_quantile,
+)
 
 
 def make_graph(points, links, inflation=1.0):
@@ -73,9 +76,9 @@ def test_ring_with_chord_matches_exhaustive_oracle():
              ("s1", "s3")]
     g = make_graph(points, links, inflation=1.2)
     sites = [p[0] for p in points]
-    per_pair, excluded = fiberbase.pair_stretches(g, sites)
-    assert excluded == 0
-    for (s, t), got in per_pair.items():
+    stretch = fiberbase.pair_stretches(g, sites)
+    assert np.isfinite(stretch).all()
+    for (s, t), got in zip(PairIndex(sites).pairs, stretch.tolist()):
         km = exhaustive_shortest_km(g, s, t)
         d = geodesic_km(g.endpoints[s].location, g.endpoints[t].location)
         assert got == pytest.approx(km * 1.5 / d, rel=1e-12)
@@ -113,6 +116,64 @@ def test_weighted_quantile_convention():
     assert fiberbase.weighted_quantile(vals, w, 0.5) == 2.0
     assert fiberbase.weighted_quantile(vals, w, 0.95) == 4.0
     assert fiberbase.weighted_quantile(vals, [10.0, 1.0, 1.0, 1.0], 0.5) == 1.0
+
+
+QS = (0.0, 0.5, 0.95, 0.99, 1.0)
+
+
+def random_stretch(rng, n):
+    """n stretch values with ties (rounded to 0.05) and a few inf, and
+    weights with ties and zeros."""
+    values = np.round(rng.uniform(1.0, 3.0, n) * 20.0) / 20.0
+    values[rng.random(n) < 0.1] = np.inf
+    weights = rng.choice([0.0, 0.5, 1.0, rng.uniform(0.0, 2.0)], n) * rng.uniform(0.5, 1.5, n)
+    weights[rng.random(n) < 0.3] = 1.0
+    return values, weights
+
+
+def test_weighted_quantile_bitwise_equals_reference():
+    # The last 40 trials have thousands of values, as at paper scale.
+    rng = np.random.default_rng(21)
+    for trial in range(440):
+        values, weights = random_stretch(rng, int(rng.integers(1, 40) if trial < 400
+                                                  else rng.integers(1000, 4000)))
+        if weights.sum() <= 0:
+            weights[0] = 1.0
+        want = [reference_weighted_quantile(values.tolist(), weights.tolist(), q) for q in QS]
+        got = fiberbase.weighted_quantiles(values, weights, QS)
+        assert [v.hex() for v in got] == [v.hex() for v in want], trial
+        assert all(type(v) is float for v in got)
+        assert fiberbase.weighted_quantile(values, weights, QS[trial % 5]).hex() == \
+            want[trial % 5].hex()
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "gravity"])
+def test_stretch_stats_bitwise_equals_reference(weighting):
+    rng = np.random.default_rng(22)
+    for trial in range(200):
+        n_sites = int(rng.integers(2, 14))
+        pairs = PairIndex([f"s{i:02d}" for i in rng.permutation(n_sites)])
+        traffic = None
+        if weighting == "gravity":
+            drawn = rng.choice([0.0, 1.0, 2.5], len(pairs.pairs)).tolist()
+            traffic = TrafficMatrix({**dict(zip(pairs.pairs, drawn)), pairs.pairs[0]: 1.0})
+            pairs = PairIndex(pairs.ids, traffic)
+        stretch, _ = random_stretch(rng, len(pairs.pairs))
+        stretch[0] = 1.25
+        per_pair, cut = finite_dict(pairs.pairs, stretch)
+        try:
+            want = reference_stretch_stats(per_pair, traffic, cut)
+        except ValueError as exc:  # every weighted pair is cut
+            with pytest.raises(ValueError, match=str(exc)):
+                fiberbase.stretch_stats(stretch, pairs.weights)
+            continue
+        got = fiberbase.stretch_stats(stretch, pairs.weights)
+        assert got == want
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b), field.name
+            if isinstance(b, float):
+                assert a.hex() == b.hex(), field.name
 
 
 def test_prune_tree_returns_single_step():
@@ -275,11 +336,15 @@ def test_fiber_graph_flags_subgeodesic_links(caplog):
 # `prune_links` as it was before stacked trial scoring. The stacked code must
 # take the same steps with bitwise the same statistics.
 
+def reference_fiber_stats(g, sites, weights=None):
+    """`fiber_stretch_stats` through the dict oracle."""
+    per_pair, cut = finite_dict(PairIndex(sites).pairs, fiberbase.pair_stretches(g, sites))
+    return reference_stretch_stats(per_pair, weights, cut)
+
+
 def reference_prune_links(g, sites, weights=None):
     work = g.copy()
-    steps = [fiberbase.PruneStep(work.copy(),
-                                 fiberbase.fiber_stretch_stats(work, sites, weights),
-                                 None)]
+    steps = [fiberbase.PruneStep(work.copy(), reference_fiber_stats(work, sites, weights), None)]
     while True:
         safe = graphcore.bridges(work.links)
         candidates = sorted(k for k in work.links if k not in safe)
@@ -290,14 +355,12 @@ def reference_prune_links(g, sites, weights=None):
         for key in candidates:
             trial = work.copy()
             trial.remove_link(*key)
-            per_pair, _ = fiberbase.pair_stretches(trial, sites)
-            mean = fiberbase.stretch_stats(per_pair, weights).mean
+            mean = reference_fiber_stats(trial, sites, weights).mean
             if mean < best_mean:
                 best_mean = mean
                 best_key = key
         work.remove_link(*best_key)
-        steps.append(fiberbase.PruneStep(work.copy(),
-                                         fiberbase.fiber_stretch_stats(work, sites, weights),
+        steps.append(fiberbase.PruneStep(work.copy(), reference_fiber_stats(work, sites, weights),
                                          best_key))
     return steps
 

@@ -1,17 +1,23 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from lightwan import designer, los, weather
 from lightwan.designer import DesignInput, HybridEvaluator, evaluate_design
-from lightwan.geo import GeoPoint, Site, geodesic_km
+from lightwan.geo import GeoPoint, Site, geodesic_km, write_csv
+from lightwan.graphcore import distance_matrix
 from lightwan.los import TerrainGrid
-from lightwan.traffic import TrafficMatrix, pair_key
+from lightwan.traffic import PairIndex, TrafficMatrix, pair_key
 from lightwan.weather import (
-    AttenuationModel, LinkRainSeries, RasterRainField, failed_links,
-    rain_attenuation_db, reroute_and_stats, select_intervals,
+    AttenuationModel, IntervalResult, LinkRainSeries, RasterRainField, WeatherReport,
+    failed_links, rain_attenuation_db, reroute_and_stats, select_intervals,
 )
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from dict_stats import reference_stretch_stats, reference_weighted_quantile  # noqa: E402
 
 
 def test_attenuation_zero_rain():
@@ -155,10 +161,15 @@ def test_raster_hop_samples_once_per_hop_bitwise(monkeypatch):
     assert set(calls) == hops
 
 
+def per_pair(report, k):
+    """Interval k's stretch row as a dict by pair."""
+    return dict(zip(report.pairs.pairs, report.intervals[k].per_pair_stretch.tolist()))
+
+
 def test_reroute_no_failures_equals_baseline_bit_exact():
     inp, design, coords = hexagon_instance()
     report = reroute_and_stats(inp, design, [("t0", set())])
-    got = report.intervals[0].per_pair_stretch
+    got = per_pair(report, 0)
     for pair, route in design.routes.items():
         assert got[pair] == route.stretch  # bit-exact
     assert report.intervals[0].stats.mean == design.stats.mean
@@ -168,7 +179,7 @@ def test_reroute_all_failed_equals_fiber_only_bit_exact():
     inp, design, coords = hexagon_instance()
     fiber_only = evaluate_design(HybridEvaluator(inp), [])
     report = reroute_and_stats(inp, design, [("t0", set(design.built_links))])
-    got = report.intervals[0].per_pair_stretch
+    got = per_pair(report, 0)
     for pair, route in fiber_only.routes.items():
         assert got[pair] == route.stretch
     assert report.intervals[0].stats.mean == fiber_only.stats.mean
@@ -178,7 +189,7 @@ def test_reroute_single_failure_matches_hand_recomputation():
     inp, design, coords = hexagon_instance()
     victim = design.built_links[0]
     report = reroute_and_stats(inp, design, [("t0", {victim})])
-    got = report.intervals[0].per_pair_stretch
+    got = per_pair(report, 0)
     # Oracle: its own Dijkstra over the surviving hybrid adjacency.
     import heapq
     adj: dict[str, dict[str, float]] = {s: {} for s in inp.site_ids}
@@ -224,8 +235,7 @@ def test_stretch_monotone_under_failure_inclusion():
         big = small | extra
         report = reroute_and_stats(inp, design, [
             ("a", {links[i] for i in small}), ("b", {links[i] for i in big})])
-        sa = report.intervals[0].per_pair_stretch
-        sb = report.intervals[1].per_pair_stretch
+        sa, sb = per_pair(report, 0), per_pair(report, 1)
         for pair in sa:
             assert sb[pair] >= sa[pair] - 1e-12          # superset is never better
             assert sa[pair] >= fair[pair] - 1e-12        # never beats fair weather
@@ -269,19 +279,39 @@ def test_rain_csv_loader(tmp_path):
 
 
 def reference_reroute_and_stats(inp, design, failures_by_interval):
-    """The per-interval loop that `reroute_and_stats` replaced: one reroute
-    per interval, repeated failure sets included."""
+    """The per-interval loop that `reroute_and_stats` replaced, with the
+    per-pair dicts and dict statistics of that time: one reroute per
+    interval, repeated failure sets included. Returns per interval
+    (timestamp, failed links, stretch by pair, stats)."""
     intervals = []
+    ids = inp.site_ids
     for t, failed in failures_by_interval:
         failed_tuple = tuple(sorted(set(failed)))
-        per_pair = weather.stretch_under_failures(HybridEvaluator(inp), design, failed_tuple)
+        ev = HybridEvaluator(inp)
+        dist = distance_matrix(ev.graph_for(
+            [p for p in design.built_links if p not in failed_tuple])).tolist()
+        per_pair = {(s, u): dist[i][j] / inp.geodesic[(s, u)]
+                    for i, s in enumerate(ids) for j, u in enumerate(ids) if i < j}
         finite = {k: v for k, v in per_pair.items() if math.isfinite(v)}
         if not finite:
             raise ValueError(f"interval {t}: no connected pairs")
-        stats = weather.stretch_stats(finite, inp.traffic,
-                                      excluded_pairs=len(per_pair) - len(finite))
-        intervals.append(weather.IntervalResult(t, failed_tuple, per_pair, stats))
-    return weather.WeatherReport(tuple(intervals))
+        stats = reference_stretch_stats(finite, inp.traffic, len(per_pair) - len(finite))
+        intervals.append((t, failed_tuple, per_pair, stats))
+    return intervals
+
+
+def assert_report_matches_reference(got, want):
+    """A report against `reference_reroute_and_stats`, field by field (an
+    array row has no `==`); the rows of one failure set are one read-only
+    array."""
+    assert len(got.intervals) == len(want)
+    rows = {}
+    for interval, (t, failed, stretch, stats) in zip(got.intervals, want):
+        assert (interval.timestamp, interval.failed, interval.stats) == (t, failed, stats)
+        assert interval.stats.mean.hex() == stats.mean.hex()
+        assert dict(zip(got.pairs.pairs, interval.per_pair_stretch.tolist())) == stretch
+        assert not interval.per_pair_stretch.flags.writeable
+        assert rows.setdefault(failed, interval.per_pair_stretch) is interval.per_pair_stretch
 
 
 def assert_one_reroute_per_failure_set(monkeypatch, inp, design, field, coords):
@@ -308,7 +338,7 @@ def assert_one_reroute_per_failure_set(monkeypatch, inp, design, field, coords):
     monkeypatch.setattr(weather, "HybridEvaluator", Counted)
     got = weather.analyze(inp, design, field, coords)
     assert evaluators == [inp]
-    assert got == want
+    assert_report_matches_reference(got, want)
     assert [i.timestamp for i in got.intervals] == times
     distinct = {i.failed for i in got.intervals}
     assert len(calls) == len(distinct) < len(times)
@@ -325,3 +355,55 @@ def test_reroute_once_per_distinct_failure_set(monkeypatch):
     # Dry and drizzle hours share the no-failure result.
     assert {i.failed for i in report.intervals} == {
         (), (design.built_links[0],), tuple(sorted(design.built_links[1:3]))}
+
+
+def synthetic_report(seed, n_sites=6, n_intervals=9):
+    """A report over random rows with ties, a cut pair (inf) in some
+    intervals, and intervals sharing rows; the stats are not read."""
+    rng = np.random.default_rng(seed)
+    pairs = PairIndex([f"s{i}" for i in range(n_sites)])
+    rows = np.round(rng.uniform(1.0, 2.0, (4, len(pairs.pairs))) * 10.0) / 10.0
+    rows[1, 2] = rows[3, 0] = np.inf
+    picks = rng.integers(0, len(rows), n_intervals)
+    return WeatherReport(tuple(IntervalResult(f"t{k}", (), rows[r], None)
+                               for k, r in enumerate(picks.tolist())), pairs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_percentiles_and_csvs_equal_the_dict_form(seed, tmp_path):
+    # The columns of the (intervals x pairs) array against a per-pair
+    # series and the loop quantile, and both CSVs against rows written from
+    # dicts by pair, as before: byte for byte.
+    report = synthetic_report(seed, n_intervals=3 + 5 * seed)
+    series = {p: [] for p in report.pairs.pairs}
+    for interval in report.intervals:
+        for p, s in zip(report.pairs.pairs, interval.per_pair_stretch.tolist()):
+            series[p].append(s)
+    want = {}
+    for p, values in sorted(series.items()):
+        w = [1.0] * len(values)
+        want[p] = [min(values), *(reference_weighted_quantile(values, w, q)
+                                   for q in (0.5, 0.95, 0.99)), max(values)]
+    table = report.pair_percentiles()
+    assert table.shape == (5, len(report.pairs.pairs))
+    for p, column in zip(report.pairs.pairs, table.T.tolist()):
+        assert [v.hex() for v in column] == [v.hex() for v in want[p]], p
+    weather.write_intervals_csv(report, str(tmp_path / "got_i.csv"))
+    weather.write_percentiles_csv(report, str(tmp_path / "got_p.csv"))
+    write_csv(str(tmp_path / "want_i.csv"), "timestamp,pair,stretch",
+              ([i.timestamp, weather.link_id(p), repr(s)] for i in report.intervals
+               for p, s in sorted(zip(report.pairs.pairs, i.per_pair_stretch.tolist()))))
+    write_csv(str(tmp_path / "want_p.csv"), "pair,min,median,p95,p99,max",
+              ([weather.link_id(p), *map(repr, row)] for p, row in want.items()))
+    for name in ("i", "p"):
+        got = (tmp_path / f"got_{name}.csv").read_text()
+        assert got == (tmp_path / f"want_{name}.csv").read_text()
+        assert "np." not in got and "inf" in got
+
+
+def test_report_without_intervals_writes_headers_only(tmp_path):
+    report = WeatherReport((), PairIndex(["a", "b", "c"]))
+    weather.write_intervals_csv(report, str(tmp_path / "i.csv"))
+    weather.write_percentiles_csv(report, str(tmp_path / "p.csv"))
+    assert (tmp_path / "i.csv").read_text().splitlines() == ["timestamp,pair,stretch"]
+    assert (tmp_path / "p.csv").read_text().splitlines() == ["pair,min,median,p95,p99,max"]
