@@ -279,31 +279,30 @@ def cmd_augment(cfg, outdir) -> None:
 
 def cmd_weather(cfg, outdir) -> None:
     inp, design = _load_instance_and_design(cfg)
-    rasters = None
     if cfg.get("rain_csv"):
-        field = weather.load_rain_csv(cfg["rain_csv"])
-        stamps = field.timestamps()
+        rain = weather.load_rain_csv(cfg["rain_csv"])
+        load = rain.__getitem__
     elif cfg.get("rain_rasters"):
         folder = cfg["rain_rasters"]
         if not isinstance(folder, str):
             raise InputError(f"rain_rasters must name a directory, got {folder!r}")
-        rasters = {os.path.splitext(name)[0]: os.path.join(folder, name)
-                   for name in sorted(os.listdir(folder)) if name.endswith(".asc")}
-        if not rasters:
+        rain = {os.path.splitext(name)[0]: os.path.join(folder, name)
+                for name in os.listdir(folder) if name.endswith(".asc")}
+        if not rain:
             raise InputError(f"no .asc rasters in {folder!r}")
-        stamps = sorted(rasters)
+        load = lambda t: los.load_terrain_asc(rain[t])
     else:
         raise InputError("weather needs rain_csv or rain_rasters")
+    stamps = sorted(rain)
     per_day = cfg["weather"]["intervals_per_day"]
     if per_day:
         stamps = weather.select_intervals(stamps, per_day, cfg["seed"])
-    if rasters is not None:  # read only the frames the intervals use
-        field = weather.load_rain_rasters({t: rasters[t] for t in stamps})
     coords = {s.id: s.location for s in inp.sites}
     if cfg.get("towers_csv"):
         coords.update((t.id, t.location) for t in _read_towers(cfg))
     model = weather.AttenuationModel(**cfg["attenuation"])
-    report = weather.analyze(inp, design, field, coords, model, stamps)
+    # A raster is loaded only when its frame is read, so one is held at a time.
+    report = weather.analyze(inp, design, ((t, load(t)) for t in stamps), coords, model)
     weather.write_intervals_csv(report, os.path.join(outdir, "weather_intervals.csv"))
     weather.write_percentiles_csv(report, os.path.join(outdir, "weather_percentiles.csv"))
     worst = max(i.stats.mean for i in report.intervals)

@@ -192,8 +192,12 @@ class HybridEvaluator:
         return w
 
     def graph_for(self, built: Iterable[Pair]) -> np.ndarray:
-        """Latency-equivalent km weights of fiber plus the built MW links."""
-        return self.with_links(self.fiber, built=[self.link[p] for p in built])
+        """Latency-equivalent km weights of fiber plus the built MW links:
+        one indexed write into a copy of the fiber matrix."""
+        k = np.array([self.link[p] for p in built], dtype=np.intp)
+        w = self.fiber.copy()
+        w.reshape(-1)[self._at[k]] = self._mw[k, None]
+        return w
 
     def move_stack(self, base: np.ndarray, added: np.ndarray,
                    removed: np.ndarray | None = None) -> np.ndarray:

@@ -112,6 +112,11 @@ def weighted_quantiles(values: Sequence[float], weights: Sequence[float],
     total = sum(weights.tolist())
     if total <= 0:
         raise ValueError("weights must have positive total")
+    return _quantiles(values, weights, qs, total)
+
+
+def _quantiles(values: np.ndarray, weights: np.ndarray, qs: Sequence[float],
+               total: float) -> list[float]:
     order = np.argsort(values, kind="stable")
     # np.cumsum only stands in for the running `acc += w`, which it matches;
     # with weights >= 0 its sums never fall, so bisection finds the first.
@@ -125,13 +130,13 @@ def weighted_quantile(values: Sequence[float], weights: Sequence[float], q: floa
     return weighted_quantiles(values, weights, (q,))[0]
 
 
-def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    """Sum of value x weight over the sum of weights (builtin sums, see
-    `weighted_quantiles`)."""
+def weighted_mean(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """Sum of value x weight over the sum of weights, and that sum (builtin
+    sums, see `weighted_quantiles`)."""
     total = sum(weights.tolist())
     if total <= 0:
         raise ValueError("no weighted pairs to summarize")
-    return sum((values * weights).tolist()) / total
+    return sum((values * weights).tolist()) / total, total
 
 
 def stretch_stats(stretch: np.ndarray, weights: np.ndarray | None = None) -> StretchStats:
@@ -142,7 +147,8 @@ def stretch_stats(stretch: np.ndarray, weights: np.ndarray | None = None) -> Str
     up = np.isfinite(stretch)
     values = stretch[up]
     wts = np.ones(len(values)) if weights is None else weights[up]
-    return StretchStats(weighted_mean(values, wts), *weighted_quantiles(values, wts, (0.5, 0.95)),
+    mean, total = weighted_mean(values, wts)
+    return StretchStats(mean, *_quantiles(values, wts, (0.5, 0.95), total),
                         "uniform" if weights is None else "gravity",
                         len(values), len(stretch) - len(values))
 
@@ -254,7 +260,7 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
             stretch = distance_matrix(trials)[:, rows, cols] * LatencyModel.fiber_slowdown / geo_km
             for key, row in zip(batch, stretch):
                 up = np.isfinite(row)
-                mean = weighted_mean(row[up], wts[up])
+                mean = weighted_mean(row[up], wts[up])[0]
                 if best_key is None or mean < best_mean:
                     best_mean, best_key, best_row = mean, key, row
         work.remove_link(*best_key)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,83 +52,72 @@ def link_id(pair: Pair) -> str:
     return f"{pair[0]}|{pair[1]}"
 
 
-class RasterRainField:
-    """Rain-rate rasters keyed by timestamp (ESRI ASCII layout, mm/h).
-
-    A hop's sample points depend only on the hop, so each distinct hop is
-    sampled once and its points are read against every frame."""
-
-    def __init__(self, frames: Mapping[str, TerrainGrid]) -> None:
-        self.frames = dict(frames)
-        self._samples: dict[tuple[GeoPoint, GeoPoint], tuple[np.ndarray, np.ndarray]] = {}
-
-    def timestamps(self) -> list[str]:
-        return sorted(self.frames)
-
-    def hop_rain(self, t: str, link: str, hop_a: GeoPoint, hop_b: GeoPoint) -> float:
-        frame = self.frames.get(t)
-        if frame is None:
-            raise KeyError(f"no rain frame at {t!r}")
-        points = self._samples.get((hop_a, hop_b))
-        if points is None:
-            n = max(1, math.ceil(geodesic_km(hop_a, hop_b)))  # ~1 km sampling
-            points = self._samples[(hop_a, hop_b)] = _path_samples(hop_a, hop_b, n)[:2]
-        return float(np.mean(frame.sample_many(*points)))
-
-
-class LinkRainSeries:
-    """Per-link rain rate series; a value applies along the whole link.
-
-    Links absent from an interval are dry. Ids use the canonical
-    "a|b" form of the site pair.
-    """
-
-    def __init__(self, data: Mapping[str, Mapping[str, float]]) -> None:
-        self.data = {t: dict(rates) for t, rates in data.items()}
-
-    def timestamps(self) -> list[str]:
-        return sorted(self.data)
-
-    def hop_rain(self, t: str, link: str, hop_a: GeoPoint, hop_b: GeoPoint) -> float:
-        if t not in self.data:
-            raise KeyError(f"no rain data at {t!r}")
-        return self.data[t].get(link, 0.0)
-
-
-def load_rain_csv(path: str) -> LinkRainSeries:
+def load_rain_csv(path: str) -> dict[str, dict[str, float]]:
+    """{timestamp: {link id ("a|b" of the site pair): mm/h}} from a CSV with
+    header timestamp,link_id,rain_mm_h; a rate must be finite and >= 0."""
     data: dict[str, dict[str, float]] = {}
-    for t, lid, rate in read_csv(path, "timestamp,link_id,rain_mm_h",
-                                 lambda t, lid, rate: (t, lid, float(rate))):
-        data.setdefault(t, {})[lid] = rate
-    return LinkRainSeries(data)
 
-
-def load_rain_rasters(paths: Mapping[str, str]) -> RasterRainField:
-    """Load rasters from {timestamp: file path} (e.g. files named by timestamp)."""
-    from .los import load_terrain_asc
-    return RasterRainField({t: load_terrain_asc(p) for t, p in paths.items()})
+    def rate(t, lid, mm_h):
+        if not 0.0 <= float(mm_h) < math.inf:
+            raise ValueError(f"link {lid!r}: rain_mm_h {mm_h} must be finite and >= 0")
+        data.setdefault(t, {})[lid] = float(mm_h)
+    read_csv(path, "timestamp,link_id,rain_mm_h", rate)
+    return data
 
 
 def failed_links(design: NetworkDesign, tower_paths: Mapping[Pair, Sequence[str]],
-                 coords: Mapping[str, GeoPoint], field, times: Sequence[str],
-                 model: AttenuationModel = AttenuationModel()) -> list[set[Pair]]:
-    """Per time of `times`, the MW links whose worst hop exceeds the fade
-    margin; every hop is measured once.
-
-    `tower_paths` gives each built link's node chain (sites included) and
-    `coords` the positions of every node on those chains.
-    """
-    links = []
-    for pair in design.built_links:
+                 coords: Mapping[str, GeoPoint],
+                 frames: Iterable[tuple[str, TerrainGrid | Mapping[str, float]]],
+                 model: AttenuationModel = AttenuationModel()) -> Iterator[tuple[str, set[Pair]]]:
+    """Per (timestamp, rain) frame, read one at a time in order: the
+    timestamp and the MW links whose worst hop exceeds the fade margin.
+    `rain` is a raster in mm/h (a hop's rate is the mean of its ~1 km
+    great-circle samples) or one interval's {link id: mm/h} (a rate applies
+    along the whole link; absent links are dry). `tower_paths` gives each
+    built link's node chain (sites included), `coords` each node's position."""
+    links = design.built_links
+    owner, hops = [], []  # per hop: its link's index, its endpoints
+    for k, pair in enumerate(links):
         chain = tower_paths.get(pair)
         if chain is None or len(chain) < 2:
             raise KeyError(f"no tower path recorded for built link {pair}")
-        hops = [(coords[u], coords[v]) for u, v in zip(chain, chain[1:])]
-        links.append((pair, link_id(pair), [(a, b, geodesic_km(a, b)) for a, b in hops]))
-    return [{pair for pair, lid, hops in links
-             if any(rain_attenuation_db(km, field.hop_rain(t, lid, a, b), model)
-                    > model.fail_threshold_db for a, b, km in hops)}
-            for t in times]
+        owner += [k] * (len(chain) - 1)
+        hops += [(coords[u], coords[v]) for u, v in zip(chain, chain[1:])]
+    km = [geodesic_km(a, b) for a, b in hops]
+    hop_links = [link_id(links[k]) for k in owner]
+    samples = None
+    for t, rain in frames:
+        if isinstance(rain, TerrainGrid):
+            if samples is None:  # once per distinct hop, on the first raster
+                points = {hop: _path_samples(*hop, max(1, math.ceil(d)))[:2]
+                          for hop, d in dict(zip(hops, km)).items()}
+                # Every hop's samples end to end; the empty head serves a design without links.
+                samples = [np.concatenate([np.empty(0), *(points[hop][i] for hop in hops)])
+                           for i in (0, 1)]
+                ends = np.cumsum([len(points[hop][0]) for hop in hops], dtype=np.intp).tolist()
+                spans = list(zip([0, *ends], ends))
+            rates = _hop_means(t, rain, *samples, spans, hop_links)
+        else:
+            rates = [rain.get(lid, 0.0) for lid in hop_links]
+        del rain  # the frame goes before the next one is read
+        yield t, {links[k] for k, r, d in zip(owner, rates, km)
+                  if rain_attenuation_db(d, r, model) > model.fail_threshold_db}
+
+
+def _hop_means(t: str, rain: TerrainGrid, lats: np.ndarray, lons: np.ndarray,
+               spans: Sequence[tuple[int, int]], hop_links: Sequence[str]) -> list[float]:
+    """Each hop's mean rain rate from one raster read over every hop's samples:
+    per span the pairwise sum and division of its own `np.mean`, bitwise."""
+    try:
+        values = rain.sample_many(lats, lons)
+    except ValueError:
+        for (s, e), lid in zip(spans, hop_links):
+            try:
+                rain.sample_many(lats[s:e], lons[s:e])
+            except ValueError as exc:
+                raise ValueError(f"rain frame {t}: link {lid!r}: {exc}") from None
+        raise
+    return [float(values[s:e].sum()) / (e - s) for s, e in spans]
 
 
 @dataclass(frozen=True)
@@ -168,7 +157,7 @@ def stretch_under_failures(ev: HybridEvaluator, design: NetworkDesign,
 
 
 def reroute_and_stats(inp: DesignInput, design: NetworkDesign,
-                      failures_by_interval: Sequence[tuple[str, Iterable[Pair]]]) -> WeatherReport:
+                      failures_by_interval: Iterable[tuple[str, Iterable[Pair]]]) -> WeatherReport:
     """Recompute shortest routes per interval with failed links removed and
     record per-pair stretch plus traffic-weighted summary statistics. Each
     distinct failure set is rerouted once, all over one evaluator: intervals
@@ -188,14 +177,14 @@ def reroute_and_stats(inp: DesignInput, design: NetworkDesign,
     return WeatherReport(tuple(intervals), ev.pairs)
 
 
-def analyze(inp: DesignInput, design: NetworkDesign, field,
+def analyze(inp: DesignInput, design: NetworkDesign,
+            frames: Iterable[tuple[str, TerrainGrid | Mapping[str, float]]],
             coords: Mapping[str, GeoPoint],
-            model: AttenuationModel = AttenuationModel(),
-            timestamps: Sequence[str] | None = None) -> WeatherReport:
-    """End-to-end weather run: compute failures per interval, then reroute."""
-    times = list(timestamps) if timestamps is not None else field.timestamps()
-    failures = list(zip(times, failed_links(design, inp.tower_paths, coords, field, times, model)))
-    return reroute_and_stats(inp, design, failures)
+            model: AttenuationModel = AttenuationModel()) -> WeatherReport:
+    """End-to-end weather run over (timestamp, rain) frames (see
+    `failed_links`), read lazily: each frame's failures, then its reroute."""
+    return reroute_and_stats(inp, design,
+                             failed_links(design, inp.tower_paths, coords, frames, model))
 
 
 def select_intervals(timestamps: Sequence[str], per_day: int = 1, seed: int = 0) -> list[str]:

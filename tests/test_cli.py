@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import sys
+import weakref
 
 import pytest
 
@@ -317,13 +318,78 @@ def test_weather_reads_only_the_selected_raster_frames(pipeline, tmp_path, monke
                                       designer.load_built_links(pipeline["design"]))
     coords = {s.id: s.location for s in inp.sites}
     coords.update((t.id, t.location) for t in los.load_towers_csv(os.path.join(DEMO, "towers.csv")))
-    report = weather.analyze(inp, design, weather.load_rain_rasters(paths), coords,
-                             timestamps=chosen)
+    report = weather.analyze(inp, design, [(t, los.load_terrain_asc(paths[t])) for t in chosen],
+                             coords)
     weather.write_intervals_csv(report, str(tmp_path / "intervals.csv"))
     weather.write_percentiles_csv(report, str(tmp_path / "percentiles.csv"))
     for got, want in (("weather_intervals.csv", "intervals.csv"),
                       ("weather_percentiles.csv", "percentiles.csv")):
         assert (out / got).read_bytes() == (tmp_path / want).read_bytes()
+
+
+def test_weather_raster_mode_holds_one_frame_at_a_time(pipeline, tmp_path, monkeypatch):
+    # Five frames alternating dry and flooding; a frame is collected before
+    # the next one is read.
+    rain_dir = tmp_path / "rain"
+    rain_dir.mkdir()
+    header = ("ncols 5\nnrows 3\nxllcorner -2.2\nyllcorner -0.2\n"
+              "cellsize 0.9\nNODATA_value -9999\n")
+    for k in range(5):
+        row = " ".join([("0", "300")[k % 2]] * 5)
+        (rain_dir / f"2015-08-01T{k:02d}:00.asc").write_text(header + "\n".join([row] * 3) + "\n")
+    held, alive = [], set()
+    load = los.load_terrain_asc
+
+    def tracked(path):
+        held.append(len(alive))
+        grid = load(path)
+        alive.add(path)
+        weakref.finalize(grid, alive.discard, path)
+        return grid
+
+    monkeypatch.setattr(los, "load_terrain_asc", tracked)
+    out = tmp_path / "weather"
+    assert main(["weather", "--config", pipeline["config"], "--out", str(out),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}",
+                 "--set", "rain_csv=null", "--set", f"rain_rasters={rain_dir}"]) == 0
+    # The demo config's terrain is the first read, for the towers' ground elevations.
+    assert held == [0] * 6 and not alive
+
+
+def test_weather_rejects_a_nan_rain_rate(pipeline, tmp_path, capsys):
+    # The storm rows of the demo's rain.csv set to nan used to read as dry.
+    with open(os.path.join(DEMO, "rain.csv")) as fh:
+        lines = fh.read().splitlines()
+    at = next(n for n, line in enumerate(lines) if line.startswith("2015-07-01T12:00"))
+    lines = [line.rsplit(",", 1)[0] + ",nan" if line.startswith("2015-07-01T12:00") else line
+             for line in lines]
+    rain = tmp_path / "rain.csv"
+    rain.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["weather", "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}",
+                 "--set", f"rain_csv={rain}"]) == 1
+    link = lines[at].split(",")[1]
+    assert (f"{rain}: line {at + 1}: link '{link}': rain_mm_h nan must be finite and >= 0"
+            in capsys.readouterr().err)
+
+
+def test_weather_names_the_raster_frame_and_link_it_misses(pipeline, tmp_path, capsys):
+    # A 2 x 2 grid at longitude 100, far from every demo hop.
+    rain_dir = tmp_path / "rain"
+    rain_dir.mkdir()
+    (rain_dir / "2015-08-01T00:00.asc").write_text(
+        "ncols 2\nnrows 2\nxllcorner 100\nyllcorner 0\ncellsize 1\n0 0\n0 0\n")
+    capsys.readouterr()
+    assert main(["weather", "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}",
+                 "--set", "rain_csv=null", "--set", f"rain_rasters={rain_dir}"]) == 1
+    first = "|".join(designer.load_built_links(pipeline["design"])[0])
+    assert (f"rain frame 2015-08-01T00:00: link '{first}': sample outside terrain bounds"
+            in capsys.readouterr().err)
 
 
 def test_augment_outputs(pipeline):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -12,8 +13,8 @@ from lightwan.graphcore import distance_matrix
 from lightwan.los import TerrainGrid
 from lightwan.traffic import PairIndex, TrafficMatrix, pair_key
 from lightwan.weather import (
-    AttenuationModel, IntervalResult, LinkRainSeries, RasterRainField, WeatherReport,
-    failed_links, rain_attenuation_db, reroute_and_stats, select_intervals,
+    AttenuationModel, IntervalResult, WeatherReport, failed_links, rain_attenuation_db,
+    reroute_and_stats, select_intervals,
 )
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -96,25 +97,26 @@ def hexagon_instance():
     return inp, design, coords
 
 
+def failure_sets(design, inp, coords, frames):
+    return [failed for _, failed in failed_links(design, inp.tower_paths, coords, frames)]
+
+
 def test_failed_links_zero_rain_empty():
     inp, design, coords = hexagon_instance()
-    series = LinkRainSeries({"t0": {}})
-    assert failed_links(design, inp.tower_paths, coords, series, ["t0"]) == [set()]
+    assert failure_sets(design, inp, coords, [("t0", {})]) == [set()]
 
 
 def test_failed_links_extreme_rain_everywhere():
     inp, design, coords = hexagon_instance()
     rates = {weather.link_id(p): 500.0 for p in design.built_links}
-    series = LinkRainSeries({"t0": rates})
-    assert failed_links(design, inp.tower_paths, coords, series, ["t0"]) == [
-        set(design.built_links)]
+    assert failure_sets(design, inp, coords, [("t0", rates)]) == [set(design.built_links)]
 
 
 def test_failed_links_single_target():
     inp, design, coords = hexagon_instance()
     victim = design.built_links[0]
-    series = LinkRainSeries({"t0": {weather.link_id(victim): 400.0}})
-    assert failed_links(design, inp.tower_paths, coords, series, ["t0"]) == [{victim}]
+    frames = [("t0", {weather.link_id(victim): 400.0})]
+    assert failure_sets(design, inp, coords, frames) == [{victim}]
 
 
 def test_failed_links_raster_rain_cell_over_one_hop():
@@ -129,9 +131,92 @@ def test_failed_links_raster_rain_cell_over_one_hop():
     j = int((hop_mid_lon + 2.0) / 0.05)
     rain[max(0, 120 - 1 - i - 4):120 - 1 - i + 5, max(0, j - 4):j + 5] = 300.0
     grid = TerrainGrid(rain, -2.0, -2.0, 0.05)
-    field = RasterRainField({"t0": grid})
-    [failed] = failed_links(design, inp.tower_paths, coords, field, ["t0"])
+    [failed] = failure_sets(design, inp, coords, [("t0", grid)])
     assert victim in failed
+
+
+def reference_failed_links(design, tower_paths, coords, frames, model=AttenuationModel()):
+    """The per-hop loop that `failed_links` replaced: each hop's rain is the
+    `np.mean` of its own raster samples, or its link's rate in a CSV frame
+    (absent links dry), and the fade-margin test runs on Python floats.
+    Returns per frame (timestamp, failed links, per-hop rates in built-link
+    then chain order)."""
+    out = []
+    for t, rain in frames:
+        failed, rates = set(), []
+        for pair in design.built_links:
+            chain = tower_paths[pair]
+            for u, v in zip(chain, chain[1:]):
+                a, b = coords[u], coords[v]
+                km = geodesic_km(a, b)
+                if isinstance(rain, TerrainGrid):
+                    lats, lons, _ = los._path_samples(a, b, max(1, math.ceil(km)))
+                    rate = float(np.mean(rain.sample_many(lats, lons)))
+                else:
+                    rate = rain.get(weather.link_id(pair), 0.0)
+                rates.append(rate)
+                if rain_attenuation_db(km, rate, model) > model.fail_threshold_db:
+                    failed.add(pair)
+        out.append((t, failed, rates))
+    return out
+
+
+def assert_failed_links_match_reference(inp, design, coords, frames):
+    """`failed_links` against `reference_failed_links`: the same failure
+    set per frame, in frame order, from bitwise the same per-hop rates (as
+    they reach `rain_attenuation_db`); returns the failure sets."""
+    want = reference_failed_links(design, inp.tower_paths, coords, frames)
+    rates = []
+    original = weather.rain_attenuation_db
+
+    def recorded(km, rate, model):
+        rates.append(rate)
+        return original(km, rate, model)
+
+    got = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(weather, "rain_attenuation_db", recorded)
+        for t, failed in failed_links(design, inp.tower_paths, coords, frames):
+            got.append((t, failed, rates[:]))
+            rates.clear()
+    assert [(t, f) for t, f, _ in got] == [(t, f) for t, f, _ in want]
+    for (t, _, a), (_, _, b) in zip(got, want):
+        assert all(type(r) is float for r in a), t
+        assert [r.hex() for r in a] == [r.hex() for r in b], t
+    return [f for _, f, _ in got]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_failed_links_matches_reference_on_random_rasters(seed):
+    # Storm levels from drizzle to downpour, so sets run from empty to all.
+    inp, design, coords = hexagon_instance()
+    rng = np.random.default_rng(seed)
+    frames = [(f"t{k}", TerrainGrid(rng.uniform(0.0, top, (120, 120)), -2.0, -2.0, 0.05))
+              for k, top in enumerate(np.linspace(10.0, 80.0, 8).tolist())]
+    sets = assert_failed_links_match_reference(inp, design, coords, frames)
+    assert set() in sets and set(design.built_links) in sets
+    assert any(0 < len(f) < len(design.built_links) for f in sets)
+
+
+def test_failed_links_matches_reference_at_the_fade_margin():
+    # Each link's rate is the one at which its longest hop just meets the
+    # margin, or a float either side of it: only a hop strictly past the
+    # margin fails its link.
+    inp, design, coords = hexagon_instance()
+    model = AttenuationModel()
+    margin = {}
+    for pair in design.built_links:
+        chain = inp.tower_paths[pair]
+        km = max(geodesic_km(coords[u], coords[v]) for u, v in zip(chain, chain[1:]))
+        margin[weather.link_id(pair)] = (
+            model.fail_threshold_db / (model.k_coeff * km)) ** (1.0 / model.alpha)
+    frames = []
+    for k, step in enumerate((-math.inf, 0.0, math.inf)):
+        frames.append((f"t{k}", {lid: math.nextafter(r, step) if step else r
+                                 for lid, r in margin.items()}))
+    frames.append(("t3", {lid: r for lid, r in list(margin.items())[::2]}))
+    sets = assert_failed_links_match_reference(inp, design, coords, frames)
+    assert sets[0] == set() and sets[2] == set(design.built_links)
 
 
 def test_raster_hop_samples_once_per_hop_bitwise(monkeypatch):
@@ -140,8 +225,8 @@ def test_raster_hop_samples_once_per_hop_bitwise(monkeypatch):
     # recomputation reads.
     inp, design, coords = hexagon_instance()
     rng = np.random.default_rng(5)
-    frames = {f"t{k}": TerrainGrid(rng.uniform(0.0, 200.0, (120, 120)), -2.0, -2.0, 0.05)
-              for k in range(4)}
+    frames = [(f"t{k}", TerrainGrid(rng.uniform(0.0, 200.0, (120, 120)), -2.0, -2.0, 0.05))
+              for k in range(4)]
     hops = {(coords[u], coords[v]) for pair in design.built_links
             for u, v in zip(inp.tower_paths[pair], inp.tower_paths[pair][1:])}
     calls = []
@@ -151,14 +236,36 @@ def test_raster_hop_samples_once_per_hop_bitwise(monkeypatch):
         return los._path_samples(a, b, n)
 
     monkeypatch.setattr(weather, "_path_samples", counted)
-    field = RasterRainField(frames)
-    for t, frame in frames.items():
-        for a, b in hops:
-            lats, lons, _ = los._path_samples(a, b, max(1, math.ceil(geodesic_km(a, b))))
-            want = float(np.mean(frame.sample_many(lats, lons)))
-            assert field.hop_rain(t, "x|y", a, b).hex() == want.hex()
+    assert_failed_links_match_reference(inp, design, coords, frames)
     assert len(calls) == len(hops) > 4
     assert set(calls) == hops
+
+
+def test_failed_links_names_the_frame_and_link_a_raster_misses():
+    inp, design, coords = hexagon_instance()
+    covered = TerrainGrid(np.full((120, 120), 5.0), -2.0, -2.0, 0.05)
+    victim = design.built_links[-1]
+    # The last link's first tower sits in a NODATA cell; the other grid is far away.
+    holed = np.full((120, 120), 5.0)
+    tower = coords[inp.tower_paths[victim][1]]
+    holed[119 - int((tower.lat + 2.0) / 0.05), int((tower.lon + 2.0) / 0.05)] = -9999.0
+    frames = [("t0", covered), ("t1", TerrainGrid(holed, -2.0, -2.0, 0.05))]
+    lid = weather.link_id(victim)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'rain frame t1: link {lid!r}: ')}"
+                                         "sample touches NODATA cells$"):
+        failure_sets(design, inp, coords, frames)
+    away = [("t2", TerrainGrid(np.zeros((2, 2)), 100.0, 0.0, 1.0))]
+    first = weather.link_id(design.built_links[0])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'rain frame t2: link {first!r}: ')}"
+                                         "sample outside terrain bounds$"):
+        failure_sets(design, inp, coords, away)
+
+
+def test_failed_links_without_built_links_reads_rasters():
+    inp, _, coords = hexagon_instance()
+    design = evaluate_design(HybridEvaluator(inp), [])
+    grid = TerrainGrid(np.zeros((2, 2)), 100.0, 0.0, 1.0)
+    assert failure_sets(design, inp, coords, [("t0", grid), ("t1", {})]) == [set(), set()]
 
 
 def per_pair(report, k):
@@ -270,12 +377,19 @@ def test_csv_outputs(tmp_path):
 
 def test_rain_csv_loader(tmp_path):
     p = tmp_path / "rain.csv"
-    p.write_text("timestamp,link_id,rain_mm_h\n2015-07-01T10:00,s0|s3,25.0\n")
-    series = weather.load_rain_csv(str(p))
-    assert series.timestamps() == ["2015-07-01T10:00"]
-    pt = GeoPoint(0, 0)
-    assert series.hop_rain("2015-07-01T10:00", "s0|s3", pt, pt) == 25.0
-    assert series.hop_rain("2015-07-01T10:00", "other", pt, pt) == 0.0
+    p.write_text("timestamp,link_id,rain_mm_h\n2015-07-01T10:00,s0|s3,25.0\n"
+                 "2015-07-01T09:00,s1|s4,0\n")
+    assert weather.load_rain_csv(str(p)) == {"2015-07-01T10:00": {"s0|s3": 25.0},
+                                             "2015-07-01T09:00": {"s1|s4": 0.0}}
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-5", "-0.1"])
+def test_rain_csv_loader_rejects_a_rate_not_finite_and_non_negative(tmp_path, rate):
+    p = tmp_path / "rain.csv"
+    p.write_text(f"timestamp,link_id,rain_mm_h\nt0,a|b,1.0\nt0,a|c,{rate}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 3: link 'a\|c': "
+                                         rf"rain_mm_h {re.escape(rate)} must be finite and >= 0$"):
+        weather.load_rain_csv(str(p))
 
 
 def reference_reroute_and_stats(inp, design, failures_by_interval):
@@ -314,12 +428,15 @@ def assert_report_matches_reference(got, want):
         assert rows.setdefault(failed, interval.per_pair_stretch) is interval.per_pair_stretch
 
 
-def assert_one_reroute_per_failure_set(monkeypatch, inp, design, field, coords):
-    """`analyze` equals the per-interval oracle and reroutes each distinct
-    failure set once, all over one evaluator; returns the report."""
-    times = field.timestamps()
+def assert_one_reroute_per_failure_set(monkeypatch, inp, design, rain, coords):
+    """`analyze` over the frames of `rain` ({timestamp: frame}) in time
+    order equals the per-interval oracle on `reference_failed_links`, and
+    reroutes each distinct failure set once, all over one evaluator;
+    returns the report."""
+    times = sorted(rain)
     want = reference_reroute_and_stats(inp, design, [
-        (t, failed_links(design, inp.tower_paths, coords, field, [t])[0]) for t in times])
+        (t, failed) for t, failed, _ in reference_failed_links(
+            design, inp.tower_paths, coords, [(t, rain[t]) for t in times])])
     calls = []
     original = weather.stretch_under_failures
 
@@ -336,7 +453,7 @@ def assert_one_reroute_per_failure_set(monkeypatch, inp, design, field, coords):
 
     monkeypatch.setattr(weather, "stretch_under_failures", counted)
     monkeypatch.setattr(weather, "HybridEvaluator", Counted)
-    got = weather.analyze(inp, design, field, coords)
+    got = weather.analyze(inp, design, ((t, rain[t]) for t in times), coords)
     assert evaluators == [inp]
     assert_report_matches_reference(got, want)
     assert [i.timestamp for i in got.intervals] == times
@@ -350,7 +467,7 @@ def test_reroute_once_per_distinct_failure_set(monkeypatch):
     inp, design, coords = hexagon_instance()
     links = [weather.link_id(p) for p in design.built_links]
     patterns = [{}, {links[0]: 400.0}, {links[1]: 300.0, links[2]: 500.0}, {links[0]: 1.0}]
-    series = LinkRainSeries({f"2015-07-01T{h:02d}:00": patterns[h * 7 % 4] for h in range(12)})
+    series = {f"2015-07-01T{h:02d}:00": patterns[h * 7 % 4] for h in range(12)}
     report = assert_one_reroute_per_failure_set(monkeypatch, inp, design, series, coords)
     # Dry and drizzle hours share the no-failure result.
     assert {i.failed for i in report.intervals} == {
