@@ -280,7 +280,7 @@ def cmd_augment(cfg, outdir) -> None:
 def cmd_weather(cfg, outdir) -> None:
     inp, design = _load_instance_and_design(cfg)
     if cfg.get("rain_csv"):
-        rain = weather.load_rain_csv(cfg["rain_csv"])
+        rain = weather.load_rain_csv(cfg["rain_csv"], [s.id for s in inp.sites])
         load = rain.__getitem__
     elif cfg.get("rain_rasters"):
         folder = cfg["rain_rasters"]

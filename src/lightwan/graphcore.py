@@ -175,15 +175,17 @@ def next_hop_walks(weights: np.ndarray, dist: np.ndarray,
     Raises ValueError when t is unreachable from s or a walk would pass n nodes."""
     off = np.array(weights, dtype=float)
     np.fill_diagonal(off, np.inf)
-    columns: dict[int, list[int]] = {}
+    columns: dict[int, tuple[list[int], list[float]]] = {}
     for s, t in pairs:
         if t not in columns:
-            columns[t] = (off + dist[:, t]).argmin(axis=1).tolist()
+            columns[t] = (off + dist[:, t]).argmin(axis=1).tolist(), dist[:, t].tolist()
+        step, to_t = columns[t]
+        unreachable = math.isinf(to_t[s])
         nodes = [s]
         while nodes[-1] != t:
-            if np.isinf(dist[s, t]) or len(nodes) == len(off):
+            if unreachable or len(nodes) == len(off):
                 raise ValueError(f"no loop-free walk from node {s} to node {t}")
-            nodes.append(columns[t][nodes[-1]])
+            nodes.append(step[nodes[-1]])
         yield nodes
 
 

@@ -8,6 +8,8 @@ a configurable obstruction margin.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +20,18 @@ from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km, read_csv, write_csv
 # Terrain samples per clearance pass: amortises numpy's per-call cost over
 # many hops while keeping the work arrays out of the peak memory.
 _CHUNK_SAMPLES = 4096
+# Fewest samples per segment worth screening: screening a segment costs
+# about two samples' work.
+_MIN_SEGMENT = 4
+# A screened segment clears when its lower end line height is at least its
+# bound plus this slack. Each per-sample term is a few float operations on
+# values under 1e4 m, so its rounding error is under 1e-11 m, far below it.
+_SCREEN_SLACK_M = 1e-6
+# Degrees of slack around a segment's end samples for the rounding of the
+# sample positions (under 1e-12 degrees within _SCREEN_MAX_LAT of the
+# equator, where the screen stops).
+_SCREEN_EPS_DEG = 1e-9
+_SCREEN_MAX_LAT = 80.0
 # Tower rows per block of the pairwise range screen (memory O(towers x rows)).
 _SCREEN_ROWS = 64
 # ESRI ASCII grid header keys; all but the last are required.
@@ -126,11 +140,7 @@ class TerrainGrid:
         x0, y0, x1, y1 = self.bounds
         if np.any(lons < x0) or np.any(lons > x1) or np.any(lats < y0) or np.any(lats > y1):
             raise ValueError("sample outside terrain bounds")
-        # Fractional index relative to cell centers, rows counted from the bottom.
-        fx = (lons - self.xllcorner) / self.cellsize - 0.5
-        fy = (lats - self.yllcorner) / self.cellsize - 0.5
-        j0 = np.clip(np.floor(fx).astype(int), 0, max(self.ncols - 2, 0))
-        i0 = np.clip(np.floor(fy).astype(int), 0, max(self.nrows - 2, 0))
+        fx, fy, i0, j0 = self.cell_corners(lats, lons)
         tx = np.clip(fx - j0, 0.0, 1.0)
         ty = np.clip(fy - i0, 0.0, 1.0)
         j1 = np.minimum(j0 + 1, self.ncols - 1)
@@ -142,6 +152,16 @@ class TerrainGrid:
         if np.any(np.isnan(v)):
             raise ValueError("sample touches NODATA cells")
         return v
+
+    def cell_corners(self, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(fx, fy, i0, j0): fractional indices relative to cell centers and
+        the lower-left cell (rows counted from the bottom) of the bilinear
+        read at each (lat, lon); i0 and j0 never decrease with lat and lon."""
+        fx = (lons - self.xllcorner) / self.cellsize - 0.5
+        fy = (lats - self.yllcorner) / self.cellsize - 0.5
+        j0 = np.clip(np.floor(fx).astype(int), 0, max(self.ncols - 2, 0))
+        i0 = np.clip(np.floor(fy).astype(int), 0, max(self.nrows - 2, 0))
+        return fx, fy, i0, j0
 
     def sample(self, point: GeoPoint) -> float:
         return float(self.sample_many(np.array([point.lat]), np.array([point.lon]))[0])
@@ -231,11 +251,12 @@ def _arc_points(va, vb, omega, sin_omega, wa, wb) -> tuple[np.ndarray, np.ndarra
     broadcast, and no point's arithmetic depends on another's."""
     flat = np.asarray(omega) < 1e-12
     if flat.any():
-        pts = (np.where(flat, wa, np.sin(wa * omega))[:, None] * va
-               + np.where(flat, wb, np.sin(wb * omega))[:, None] * vb)
+        pts = np.where(flat, wa, np.sin(wa * omega))[:, None] * va
+        pts += np.where(flat, wb, np.sin(wb * omega))[:, None] * vb
         pts /= np.where(flat, np.linalg.norm(pts, axis=1), sin_omega)[:, None]
     else:
-        pts = (np.sin(wa * omega)[:, None] * va + np.sin(wb * omega)[:, None] * vb)
+        pts = np.sin(wa * omega)[:, None] * va
+        pts += np.sin(wb * omega)[:, None] * vb
         pts /= np.broadcast_to(sin_omega, len(pts))[:, None]
     lats = np.degrees(np.arcsin(np.clip(pts[:, 2], -1.0, 1.0)))
     lons = np.degrees(np.arctan2(pts[:, 1], pts[:, 0]))
@@ -254,13 +275,124 @@ def _path_samples(a: GeoPoint, b: GeoPoint, n: int) -> tuple[np.ndarray, np.ndar
     return lats, lons, wb
 
 
+def _runs(offsets: np.ndarray, s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(run, position in run) of items s..e-1 of runs laid end to end, run r
+    holding items offsets[r] to offsets[r + 1] - 1."""
+    r0 = int(np.searchsorted(offsets, s, side="right")) - 1
+    r1 = int(np.searchsorted(offsets, e, side="left"))
+    starts = np.maximum(offsets[r0:r1], s)
+    r = np.repeat(np.arange(r0, r1), np.diff(np.append(starts, e)))
+    return r, np.arange(s, e) - offsets[r]
+
+
+def _chunk(hop, k0, offsets, s, e):
+    # A function, so its index arrays are freed before the chunk is read.
+    r, i = _runs(offsets, s, e)
+    return hop[r], k0[r] + i
+
+
+def _chunks(blocks):
+    """(hop, k) of each sample, `_CHUNK_SAMPLES` samples at a time (the last
+    chunk may be shorter), of the runs (hop, first k, count) in `blocks` laid
+    end to end; a run may span chunks and blocks."""
+    hop = k0 = count = np.empty(0, dtype=np.int64)
+    for block in itertools.chain(blocks, [None]):
+        if block is not None:
+            hop, k0, count = (np.concatenate(pair) for pair in zip((hop, k0, count), block))
+        offsets = np.concatenate(([0], np.cumsum(count)))
+        stop = int(offsets[-1])
+        if block is not None:
+            stop -= stop % _CHUNK_SAMPLES
+        for s in range(0, stop, _CHUNK_SAMPLES):
+            yield _chunk(hop, k0, offsets, s, min(s + _CHUNK_SAMPLES, stop))
+        # Keep the samples past `stop`: the rest of the run it cuts, then the
+        # runs after it.
+        r = int(np.searchsorted(offsets, stop, side="right")) - 1
+        hop, k0, count = hop[r:], k0[r:].copy(), count[r:].copy()
+        k0[:1] += stop - offsets[r]
+        count[:1] -= stop - offsets[r]
+
+
+def _unscreened(units, alts, ia, ib, d, omega, sin_omega, n, terrain: TerrainGrid,
+                p: LosParams):
+    """Blocks of runs (hop, first k, count), in hop and sample order, of the
+    samples that the segment screen cannot clear.
+
+    Each hop's samples 0..n are split into segments of `size` consecutive
+    samples, at most one terrain cell wide. A segment is cleared unsampled
+    when the lower of its end samples' line heights is at least the
+    largest terrain any of its samples' bilinear reads can touch, plus its
+    largest Earth bulge and Fresnel width (at the weight nearest 0.5), the
+    obstruction margin and `_SCREEN_SLACK_M`. Segments whose end samples
+    lie more than one cell apart, or whose window leaves the grid (or
+    `_SCREEN_MAX_LAT`) or holds NODATA, are left to the sampling. Only
+    which samples are read depends on `size`, never a hop's answer.
+    """
+    # A cell's east-west width at the towers' highest latitude (|z| = sin).
+    z = float(np.abs(units[np.concatenate((ia, ib)), 2]).max(initial=0.0))
+    cell_m = (terrain.cellsize * math.pi / 180.0 * EARTH_RADIUS_KM * 1000.0
+              * max(math.sqrt(1.0 - z * z), math.cos(math.radians(_SCREEN_MAX_LAT))))
+    size = int(cell_m // p.sample_step_m)
+    if size < _MIN_SEGMENT or not len(n):
+        return [(np.arange(len(n)), np.zeros(len(n), dtype=np.int64), n + 1)]
+    x0, y0, x1, y1 = terrain.bounds
+    y0, y1 = max(y0, -_SCREEN_MAX_LAT), min(y1, _SCREEN_MAX_LAT)
+    seg_off = np.concatenate(([0], np.cumsum(n // size + 1)))
+
+    def screen(g: int):
+        # A function, so its work arrays are freed before the samples are read.
+        h, j = _runs(seg_off, g, min(g + block, int(seg_off[-1])))
+        m, k0, ns, ds = len(h), j * size, n[h], d[h]
+        k1 = np.minimum(k0 + size - 1, ns)
+        # Both end samples of every segment, as the sampling computes them.
+        hh, kk, nh = np.concatenate((h, h)), np.concatenate((k0, k1)), np.concatenate((ns, ns))
+        a, b = ia[hh], ib[hh]
+        wb = kk / nh
+        wa = (nh - kk) / nh
+        lats, lons = _arc_points(units[a], units[b], omega[hh], sin_omega[hh], wa, wb)
+        line = alts[a] * wa + alts[b] * wb
+        # The samples between lie on the great circle between the ends: at
+        # most an arc L away, their sin(latitude) rises past the ends' by at
+        # most L^2 / 8, and their longitude stays between the ends' while
+        # those differ by under 90 degrees (no antimeridian, no pole).
+        pad = (np.degrees((omega[h] * (k1 - k0) / ns) ** 2 / 8.0)
+               / math.cos(math.radians(_SCREEN_MAX_LAT)) + _SCREEN_EPS_DEG)
+        lat_lo = np.minimum(lats[:m], lats[m:]) - pad
+        lat_hi = np.maximum(lats[:m], lats[m:]) + pad
+        lon_lo = np.minimum(lons[:m], lons[m:]) - _SCREEN_EPS_DEG
+        lon_hi = np.maximum(lons[:m], lons[m:]) + _SCREEN_EPS_DEG
+        _, _, i_lo, j_lo = terrain.cell_corners(lat_lo, lon_lo)
+        _, _, i_hi, j_hi = terrain.cell_corners(lat_hi, lon_hi)
+        screened = ((lon_lo >= x0) & (lon_hi <= x1) & (lat_lo >= y0) & (lat_hi <= y1)
+                    & (lon_hi - lon_lo < 90.0) & (i_hi - i_lo <= 1) & (j_hi - j_lo <= 1))
+        # With i_hi <= i_lo + 1 and j_hi <= j_lo + 1, every sample's bilinear
+        # read touches only these 3 x 3 cells; a NODATA one makes the top NaN.
+        rows = [terrain.nrows - 1 - np.minimum(i, terrain.nrows - 1)
+                for i in (i_lo, i_lo + 1, i_hi + 1)]
+        cols = [np.minimum(j, terrain.ncols - 1) for j in (j_lo, j_lo + 1, j_hi + 1)]
+        terrain_top = functools.reduce(np.maximum, [terrain.values[r, c]
+                                                    for r in rows for c in cols])
+        w = np.clip(0.5, k0 / ns, k1 / ns)
+        d1 = ds * w
+        d2 = ds * (1.0 - w)
+        bulge = d1 * d2 / (12.74 * p.k_factor)
+        fresnel = 2.0 * 8.7 * np.sqrt(d1 * d2 / ds) / math.sqrt(p.f_ghz)
+        needed = terrain_top + bulge + fresnel + p.obstruction_margin_m + _SCREEN_SLACK_M
+        left = ~(screened & (np.minimum(line[:m], line[m:]) >= needed))
+        return h[left], k0[left], (k1 - k0 + 1)[left]
+
+    block = max(1, _CHUNK_SAMPLES // 2)  # two end samples a segment
+    return (screen(g) for g in range(0, int(seg_off[-1]), block))
+
+
 def _clearance(towers: list[Tower], ia: np.ndarray, ib: np.ndarray, d_km: np.ndarray,
                terrain: TerrainGrid, p: LosParams) -> np.ndarray:
     """Whether each hop towers[ia[h]]-towers[ib[h]] of length d_km[h] is clear.
 
-    All hops' samples form one sequence, read `_CHUNK_SAMPLES` at a time (a
-    hop may span chunks). Sample i of n has endpoint weights i/n and (n-i)/n,
-    so every term is bitwise identical under endpoint swap."""
+    The samples the segment screen (`_unscreened`) cannot clear form one
+    sequence, read `_CHUNK_SAMPLES` at a time (a hop may span chunks). Sample
+    i of n has endpoint weights i/n and (n-i)/n, so every term is bitwise
+    identical under endpoint swap."""
     units = np.array([_unit_vector(t.location) for t in towers])
     alts = np.array([t.ground_elevation_m + p.usable_height_fraction * t.height_m
                      for t in towers])
@@ -270,15 +402,9 @@ def _clearance(towers: list[Tower], ia: np.ndarray, ib: np.ndarray, d_km: np.nda
     omega = np.array([_omega(units[i], units[j]) for i, j in zip(ia.tolist(), ib.tolist())])
     sin_omega = np.array([math.sin(w) for w in omega.tolist()])
     n = np.maximum(1, np.ceil(d * 1000.0 / p.sample_step_m).astype(np.int64))
-    offsets = np.concatenate(([0], np.cumsum(n + 1)))
-    ok = np.ones(len(todo), dtype=bool)
-    for s in range(0, int(offsets[-1]), _CHUNK_SAMPLES):
-        e = min(s + _CHUNK_SAMPLES, int(offsets[-1]))
-        h0 = int(np.searchsorted(offsets, s, side="right")) - 1
-        h1 = int(np.searchsorted(offsets, e, side="left"))
-        starts = np.maximum(offsets[h0:h1], s)
-        h = np.repeat(np.arange(h0, h1), np.diff(np.append(starts, e)))
-        k = np.arange(s, e) - offsets[h]
+
+    def clears(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # A function, so one chunk's work arrays are freed before the next.
         a, b, nh, dh = ia[h], ib[h], n[h], d[h]
         wb = k / nh
         wa = (nh - k) / nh
@@ -290,7 +416,11 @@ def _clearance(towers: list[Tower], ia: np.ndarray, ib: np.ndarray, d_km: np.nda
         fresnel = 2.0 * 8.7 * np.sqrt(d1 * d2 / dh) / math.sqrt(p.f_ghz)
         line = alts[a] * wa + alts[b] * wb
         needed = elev + bulge + fresnel + p.obstruction_margin_m
-        ok[h0:h1] &= np.logical_and.reduceat(line >= needed, starts - s)
+        return line >= needed
+
+    ok = np.ones(len(todo), dtype=bool)
+    for h, k in _chunks(_unscreened(units, alts, ia, ib, d, omega, sin_omega, n, terrain, p)):
+        ok[h[~clears(h, k)]] = False
     clear[todo] = ok
     return clear
 

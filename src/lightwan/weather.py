@@ -19,7 +19,7 @@ from .fiberbase import StretchStats, stretch_stats, weighted_quantiles
 from .geo import GeoPoint, geodesic_km, read_csv, write_csv
 from .graphcore import distance_matrix
 from .los import TerrainGrid, _path_samples
-from .traffic import Pair, PairIndex
+from .traffic import Pair, PairIndex, pair_key
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,23 @@ def link_id(pair: Pair) -> str:
     return f"{pair[0]}|{pair[1]}"
 
 
-def load_rain_csv(path: str) -> dict[str, dict[str, float]]:
-    """{timestamp: {link id ("a|b" of the site pair): mm/h}} from a CSV with
-    header timestamp,link_id,rain_mm_h; a rate must be finite and >= 0."""
+def load_rain_csv(path: str, sites: Iterable[str]) -> dict[str, dict[str, float]]:
+    """{timestamp: {link id: mm/h}} from a CSV with header
+    timestamp,link_id,rain_mm_h. A link id is two distinct ids of `sites`
+    joined by "|", in either order; it is stored in the canonical order of
+    `link_id`. Rain on a pair of sites with no built link is read and stays
+    dry. A rate must be finite and >= 0."""
+    known = set(sites)
     data: dict[str, dict[str, float]] = {}
 
     def rate(t, lid, mm_h):
+        ends = lid.split("|")
+        if len(ends) != 2 or ends[0] == ends[1] or not known.issuperset(ends):
+            raise ValueError(f"link {lid!r}: a link id must be two distinct sites "
+                             f"of the instance joined by '|'")
         if not 0.0 <= float(mm_h) < math.inf:
             raise ValueError(f"link {lid!r}: rain_mm_h {mm_h} must be finite and >= 0")
-        data.setdefault(t, {})[lid] = float(mm_h)
+        data.setdefault(t, {})[link_id(pair_key(*ends))] = float(mm_h)
     read_csv(path, "timestamp,link_id,rain_mm_h", rate)
     return data
 
@@ -107,7 +115,8 @@ def failed_links(design: NetworkDesign, tower_paths: Mapping[Pair, Sequence[str]
 def _hop_means(t: str, rain: TerrainGrid, lats: np.ndarray, lons: np.ndarray,
                spans: Sequence[tuple[int, int]], hop_links: Sequence[str]) -> list[float]:
     """Each hop's mean rain rate from one raster read over every hop's samples:
-    per span the pairwise sum and division of its own `np.mean`, bitwise."""
+    per span the pairwise sum and division of its own `np.mean`, bitwise. A
+    sample off the raster, on NODATA or below 0 names the frame and link."""
     try:
         values = rain.sample_many(lats, lons)
     except ValueError:
@@ -117,6 +126,11 @@ def _hop_means(t: str, rain: TerrainGrid, lats: np.ndarray, lons: np.ndarray,
             except ValueError as exc:
                 raise ValueError(f"rain frame {t}: link {lid!r}: {exc}") from None
         raise
+    if values.min(initial=0.0) < 0.0:
+        for (s, e), lid in zip(spans, hop_links):
+            if values[s:e].min() < 0.0:
+                raise ValueError(f"rain frame {t}: link {lid!r}: negative rain rate "
+                                 f"{values[s:e].min():g} mm/h")
     return [float(values[s:e].sum()) / (e - s) for s, e in spans]
 
 

@@ -376,6 +376,61 @@ def test_weather_rejects_a_nan_rain_rate(pipeline, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_weather_reads_reversed_rain_link_ids_as_the_same_links(pipeline, tmp_path):
+    # The storm rows of the demo's rain.csv with each link id reversed used
+    # to read as dry; now the outputs match the canonical file's.
+    with open(os.path.join(DEMO, "rain.csv")) as fh:
+        lines = fh.read().splitlines()
+    swapped = [line.replace(lid, "|".join(lid.split("|")[::-1]))
+               if line.startswith("2015-07-01T12:00") and (lid := line.split(",")[1]) else line
+               for line in lines]
+    assert swapped != lines
+    rain = tmp_path / "rain.csv"
+    rain.write_text("\n".join(swapped) + "\n")
+    outs = []
+    for name, path in (("canonical", os.path.join(DEMO, "rain.csv")), ("swapped", rain)):
+        outs.append(tmp_path / name)
+        assert main(["weather", "--config", pipeline["config"], "--out", str(outs[-1]),
+                     "--set", f"instance_json={pipeline['instance']}",
+                     "--set", f"design_json={pipeline['design']}",
+                     "--set", f"rain_csv={path}"]) == 0
+    for name in ("weather_intervals.csv", "weather_percentiles.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_weather_rejects_a_rain_link_id_naming_no_site(pipeline, tmp_path, capsys):
+    with open(os.path.join(DEMO, "rain.csv")) as fh:
+        lines = fh.read().splitlines()
+    at = next(n for n, line in enumerate(lines) if line.startswith("2015-07-01T12:00"))
+    lines[at] = "2015-07-01T12:00,ca|cz,80.0"
+    rain = tmp_path / "rain.csv"
+    rain.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["weather", "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}",
+                 "--set", f"rain_csv={rain}"]) == 1
+    assert (f"{rain}: line {at + 1}: link 'ca|cz': a link id must be two distinct sites "
+            f"of the instance joined by '|'" in capsys.readouterr().err)
+
+
+def test_weather_names_the_raster_frame_and_link_of_a_negative_rate(pipeline, tmp_path, capsys):
+    # One 5 x 3 frame of -5 mm/h over the demo's box.
+    rain_dir = tmp_path / "rain"
+    rain_dir.mkdir()
+    (rain_dir / "2015-08-01T00:00.asc").write_text(
+        "ncols 5\nnrows 3\nxllcorner -2.2\nyllcorner -0.2\ncellsize 0.9\n"
+        + "\n".join(["-5 -5 -5 -5 -5"] * 3) + "\n")
+    capsys.readouterr()
+    assert main(["weather", "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}",
+                 "--set", "rain_csv=null", "--set", f"rain_rasters={rain_dir}"]) == 1
+    first = "|".join(designer.load_built_links(pipeline["design"])[0])
+    assert (f"rain frame 2015-08-01T00:00: link '{first}': negative rain rate -5 mm/h"
+            in capsys.readouterr().err)
+
+
 def test_weather_names_the_raster_frame_and_link_it_misses(pipeline, tmp_path, capsys):
     # A 2 x 2 grid at longitude 100, far from every demo hop.
     rain_dir = tmp_path / "rain"
@@ -659,7 +714,7 @@ def test_weather_reroutes_once_per_failure_set_on_demo(pipeline, monkeypatch):
     design = designer.evaluate_design(designer.HybridEvaluator(inp), built)
     coords = {s.id: s.location for s in inp.sites}
     coords.update((t.id, t.location) for t in los.load_towers_csv(os.path.join(DEMO, "towers.csv")))
-    field = weather.load_rain_csv(os.path.join(DEMO, "rain.csv"))
+    field = weather.load_rain_csv(os.path.join(DEMO, "rain.csv"), [s.id for s in inp.sites])
     report = assert_one_reroute_per_failure_set(monkeypatch, inp, design, field, coords)
     assert any(i.failed for i in report.intervals)
 

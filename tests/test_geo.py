@@ -120,7 +120,8 @@ ENDPOINTS = "id,lat,lon,population\nf_a,0.1,0.2,5\n"
     ("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,95,0\nt2,0.1,0.3,abc,0\n", 3,
      los.load_towers_csv),
     (ENDPOINTS + "f_b,abc,0.3,5\n", 3, lambda p: fiberbase.load_fiber_csv(p, p)),
-    ("timestamp,link_id,rain_mm_h\nt0,a|b,abc\n", 2, weather.load_rain_csv),
+    ("timestamp,link_id,rain_mm_h\nt0,a|b,abc\n", 2,
+     lambda p: weather.load_rain_csv(p, ["a", "b"])),
 ], ids=["towers", "fiber_endpoints", "rain"])
 def test_csv_loaders_name_file_and_line_of_a_non_number(tmp_path, text, line, load):
     path = tmp_path / "input.csv"
@@ -142,7 +143,8 @@ DEMO_ENDPOINTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
     (ENDPOINTS + "f_b,0.1\n", 3, 3, 2, lambda p: fiberbase.load_fiber_csv(p, p)),
     ("endpoint_a,endpoint_b,fiber_km\nf_ca,f_cb,130.5\nf_cb\n", 3, 3, 1,
      lambda p: fiberbase.load_fiber_csv(p, DEMO_ENDPOINTS)),
-    ("timestamp,link_id,rain_mm_h\n\nt0,a|b\n", 3, 3, 2, weather.load_rain_csv),
+    ("timestamp,link_id,rain_mm_h\n\nt0,a|b\n", 3, 3, 2,
+     lambda p: weather.load_rain_csv(p, ["a", "b"])),
 ], ids=["towers", "hops", "sites", "fiber_endpoints", "fiber_conduits", "rain"])
 def test_csv_loaders_name_file_and_line_of_a_short_row(tmp_path, text, line, need, found, load):
     # A row with too few fields for the required columns is named, not a

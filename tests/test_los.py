@@ -318,14 +318,9 @@ def reference_path_samples(a, b, n):
     return lats, lons, wb
 
 
-def reference_hop_feasible(a, b, terrain, p):
-    if not terrain.contains(a.location) or not terrain.contains(b.location):
-        raise ValueError("tower outside terrain bounds")
+def reference_terms(a, b, terrain, p):
+    """(line, needed, lats, lons) at every sample of a hop of nonzero length."""
     d_km = geodesic_km(a.location, b.location)
-    if d_km > p.max_range_km:
-        return False
-    if d_km == 0.0:
-        return True
     n = max(1, math.ceil(d_km * 1000.0 / p.sample_step_m))
     lats, lons, frac = reference_path_samples(a.location, b.location, n)
     elev = terrain.sample_many(lats, lons)
@@ -337,6 +332,18 @@ def reference_hop_feasible(a, b, terrain, p):
     alt_b = b.ground_elevation_m + p.usable_height_fraction * b.height_m
     line = alt_a * frac[::-1] + alt_b * frac
     needed = elev + bulge + fresnel + p.obstruction_margin_m
+    return line, needed, lats, lons
+
+
+def reference_hop_feasible(a, b, terrain, p):
+    if not terrain.contains(a.location) or not terrain.contains(b.location):
+        raise ValueError("tower outside terrain bounds")
+    d_km = geodesic_km(a.location, b.location)
+    if d_km > p.max_range_km:
+        return False
+    if d_km == 0.0:
+        return True
+    line, needed, _, _ = reference_terms(a, b, terrain, p)
     return bool(np.all(line >= needed))
 
 
@@ -373,13 +380,30 @@ class RecordingTerrain(TerrainGrid):
         return np.concatenate(self.lats).tobytes(), np.concatenate(self.lons).tobytes()
 
 
-def batched_equals_reference(towers, terrain, params):
+    def points(self):
+        """Each (lat, lon) read, in order, as its 16 bytes."""
+        pairs = np.column_stack((np.concatenate(self.lats), np.concatenate(self.lons)))
+        return np.ascontiguousarray(pairs).view("V16").ravel().tolist()
+
+
+def is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(any(x == y for y in rest) for x in part)
+
+
+def batched_equals_reference(towers, terrain, params, exact=False):
     """The batched hop graph equals the per-pair loop's, and it read the
-    terrain at bitwise the same points in the same order."""
+    terrain at a bitwise subsequence of the loop's points, in order, leaving
+    out the samples the segment screen clears. With `exact` (cells too narrow
+    to screen) it read bitwise the same points."""
     batched, reference = RecordingTerrain(terrain), RecordingTerrain(terrain)
     got = hop_list(los.build_hop_graph(towers, batched, params))
     assert got == reference_hops(towers, reference, params)
-    assert batched.samples() == reference.samples()
+    if exact:
+        assert batched.samples() == reference.samples()
+    else:
+        assert is_subsequence(batched.points(), reference.points())
+        assert len(batched.points()) < len(reference.points())
     return got
 
 
@@ -430,7 +454,9 @@ def test_build_hop_graph_chunking_matches_reference(monkeypatch, chunk, rows):
     terr = ridged_terrain(9)
     towers = random_towers(rng, 14)
     params = LosParams(sample_step_m=400.0, max_range_km=60.0)
-    batched_equals_reference(towers, terr, params)
+    # 0.01-degree cells hold under _MIN_SEGMENT samples of 400 m: no screen.
+    assert terr.cellsize * KM_PER_DEG * 1000.0 / 400.0 < los._MIN_SEGMENT
+    batched_equals_reference(towers, terr, params, exact=True)
 
 
 def test_hop_feasible_matches_reference_and_is_symmetric():
@@ -653,3 +679,148 @@ def test_load_terrain_asc_names_line_of_a_bad_field(tmp_path, text, line, messag
     p.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: line {line}: {message}')}$"):
         los.load_terrain_asc(str(p))
+
+
+# --- the segment screen -------------------------------------------------------
+# `_clearance` clears a segment of samples unread when its line clears the
+# highest terrain its reads can touch; these cases hold it to the per-pair
+# reference where that bound is tight, where it must not apply, and over
+# several ratios of cell size to sample step.
+
+@pytest.mark.parametrize("seed,cellsize,step,chunk", [
+    (0, 0.004, 120.0, 4096),  # 3.7 samples a cell: too few to screen
+    (1, 0.004, 60.0, 4096),
+    (2, 0.01, 90.0, 97),      # small chunks: runs span chunks and blocks
+    (3, 0.02, 100.0, 4096),   # the bench's cells and step
+    (4, 0.05, 120.0, 7),
+])
+def test_screen_matches_reference_over_cell_to_step_ratios(monkeypatch, seed, cellsize,
+                                                           step, chunk):
+    monkeypatch.setattr(los, "_CHUNK_SAMPLES", chunk)
+    rng = np.random.default_rng(200 + seed)
+    terr = ridged_terrain(seed, cellsize=cellsize)
+    towers = random_towers(rng, 24)
+    params = LosParams(sample_step_m=step, max_range_km=float(rng.uniform(40.0, 70.0)),
+                       k_factor=float(rng.uniform(1.0, 1.5)),
+                       obstruction_margin_m=float(rng.uniform(0.0, 5.0)))
+    exact = cellsize * KM_PER_DEG * 1000.0 / step < los._MIN_SEGMENT
+    got = batched_equals_reference(towers, terr, params, exact)
+    in_range = [(a, b) for i, a in enumerate(towers) for b in towers[i + 1:]
+                if geodesic_km(a.location, b.location) <= params.max_range_km]
+    assert 0 < len(got) < len(in_range)
+    for a, b in in_range[::7]:
+        ref = reference_hop_feasible(a, b, terr, params)
+        assert los.hop_feasible(a, b, terr, params) is ref
+        assert los.hop_feasible(b, a, terr, params) is ref
+
+
+def test_screen_leaves_samples_at_line_equal_to_needed():
+    # Flat terrain at the highest elevation where the reference still
+    # clears the hop: one ulp higher it is blocked. At that elevation some
+    # sample often sits exactly at line == needed; the screen's slack keeps
+    # that sample read, and both decisions match the reference.
+    params = LosParams(sample_step_m=100.0)  # 11 samples a 0.01-degree cell
+
+    def flat(elevation):
+        return TerrainGrid(np.full((100, 100), elevation), -0.5, -0.5, 0.01)
+
+    ties = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        a, b = (tower_at(t, float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.3, 0.3)),
+                         height=float(rng.uniform(40.0, 120.0))) for t in "ab")
+        lo, hi = -1000.0, 1000.0
+        while (mid := (lo + hi) / 2.0) not in (lo, hi):
+            line, needed, _, _ = reference_terms(a, b, flat(mid), params)
+            lo, hi = (mid, hi) if np.all(line >= needed) else (lo, mid)
+        line, needed, lats, lons = reference_terms(a, b, flat(lo), params)
+        recording = RecordingTerrain(flat(lo))
+        assert los.build_hop_graph([a, b], recording, params).hops.size == 1
+        assert los.hop_feasible(a, b, flat(lo), params)
+        assert not los.hop_feasible(a, b, flat(hi), params)
+        assert los.build_hop_graph([a, b], flat(hi), params).hops.size == 0
+        read = set(recording.points())
+        assert len(read) < len(line)
+        for k in np.flatnonzero(line == needed).tolist():
+            ties += 1
+            assert np.array([lats[k], lons[k]]).view("V16")[0].tobytes() in read
+    assert ties >= 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screen_with_nodata_in_segment_windows(seed):
+    # One NODATA cell in the 5 x 5 cells around a sample of a clear hop: in
+    # some segment's window, read by no sample or by some. Either way the
+    # answer, or the error, is the reference's.
+    rng = np.random.default_rng(300 + seed)
+    base = ridged_terrain(seed)
+    towers = random_towers(rng, 10, extent=0.5)
+    params = LosParams(sample_step_m=100.0, max_range_km=50.0)
+    by_id = {t.id: t for t in towers}
+    hops = reference_hops(towers, base, params)
+    for a, b, _ in [hops[i] for i in rng.choice(len(hops), 3, replace=False)]:
+        a, b = by_id[a], by_id[b]
+        lats, lons, _ = reference_path_samples(a.location, b.location, 50)
+        k = int(rng.integers(1, 50))
+        row = base.nrows - 1 - int((lats[k] - base.yllcorner) / base.cellsize)
+        col = int((lons[k] - base.xllcorner) / base.cellsize)
+        for dr in range(-2, 3):
+            for dc in range(-2, 3):
+                terr = TerrainGrid(base.values.copy(), base.xllcorner, base.yllcorner,
+                                   base.cellsize)
+                terr.values[row + dr, col + dc] = np.nan
+                try:
+                    ref = reference_hop_feasible(a, b, terr, params)
+                except ValueError as exc:
+                    assert "NODATA" in str(exc)
+                    for call in (lambda: los.hop_feasible(a, b, terr, params),
+                                 lambda: los.hop_feasible(b, a, terr, params),
+                                 lambda: los.build_hop_graph([a, b], terr, params)):
+                        with pytest.raises(ValueError, match="NODATA"):
+                            call()
+                else:
+                    assert los.hop_feasible(a, b, terr, params) is ref
+                    assert los.hop_feasible(b, a, terr, params) is ref
+                    assert los.build_hop_graph([a, b], terr, params).hops.size == ref
+
+
+def test_screen_leaves_great_circle_beyond_the_grid_edge_to_raise():
+    # Both towers lie just inside the grid's northern edge at 41 N; the
+    # great circle between them bulges poleward past it. Every sample would
+    # clear, so only the sampling raises, as the reference does.
+    terr = TerrainGrid(np.zeros((100, 150)), 0.0, 40.0, 0.01)
+    a, b = tower_at("a", 40.9999, 0.1, height=300.0), tower_at("b", 40.9999, 0.9, height=300.0)
+    params = LosParams(sample_step_m=100.0)
+    assert max(reference_path_samples(a.location, b.location, 8)[0]) > 41.0
+    with pytest.raises(ValueError, match="sample outside terrain bounds"):
+        reference_hop_feasible(a, b, terr, params)
+    with pytest.raises(ValueError, match="sample outside terrain bounds"):
+        los.hop_feasible(a, b, terr, params)
+    with pytest.raises(ValueError, match="sample outside terrain bounds"):
+        los.build_hop_graph([a, b], terr, params)
+    # 0.01 degrees further south the same hop stays inside and clears.
+    a, b = (dataclasses.replace(t, location=GeoPoint(40.9899, t.location.lon)) for t in (a, b))
+    assert los.hop_feasible(a, b, terr, params) and reference_hop_feasible(a, b, terr, params)
+
+
+def test_screen_window_covers_the_great_circle_bulge():
+    # Towers at equal latitude: the great circle between them peaks at the
+    # middle sample, inside a segment and ~1e-7 degrees above its end
+    # samples. Cell centers of row 60 sit just below that peak and above
+    # every other sample, so only the peak sample reads row 61, with a
+    # weight of ~1e-7; a 1e10 m spike there blocks the hop. The screen must
+    # widen the segment's window past its end samples to see the spike.
+    a, b = tower_at("a", 41.0, 0.1, height=300.0), tower_at("b", 41.0, 0.91, height=300.0)
+    params = LosParams(sample_step_m=100.0)
+    n = math.ceil(geodesic_km(a.location, b.location) * 1000.0 / params.sample_step_m)
+    lats = reference_path_samples(a.location, b.location, n)[0]
+    peak, second = np.sort(lats)[-2:][::-1]
+    assert n % 2 == 0 and lats[n // 2] == peak and peak - second > 1e-9
+    size = int(0.01 * KM_PER_DEG * 1000.0 * math.cos(math.radians(41.0)) // params.sample_step_m)
+    assert size >= los._MIN_SEGMENT and (n // 2) % size not in (0, size - 1)
+    cut = (peak + second) / 2.0
+    terr = TerrainGrid(np.zeros((100, 150)), 0.0, cut - 60.5 * 0.01, 0.01)
+    terr.values[100 - 1 - 61] = 1e10
+    assert not reference_hop_feasible(a, b, terr, params)
+    assert not los.hop_feasible(a, b, terr, params)
+    assert los.build_hop_graph([a, b], terr, params).hops.size == 0

@@ -379,8 +379,28 @@ def test_rain_csv_loader(tmp_path):
     p = tmp_path / "rain.csv"
     p.write_text("timestamp,link_id,rain_mm_h\n2015-07-01T10:00,s0|s3,25.0\n"
                  "2015-07-01T09:00,s1|s4,0\n")
-    assert weather.load_rain_csv(str(p)) == {"2015-07-01T10:00": {"s0|s3": 25.0},
-                                             "2015-07-01T09:00": {"s1|s4": 0.0}}
+    sites = ["s0", "s1", "s3", "s4"]
+    assert weather.load_rain_csv(str(p), sites) == {"2015-07-01T10:00": {"s0|s3": 25.0},
+                                                    "2015-07-01T09:00": {"s1|s4": 0.0}}
+
+
+def test_rain_csv_loader_stores_link_ids_in_canonical_order(tmp_path):
+    # A reversed id is the same link; a pair of sites with no built link is
+    # read too and stays dry.
+    p = tmp_path / "rain.csv"
+    p.write_text("timestamp,link_id,rain_mm_h\nt0,cb|ca,80.0\nt0,cc|cb,65.0\nt1,ca|cc,5\n")
+    assert weather.load_rain_csv(str(p), ["ca", "cb", "cc"]) == {
+        "t0": {"ca|cb": 80.0, "cb|cc": 65.0}, "t1": {"ca|cc": 5.0}}
+
+
+@pytest.mark.parametrize("lid", ["ca", "ca|cb|cc", "ca|ca", "ca|cx", "|ca", "ca cb"])
+def test_rain_csv_loader_rejects_a_link_id_not_two_sites(tmp_path, lid):
+    p = tmp_path / "rain.csv"
+    p.write_text(f"timestamp,link_id,rain_mm_h\nt0,ca|cb,1.0\nt0,{lid},2.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 3: link "
+                                         rf"{re.escape(repr(lid))}: a link id must be two "
+                                         rf"distinct sites of the instance joined by '\|'$"):
+        weather.load_rain_csv(str(p), ["ca", "cb", "cc"])
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf", "-5", "-0.1"])
@@ -389,7 +409,7 @@ def test_rain_csv_loader_rejects_a_rate_not_finite_and_non_negative(tmp_path, ra
     p.write_text(f"timestamp,link_id,rain_mm_h\nt0,a|b,1.0\nt0,a|c,{rate}\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 3: link 'a\|c': "
                                          rf"rain_mm_h {re.escape(rate)} must be finite and >= 0$"):
-        weather.load_rain_csv(str(p))
+        weather.load_rain_csv(str(p), ["a", "b", "c"])
 
 
 def reference_reroute_and_stats(inp, design, failures_by_interval):
