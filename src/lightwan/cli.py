@@ -311,8 +311,10 @@ def cmd_weather(cfg, outdir) -> None:
 
 
 def cmd_simulate(cfg, outdir) -> None:
-    inp, design = _load_instance_and_design(cfg)
     sim = cfg["sim"]
+    if bool(sim["gammas"]) != bool(sim["loads"]):
+        raise InputError("a sweep needs both sim.gammas and sim.loads")
+    inp, design = _load_instance_and_design(cfg)
     aggregate = cfg["aggregate_gbps"]
     loads = capacity.route_demand(design, inp.traffic, aggregate)
     per_series = cfg["mw_cost"]["per_series_capacity_gbps"]
@@ -325,7 +327,7 @@ def cmd_simulate(cfg, outdir) -> None:
     fields = {f.name for f in dataclasses.fields(simnet.SimConfig)}
     base_cfg = simnet.SimConfig(**{k: v for k, v in sim.items() if k in fields},
                                 aggregate_gbps=aggregate, seed=cfg["seed"])
-    if sim["gammas"] and sim["loads"]:
+    if sim["gammas"]:
         results = simnet.perturbation_experiment(
             topo, inp.sites, base_cfg, sim["gammas"], sim["loads"],
             designed_aggregate_gbps=aggregate)

@@ -27,13 +27,13 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .fiberbase import StretchStats, stretch_stats
-from .geo import GeoPoint, LatencyModel, Site, geodesic_km, write_json
+from .geo import FIBER_SLOWDOWN, GeoPoint, Site, geodesic_km, write_json
 from .graphcore import (
     BATCH_ELEMENTS as _BATCH_ELEMENTS, CsrGraph, distance_matrix, next_hop_walks,
     shortest_paths_from, weight_matrix,
 )
 from .los import HopGraph
-from .traffic import Pair, PairIndex, TrafficMatrix, pair_key
+from .traffic import Pair, PairIndex, TrafficMatrix, link_id, pair_key, parse_link_id
 
 EXACT_CANDIDATE_GUARD = 25
 # greedy_candidates runs until its links cost this multiple of the budget.
@@ -55,8 +55,8 @@ class DesignInput:
 
     Matrices are keyed by canonical unordered site pairs: `geodesic` (d),
     `mw_km` (m, absent where MW is infeasible), `mw_cost` (towers, c),
-    and `fiber_km_eq` (o, fiber path km already multiplied by the fiber
-    slowdown so all lengths are latency-equivalent km). `tower_paths`
+    and `fiber_km_eq` (o, fiber path km already multiplied by
+    `FIBER_SLOWDOWN` so all lengths are latency-equivalent km). `tower_paths`
     optionally records the tower chain realizing each MW link for
     augmentation and weather analysis downstream.
     """
@@ -68,7 +68,6 @@ class DesignInput:
     mw_cost: dict[Pair, float]
     fiber_km_eq: dict[Pair, float]
     budget: float
-    fiber_slowdown: float = LatencyModel.fiber_slowdown
     tower_paths: dict[Pair, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -93,8 +92,8 @@ class DesignInput:
             if c < 1:
                 raise ValueError(f"mw cost for {pair} must be >= 1 tower")
         for pair, o in self.fiber_km_eq.items():
-            if o < self.fiber_slowdown * self.geodesic[pair] * (1.0 - _REL_TOL):
-                raise ValueError(f"fiber length for {pair} below {self.fiber_slowdown}x geodesic")
+            if o < FIBER_SLOWDOWN * self.geodesic[pair] * (1.0 - _REL_TOL):
+                raise ValueError(f"fiber length for {pair} below {FIBER_SLOWDOWN}x geodesic")
 
     @property
     def site_ids(self) -> list[str]:
@@ -601,7 +600,7 @@ def build_design_input(sites: Sequence[Site], traffic: TrafficMatrix,
 
     `fiber_lengths` holds physical shortest-path fiber km per site pair
     (from the conduit graph); they are converted to latency-equivalent km
-    here, at the `DesignInput` default fiber slowdown.
+    here, at `FIBER_SLOWDOWN`.
     """
     loc = {s.id: s.location for s in sites}
     geodesic = {(a, b): geodesic_km(loc[a], loc[b]) for a, b in PairIndex(loc).pairs}
@@ -612,7 +611,7 @@ def build_design_input(sites: Sequence[Site], traffic: TrafficMatrix,
         geodesic=geodesic,
         mw_km={k: v.length_km for k, v in links.items()},
         mw_cost={k: float(v.tower_count) for k, v in links.items()},
-        fiber_km_eq={k: v * DesignInput.fiber_slowdown for k, v in fiber_lengths.items()},
+        fiber_km_eq={k: v * FIBER_SLOWDOWN for k, v in fiber_lengths.items()},
         budget=budget,
         tower_paths={k: v.path for k, v in links.items()},
     )
@@ -646,27 +645,33 @@ def save_design_input(inp: DesignInput, path: str) -> None:
                    "population": s.population}
                   for s in sorted(inp.sites, key=lambda s: s.id)],
         "budget": inp.budget,
-        "fiber_slowdown": inp.fiber_slowdown,
+        "fiber_slowdown": FIBER_SLOWDOWN,
         "traffic": _dense(inp.traffic.as_dict(), ids),
         "geodesic_km": _dense(inp.geodesic, ids),
         "mw_km": _dense(inp.mw_km, ids),
         "mw_cost_towers": _dense(inp.mw_cost, ids),
         "fiber_km_eq": _dense(inp.fiber_km_eq, ids),
-        "tower_paths": {f"{a}|{b}": list(p) for (a, b), p in sorted(inp.tower_paths.items())},
+        "tower_paths": {link_id(pair): list(p) for pair, p in sorted(inp.tower_paths.items())},
     }
     write_json(doc, path)
 
 
 def load_design_input(path: str) -> DesignInput:
+    """An instance from `save_design_input`; its `fiber_slowdown` must be `FIBER_SLOWDOWN`."""
     with open(path) as fh:
         doc = json.load(fh)
     sites = [Site(s["id"], GeoPoint(s["lat"], s["lon"]), s.get("population", 0.0))
              for s in doc["sites"]]
     pairs = PairIndex(s.id for s in sites)
-    tower_paths = {}
-    for key, nodes in doc.get("tower_paths", {}).items():
-        a, b = key.split("|")
-        tower_paths[pair_key(a, b)] = tuple(nodes)
+    known = set(pairs.ids)
+    try:
+        slowdown = doc.get("fiber_slowdown", FIBER_SLOWDOWN)
+        if slowdown != FIBER_SLOWDOWN:
+            raise ValueError(f"fiber_slowdown {slowdown!r} must be {FIBER_SLOWDOWN}")
+        tower_paths = {parse_link_id(key, known): tuple(nodes)
+                       for key, nodes in doc.get("tower_paths", {}).items()}
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return DesignInput(
         sites=sites,
         traffic=TrafficMatrix(_sparse(doc["traffic"], pairs)),
@@ -675,7 +680,6 @@ def load_design_input(path: str) -> DesignInput:
         mw_cost=_sparse(doc["mw_cost_towers"], pairs),
         fiber_km_eq=_sparse(doc["fiber_km_eq"], pairs),
         budget=doc["budget"],
-        fiber_slowdown=doc.get("fiber_slowdown", DesignInput.fiber_slowdown),
         tower_paths=tower_paths,
     )
 
@@ -741,6 +745,6 @@ def design_to_geojson(inp: DesignInput, design: NetworkDesign,
             "geometry": {"type": "LineString",
                          "coordinates": [coords(pair[0]), coords(pair[1])]},
             "properties": {"medium": "fiber", "link": list(pair),
-                           "length_km": inp.fiber_km_eq[pair] / inp.fiber_slowdown},
+                           "length_km": inp.fiber_km_eq[pair] / FIBER_SLOWDOWN},
         })
     return {"type": "FeatureCollection", "features": features}

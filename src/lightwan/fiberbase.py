@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import LatencyModel, Site, geodesic_km, load_sites_csv, read_csv
+from .geo import FIBER_SLOWDOWN, Site, geodesic_km, load_sites_csv, read_csv
 from .graphcore import (
     BATCH_ELEMENTS as _BATCH_ELEMENTS, bridges, distance_matrix,
     next_hop_walks, weight_matrix,
@@ -45,6 +45,8 @@ class FiberGraph:
         self.endpoints[site.id] = site
 
     def add_link(self, a: str, b: str, fiber_km: float) -> None:
+        """Add the conduit a-b; a pair added again, in either order,
+        keeps its last length."""
         if a not in self.endpoints or b not in self.endpoints:
             raise ValueError(f"link ({a}, {b}) references unknown endpoint")
         if not 0 < fiber_km < math.inf:
@@ -173,7 +175,7 @@ def pair_stretches(g: FiberGraph, sites: Sequence[str]) -> np.ndarray:
     pairs = PairIndex(sites)
     rows, cols, geo = _site_pairs(g, pairs)
     km = distance_matrix(weight_matrix(list(g.endpoints), g.links))[rows, cols]
-    stretch = km * LatencyModel.fiber_slowdown / geo
+    stretch = km * FIBER_SLOWDOWN / geo
     _warn_cut(pairs, stretch)
     return stretch
 
@@ -257,7 +259,7 @@ def prune_links(g: FiberGraph, sites: Sequence[str],
             trials = np.repeat(base[None], len(batch), axis=0)
             for t, (a, b) in enumerate(batch):
                 trials[t, index[a], index[b]] = trials[t, index[b], index[a]] = math.inf
-            stretch = distance_matrix(trials)[:, rows, cols] * LatencyModel.fiber_slowdown / geo_km
+            stretch = distance_matrix(trials)[:, rows, cols] * FIBER_SLOWDOWN / geo_km
             for key, row in zip(batch, stretch):
                 up = np.isfinite(row)
                 mean = weighted_mean(row[up], wts[up])[0]

@@ -16,6 +16,9 @@ from typing import Callable
 
 EARTH_RADIUS_KM = 6371.0
 C_VACUUM_KM_S = 299792.458
+# Light in fiber travels at roughly 2/3 of its vacuum speed; microwave
+# through air is effectively unslowed.
+FIBER_SLOWDOWN = 1.5
 
 
 @dataclass(frozen=True)
@@ -30,30 +33,6 @@ class GeoPoint:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"longitude {self.lon} outside [-180, 180]")
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Propagation model for the two media.
-
-    Light in fiber travels at roughly 2/3 of its vacuum speed, expressed
-    here as a 1.5 slowdown factor; microwave through air is effectively
-    unslowed.
-    """
-
-    c_vacuum: float = C_VACUUM_KM_S  # km/s
-    fiber_slowdown: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.fiber_slowdown < 1.0:
-            raise ValueError("fiber_slowdown must be >= 1")
-
-    def slowdown(self, medium: str) -> float:
-        if medium == "mw":
-            return 1.0
-        if medium == "fiber":
-            return self.fiber_slowdown
-        raise ValueError(f"unknown medium {medium!r}")
 
 
 @dataclass(frozen=True)
@@ -80,11 +59,14 @@ def geodesic_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def latency_ms(distance_km: float, medium: str, model: LatencyModel = LatencyModel()) -> float:
-    """One-way propagation latency in ms over `distance_km` of the given medium."""
+def latency_ms(distance_km: float, medium: str) -> float:
+    """One-way propagation latency in ms over `distance_km` of "mw" or "fiber"."""
     if distance_km < 0:
         raise ValueError("distance must be >= 0")
-    return distance_km * model.slowdown(medium) / model.c_vacuum * 1000.0
+    if medium not in ("mw", "fiber"):
+        raise ValueError(f"unknown medium {medium!r}")
+    slowdown = FIBER_SLOWDOWN if medium == "fiber" else 1.0
+    return distance_km * slowdown / C_VACUUM_KM_S * 1000.0
 
 
 def read_csv(path: str, columns: str, row: Callable) -> list:

@@ -546,7 +546,7 @@ def save_hops_csv(hop_graph: HopGraph, path: str) -> None:
     ids = list(hop_graph.towers)
     hops = hop_graph.hops[np.lexsort((hop_graph.hops["b"], hop_graph.hops["a"]))]
     write_csv(path, "tower_a,tower_b,length_km",
-              ([ids[a], ids[b], f"{km:.6f}"] for a, b, km in hops.tolist()))
+              ([ids[a], ids[b], repr(km)] for a, b, km in hops.tolist()))
 
 
 def load_hops_csv(path: str, towers: list[Tower]) -> HopGraph:

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .designer import DesignInput, InfeasibleDesignError, NetworkDesign
-from .geo import LatencyModel, Site, latency_ms, write_csv, write_json
+from .geo import FIBER_SLOWDOWN, Site, latency_ms, write_csv, write_json
 from .graphcore import distance_matrix, next_hop_walks, weight_matrix
 from .traffic import Pair, TrafficMatrix, pair_key, perturb
 
@@ -123,7 +123,7 @@ def topology_from_design(inp: DesignInput, design: NetworkDesign,
             cap = (link_capacities or {}).get(pair, per_series_capacity_gbps)
             links.append(SimLink(pair[0], pair[1], float(inp.mw_km[pair]), "mw", cap))
     for pair in fiber_used:
-        km = float(inp.fiber_km_eq[pair] / inp.fiber_slowdown)
+        km = float(inp.fiber_km_eq[pair] / FIBER_SLOWDOWN)
         links.append(SimLink(pair[0], pair[1], km, "fiber", fiber_capacity_gbps))
     return SimTopology(inp.site_ids, links)
 
@@ -189,8 +189,7 @@ def _link_loads(split: np.ndarray, inject: np.ndarray, destinations: Sequence[st
     return np.einsum("du,duv->uv", flow, split)
 
 
-def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str,
-                  model: LatencyModel = LatencyModel()) -> RoutingTable:
+def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str) -> RoutingTable:
     """Routing table for the given scheme.
 
     shortest_path: single next hop along latency-shortest paths.
@@ -210,7 +209,7 @@ def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str,
     if missing:
         raise InfeasibleDesignError(f"traffic endpoint {missing[0]!r} not in topology")
     destinations = sorted({dst for _, dst in demands})
-    lat = weight_matrix(nodes, {(l.a, l.b): latency_ms(l.length_km, l.medium, model)
+    lat = weight_matrix(nodes, {(l.a, l.b): latency_ms(l.length_km, l.medium)
                                 for l in topology.links})
     dmat = distance_matrix(lat)
     pairs = [(index[src], index[dst]) for src, dst in demands]
@@ -350,7 +349,7 @@ def _single_path(h: tuple | None) -> bool:
 
 
 def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
-        cfg: SimConfig, model: LatencyModel = LatencyModel()) -> FlowStats:
+        cfg: SimConfig) -> FlowStats:
     """Event-driven run: per-link propagation plus transmission delay,
     drop-tail FIFO queues, per-packet (or per-flow-hashed) weighted next
     hops, statistics over packets sent after the warm-up window. Admission
@@ -372,7 +371,7 @@ def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
 
     links: dict[tuple[str, str], _LinkState] = {}
     for link in topology.links:
-        prop = latency_ms(link.length_km, link.medium, model) / 1000.0
+        prop = latency_ms(link.length_km, link.medium) / 1000.0
         tx = packet_bits / (link.capacity_gbps * 1e9)
         links[(link.a, link.b)] = _LinkState(tx, prop)
         links[(link.b, link.a)] = _LinkState(tx, prop)
@@ -492,11 +491,10 @@ class PerturbationResult:
     loss_rate: float
 
 
-def perturbation_experiment(topology: SimTopology, sites: Sequence[Site],
-                            cfg: SimConfig, gammas: Sequence[float],
-                            loads: Sequence[float],
+def perturbation_experiment(topology: SimTopology, sites: Sequence[Site], cfg: SimConfig,
+                            gammas: Sequence[float], loads: Sequence[float],
                             designed_aggregate_gbps: float | None = None,
-                            model: LatencyModel = LatencyModel()) -> list[PerturbationResult]:
+                            ) -> list[PerturbationResult]:
     """Sweep population perturbations and load levels on a fixed design.
 
     The routing table is built once for the designed-for gravity matrix;
@@ -508,7 +506,7 @@ def perturbation_experiment(topology: SimTopology, sites: Sequence[Site],
     """
     sites = [s for s in sites if s.population > 0]
     base = perturb(sites, 0.0, cfg.seed)
-    table = build_routing(topology, base, cfg.routing, model)
+    table = build_routing(topology, base, cfg.routing)
     designed = (cfg.aggregate_gbps if designed_aggregate_gbps is None
                 else designed_aggregate_gbps)
     results = []
@@ -516,7 +514,7 @@ def perturbation_experiment(topology: SimTopology, sites: Sequence[Site],
         matrix = perturb(sites, gamma, cfg.seed)
         for load in loads:
             run_cfg = replace(cfg, aggregate_gbps=load * designed)
-            stats = run(topology, matrix, table, run_cfg, model)
+            stats = run(topology, matrix, table, run_cfg)
             results.append(PerturbationResult(gamma, load, stats.mean_delay_ms,
                                               stats.loss_rate))
     return results

@@ -9,7 +9,7 @@ scale factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +23,21 @@ def pair_key(a: str, b: str) -> Pair:
     if a == b:
         raise ValueError(f"pair with identical endpoints {a!r}")
     return (a, b) if a < b else (b, a)
+
+
+def link_id(pair: Pair) -> str:
+    """A link's id in files: its two site ids joined by "|"."""
+    return f"{pair[0]}|{pair[1]}"
+
+
+def parse_link_id(lid: str, sites: Collection[str]) -> Pair:
+    """The canonical pair of a link id: two distinct ids of `sites` joined
+    by "|", in either order."""
+    ends = lid.split("|")
+    if len(ends) != 2 or ends[0] == ends[1] or not all(e in sites for e in ends):
+        raise ValueError(f"link {lid!r}: a link id must be two distinct sites "
+                         f"of the instance joined by '|'")
+    return pair_key(*ends)
 
 
 class PairIndex:
@@ -122,7 +137,8 @@ def inter_dc_matrix(dc_sites: Sequence[Site]) -> TrafficMatrix:
 def dc_edge_matrix(cities: Sequence[Site], dc_sites: Sequence[Site]) -> TrafficMatrix:
     """Each city paired with its geodesically nearest DC, weighted by population.
 
-    Nearest-DC ties break toward the smallest DC id.
+    Nearest-DC ties break toward the smallest DC id. A city whose nearest
+    DC has the city's own id is that DC's site and adds no demand.
     """
     if not cities or not dc_sites:
         raise ValueError("need at least one city and one data center")
@@ -130,6 +146,8 @@ def dc_edge_matrix(cities: Sequence[Site], dc_sites: Sequence[Site]) -> TrafficM
     dcs = sorted(dc_sites, key=lambda s: s.id)
     for city in cities:
         best = min(dcs, key=lambda dc: (geodesic_km(city.location, dc.location), dc.id))
+        if best.id == city.id:
+            continue
         key = pair_key(city.id, best.id)
         weights[key] = weights.get(key, 0.0) + city.population
     return TrafficMatrix(weights)

@@ -19,7 +19,7 @@ from .fiberbase import StretchStats, stretch_stats, weighted_quantiles
 from .geo import GeoPoint, geodesic_km, read_csv, write_csv
 from .graphcore import distance_matrix
 from .los import TerrainGrid, _path_samples
-from .traffic import Pair, PairIndex, pair_key
+from .traffic import Pair, PairIndex, link_id, parse_link_id
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ def rain_attenuation_db(hop_km: float, rain_mm_h: float,
     return model.k_coeff * rain_mm_h ** model.alpha * hop_km
 
 
-def link_id(pair: Pair) -> str:
-    return f"{pair[0]}|{pair[1]}"
-
-
 def load_rain_csv(path: str, sites: Iterable[str]) -> dict[str, dict[str, float]]:
     """{timestamp: {link id: mm/h}} from a CSV with header
     timestamp,link_id,rain_mm_h. A link id is two distinct ids of `sites`
@@ -62,13 +58,10 @@ def load_rain_csv(path: str, sites: Iterable[str]) -> dict[str, dict[str, float]
     data: dict[str, dict[str, float]] = {}
 
     def rate(t, lid, mm_h):
-        ends = lid.split("|")
-        if len(ends) != 2 or ends[0] == ends[1] or not known.issuperset(ends):
-            raise ValueError(f"link {lid!r}: a link id must be two distinct sites "
-                             f"of the instance joined by '|'")
+        pair = parse_link_id(lid, known)
         if not 0.0 <= float(mm_h) < math.inf:
             raise ValueError(f"link {lid!r}: rain_mm_h {mm_h} must be finite and >= 0")
-        data.setdefault(t, {})[link_id(pair_key(*ends))] = float(mm_h)
+        data.setdefault(t, {})[link_id(pair)] = float(mm_h)
     read_csv(path, "timestamp,link_id,rain_mm_h", rate)
     return data
 

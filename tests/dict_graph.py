@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
-from lightwan.geo import LatencyModel, latency_ms
+from lightwan.geo import latency_ms
 from lightwan.graphcore import CsrGraph, Path
 from lightwan.los import HOP_DTYPE, HopGraph
 
@@ -198,14 +198,14 @@ def fiber_dict_graph(fiber) -> WeightedGraph:
     return g
 
 
-def latency_graph(topology, model: LatencyModel = LatencyModel()) -> WeightedGraph:
+def latency_graph(topology) -> WeightedGraph:
     """A `simnet.SimTopology` weighted by link latency in ms, as its former
     `latency_graph` method built it."""
     g = WeightedGraph()
     for n in topology.nodes:
         g.add_node(n)
     for link in topology.links:
-        g.add_edge(link.a, link.b, latency_ms(link.length_km, link.medium, model))
+        g.add_edge(link.a, link.b, latency_ms(link.length_km, link.medium))
     return g
 
 

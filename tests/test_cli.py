@@ -184,6 +184,34 @@ def test_design_rerun_byte_identical(pipeline, tmp_path):
     assert first == second
 
 
+def test_design_from_hops_csv_matches_in_process(pipeline, tmp_path):
+    # hops.csv keeps every length's full precision, so the design read
+    # from it is the one built from the towers in process.
+    out = tmp_path / "o"
+    assert main(["design", "--config", pipeline["config"], "--out", str(out),
+                 "--set", "budget_ladder=[0, 10, 25]"]) == 0
+    for name in ["design_stats.csv"] + [f"{kind}_B{b}.json" for b in (0, 10, 25)
+                                        for kind in ("instance", "design")]:
+        with open(os.path.join(pipeline["design_dir"], name), "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name
+
+
+@pytest.mark.parametrize("model", ["dc_edge", "mix"])
+def test_design_with_a_dc_listed_under_a_city_id(pipeline, tmp_path, model):
+    # The DC `cc` shares city cc's site, so cc sends no DC-edge demand to itself.
+    dcs = tmp_path / "dc_sites.csv"
+    dcs.write_text("id,lat,lon,population\ncc,0.15,0.0,0\ndcb,0.45,1.2,0\n")
+    cfgp = write_config(tmp_path, demo_config(dc_sites_csv=str(dcs), traffic_model=model,
+                                              hops_csv=pipeline["hops_csv"]))
+    out = tmp_path / "o"
+    assert main(["design", "--config", cfgp, "--out", str(out)]) == 0
+    inp = designer.load_design_input(str(out / "instance_B25.json"))
+    assert inp.site_ids == ["ca", "cb", "cc", "cd", "ce", "dcb"]
+    if model == "dc_edge":
+        assert sorted(inp.traffic.as_dict()) == [
+            ("ca", "cc"), ("cb", "cc"), ("cd", "dcb"), ("ce", "dcb")]
+
+
 def test_design_golden(pipeline):
     assert_matches_golden(pipeline["stats_csv"], "design_stats.csv")
 
@@ -478,6 +506,30 @@ def test_simulate_perturbation_mode(pipeline, tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("key", ["gammas", "loads"])
+def test_simulate_sweep_needs_both_keys(pipeline, tmp_path, capsys, key):
+    capsys.readouterr()
+    assert main(["simulate", "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}",
+                 "--set", f"sim.{key}=[0.1]"]) == 1
+    assert "a sweep needs both sim.gammas and sim.loads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["augment", "weather", "simulate", "export-geojson"])
+def test_instance_with_another_fiber_slowdown_exits_one(pipeline, tmp_path, capsys, command):
+    with open(pipeline["instance"]) as fh:
+        doc = json.load(fh)
+    doc["fiber_slowdown"] = 2.0
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={bad}", "--set", f"design_json={pipeline['design']}",
+                 "--set", f"hops_csv={pipeline['hops_csv']}"]) == 1
+    assert f"{bad}: fiber_slowdown 2.0 must be 1.5" in capsys.readouterr().err
+
+
 def test_demo_routes_match_dijkstra_reference(pipeline, monkeypatch):
     # Routes come from the distance kernel's next hops; the Dijkstra code
     # they replaced is the oracle. The changed demo routes are equal-length
@@ -769,11 +821,13 @@ def test_os_errors_exit_one_naming_the_path(pipeline, tmp_path, capsys):
     assert "error: rain_rasters must name a directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["conduit_endpoint", "mw_cost", "built_link", "tower_path"])
+@pytest.mark.parametrize("fault", ["conduit_endpoint", "mw_cost", "built_link", "tower_path",
+                                   "tower_path_key"])
 def test_exit_code_names_the_line_or_pair_of_an_input_fault(pipeline, tmp_path, capsys, fault):
     # One fault per case: a conduits row naming an unknown endpoint, an
     # instance MW pair without a tower cost, a design link the instance
-    # lacks, and a built link without a recorded tower path.
+    # lacks, a built link without a recorded tower path, and a tower path
+    # keyed by a link id that is not two sites joined by '|'.
     inp = designer.load_design_input(pipeline["instance"])
     with open(pipeline["instance"]) as fh:
         instance = json.load(fh)
@@ -797,10 +851,17 @@ def test_exit_code_names_the_line_or_pair_of_an_input_fault(pipeline, tmp_path, 
         pair = min(p for p in inp.geodesic if p not in inp.mw_km)
         design["built_links"].append(list(pair))
         message = f"built link {pair} is not an available MW link"
-    else:
+    elif fault == "tower_path":
         pair = tuple(design["built_links"][0])
         del instance["tower_paths"]["|".join(pair)]
         command, message = "weather", f"no tower path recorded for built link {pair}"
+    else:
+        key = "|".join(design["built_links"][0])
+        bad = key.replace("|", "-")
+        instance["tower_paths"][bad] = instance["tower_paths"].pop(key)
+        command = "weather"
+        message = (f"{tmp_path / 'instance_json.json'}: link {bad!r}: "
+                   "a link id must be two distinct sites of the instance joined by '|'")
     if fault != "conduit_endpoint":
         sets = []
         for key, doc in (("instance_json", instance), ("design_json", design)):

@@ -1114,6 +1114,11 @@ def test_design_input_json_roundtrip(tmp_path):
     d1 = solve_heuristic(inp)
     d2 = solve_heuristic(back)
     assert d1.built_links == d2.built_links
+    # The key is written as the one modelled fiber slowdown; a file without it loads alike.
+    doc = json.loads(path.read_text())
+    assert doc.pop("fiber_slowdown") == 1.5
+    path.write_text(json.dumps(doc))
+    assert designer.load_design_input(str(path)).fiber_km_eq == back.fiber_km_eq
 
 
 def test_design_json_and_geojson(tmp_path):

@@ -332,6 +332,16 @@ def test_fiber_graph_flags_subgeodesic_links(caplog):
     assert ("a", "b") in g.links
 
 
+def test_conduit_listed_twice_keeps_its_last_length(tmp_path):
+    # Either order names the same conduit; the later row's length wins.
+    endpoints = tmp_path / "endpoints.csv"
+    endpoints.write_text("id,lat,lon\na,0,0\nb,0,1\n")
+    conduits = tmp_path / "conduits.csv"
+    conduits.write_text("endpoint_a,endpoint_b,fiber_km\na,b,120\nb,a,360\n")
+    g = fiberbase.load_fiber_csv(str(conduits), str(endpoints))
+    assert g.links == {("a", "b"): 360.0}
+
+
 # --- slow reference: one full stretch summary per trial removal -----------------
 # `prune_links` as it was before stacked trial scoring. The stacked code must
 # take the same steps with bitwise the same statistics.

@@ -64,9 +64,8 @@ def test_latency_examples():
 
 
 def test_latency_linear_in_distance():
-    m = geo.LatencyModel()
     for d in (1.0, 10.0, 123.4):
-        assert geo.latency_ms(3 * d, "mw", m) == pytest.approx(3 * geo.latency_ms(d, "mw", m), rel=1e-12)
+        assert geo.latency_ms(3 * d, "mw") == pytest.approx(3 * geo.latency_ms(d, "mw"), rel=1e-12)
 
 
 def test_latency_rejects_negative_distance():
@@ -74,9 +73,9 @@ def test_latency_rejects_negative_distance():
         geo.latency_ms(-1.0, "mw")
 
 
-def test_latency_model_validation():
-    with pytest.raises(ValueError):
-        geo.LatencyModel(fiber_slowdown=0.9)
+def test_latency_rejects_unknown_medium():
+    with pytest.raises(ValueError, match="unknown medium 'laser'"):
+        geo.latency_ms(1.0, "laser")
 
 
 def c_latency_ms(a, b):

@@ -292,8 +292,7 @@ def test_hops_csv_keeps_every_row_and_saves_in_id_order(tmp_path):
     out = tmp_path / "saved.csv"
     los.save_hops_csv(hg, str(out))
     assert out.read_text().splitlines() == [
-        "tower_a,tower_b,length_km", "a,b,2.000000", "b,c,3.500000", "b,c,1.000000",
-        "c,b,4.250000"]
+        "tower_a,tower_b,length_km", "a,b,2.0", "b,c,3.5", "b,c,1.0", "c,b,4.25"]
 
 
 # --- slow reference: the per-pair clearance loop ---------------------------------

@@ -9,9 +9,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from lightwan import designer, simnet
+from lightwan import designer, geo, simnet
 from lightwan.capacity import route_demand, series_needed
-from lightwan.geo import GeoPoint, LatencyModel, Site, latency_ms
+from lightwan.geo import GeoPoint, Site, latency_ms
 from lightwan.graphcore import distance_matrix, shortest_path, weight_matrix
 from lightwan.simnet import (
     FlowRecord, FlowStats, SimConfig, SimLink, SimTopology, build_routing,
@@ -44,7 +44,7 @@ class _RefLinkState:
         self.busy_s = 0.0
 
 
-def reference_run(topology, traffic, table, cfg, model=LatencyModel()) -> FlowStats:
+def reference_run(topology, traffic, table, cfg) -> FlowStats:
     rng = np.random.default_rng(cfg.seed)
     packet_bits = cfg.packet_bytes * 8
     sim_end = cfg.sim_seconds
@@ -59,7 +59,7 @@ def reference_run(topology, traffic, table, cfg, model=LatencyModel()) -> FlowSt
 
     links: dict[tuple[str, str], _RefLinkState] = {}
     for link in topology.links:
-        prop = latency_ms(link.length_km, link.medium, model) / 1000.0
+        prop = latency_ms(link.length_km, link.medium) / 1000.0
         rate = link.capacity_gbps * 1e9
         links[(link.a, link.b)] = _RefLinkState(rate, prop)
         links[(link.b, link.a)] = _RefLinkState(rate, prop)
@@ -182,8 +182,8 @@ def reference_run(topology, traffic, table, cfg, model=LatencyModel()) -> FlowSt
 # came from the distance kernel: Dijkstra from every destination over the
 # latency graph, ties to the lexicographically smallest node sequence.
 
-def reference_shortest_path_table(topology, traffic, model=LatencyModel()) -> dict:
-    g = latency_graph(topology, model)
+def reference_shortest_path_table(topology, traffic) -> dict:
+    g = latency_graph(topology)
     demands = simnet._directed_demands(traffic)
     table = {}
     for dst in sorted({dst for _, dst in demands}):
@@ -271,12 +271,12 @@ def _reference_max_utilization(loads, caps) -> float:
     return max((v / caps[e] for e, v in loads.items()), default=0.0)
 
 
-def reference_build_routing(topology, traffic, iterations=300, model=LatencyModel()) -> dict:
+def reference_build_routing(topology, traffic, iterations=300) -> dict:
     """`build_routing`'s `min_max_util` table as the per-entry dict loop
     computed it, `iterations` rounds over the Dijkstra downhill DAGs."""
     demands = simnet._directed_demands(traffic)
     destinations = sorted({dst for _, dst in demands})
-    dist, weights = reference_downhill_dag(latency_graph(topology, model), destinations)
+    dist, weights = reference_downhill_dag(latency_graph(topology), destinations)
     caps = {}
     for link in topology.links:
         caps[(link.a, link.b)] = link.capacity_gbps
@@ -503,8 +503,8 @@ def test_min_max_util_within_ten_percent_of_lp_bound():
 
 
 def hand_built_cases():
-    """(topology, traffic, latency model) of every hand-built topology in
-    this file that routes."""
+    """(topology, traffic, vacuum light speed in km/s) of every hand-built
+    topology in this file that routes."""
     def mw(a, b, km, cap):
         return SimLink(a, b, km, "mw", cap)
 
@@ -513,46 +513,48 @@ def hand_built_cases():
             mw("a", "x", 50.0, cap_ax), mw("x", "b", 50.0, cap_xb),
             mw("a", "y", 50.0, cap_ay), mw("y", "b", 50.0, cap_yb)])
 
+    c = geo.C_VACUUM_KM_S
     ab = TrafficMatrix({("a", "b"): 1.0})
     line = SimTopology(["a", "b", "c"], [mw("a", "b", 60.0, 0.05), mw("b", "c", 60.0, 0.05)])
     sites = [Site("a", GeoPoint(0, 0), 10.0), Site("b", GeoPoint(0, 0.54), 10.0),
              Site("c", GeoPoint(0, 1.08), 10.0)]
     return [
-        (single_link_topology(0.05), ab, LatencyModel()),
+        (single_link_topology(0.05), ab, c),
         (SimTopology(["s1", "s2", "m", "d"], [
             mw("s1", "m", 10.0, 1.0), mw("s2", "m", 10.0, 1.0), mw("m", "d", 10.0, 0.1)]),
-         TrafficMatrix({("d", "s1"): 0.5, ("d", "s2"): 0.5}), LatencyModel()),
-        (square(0.2, 0.2, 0.2, 0.2), ab, LatencyModel()),
+         TrafficMatrix({("d", "s1"): 0.5, ("d", "s2"): 0.5}), c),
+        (square(0.2, 0.2, 0.2, 0.2), ab, c),
         (SimTopology(["a", "m", "b"], [
-            mw("a", "m", 80.0, 0.2), SimLink("m", "b", 70.0, "fiber", 0.2)]), ab, LatencyModel()),
-        (square(1.0, 1.0, 1.0, 1.0), ab, LatencyModel()),
+            mw("a", "m", 80.0, 0.2), SimLink("m", "b", 70.0, "fiber", 0.2)]), ab, c),
+        (square(1.0, 1.0, 1.0, 1.0), ab, c),
         (SimTopology(["a", "b", "c"], [
             mw("a", "b", 100.0, 1.0), mw("b", "c", 100.0, 1.0), mw("a", "c", 300.0, 1.0)]),
-         TrafficMatrix({("a", "c"): 1.0}), LatencyModel()),
+         TrafficMatrix({("a", "c"): 1.0}), c),
         (SimTopology(["a", "x", "y", "b", "c"], [
             mw("a", "x", 50.0, 1.0), mw("x", "b", 50.0, 0.5), mw("a", "y", 50.0, 0.6),
             mw("y", "b", 50.0, 1.0), mw("b", "c", 50.0, 2.0)]),
-         TrafficMatrix({("a", "b"): 0.7, ("a", "c"): 0.3}), LatencyModel()),
-        (square(1.0, 0.5, 0.7, 1.0), ab, LatencyModel()),
+         TrafficMatrix({("a", "b"): 0.7, ("a", "c"): 0.3}), c),
+        (square(1.0, 0.5, 0.7, 1.0), ab, c),
         (SimTopology(["c", "d", "m", "s"], [
             mw("s", "m", 1000.0, 1.024), mw("m", "d", 1.0, 0.001024),
             mw("c", "m", 1000.0 + 2 ** -9 * 1000.0, 1.024)]),
-         TrafficMatrix({("s", "d"): 1.0, ("c", "d"): 1.0}), LatencyModel(c_vacuum=1000.0)),
-        (line, gravity_matrix(sites), LatencyModel()),
+         TrafficMatrix({("s", "d"): 1.0, ("c", "d"): 1.0}), 1000.0),
+        (line, gravity_matrix(sites), c),
         (SimTopology(["a", "b", "x", "y"], [
             mw("a", "x", 50.0, 0.05), mw("x", "b", 50.0, 0.05),
             mw("a", "y", 80.0, 0.05), mw("y", "b", 60.0, 0.05)]),
-         TrafficMatrix({("a", "b"): 0.5, ("x", "y"): 0.5}), LatencyModel()),
+         TrafficMatrix({("a", "b"): 0.5, ("x", "y"): 0.5}), c),
     ]
 
 
-def test_min_max_util_matches_dict_reference_on_hand_built_and_designed():
+def test_min_max_util_matches_dict_reference_on_hand_built_and_designed(monkeypatch):
     inp, _, designed, _ = designed_topology()
-    for topo, traffic, model in [(designed, inp.traffic, LatencyModel()), *hand_built_cases()]:
-        balanced = build_routing(topo, traffic, "min_max_util", model)
-        assert_tables_close(balanced,
-                            reference_build_routing(topo, traffic, model=model))
-        for table in (balanced, build_routing(topo, traffic, "shortest_path", model)):
+    c = geo.C_VACUUM_KM_S
+    for topo, traffic, c_km_s in [(designed, inp.traffic, c), *hand_built_cases()]:
+        monkeypatch.setattr(geo, "C_VACUUM_KM_S", c_km_s)
+        balanced = build_routing(topo, traffic, "min_max_util")
+        assert_tables_close(balanced, reference_build_routing(topo, traffic))
+        for table in (balanced, build_routing(topo, traffic, "shortest_path")):
             assert_loads_close(topo, table, traffic, 1.0)
 
 
@@ -891,7 +893,7 @@ def test_run_bitwise_equals_reference_on_overloaded_link(load, queue):
     assert _bits(run(topo, m, table, cfg)) == _bits(reference_run(topo, m, table, cfg))
 
 
-def test_arrival_at_departure_instant_is_admitted():
+def test_arrival_at_departure_instant_is_admitted(monkeypatch):
     # s's flow runs at exactly m->d's capacity (one packet per 2^-10 s)
     # and reaches m over a 1 s link, so each packet arrives at m exactly
     # when the previous one finishes on m->d: arrival times lie in [1, 2),
@@ -900,16 +902,16 @@ def test_arrival_at_departure_instant_is_admitted():
     # every packet of s's flow arrives just as the head of a full queue
     # starts. Departures go first, so none of them is dropped; only c's
     # later packets find the slot taken.
-    model = LatencyModel(c_vacuum=1000.0)  # 1000 km of microwave = 1 s
+    monkeypatch.setattr(geo, "C_VACUUM_KM_S", 1000.0)  # 1000 km of microwave = 1 s
     topo = SimTopology(["c", "d", "m", "s"], [
         SimLink("s", "m", 1000.0, "mw", 1.024),
         SimLink("m", "d", 1.0, "mw", 0.001024),  # 1000-bit packet: 2^-10 s
         SimLink("c", "m", 1000.0 + 2 ** -9 * 1000.0, "mw", 1.024)])
     m = TrafficMatrix({("s", "d"): 1.0, ("c", "d"): 1.0})
-    table = build_routing(topo, m, "shortest_path", model)
+    table = build_routing(topo, m, "shortest_path")
     cfg = SimConfig(packet_bytes=125, sim_seconds=1.01, queue_capacity_packets=1,
                     aggregate_gbps=2 * 0.001024, seed=0, warmup_fraction=0.0)
-    stats = run(topo, m, table, cfg, model)
+    stats = run(topo, m, table, cfg)
     assert stats.flows[("s", "d")].delivered > 0
     assert stats.flows[("s", "d")].dropped == 0
     assert stats.flows[("c", "d")].dropped > 0
@@ -967,7 +969,7 @@ def test_topology_roundtrip_and_from_design(tmp_path):
             # physical km stored; latency reapplies the slowdown
             pair = (min(link.a, link.b), max(link.a, link.b))
             assert link.length_km == pytest.approx(
-                inp.fiber_km_eq[pair] / inp.fiber_slowdown, rel=1e-12)
+                inp.fiber_km_eq[pair] / geo.FIBER_SLOWDOWN, rel=1e-12)
     path = tmp_path / "topo.json"
     simnet.save_topology(topo, str(path))
     back = simnet.load_topology(str(path))

@@ -62,6 +62,13 @@ def test_dc_edge_equidistant_tie_break():
     assert m.as_dict() == {("dc_a", "mid"): 1.0}
 
 
+def test_dc_edge_city_that_is_its_nearest_dc_adds_no_demand():
+    # The CLI merges a DC that shares a city's id into that city's site.
+    cities = [city("a", 0, 0, 5.0), city("b", 0, 2, 3.0)]
+    dcs = [city("a", 0, 0), city("d", 0, 1.9)]
+    assert traffic.dc_edge_matrix(cities, dcs).as_dict() == {("b", "d"): 1.0}
+
+
 def test_dc_edge_matches_bruteforce_nearest():
     from lightwan.geo import geodesic_km
     rng = np.random.default_rng(17)
