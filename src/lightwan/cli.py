@@ -164,7 +164,10 @@ def _traffic_matrix(cfg, cities, dcs) -> TrafficMatrix:
 def _load_sites(cfg):
     _require(cfg, "sites_csv")
     cities = geo.load_sites_csv(cfg["sites_csv"])
-    dcs = geo.load_sites_csv(cfg["dc_sites_csv"]) if cfg.get("dc_sites_csv") else []
+    # A DC with a city's id is that city's site: nearest DCs are found by
+    # the DC rows' points, so it must lie at the city's.
+    dcs = (geo.load_sites_csv(cfg["dc_sites_csv"], {c.id: c.location for c in cities})
+           if cfg.get("dc_sites_csv") else [])
     return cities, dcs
 
 
@@ -314,8 +317,11 @@ def cmd_simulate(cfg, outdir) -> None:
     sim = cfg["sim"]
     if bool(sim["gammas"]) != bool(sim["loads"]):
         raise InputError("a sweep needs both sim.gammas and sim.loads")
-    inp, design = _load_instance_and_design(cfg)
     aggregate = cfg["aggregate_gbps"]
+    fields = {f.name for f in dataclasses.fields(simnet.SimConfig)}
+    base_cfg = simnet.SimConfig(**{k: v for k, v in sim.items() if k in fields},
+                                aggregate_gbps=aggregate, seed=cfg["seed"])
+    inp, design = _load_instance_and_design(cfg)
     loads = capacity.route_demand(design, inp.traffic, aggregate)
     per_series = cfg["mw_cost"]["per_series_capacity_gbps"]
     caps = {pair: capacity.series_needed(load, per_series) ** 2 * per_series
@@ -324,9 +330,6 @@ def cmd_simulate(cfg, outdir) -> None:
                                        fiber_capacity_gbps=sim["fiber_capacity_gbps"],
                                        per_series_capacity_gbps=per_series)
     simnet.save_topology(topo, os.path.join(outdir, "topology.json"))
-    fields = {f.name for f in dataclasses.fields(simnet.SimConfig)}
-    base_cfg = simnet.SimConfig(**{k: v for k, v in sim.items() if k in fields},
-                                aggregate_gbps=aggregate, seed=cfg["seed"])
     if sim["gammas"]:
         results = simnet.perturbation_experiment(
             topo, inp.sites, base_cfg, sim["gammas"], sim["loads"],

@@ -121,14 +121,21 @@ def write_json(doc, path: str) -> None:
         fh.write("\n")
 
 
-def load_sites_csv(path: str) -> list[Site]:
+def load_sites_csv(path: str, placed: dict[str, GeoPoint] | None = None) -> list[Site]:
     """Sites in file order from a CSV with header id,lat,lon,population
-    (population optional, 0 when absent); a repeated id is an error."""
+    (population optional, 0 when absent); a repeated id is an error, and so
+    is a row with an id of `placed` at another point."""
     seen: set[str] = set()
+    placed = placed or {}
 
     def site(sid, lat, lon, pop):
         if sid in seen:
             raise ValueError(f"duplicate site id {sid!r}")
         seen.add(sid)
-        return Site(sid, GeoPoint(float(lat), float(lon)), float(pop) if pop else 0.0)
+        point = GeoPoint(float(lat), float(lon))
+        if placed.get(sid, point) != point:
+            at = placed[sid]
+            raise ValueError(f"site {sid!r} lies at ({at.lat}, {at.lon}), "
+                             f"not at ({point.lat}, {point.lon})")
+        return Site(sid, point, float(pop) if pop else 0.0)
     return read_csv(path, "id,lat,lon[,population]", site)

@@ -10,16 +10,28 @@ Fluid flow runs on dense split arrays `split[destination, node, next hop]`:
 one fixed-point kernel gives `min_max_util`'s flows and potentials and the
 loads and loop check of `expected_link_loads`; the dict code is the oracle.
 
-One event per generated packet and one per intermediate hop: with
-drop-tail FIFO and a fixed packet size, a link fixes a packet's departure
-when it admits the packet. A fixed-path flow's packet (one next hop at every
-node of its path; every flow under hashing) is delivered when its last
-link admits it. That is exact: each admission moves a link's end of
-transmission strictly later, so one flow's packets arrive in admission
-order, the order their arrival events would pop in. Per-packet multipath
-packets can overtake one another and keep their arrival event. Tie rule,
-departures before arrivals: a transmission that starts at exactly the
-time a packet arrives has left the queue before it is admitted.
+A run whose flows all have fixed paths (one next hop at every node of a
+path; every flow under hashing) is replayed link by link when no cycle
+runs through its links (link u feeds link v when v follows u on some
+flow's path): in topological order each link admits its arrivals sorted
+by time, with the event loop's float operations in the event loop's
+order, and its departures plus propagation are the next links' arrivals.
+Admissions at a FIFO link end strictly later one after another, so one
+flow's packets keep their order along the path, and the replay is bitwise
+the event loop's answer. It runs in windows of simulated time that hold a
+bounded number of packets. The event loop decides the rest: per-packet
+splits (their draws follow the global event order), cyclic link graphs,
+and two flows' arrivals at one link at one time (the heap's push order
+decides those).
+
+The event loop has one event per generated packet and one per
+intermediate hop: with drop-tail FIFO and a fixed packet size, a link
+fixes a packet's departure when it admits the packet. A fixed-path flow's
+packet is delivered when its last link admits it, which is exact for the
+same reason. Per-packet multipath packets can overtake one another and
+keep their arrival event. Tie rule, departures before arrivals: a
+transmission that starts at exactly the time a packet arrives has left
+the queue before it is admitted.
 """
 
 from __future__ import annotations
@@ -28,7 +40,9 @@ import hashlib
 import heapq
 import itertools
 import json
+import graphlib
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -56,12 +70,17 @@ class SimConfig:
     per_flow_hashing: bool = False
 
     def __post_init__(self) -> None:
-        if self.packet_bytes <= 0:
-            raise ValueError("packet_bytes must be > 0")
-        if self.sim_seconds <= 0:
-            raise ValueError("sim_seconds must be > 0")
-        if self.queue_capacity_packets < 1:
-            raise ValueError("queue capacity must be >= 1")
+        # A value that is not a real number reads as nan and fails its check.
+        real = {name: value if isinstance(value, numbers.Real) else math.nan
+                for name, value in vars(self).items()}
+        for name in ("packet_bytes", "queue_capacity_packets"):
+            if not (float(real[name]).is_integer() and real[name] >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if not (math.isfinite(real["sim_seconds"]) and real["sim_seconds"] > 0):
+            raise ValueError(f"sim_seconds must be finite and > 0, got {self.sim_seconds!r}")
+        if not (math.isfinite(real["aggregate_gbps"]) and real["aggregate_gbps"] >= 0):
+            raise ValueError(f"aggregate_gbps must be finite and >= 0, "
+                             f"got {self.aggregate_gbps!r}")
         if self.routing not in ROUTING_SCHEMES:
             raise ValueError(f"unknown routing scheme {self.routing!r}")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -348,15 +367,220 @@ def _single_path(h: tuple | None) -> bool:
     return h is None
 
 
+def _path(h: tuple | None, x: float) -> list[_LinkState]:
+    """The links of a fixed path from its first hop `h`, each split taken
+    by the flow's hash `x` as `run` takes it."""
+    path = []
+    while h is not None:
+        state, h, split = h
+        if split:
+            acc = 0.0
+            state, h, _ = split[-1][1]
+            for w, choice in split:
+                acc += w
+                if x < acc:
+                    state, h, _ = choice
+                    break
+        path.append(state)
+    return path
+
+
+# Packets one window of `_replay` generates at most: its arrays hold about
+# this many packets per hop, however long the run.
+_WINDOW_PACKETS = 1 << 17
+
+
+def _admit(t: np.ndarray, tx: float, free_at: float, waiting: np.ndarray,
+           cap: int) -> np.ndarray:
+    """`run`'s admission of the sorted arrivals `t` at one link: the end of
+    each transmission, nan for a drop. The link's last transmission ends at
+    `free_at` and its waiting packets start at `waiting`. One pass ignores
+    the queue bound; where a queue could reach it, the count of packets
+    queued at each arrival decides, and a pass with the bound redoes it."""
+    f0 = free_at
+    ends = np.array([free_at := (free_at if free_at > x else x) + tx for x in t.tolist()])
+    if len(waiting) + len(t) <= cap:
+        return ends
+    prev = np.concatenate(([f0], ends[:-1]))
+    starts = np.where(prev > t, prev, t)
+    i = np.arange(len(t))
+    queued = (len(waiting) - np.searchsorted(waiting, t, "right")
+              + i - np.minimum(i, np.searchsorted(starts, t, "right")))
+    if queued.max() < cap:
+        return ends
+    free_at = f0
+    queue = deque(waiting.tolist())
+    out = []
+    for x in t.tolist():
+        while queue and queue[0] <= x:
+            queue.popleft()
+        if len(queue) >= cap:
+            out.append(math.nan)
+            continue
+        if free_at > x:
+            queue.append(free_at)
+            start = free_at
+        else:
+            start = x
+        free_at = start + tx
+        out.append(free_at)
+    return np.array(out)
+
+
+def _deal(inbox: list[list], link: np.ndarray, *arrays: np.ndarray) -> None:
+    """Append each link's share of the packet `arrays`, in their order, to
+    the link's inbox; `link` holds each packet's link."""
+    o = np.argsort(link, kind="stable")
+    cuts = (np.flatnonzero(np.diff(link[o])) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(o)]):
+        inbox[link[o[lo]]].append(tuple(a[o[lo:hi]] for a in arrays))
+
+
+def _replay(paths: list[list[_LinkState]], interval: list[float], phases: list[float],
+            sim_end: float, warm_start: float, cap: int) -> tuple | None:
+    """`run`'s per-flow counts and sums for flows on fixed `paths`, found
+    link by link, with each link's busy time set; None when the event loop
+    must decide: a cycle among the links (link u feeds link v when v follows
+    u on some flow's path), or arrivals of two flows at one link at one time
+    (the event loop takes those in push order).
+
+    Links go in topological order. Each admits its arrivals sorted by time
+    with the event loop's float operations in the event loop's order (one
+    flow's packets keep their order along the path), so every time, count
+    and sum is bitwise the event loop's; the arrivals at the next links are
+    its departures plus propagation. Time goes in windows in which no flow
+    generates more than `_WINDOW_PACKETS` / flows packets; arrivals past a
+    window wait for the next, and each link carries its end of transmission,
+    waiting starts and busy time across."""
+    n = len(paths)
+    # A slot is one link of one flow's path, numbered path after path; a
+    # packet carries the slot it is at.
+    index: dict[_LinkState, int] = {}
+    slot_link = np.array([index.setdefault(s, len(index)) for p in paths for s in p])
+    states = list(index)
+    sizes = np.array([len(p) for p in paths])
+    slot_flow = np.repeat(np.arange(n), sizes)
+    slot_last = np.zeros(len(slot_link), bool)
+    slot_last[np.cumsum(sizes) - 1] = True
+    first_slot = np.cumsum(sizes) - sizes
+    feeders: dict[int, set] = {v: set() for v in range(len(states))}
+    for s in np.flatnonzero(~slot_last).tolist():
+        feeders[int(slot_link[s + 1])].add(int(slot_link[s]))
+    try:
+        order = list(graphlib.TopologicalSorter(feeders).static_order())
+    except graphlib.CycleError:
+        return None
+
+    sent = np.zeros(n, np.int64)
+    delivered = np.zeros(n, np.int64)
+    dropped = np.zeros(n, np.int64)
+    delay_sum = np.zeros(n)
+    delay_max = np.zeros(n)
+    free = [0.0] * len(states)
+    busy = [0.0] * len(states)
+    waiting = [np.zeros(0)] * len(states)
+    inbox: list[list] = [[] for _ in states]  # (times, slots, send times) per link
+
+    iv, gen = np.array(interval), np.array(phases)  # `gen`: each flow's next generation
+    fresh = np.ones(n, bool)  # the generation at the phase is still due
+    span = _WINDOW_PACKETS * float(iv.min()) / n
+    limit, final = 0.0, False
+    while not final:
+        limit += span
+        final = not limit < sim_end
+        if final:
+            limit = sim_end
+        # Generations before `limit`, or the last window's before `sim_end`
+        # and a phase at it: each row a sequential sum, bitwise `t + interval`.
+        cols = max(3, int(np.max((limit - gen) // iv)) + 3)
+        grid = np.empty((n, cols))
+        grid[:] = iv[:, None]
+        grid[:, 0] = gen
+        np.cumsum(grid, axis=1, out=grid)
+        if not (grid[:, -1] >= limit).all():
+            return None  # `t + interval` rounds back to `t`
+        k = (grid < limit).sum(axis=1)
+        if final:
+            k[fresh & (gen == sim_end)] = 1
+        fresh &= k == 0
+        gen = grid[np.arange(n), k]
+        times = grid[np.arange(cols) < k[:, None]]
+        fid = np.repeat(np.arange(n), k)
+        sent += np.bincount(fid[times >= warm_start], minlength=n)
+        if len(fid):
+            _deal(inbox, slot_link[first_slot[fid]], times, first_slot[fid], times)
+
+        for v in order:
+            parts, inbox[v] = inbox[v], []
+            if not parts:
+                continue
+            t, slot, send = (np.concatenate(x) for x in zip(*parts))
+            o = np.argsort(t, kind="stable")
+            t, slot, send = t[o], slot[o], send[o]
+            cut = int(np.searchsorted(t, limit, "right" if final else "left"))
+            if cut < len(t) and not final:
+                inbox[v].append((t[cut:], slot[cut:], send[cut:]))
+            if not cut:
+                continue
+            t, slot, send = t[:cut], slot[:cut], send[:cut]
+            tie = t[1:] == t[:-1]
+            if tie.any() and (slot[1:] != slot[:-1])[tie].any():
+                return None
+
+            state = states[v]
+            last_t = t[-1]
+            ends = _admit(t, state.tx_s, free[v], waiting[v], cap)
+            lost = np.isnan(ends)
+            if lost.any():
+                counted = lost & (send >= warm_start)
+                dropped += np.bincount(slot_flow[slot[counted]], minlength=n)
+                keep = ~lost
+                t, slot, send, ends = t[keep], slot[keep], send[keep], ends[keep]
+            starts = waiting[v]
+            if len(ends):
+                prev = np.concatenate(([free[v]], ends[:-1]))
+                admitted = np.where(prev > t, prev, t)
+                over = np.minimum(ends, sim_end) - np.maximum(admitted, warm_start)
+                busy[v] = float(np.cumsum(np.concatenate(([busy[v]], over[over > 0])))[-1])
+                free[v] = float(ends[-1])
+                starts = np.concatenate((starts, admitted))
+            waiting[v] = starts[starts > last_t]
+
+            arrive = ends + state.prop_s
+            done = slot_last[slot]
+            if done.any():
+                at, since = arrive[done], send[done]
+                ok = (at <= sim_end) & (since >= warm_start)
+                fid, delay = slot_flow[slot[done][ok]], at[ok] - since[ok]
+                delivered += np.bincount(fid, minlength=n)
+                np.add.at(delay_sum, fid, delay)  # in admission order, as `+=`
+                np.maximum.at(delay_max, fid, delay)
+                on = ~done
+                arrive, slot, send = arrive[on], slot[on], send[on]
+            if len(slot):
+                _deal(inbox, slot_link[slot + 1], arrive, slot + 1, send)
+
+    for state, b in zip(states, busy):
+        state.busy_s = b
+    return (sent.tolist(), delivered.tolist(), dropped.tolist(), delay_sum.tolist(),
+            delay_max.tolist())
+
+
 def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
         cfg: SimConfig) -> FlowStats:
-    """Event-driven run: per-link propagation plus transmission delay,
+    """Packet-level run: per-link propagation plus transmission delay,
     drop-tail FIFO queues, per-packet (or per-flow-hashed) weighted next
     hops, statistics over packets sent after the warm-up window. Admission
-    fixes the departure and schedules the arrival at the next node or, on
-    a fixed-path flow's last link, counts the delivery if it lands by
-    `sim_end`. A transmission starting at exactly `t` leaves the queue
-    before a packet arriving at `t` is admitted (departures before arrivals)."""
+    fixes the departure and the arrival at the next node or, on a fixed-path
+    flow's last link, counts the delivery if it lands by `sim_end`. A
+    transmission starting at exactly `t` leaves the queue before a packet
+    arriving at `t` is admitted (departures before arrivals).
+
+    When every flow has a fixed path, `_replay` admits each link's arrivals
+    in time order, link after link, with the event loop's arithmetic, so its
+    answer is the event loop's bit for bit; per-packet splits, a cycle among
+    the links, or two flows arriving at one link at one time go to the event
+    loop, which processes packets one event at a time in global time order."""
     rng = np.random.default_rng(cfg.seed)
     packet_bits = cfg.packet_bytes * 8
     sim_end = cfg.sim_seconds
@@ -390,14 +614,22 @@ def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
         flow_hash = [int(hashlib.sha256(f"{a}->{b}".encode()).hexdigest(), 16) / 2 ** 256
                      for a, b, _ in flows]
     fixed = [hashing or _single_path(h) for h in first]
+    phases = [float(rng.uniform(0.0, interval[fid])) for fid in range(len(flows))]
+    counts = None
+    if flows and all(fixed):
+        paths = [_path(h, flow_hash[fid] if hashing else 0.0) for fid, h in enumerate(first)]
+        counts = _replay(paths, interval, phases, sim_end, warm_start,
+                         cfg.queue_capacity_packets)
+    if counts is not None:
+        sent, delivered, dropped, delay_sum, delay_max = counts
 
     # Events are (time, seq, fid, send time, hop). Generations carry send
     # time None and re-arm in place; an arrival with hop None is a per-packet
     # multipath packet reaching its destination.
     heap: list = []
     seq = itertools.count()
-    for fid in range(len(flows)):
-        heapq.heappush(heap, (float(rng.uniform(0.0, interval[fid])), next(seq), fid, None, None))
+    for fid in range(len(flows) if counts is None else 0):
+        heapq.heappush(heap, (phases[fid], next(seq), fid, None, None))
 
     while heap:
         t, _, fid, send_t, h = heap[0]

@@ -212,6 +212,19 @@ def test_design_with_a_dc_listed_under_a_city_id(pipeline, tmp_path, model):
             ("ca", "cc"), ("cb", "cc"), ("cd", "dcb"), ("ce", "dcb")]
 
 
+def test_design_rejects_a_dc_with_a_city_id_elsewhere(pipeline, tmp_path, capsys):
+    # DC cc would be merged into city cc's site while dc_edge demand finds
+    # its nearest DC by the DC row's own point.
+    dcs = tmp_path / "dc_sites.csv"
+    dcs.write_text("id,lat,lon,population\ncc,0.45,1.2,0\ndca,0.4,-1.2,0\n")
+    cfgp = write_config(tmp_path, demo_config(dc_sites_csv=str(dcs), traffic_model="dc_edge",
+                                              hops_csv=pipeline["hops_csv"]))
+    capsys.readouterr()
+    assert main(["design", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert (f"{dcs}: line 2: site 'cc' lies at (0.15, 0.0), not at (0.45, 1.2)"
+            in capsys.readouterr().err)
+
+
 def test_design_golden(pipeline):
     assert_matches_golden(pipeline["stats_csv"], "design_stats.csv")
 
@@ -494,6 +507,23 @@ def test_simulate_outputs(pipeline):
     assert all(0.0 <= float(r["utilization"]) <= 1.0 for r in util)
 
 
+def test_simulate_golden(pipeline, tmp_path):
+    # The README demo's plain run at 0.05 s simulated, byte for byte (CRLF
+    # line ends included) as the event loop wrote it before the replay.
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", pipeline["config"], "--out", str(out),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}",
+                 "--set", "sim.sim_seconds=0.05"]) == 0
+    for name in ("flows.csv", "link_utilization.csv"):
+        golden = os.path.join(GOLDEN, name)
+        if REGEN:
+            with open(golden, "wb") as fh:
+                fh.write((out / name).read_bytes())
+        with open(golden, "rb") as fh:
+            assert (out / name).read_bytes() == fh.read(), name
+
+
 def test_simulate_perturbation_mode(pipeline, tmp_path):
     out = str(tmp_path / "pert")
     assert main(["simulate", "--config", pipeline["config"], "--out", out,
@@ -514,6 +544,21 @@ def test_simulate_sweep_needs_both_keys(pipeline, tmp_path, capsys, key):
                  "--set", f"design_json={pipeline['design']}",
                  "--set", f"sim.{key}=[0.1]"]) == 1
     assert "a sweep needs both sim.gammas and sim.loads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment", [
+    "sim.sim_seconds=Infinity", "sim.sim_seconds=NaN", "aggregate_gbps=Infinity",
+    "sim.queue_capacity_packets=2.5", "sim.packet_bytes=0.5"])
+def test_simulate_rejects_non_finite_and_fractional_values(pipeline, tmp_path, capsys,
+                                                           assignment):
+    # An infinite run used to never return; nan ran no packet and exited 0.
+    capsys.readouterr()
+    assert main(["simulate", "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}",
+                 "--set", assignment]) == 1
+    key = assignment.split("=")[0].split(".")[-1]
+    assert f"input error: {key} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["augment", "weather", "simulate", "export-geojson"])

@@ -596,6 +596,17 @@ def test_config_validation():
         SimConfig(routing="magic")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sim_seconds", math.inf), ("sim_seconds", math.nan), ("aggregate_gbps", math.inf),
+    ("aggregate_gbps", math.nan), ("aggregate_gbps", -1.0),
+    ("queue_capacity_packets", 2.5), ("packet_bytes", 0.5)])
+def test_config_rejects_non_finite_and_fractional_values(field, value):
+    # An infinite aggregate gives a zero packet interval and an infinite run
+    # never ends; nan compares false with every bound.
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: value})
+
+
 def test_topology_validation():
     with pytest.raises(ValueError):
         SimTopology(["a", "b"], [SimLink("a", "b", 1.0, "mw", 1.0),
@@ -1044,3 +1055,147 @@ def test_run_bitwise_equals_reference_with_packets_in_flight():
     stats = run(topo, m, table, cfg)
     assert all(rec.in_flight > 0 for rec in stats.flows.values())
     assert _bits(stats) == _bits(reference_run(topo, m, table, cfg))
+
+
+# --- link-by-link replay ---------------------------------------------------------
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """`run`'s calls of `_replay`: True where it replayed the run, False where
+    it handed the run to the event loop; `run` calls it only when every flow
+    has a fixed path."""
+    seen = []
+    replay = simnet._replay
+
+    def spy(*args):
+        out = replay(*args)
+        seen.append(out is not None)
+        return out
+    monkeypatch.setattr(simnet, "_replay", spy)
+    return seen
+
+
+def random_fixed_path_case(seed):
+    """A random tree of 3-6 sites, one of its links doubled into a diamond
+    through two relays, with random lengths and capacities and traffic
+    among the sites. Every path is fixed: the diamond splits only under
+    min_max_util, and then per flow by hashing. Each path is downhill to its
+    destination, so no cycle runs through the links. Queues hold 1-5
+    packets or 1000, and runs of 1-4 ms leave packets in flight."""
+    rng = np.random.default_rng(seed)
+    sites = [f"s{i}" for i in range(int(rng.integers(3, 7)))]
+    edges = [(sites[int(rng.integers(i))], sites[i]) for i in range(1, len(sites))]
+    doubled = edges[int(rng.integers(len(edges)))]
+    links = []
+    for a, b in edges:
+        km, cap = float(rng.uniform(20.0, 150.0)), float(rng.choice([0.2, 0.5, 1.0, 4.0]))
+        if (a, b) == doubled:
+            links += [SimLink(x, y, km / 2, "mw", cap) for r in ("r0", "r1")
+                      for x, y in ((a, r), (r, b))]
+        else:
+            links.append(SimLink(a, b, km, "mw", cap))
+    topo = SimTopology(sites + ["r0", "r1"], links)
+    m = TrafficMatrix({(a, b): float(rng.uniform(0.1, 1.0))
+                       for i, a in enumerate(sites) for b in sites[i + 1:]})
+    hashing = bool(rng.random() < 0.5)
+    routing = "min_max_util" if hashing else "shortest_path"
+    cfg = SimConfig(aggregate_gbps=float(rng.uniform(0.5, 3.0)),
+                    sim_seconds=float(rng.uniform(0.001, 0.004)), seed=seed,
+                    queue_capacity_packets=int(rng.choice([1, 2, 3, 4, 5, 1000])),
+                    routing=routing, per_flow_hashing=hashing,
+                    warmup_fraction=float(rng.choice([0.0, 0.3])))
+    return topo, m, build_routing(topo, m, routing), cfg
+
+
+def test_replay_bitwise_equals_reference_on_random_fixed_path_runs(replays, monkeypatch):
+    # Each run twice: in one window, and in windows of a few packets per
+    # flow, so link states and arrivals carry from window to window.
+    seen = set()
+    for seed in range(12):
+        args = random_fixed_path_case(seed)
+        want = _bits(reference_run(*args))
+        stats = run(*args)
+        assert _bits(stats) == want, seed
+        with monkeypatch.context() as patch:
+            patch.setattr(simnet, "_WINDOW_PACKETS", 64)
+            assert _bits(run(*args)) == want, seed
+        table, cfg = args[2], args[3]
+        seen |= {name for name, hit in (
+            ("dropped", stats.loss_rate > 0),
+            ("in flight", any(r.in_flight > 0 for r in stats.flows.values())),
+            ("warm-up", cfg.warmup_fraction > 0),
+            ("hashed split", cfg.per_flow_hashing and any(len(h) > 1 for h in table.values())),
+        ) if hit}
+    assert replays == [True] * 24
+    assert seen == {"dropped", "in flight", "warm-up", "hashed split"}
+
+
+def test_per_packet_splits_run_on_the_event_loop(replays):
+    # Per-packet draws follow the global event order: no replay is tried.
+    topo = SimTopology(["a", "b", "x", "y"], [
+        SimLink("a", "x", 50.0, "mw", 0.05), SimLink("x", "b", 50.0, "mw", 0.05),
+        SimLink("a", "y", 50.0, "mw", 0.05), SimLink("y", "b", 50.0, "mw", 0.05)])
+    m = TrafficMatrix({("a", "b"): 1.0})
+    table = build_routing(topo, m, "min_max_util")
+    assert len(table[("a", "b")]) == 2
+    cfg = SimConfig(aggregate_gbps=0.08, sim_seconds=0.003, seed=2, routing="min_max_util")
+    assert _bits(run(topo, m, table, cfg)) == _bits(reference_run(topo, m, table, cfg))
+    assert replays == []
+
+
+def test_link_cycle_runs_on_the_event_loop(replays):
+    # Round a ring of five, each site's flow to the site two ahead goes the
+    # short way, so link (s0, s1) feeds (s1, s2), ..., and (s4, s0) feeds
+    # (s0, s1) again: no link order exists.
+    nodes = [f"s{i}" for i in range(5)]
+    topo = SimTopology(nodes, [SimLink(nodes[i], nodes[(i + 1) % 5], 50.0, "mw", 0.05)
+                               for i in range(5)])
+    m = TrafficMatrix({(nodes[i], nodes[(i + 2) % 5]): 1.0 for i in range(5)})
+    table = build_routing(topo, m, "shortest_path")
+    assert table[("s4", "s1")] == (("s0", 1.0),)
+    cfg = SimConfig(aggregate_gbps=0.1, sim_seconds=0.003, seed=5, queue_capacity_packets=3)
+    assert _bits(run(topo, m, table, cfg)) == _bits(reference_run(topo, m, table, cfg))
+    assert replays == [False]
+
+
+def test_equal_time_arrivals_run_on_the_event_loop(replays, monkeypatch):
+    # With every phase at 0, a -> b and a -> c (through b) send at one rate
+    # and so reach link (a, b) at the same times; the event loop's push
+    # order decides which goes first.
+    class ZeroPhases:
+        def __init__(self, seed):
+            pass
+
+        def uniform(self, low, high):
+            return low
+    monkeypatch.setattr(np.random, "default_rng", ZeroPhases)
+    topo = SimTopology(["a", "b", "c"], [
+        SimLink("a", "b", 50.0, "mw", 0.05), SimLink("b", "c", 50.0, "mw", 0.05)])
+    m = TrafficMatrix({("a", "b"): 1.0, ("a", "c"): 1.0})
+    table = build_routing(topo, m, "shortest_path")
+    cfg = SimConfig(aggregate_gbps=0.08, sim_seconds=0.003, seed=1, queue_capacity_packets=2)
+    stats = run(topo, m, table, cfg)
+    assert _bits(stats) == _bits(reference_run(topo, m, table, cfg))
+    assert replays == [False]
+    assert stats.loss_rate > 0
+
+
+def test_replay_generates_a_phase_at_the_last_instant(replays, monkeypatch):
+    # The event loop handles a generation at exactly sim_seconds; later
+    # generations must come before it.
+    class LastInstant:
+        def __init__(self, seed):
+            pass
+
+        def uniform(self, low, high):
+            return 0.003
+    monkeypatch.setattr(np.random, "default_rng", LastInstant)
+    topo = single_link_topology()
+    m = TrafficMatrix({("a", "b"): 1.0})
+    table = build_routing(topo, m, "shortest_path")
+    cfg = SimConfig(aggregate_gbps=0.001, sim_seconds=0.003, seed=0)  # one packet per 4 ms
+    stats = run(topo, m, table, cfg)
+    assert _bits(stats) == _bits(reference_run(topo, m, table, cfg))
+    assert replays == [True]
+    assert [r.sent for r in stats.flows.values()] == [1, 1]
