@@ -141,8 +141,14 @@ def _read_towers(cfg) -> list[los.Tower]:
     return los.load_towers_csv(cfg["towers_csv"], terrain=terrain)
 
 
-def _los_params(cfg) -> los.LosParams:
-    return los.LosParams(**cfg["los"])
+def _radio(cfg) -> tuple[los.LosParams, weather.AttenuationModel]:
+    """`los` and `attenuation`, one radio model at the one frequency `los.f_ghz`."""
+    p, model = los.LosParams(**cfg["los"]), weather.AttenuationModel(**cfg["attenuation"])
+    ghz, k, alpha = weather.P838_11_GHZ
+    if p.f_ghz != ghz and (model.k_coeff == k or model.alpha == alpha):
+        raise InputError(f"los.f_ghz={p.f_ghz:g} needs its own attenuation.k_coeff and "
+                         f"attenuation.alpha: the shipped pair is ITU-R P.838's at {ghz:g} GHz")
+    return p, model
 
 
 def _traffic_matrix(cfg, cities, dcs) -> TrafficMatrix:
@@ -176,9 +182,10 @@ def _load_sites(cfg):
 
 
 def cmd_hopgraph(cfg, outdir) -> None:
+    params, _ = _radio(cfg)
     terrain = _load_terrain(cfg)
     towers = _load_towers(cfg, terrain)
-    hop_graph = los.build_hop_graph(towers, terrain, _los_params(cfg))
+    hop_graph = los.build_hop_graph(towers, terrain, params)
     los.save_hops_csv(hop_graph, os.path.join(outdir, "hops.csv"))
     summary = {"towers": len(towers), "hops": len(hop_graph.hops)}
     geo.write_json(summary, os.path.join(outdir, "hopgraph_summary.json"))
@@ -194,9 +201,10 @@ def _assemble_input(cfg, budget: float) -> designer.DesignInput:
         _require(cfg, "towers_csv", "hops_csv")
         hop_graph = los.load_hops_csv(cfg["hops_csv"], _read_towers(cfg))
     elif cfg.get("towers_csv"):
+        params, _ = _radio(cfg)
         terrain = _load_terrain(cfg)
         towers = _load_towers(cfg, terrain)
-        hop_graph = los.build_hop_graph(towers, terrain, _los_params(cfg))
+        hop_graph = los.build_hop_graph(towers, terrain, params)
     _require(cfg, "fiber_endpoints_csv", "fiber_conduits_csv")
     fiber = fiberbase.load_fiber_csv(cfg["fiber_conduits_csv"], cfg["fiber_endpoints_csv"])
     return designer.build_design_input(
@@ -281,6 +289,7 @@ def cmd_augment(cfg, outdir) -> None:
 
 
 def cmd_weather(cfg, outdir) -> None:
+    _, model = _radio(cfg)
     inp, design = _load_instance_and_design(cfg)
     if cfg.get("rain_csv"):
         rain = weather.load_rain_csv(cfg["rain_csv"], [s.id for s in inp.sites])
@@ -303,7 +312,6 @@ def cmd_weather(cfg, outdir) -> None:
     coords = {s.id: s.location for s in inp.sites}
     if cfg.get("towers_csv"):
         coords.update((t.id, t.location) for t in _read_towers(cfg))
-    model = weather.AttenuationModel(**cfg["attenuation"])
     # A raster is loaded only when its frame is read, so one is held at a time.
     report = weather.analyze(inp, design, ((t, load(t)) for t in stamps), coords, model)
     weather.write_intervals_csv(report, os.path.join(outdir, "weather_intervals.csv"))
@@ -400,7 +408,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (designer.InfeasibleDesignError, designer.ExactGuardExceeded) as exc:
+    except designer.InfeasibleDesignError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ class LosParams:
     Defaults follow common practice for 11 GHz licensed microwave: K=1.3
     effective-Earth refraction, 100 km maximum range, antennae mounted at
     the tower top, terrain sampled at the raster's native 30 m step.
+    `f_ghz` is the carrier of the whole radio model: the shipped rain
+    attenuation pair (`weather.P838_11_GHZ`) holds only at 11 GHz.
     """
 
     f_ghz: float = 11.0
@@ -71,16 +74,14 @@ class LosParams:
     sample_step_m: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.f_ghz <= 0:
-            raise ValueError("f_ghz must be > 0")
-        if self.k_factor <= 0:
-            raise ValueError("k_factor must be > 0")
-        if self.max_range_km <= 0:
-            raise ValueError("max_range_km must be > 0")
-        if not 0 < self.usable_height_fraction <= 1:
+        # nan passes no bound check, and an infinite f_ghz drops the Fresnel term.
+        for name, value in vars(self).items():
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if value <= 0 and name != "obstruction_margin_m":
+                raise ValueError(f"{name} must be > 0")
+        if self.usable_height_fraction > 1:
             raise ValueError("usable_height_fraction must be in (0, 1]")
-        if self.sample_step_m <= 0:
-            raise ValueError("sample_step_m must be > 0")
 
 
 @dataclass
@@ -211,26 +212,15 @@ def load_terrain_asc(path: str) -> TerrainGrid:
                        header.get("nodata_value", -9999.0))
 
 
-def fresnel_radius_m(d_km: float, f_ghz: float) -> float:
-    """Mid-hop first-Fresnel-zone width in meters for a hop of d_km at f_ghz."""
-    if d_km < 0:
-        raise ValueError("distance must be >= 0")
-    if f_ghz <= 0:
-        raise ValueError("frequency must be > 0")
-    return 8.7 * math.sqrt(d_km) / math.sqrt(f_ghz)
-
-
-def earth_bulge_m(d1_km: float, d2_km: float, k_factor: float) -> float:
-    """Effective Earth-curvature obstruction height at a point d1/d2 km from the ends.
-
-    K scales the Earth radius for atmospheric refraction; at the midpoint
-    of a hop of length D this is D^2/(50.96 K) m.
-    """
-    if d1_km < 0 or d2_km < 0:
-        raise ValueError("distances must be >= 0")
-    if k_factor <= 0:
-        raise ValueError("k_factor must be > 0")
-    return d1_km * d2_km / (12.74 * k_factor)
+def clearance_terms_m(d1_km, d2_km, d_km, p: LosParams):
+    """(Earth bulge, first-Fresnel-zone width) in meters d1_km and d2_km from
+    the ends of a hop of d_km > 0, scalars or arrays: the bulge under an Earth
+    radius scaled by K = p.k_factor (D^2 / (50.96 K) mid-hop) and the Fresnel
+    width 17.4 sqrt(d1 d2 / (D f)) at f = p.f_ghz. The segment screen and the
+    sampler both read their terms here."""
+    bulge = d1_km * d2_km / (12.74 * p.k_factor)
+    fresnel = 2.0 * 8.7 * np.sqrt(d1_km * d2_km / d_km) / math.sqrt(p.f_ghz)
+    return bulge, fresnel
 
 
 def _unit_vector(p: GeoPoint) -> np.ndarray:
@@ -373,10 +363,7 @@ def _unscreened(units, alts, ia, ib, d, omega, sin_omega, n, terrain: TerrainGri
         terrain_top = functools.reduce(np.maximum, [terrain.values[r, c]
                                                     for r in rows for c in cols])
         w = np.clip(0.5, k0 / ns, k1 / ns)
-        d1 = ds * w
-        d2 = ds * (1.0 - w)
-        bulge = d1 * d2 / (12.74 * p.k_factor)
-        fresnel = 2.0 * 8.7 * np.sqrt(d1 * d2 / ds) / math.sqrt(p.f_ghz)
+        bulge, fresnel = clearance_terms_m(ds * w, ds * (1.0 - w), ds, p)
         needed = terrain_top + bulge + fresnel + p.obstruction_margin_m + _SCREEN_SLACK_M
         left = ~(screened & (np.minimum(line[:m], line[m:]) >= needed))
         return h[left], k0[left], (k1 - k0 + 1)[left]
@@ -410,10 +397,7 @@ def _clearance(towers: list[Tower], ia: np.ndarray, ib: np.ndarray, d_km: np.nda
         wa = (nh - k) / nh
         lats, lons = _arc_points(units[a], units[b], omega[h], sin_omega[h], wa, wb)
         elev = terrain.sample_many(lats, lons)
-        d1 = dh * wb
-        d2 = dh * wa
-        bulge = d1 * d2 / (12.74 * p.k_factor)
-        fresnel = 2.0 * 8.7 * np.sqrt(d1 * d2 / dh) / math.sqrt(p.f_ghz)
+        bulge, fresnel = clearance_terms_m(dh * wb, dh * wa, dh, p)
         line = alts[a] * wa + alts[b] * wb
         needed = elev + bulge + fresnel + p.obstruction_margin_m
         return line >= needed
@@ -435,9 +419,8 @@ def hop_feasible(a: Tower, b: Tower, terrain: TerrainGrid, p: LosParams) -> bool
 
     Clearance is required at every terrain sample: the antenna-to-antenna
     line must sit at or above terrain + Earth bulge + Fresnel width +
-    obstruction margin. The Fresnel width along the path uses the
-    standard two-segment form 17.4 sqrt(d1 d2 / (D f)) m, which reduces
-    to `fresnel_radius_m` at the midpoint.
+    obstruction margin, with the bulge and Fresnel width of
+    `clearance_terms_m`.
     """
     for t in (a, b):
         _check_inside(t, terrain)

@@ -54,8 +54,8 @@ from .geo import FIBER_SLOWDOWN, Site, latency_ms, write_csv, write_json
 from .graphcore import distance_matrix, next_hop_walks, weight_matrix
 from .traffic import Pair, TrafficMatrix, pair_key, perturb
 
-ROUTING_SCHEMES = ("shortest_path", "min_max_util", "throughput_optimal")
-REBALANCE_ITERATIONS = 300  # min_max_util / throughput_optimal rebalancing rounds
+ROUTING_SCHEMES = ("shortest_path", "min_max_util")
+REBALANCE_ITERATIONS = 300  # min_max_util rebalancing rounds
 
 
 @dataclass(frozen=True)
@@ -215,9 +215,8 @@ def build_routing(topology: SimTopology, traffic: TrafficMatrix, scheme: str) ->
     min_max_util: weighted next hops over the strictly-downhill DAG, the
     best of `REBALANCE_ITERATIONS` multiplicative-weights rounds on the split
     arrays that minimize the maximum link utilization of the splittable
-    relaxation. throughput_optimal: identical machinery; maximizing the
-    concurrent-flow scaling alpha of the matrix is the same optimum because
-    alpha = 1 / max-utilization.
+    relaxation, which also maximizes the matrix's concurrent-flow scaling
+    (1 / max-utilization).
     """
     if scheme not in ROUTING_SCHEMES:
         raise ValueError(f"unknown routing scheme {scheme!r}")

@@ -9,6 +9,7 @@ unaffected; per interval, traffic reroutes over whatever survives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -22,14 +23,22 @@ from .los import TerrainGrid, _path_samples
 from .traffic import Pair, PairIndex, link_id, parse_link_id
 
 
+# ITU-R P.838 power-law coefficients (f_ghz, k, alpha), horizontal polarization:
+# the one pair shipped. Another los.f_ghz needs its own k and alpha.
+P838_11_GHZ = (11.0, 0.01217, 1.2571)
+
+
 @dataclass(frozen=True)
 class AttenuationModel:
-    # ITU-R P.838 power-law coefficients for 11 GHz, horizontal polarization.
-    k_coeff: float = 0.01217
-    alpha: float = 1.2571
+    k_coeff: float = P838_11_GHZ[1]
+    alpha: float = P838_11_GHZ[2]
     fail_threshold_db: float = 30.0  # fade margin; no single standard value, tune per deployment
 
     def __post_init__(self) -> None:
+        # nan passes every bound check below and fails no link.
+        for name, value in vars(self).items():
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.k_coeff < 0:
             raise ValueError("k_coeff must be >= 0")
         if self.alpha <= 0:

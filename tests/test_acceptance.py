@@ -38,8 +38,8 @@ def report(n, ok, detail):
 
 def test_criterion_1_formula_fidelity():
     t0 = time.time()
-    fres = los.fresnel_radius_m(1.0, 1.0)
-    bulge = los.earth_bulge_m(0.5, 0.5, 1.0)
+    # Mid-hop of a 1 km hop at 1 GHz and K = 1.
+    bulge, fres = los.clearance_terms_m(0.5, 0.5, 1.0, los.LosParams(f_ghz=1.0, k_factor=1.0))
     ok = (abs(fres - 8.7) <= 1e-9 * 8.7
           and 0.0195 <= bulge <= 0.0200
           and abs(bulge - 0.25 / 12.74) <= 1e-9 * bulge)

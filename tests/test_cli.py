@@ -561,6 +561,47 @@ def test_simulate_rejects_non_finite_and_fractional_values(pipeline, tmp_path, c
     assert f"input error: {key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, assignment", [
+    *(("hopgraph", f"los.{key}=NaN") for key in (
+        "f_ghz", "k_factor", "max_range_km", "usable_height_fraction",
+        "obstruction_margin_m", "sample_step_m")),
+    ("hopgraph", "los.f_ghz=Infinity"), ("hopgraph", "los.max_range_km=Infinity"),
+    *(("weather", f"attenuation.{key}=NaN") for key in (
+        "k_coeff", "alpha", "fail_threshold_db")),
+    ("weather", "attenuation.k_coeff=Infinity")])
+def test_radio_parameters_must_be_finite(pipeline, tmp_path, capsys, command, assignment):
+    # nan passes every bound check, so a run would read 0 feasible hops or
+    # fail no link and exit 0; an infinite f_ghz drops the Fresnel term.
+    capsys.readouterr()
+    assert main([command, "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}",
+                 "--set", assignment]) == 1
+    key = assignment.split("=")[0].split(".")[-1]
+    assert f"input error: {key} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hopgraph", "weather"])
+def test_another_frequency_needs_both_attenuation_coefficients(pipeline, tmp_path, capsys,
+                                                               command):
+    # The shipped k and alpha are ITU-R P.838's at 11 GHz; the pair set
+    # below is made up for the test.
+    argv = [command, "--config", pipeline["config"], "--set", "los.f_ghz=6",
+            "--set", f"instance_json={pipeline['instance']}",
+            "--set", f"design_json={pipeline['design']}"]
+    for i, coeffs in enumerate([[], ["attenuation.k_coeff=0.002"], ["attenuation.alpha=1.5"]]):
+        capsys.readouterr()
+        sets = [arg for c in coeffs for arg in ("--set", c)]
+        assert main([*argv, *sets, "--out", str(tmp_path / f"o{i}")]) == 1
+        err = capsys.readouterr().err
+        for key in ("los.f_ghz", "attenuation.k_coeff", "attenuation.alpha"):
+            assert key in err
+    out = tmp_path / "ok"
+    assert main([*argv, "--set", "attenuation.k_coeff=0.002", "--set", "attenuation.alpha=1.5",
+                 "--out", str(out)]) == 0
+    assert load_config(str(out / "config_used.json"), [], None)["los"]["f_ghz"] == 6
+
+
 @pytest.mark.parametrize("command", ["augment", "weather", "simulate", "export-geojson"])
 def test_instance_with_another_fiber_slowdown_exits_one(pipeline, tmp_path, capsys, command):
     with open(pipeline["instance"]) as fh:

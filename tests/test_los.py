@@ -26,58 +26,64 @@ def tower_at(tid, lat, lon, height=100.0, ground=0.0):
     return Tower(tid, GeoPoint(lat, lon), height, ground)
 
 
+def terms(d1, d2, d, f_ghz=11.0, k_factor=1.3):
+    """(bulge, Fresnel width) of `los.clearance_terms_m`; on arrays, a
+    zero-length hop's Fresnel width (0/0) reads nan without a warning."""
+    with np.errstate(invalid="ignore"):
+        return los.clearance_terms_m(d1, d2, d, LosParams(f_ghz=f_ghz, k_factor=k_factor))
+
+
 def test_fresnel_paper_value():
-    assert los.fresnel_radius_m(1.0, 1.0) == pytest.approx(8.7, rel=1e-12)
+    # Mid-hop of a 1 km hop at 1 GHz.
+    assert terms(0.5, 0.5, 1.0, f_ghz=1.0)[1] == pytest.approx(8.7, rel=1e-12)
 
 
 def test_fresnel_zero_distance():
-    assert los.fresnel_radius_m(0.0, 11.0) == 0.0
+    # Zero distance from either end of the hop.
+    assert terms(0.0, 37.0, 37.0)[1] == 0.0
+    assert terms(37.0, 0.0, 37.0)[1] == 0.0
 
 
 def test_fresnel_direct_evaluation():
-    assert los.fresnel_radius_m(100.0, 11.0) == pytest.approx(8.7 * 10.0 / math.sqrt(11.0), rel=1e-12)
+    assert terms(50.0, 50.0, 100.0)[1] == pytest.approx(8.7 * 10.0 / math.sqrt(11.0), rel=1e-12)
 
 
 def test_fresnel_monotone_and_continuous_at_zero():
-    prev = 0.0
-    for d in np.linspace(0.0, 120.0, 200):
-        r = los.fresnel_radius_m(float(d), 11.0)
-        assert r >= prev
-        prev = r
-    assert los.fresnel_radius_m(1e-12, 11.0) < 1e-5
+    # Mid-hop, over hop lengths up to 120 km (the function takes d_km > 0).
+    d = np.linspace(0.0, 120.0, 200)[1:]
+    assert np.all(np.diff(terms(d / 2.0, d / 2.0, d)[1]) >= 0.0)
+    assert terms(0.5e-12, 0.5e-12, 1e-12)[1] < 1e-5
 
 
 def test_fresnel_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        los.fresnel_radius_m(-1.0, 11.0)
-    with pytest.raises(ValueError):
-        los.fresnel_radius_m(1.0, 0.0)
+    with pytest.raises(ValueError, match="f_ghz"):
+        LosParams(f_ghz=-1.0)
+    with pytest.raises(ValueError, match="f_ghz"):
+        LosParams(f_ghz=0.0)
 
 
 def test_bulge_paper_midpoint_value():
-    v = los.earth_bulge_m(0.5, 0.5, 1.0)
+    v = terms(0.5, 0.5, 1.0, k_factor=1.0)[0]
     assert 0.0195 <= v <= 0.0200
 
 
 def test_bulge_endpoint_zero():
-    assert los.earth_bulge_m(0.0, 37.0, 1.3) == 0.0
+    assert terms(0.0, 37.0, 37.0)[0] == 0.0
 
 
 def test_bulge_direct_evaluation():
-    assert los.earth_bulge_m(50.0, 50.0, 1.3) == pytest.approx(2500.0 / (12.74 * 1.3), rel=1e-12)
+    assert terms(50.0, 50.0, 100.0)[0] == pytest.approx(2500.0 / (12.74 * 1.3), rel=1e-12)
 
 
 def test_bulge_monotone_in_distance():
-    prev = -1.0
-    for d in np.linspace(0.0, 50.0, 100):
-        v = los.earth_bulge_m(float(d), float(d), 1.3)
-        assert v > prev or (v == 0.0 and prev <= 0.0)
-        prev = v
+    d = np.linspace(0.0, 50.0, 100)
+    v = terms(d, d, 2.0 * d)[0]
+    assert v[0] == 0.0 and np.all(np.diff(v) > 0.0)
 
 
 def test_bulge_rejects_negative():
-    with pytest.raises(ValueError):
-        los.earth_bulge_m(-0.1, 1.0, 1.3)
+    with pytest.raises(ValueError, match="k_factor"):
+        LosParams(k_factor=-0.1)
 
 
 def test_terrain_bilinear_interpolation():
@@ -711,6 +717,29 @@ def test_screen_matches_reference_over_cell_to_step_ratios(monkeypatch, seed, ce
         ref = reference_hop_feasible(a, b, terr, params)
         assert los.hop_feasible(a, b, terr, params) is ref
         assert los.hop_feasible(b, a, terr, params) is ref
+
+
+def test_screen_and_sampler_read_one_clearance_function(monkeypatch):
+    # 20 m more bulge everywhere blocks some hops. The segment screen and the
+    # sampler both read it, so the screened graph is the sampled-only one.
+    rng = np.random.default_rng(203)
+    terr = ridged_terrain(3, cellsize=0.02)
+    towers = random_towers(rng, 24)
+    params = LosParams(sample_step_m=100.0, max_range_km=60.0)
+    plain = hop_list(los.build_hop_graph(towers, terr, params))
+    clearance_terms_m, callers = los.clearance_terms_m, set()
+
+    def higher(d1, d2, d, p):
+        callers.add(sys._getframe(1).f_code.co_name)
+        bulge, fresnel = clearance_terms_m(d1, d2, d, p)
+        return bulge + 20.0, fresnel
+
+    monkeypatch.setattr(los, "clearance_terms_m", higher)
+    screened = hop_list(los.build_hop_graph(towers, terr, params))
+    assert callers == {"screen", "clears"}
+    assert set(screened) < set(plain)
+    monkeypatch.setattr(los, "_MIN_SEGMENT", 10 ** 9)  # no segment screened
+    assert hop_list(los.build_hop_graph(towers, terr, params)) == screened
 
 
 def test_screen_leaves_samples_at_line_equal_to_needed():

@@ -594,6 +594,8 @@ def test_config_validation():
         SimConfig(sim_seconds=0.0)
     with pytest.raises(ValueError):
         SimConfig(routing="magic")
+    with pytest.raises(ValueError, match="unknown routing scheme 'throughput_optimal'"):
+        SimConfig(routing="throughput_optimal")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -758,18 +760,6 @@ def test_min_max_util_within_one_percent_of_grid_oracle():
             best = min(best, val)
     assert achieved <= best * 1.01 + 1e-9
     assert achieved >= best - 1e-3  # cannot beat the splittable optimum
-
-
-def test_throughput_optimal_equals_min_max_on_relaxation():
-    topo = SimTopology(["a", "x", "y", "b"], [
-        SimLink("a", "x", 50.0, "mw", 1.0), SimLink("x", "b", 50.0, "mw", 0.5),
-        SimLink("a", "y", 50.0, "mw", 0.7), SimLink("y", "b", 50.0, "mw", 1.0),
-    ])
-    m = TrafficMatrix({("a", "b"): 1.0})
-    u1 = fluid_max_utilization(topo, build_routing(topo, m, "min_max_util"), m)
-    u2 = fluid_max_utilization(topo, build_routing(topo, m, "throughput_optimal"), m)
-    # alpha = 1/max-util: the two schemes optimize the same relaxation.
-    assert u1 == pytest.approx(u2, rel=1e-6)
 
 
 def test_disconnected_topology_raises():
