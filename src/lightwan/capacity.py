@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .designer import NetworkDesign, site_tower_graph
-from .geo import Site, write_csv, write_json
+from .geo import Site, require_finite, write_csv, write_json
 from .graphcore import tower_disjoint_paths
 from .los import HopGraph
 from .traffic import Pair, TrafficMatrix, pair_key
@@ -34,6 +34,7 @@ class MwCostModel:
     per_series_capacity_gbps: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if min(self.link_cost_1gbps, self.new_tower, self.rent_per_tower_year,
                self.term_years, self.per_series_capacity_gbps) < 0:
             raise ValueError("cost model values must be >= 0")
@@ -50,8 +51,8 @@ class LinkLoads:
 def route_demand(design: NetworkDesign, traffic: TrafficMatrix,
                  aggregate_gbps: float) -> LinkLoads:
     """Place each pair's absolute demand on its routed path and sum per link."""
-    if aggregate_gbps < 0:
-        raise ValueError("aggregate must be >= 0")
+    if not 0 <= aggregate_gbps < math.inf:
+        raise ValueError(f"aggregate_gbps must be finite and >= 0, got {aggregate_gbps!r}")
     mw: dict[Pair, float] = {}
     fiber: dict[Pair, float] = {}
     for (a, b), h in traffic.items():
@@ -68,10 +69,11 @@ def route_demand(design: NetworkDesign, traffic: TrafficMatrix,
 
 def series_needed(demand_gbps: float, per_series_capacity_gbps: float = 1.0) -> int:
     """Smallest k with k^2 x capacity >= demand; at least one series."""
-    if demand_gbps < 0:
-        raise ValueError("demand must be >= 0")
-    if per_series_capacity_gbps <= 0:
-        raise ValueError("per-series capacity must be > 0")
+    if not 0 <= demand_gbps < math.inf:
+        raise ValueError(f"demand_gbps must be finite and >= 0, got {demand_gbps!r}")
+    if not 0 < per_series_capacity_gbps < math.inf:
+        raise ValueError(f"per_series_capacity_gbps must be finite and > 0, "
+                         f"got {per_series_capacity_gbps!r}")
     k = max(1, math.isqrt(math.ceil(demand_gbps / per_series_capacity_gbps)))
     while k * k * per_series_capacity_gbps < demand_gbps:
         k += 1

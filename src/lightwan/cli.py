@@ -118,13 +118,13 @@ def _require(cfg: dict, *keys: str) -> None:
             raise InputError(f"config field {key!r} is required for this command")
 
 
-def _load_terrain(cfg) -> los.TerrainGrid:
-    _require(cfg, "terrain_asc")
-    return los.load_terrain_asc(cfg["terrain_asc"])
-
-
 def _load_towers(cfg, terrain=None) -> list[los.Tower]:
+    """The towers of `towers_csv`, culled when `cull.enabled`, as every
+    stage sees them. Missing ground elevations come from `terrain`, else
+    from `terrain_asc` when it is set."""
     _require(cfg, "towers_csv")
+    if terrain is None and cfg.get("terrain_asc"):
+        terrain = los.load_terrain_asc(cfg["terrain_asc"])
     towers = los.load_towers_csv(cfg["towers_csv"], terrain=terrain)
     if not towers:
         raise InputError(f"{cfg['towers_csv']}: no towers")
@@ -135,10 +135,10 @@ def _load_towers(cfg, terrain=None) -> list[los.Tower]:
     return towers
 
 
-def _read_towers(cfg) -> list[los.Tower]:
-    """The tower file as it stands; missing ground elevations come from the terrain, if set."""
-    terrain = _load_terrain(cfg) if cfg.get("terrain_asc") else None
-    return los.load_towers_csv(cfg["towers_csv"], terrain=terrain)
+def _load_hop_graph(cfg) -> los.HopGraph:
+    """The hop graph `hopgraph` saved, over the towers it was built from."""
+    _require(cfg, "towers_csv", "hops_csv")
+    return los.load_hops_csv(cfg["hops_csv"], _load_towers(cfg))
 
 
 def _radio(cfg) -> tuple[los.LosParams, weather.AttenuationModel]:
@@ -183,7 +183,8 @@ def _load_sites(cfg):
 
 def cmd_hopgraph(cfg, outdir) -> None:
     params, _ = _radio(cfg)
-    terrain = _load_terrain(cfg)
+    _require(cfg, "terrain_asc")
+    terrain = los.load_terrain_asc(cfg["terrain_asc"])
     towers = _load_towers(cfg, terrain)
     hop_graph = los.build_hop_graph(towers, terrain, params)
     los.save_hops_csv(hop_graph, os.path.join(outdir, "hops.csv"))
@@ -196,15 +197,9 @@ def _assemble_input(cfg, budget: float) -> designer.DesignInput:
     cities, dcs = _load_sites(cfg)
     sites = cities + [d for d in dcs if d.id not in {c.id for c in cities}]
     matrix = _traffic_matrix(cfg, cities, dcs)
-    hop_graph = None
-    if cfg.get("hops_csv"):
-        _require(cfg, "towers_csv", "hops_csv")
-        hop_graph = los.load_hops_csv(cfg["hops_csv"], _read_towers(cfg))
-    elif cfg.get("towers_csv"):
-        params, _ = _radio(cfg)
-        terrain = _load_terrain(cfg)
-        towers = _load_towers(cfg, terrain)
-        hop_graph = los.build_hop_graph(towers, terrain, params)
+    # MW links need the hop graph `hopgraph` saved; without towers the design is fiber only.
+    hop_graph = (_load_hop_graph(cfg) if cfg.get("towers_csv") or cfg.get("hops_csv")
+                 else None)
     _require(cfg, "fiber_endpoints_csv", "fiber_conduits_csv")
     fiber = fiberbase.load_fiber_csv(cfg["fiber_conduits_csv"], cfg["fiber_endpoints_csv"])
     return designer.build_design_input(
@@ -274,8 +269,7 @@ def _load_instance_and_design(cfg):
 
 def cmd_augment(cfg, outdir) -> None:
     inp, design = _load_instance_and_design(cfg)
-    _require(cfg, "towers_csv", "hops_csv")
-    hop_graph = los.load_hops_csv(cfg["hops_csv"], _read_towers(cfg))
+    hop_graph = _load_hop_graph(cfg)
     model = capacity.MwCostModel(**cfg["mw_cost"])
     loads = capacity.route_demand(design, inp.traffic, cfg["aggregate_gbps"])
     plan = capacity.augment(design, loads, hop_graph, inp.sites,
@@ -311,7 +305,7 @@ def cmd_weather(cfg, outdir) -> None:
         stamps = weather.select_intervals(stamps, per_day, cfg["seed"])
     coords = {s.id: s.location for s in inp.sites}
     if cfg.get("towers_csv"):
-        coords.update((t.id, t.location) for t in _read_towers(cfg))
+        coords.update((t.id, t.location) for t in _load_towers(cfg))
     # A raster is loaded only when its frame is read, so one is held at a time.
     report = weather.analyze(inp, design, ((t, load(t)) for t in stamps), coords, model)
     weather.write_intervals_csv(report, os.path.join(outdir, "weather_intervals.csv"))
@@ -360,7 +354,7 @@ def cmd_simulate(cfg, outdir) -> None:
 
 def cmd_export_geojson(cfg, outdir) -> None:
     inp, design = _load_instance_and_design(cfg)
-    towers = {t.id: t for t in _read_towers(cfg)} if cfg.get("towers_csv") else None
+    towers = {t.id: t for t in _load_towers(cfg)} if cfg.get("towers_csv") else None
     gj = designer.design_to_geojson(inp, design, towers)
     geo.write_json(gj, os.path.join(outdir, "links.geojson"))
     print(f"export-geojson: {len(gj['features'])} features")

@@ -71,8 +71,8 @@ class DesignInput:
     tower_paths: dict[Pair, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
+        if not 0 <= self.budget < math.inf:
+            raise ValueError(f"budget must be finite and >= 0, got {self.budget!r}")
         ids = [s.id for s in self.sites]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate site ids")
@@ -551,6 +551,8 @@ def site_tower_graph(sites: Sequence[Site], hop_graph: HopGraph,
     """The tower graph with every site attached to the towers at
     0 < geodesic km <= radius_km. A site id that is also a tower id is a
     ValueError: the site would merge with that tower."""
+    if not 0 <= radius_km < math.inf:
+        raise ValueError(f"radius_km must be finite and >= 0, got {radius_km!r}")
     stubs = []
     for site in sites:
         if site.id in hop_graph.towers:

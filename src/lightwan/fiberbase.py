@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geo import FIBER_SLOWDOWN, Site, geodesic_km, load_sites_csv, read_csv
+from .geo import FIBER_SLOWDOWN, Site, geodesic_km, load_sites_csv, read_csv, require_finite
 from .graphcore import (
     BATCH_ELEMENTS as _BATCH_ELEMENTS, bridges, distance_matrix,
     next_hop_walks, weight_matrix,
@@ -335,8 +335,8 @@ def provision_wavelengths(g: FiberGraph, weights: TrafficMatrix,
     """Choose wavelength capacity/count per link for shortest-path routed
     demand. Every link of the topology is leased, including ones the
     routing leaves idle."""
-    if aggregate_gbps <= 0:
-        raise ValueError("aggregate must be > 0")
+    if not 0 < aggregate_gbps < math.inf:
+        raise ValueError(f"aggregate_gbps must be finite and > 0, got {aggregate_gbps!r}")
     loads = route_fiber_demand(g, weights, aggregate_gbps)
     assignments = []
     for key in sorted(g.links):
@@ -358,6 +358,7 @@ class LeaseCostModel:
     term_months: int = 60
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if min(self.price_per_gbps_km_month, self.equipment_per_site,
                self.colo_per_site_month, self.term_months) < 0:
             raise ValueError("cost model values must be >= 0")

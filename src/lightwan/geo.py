@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -103,6 +104,15 @@ def read_csv(path: str, columns: str, row: Callable) -> list:
         except ValueError as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
+
+
+def require_finite(params) -> None:
+    """Raise a ValueError naming the first field of the dataclass
+    `params` that is not a finite real number: nan passes every bound
+    check, and an infinite value every upper one."""
+    for name, value in vars(params).items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def write_csv(path: str, header: str, rows) -> None:

@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km, read_csv, write_csv
+from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km, read_csv, require_finite, write_csv
 
 # Terrain samples per clearance pass: amortises numpy's per-call cost over
 # many hops while keeping the work arrays out of the peak memory.
@@ -51,8 +50,15 @@ class Tower:
     ground_elevation_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.height_m <= 0:
-            raise ValueError(f"tower {self.id!r}: height must be > 0")
+        _check_tower(self.id, self.height_m, self.ground_elevation_m)
+
+
+def _check_tower(tid: str, height_m: float, ground_m: float) -> None:
+    # nan passes a plain `<= 0` check.
+    if not 0 < height_m < math.inf:
+        raise ValueError(f"tower {tid!r}: height must be > 0 and finite, got {height_m!r}")
+    if not math.isfinite(ground_m):
+        raise ValueError(f"tower {tid!r}: ground elevation must be finite, got {ground_m!r}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +80,9 @@ class LosParams:
     sample_step_m: float = 30.0
 
     def __post_init__(self) -> None:
-        # nan passes no bound check, and an infinite f_ghz drops the Fresnel term.
+        # An infinite f_ghz would drop the Fresnel term.
+        require_finite(self)
         for name, value in vars(self).items():
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
             if value <= 0 and name != "obstruction_margin_m":
                 raise ValueError(f"{name} must be > 0")
         if self.usable_height_fraction > 1:
@@ -513,8 +518,7 @@ def load_towers_csv(path: str, terrain: TerrainGrid | None = None) -> list[Tower
             if not terrain.contains(loc):
                 raise ValueError(f"tower {tid!r} outside terrain bounds")
         height, ground = float(height), float(ground) if ground else None
-        if height <= 0:
-            raise ValueError(f"tower {tid!r}: height must be > 0")
+        _check_tower(tid, height, 0.0 if ground is None else ground)
         return tid, loc, height, ground
 
     rows = read_csv(path, "id,lat,lon,height_m[,ground_elevation_m]", tower)

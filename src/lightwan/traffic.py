@@ -8,6 +8,7 @@ scale factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -65,8 +66,8 @@ class TrafficMix:
     ratios: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(r < 0 for r in self.ratios):
-            raise ValueError("mix ratios must be non-negative")
+        if not all(0 <= r < math.inf for r in self.ratios):
+            raise ValueError(f"mix_ratios must be finite and >= 0, got {list(self.ratios)!r}")
         if sum(self.ratios) <= 0:
             raise ValueError("mix ratios must not all be zero")
 

@@ -9,7 +9,6 @@ unaffected; per interval, traffic reroutes over whatever survives.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .designer import DesignInput, HybridEvaluator, NetworkDesign
 from .fiberbase import StretchStats, stretch_stats, weighted_quantiles
-from .geo import GeoPoint, geodesic_km, read_csv, write_csv
+from .geo import GeoPoint, geodesic_km, read_csv, require_finite, write_csv
 from .graphcore import distance_matrix
 from .los import TerrainGrid, _path_samples
 from .traffic import Pair, PairIndex, link_id, parse_link_id
@@ -35,10 +34,8 @@ class AttenuationModel:
     fail_threshold_db: float = 30.0  # fade margin; no single standard value, tune per deployment
 
     def __post_init__(self) -> None:
-        # nan passes every bound check below and fails no link.
-        for name, value in vars(self).items():
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        # nan would fail no link.
+        require_finite(self)
         if self.k_coeff < 0:
             raise ValueError("k_coeff must be >= 0")
         if self.alpha <= 0:

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from lightwan import designer, fiberbase, los, simnet, weather
+from lightwan import capacity, designer, fiberbase, geo, los, simnet, traffic, weather
 from lightwan.cli import COMMANDS, build_parser, load_config, main
 from lightwan.traffic import TrafficMatrix, pair_key
 
@@ -184,16 +184,62 @@ def test_design_rerun_byte_identical(pipeline, tmp_path):
     assert first == second
 
 
-def test_design_from_hops_csv_matches_in_process(pipeline, tmp_path):
-    # hops.csv keeps every length's full precision, so the design read
-    # from it is the one built from the towers in process.
-    out = tmp_path / "o"
+def test_design_takes_mw_links_only_from_hops_csv(pipeline, tmp_path, capsys):
+    # `hopgraph` alone builds hop graphs: towers without hops.csv exit 1,
+    # and neither file makes the fiber-only design.
+    capsys.readouterr()
+    assert main(["design", "--config", pipeline["config"], "--out", str(tmp_path / "o")]) == 1
+    assert "config field 'hops_csv' is required" in capsys.readouterr().err
+    out = tmp_path / "fiber_only"
     assert main(["design", "--config", pipeline["config"], "--out", str(out),
-                 "--set", "budget_ladder=[0, 10, 25]"]) == 0
-    for name in ["design_stats.csv"] + [f"{kind}_B{b}.json" for b in (0, 10, 25)
-                                        for kind in ("instance", "design")]:
-        with open(os.path.join(pipeline["design_dir"], name), "rb") as fh:
-            assert (out / name).read_bytes() == fh.read(), name
+                 "--set", "towers_csv=null", "--set", "budget_ladder=[0, 25]"]) == 0
+    inp = designer.load_design_input(str(out / "instance_B25.json"))
+    assert not inp.mw_km and not designer.load_built_links(str(out / "design_B25.json"))
+    rows = read_csv(str(out / "design_stats.csv"))
+    assert rows[0]["mean"] == rows[1]["mean"] == read_csv(pipeline["stats_csv"])[0]["mean"]
+
+
+def test_culled_pipeline_matches_the_library_on_the_culled_towers(tmp_path, monkeypatch):
+    # With cull on, hopgraph keeps the demo's six towers of 100 m and more.
+    # design from its hops.csv and augment read the same six: design used
+    # to relay a link through the culled 95 m ta05 (5 MW links, mean
+    # 1.6766), and augment to draw the culled tb02 as an extra series.
+    cfgp = write_config(tmp_path, demo_config(
+        budget=40.0, cull={"enabled": True, "min_height_m": 100.0}))
+    hops, design_dir = str(tmp_path / "hop" / "hops.csv"), tmp_path / "design"
+    top = ["--set", f"instance_json={design_dir / 'instance_B40.json'}",
+           "--set", f"design_json={design_dir / 'design_B40.json'}"]
+    plans, augment = [], capacity.augment
+    monkeypatch.setattr(capacity, "augment", lambda *a, **k: plans.append(augment(*a, **k))
+                        or plans[-1])
+    assert main(["hopgraph", "--config", cfgp, "--out", str(tmp_path / "hop")]) == 0
+    assert main(["design", "--config", cfgp, "--out", str(design_dir),
+                 "--set", f"hops_csv={hops}"]) == 0
+    assert main(["augment", "--config", cfgp, "--out", str(tmp_path / "aug"),
+                 "--set", f"hops_csv={hops}", *top]) == 0
+
+    terrain = los.load_terrain_asc(os.path.join(DEMO, "terrain.asc"))
+    every = los.load_towers_csv(os.path.join(DEMO, "towers.csv"), terrain)
+    towers = los.cull_towers(every, 100.0, 0.5, 50, seed=7)
+    culled = {t.id for t in every} - {t.id for t in towers}
+    assert len(towers) == 6 and "ta05" in culled and "tb02" in culled
+    cities = geo.load_sites_csv(os.path.join(DEMO, "sites.csv"))
+    sites = cities + geo.load_sites_csv(os.path.join(DEMO, "dc_sites.csv"))
+    fiber = fiberbase.load_fiber_csv(os.path.join(DEMO, "fiber_conduits.csv"),
+                                     os.path.join(DEMO, "fiber_endpoints.csv"))
+    inp = designer.build_design_input(
+        sites, traffic.gravity_matrix(cities), los.build_hop_graph(towers, terrain, los.LosParams()),
+        fiberbase.site_fiber_km(fiber, sites), 40.0, radius_km=50.0)
+    design = designer.solve_heuristic(inp)
+    designer.save_design_input(inp, str(tmp_path / "instance.json"))
+    designer.save_design(design, str(tmp_path / "design.json"))
+    for got, want in (("instance_B40.json", "instance.json"), ("design_B40.json", "design.json")):
+        assert (design_dir / got).read_bytes() == (tmp_path / want).read_bytes(), got
+    assert (len(design.built_links), design.towers_used) == (4, 6)
+    assert round(design.stats.mean, 4) == 1.7365
+    assert not culled & {t for path in inp.tower_paths.values() for t in path}
+    (plan,) = plans
+    assert plan.total_new_towers == 8 and not culled & set(plan.existing_towers_used)
 
 
 @pytest.mark.parametrize("model", ["dc_edge", "mix"])
@@ -568,17 +614,53 @@ def test_simulate_rejects_non_finite_and_fractional_values(pipeline, tmp_path, c
     ("hopgraph", "los.f_ghz=Infinity"), ("hopgraph", "los.max_range_km=Infinity"),
     *(("weather", f"attenuation.{key}=NaN") for key in (
         "k_coeff", "alpha", "fail_threshold_db")),
-    ("weather", "attenuation.k_coeff=Infinity")])
+    ("weather", "attenuation.k_coeff=Infinity"),
+    *(("augment", f"mw_cost.{key}=NaN") for key in (
+        "link_cost_1gbps", "new_tower", "rent_per_tower_year", "term_years",
+        "per_series_capacity_gbps")),
+    ("augment", "mw_cost.new_tower=Infinity"),
+    *(("fiber", f"lease_cost.{key}=NaN") for key in (
+        "price_per_gbps_km_month", "equipment_per_site", "colo_per_site_month", "term_months")),
+    ("fiber", "lease_cost.price_per_gbps_km_month=Infinity")])
 def test_radio_parameters_must_be_finite(pipeline, tmp_path, capsys, command, assignment):
-    # nan passes every bound check, so a run would read 0 feasible hops or
-    # fail no link and exit 0; an infinite f_ghz drops the Fresnel term.
+    # nan passes every bound check, so a run would read 0 feasible hops,
+    # fail no link or print a nan cost and exit 0; an infinite f_ghz drops
+    # the Fresnel term.
     capsys.readouterr()
     assert main([command, "--config", pipeline["config"], "--out", str(tmp_path / "o"),
                  "--set", f"instance_json={pipeline['instance']}",
                  "--set", f"design_json={pipeline['design']}",
+                 "--set", f"hops_csv={pipeline['hops_csv']}",
                  "--set", assignment]) == 1
     key = assignment.split("=")[0].split(".")[-1]
     assert f"input error: {key} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, assignments, field", [
+    ("design", ["budget=NaN"], "budget"),
+    ("design", ["budget=Infinity"], "budget"),
+    ("design", ["budget_ladder=[NaN]"], "budget"),
+    ("design", ["traffic_model=mix", "mix_ratios=[NaN, 1, 1]"], "mix_ratios"),
+    ("design", ["site_link_radius_km=NaN"], "radius_km"),
+    ("fiber", ["aggregate_gbps=NaN"], "aggregate_gbps"),
+    ("fiber", ["aggregate_gbps=Infinity"], "aggregate_gbps"),
+    ("augment", ["aggregate_gbps=NaN"], "aggregate_gbps"),
+    ("augment", ["aggregate_gbps=Infinity"], "aggregate_gbps")],
+    ids=["budget_nan", "budget_inf", "ladder_nan", "mix_nan", "radius_nan", "fiber_aggregate_nan",
+         "fiber_aggregate_inf", "augment_aggregate_nan", "augment_aggregate_inf"])
+def test_non_finite_top_level_numbers_exit_one(pipeline, tmp_path, capsys, command,
+                                               assignments, field):
+    # Each used to exit 0 with a fiber-only design, no MW link or a nan or
+    # inf result, or to fail in augment's series count without naming it.
+    argv = [command, "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+            "--set", f"hops_csv={pipeline['hops_csv']}"]
+    if command == "augment":
+        argv += ["--set", f"instance_json={pipeline['instance']}",
+                 "--set", f"design_json={pipeline['design']}"]
+    capsys.readouterr()
+    assert main(argv + [a for s in assignments for a in ("--set", s)]) == 1
+    err = capsys.readouterr().err
+    assert f"input error: {field} must be finite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["hopgraph", "weather"])

@@ -170,8 +170,18 @@ def test_csv_loaders_name_file_and_line_of_a_short_row(tmp_path, text, line, nee
      "line 3: site 'la': population -1.0 must be finite and >= 0", geo.load_sites_csv),
     ("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,95,0\nt1,0.1,0.3,90,0\n",
      "line 3: duplicate tower id 't1'", los.load_towers_csv),
+    # nan passes a plain `<= 0` check; a hop graph used to drop such towers' hops.
+    ("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,nan,0\n",
+     "line 2: tower 't1': height must be > 0 and finite, got nan", los.load_towers_csv),
+    ("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,inf,0\n",
+     "line 2: tower 't1': height must be > 0 and finite, got inf", los.load_towers_csv),
+    ("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,95,0\nt2,0.1,0.3,95,inf\n",
+     "line 3: tower 't2': ground elevation must be finite, got inf", los.load_towers_csv),
+    ("id,lat,lon,height_m,ground_elevation_m\nt1,0.1,0.2,95,nan\n",
+     "line 2: tower 't1': ground elevation must be finite, got nan", los.load_towers_csv),
 ], ids=["height_zero", "latitude", "duplicate_endpoint", "duplicate_site",
-        "infinite_population", "negative_population", "duplicate_tower"])
+        "infinite_population", "negative_population", "duplicate_tower", "height_nan",
+        "height_inf", "ground_inf", "ground_nan"])
 def test_csv_loaders_name_file_and_line_of_a_bad_row(tmp_path, text, message, load):
     path = tmp_path / "input.csv"
     path.write_text(text)

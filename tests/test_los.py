@@ -242,6 +242,14 @@ def test_build_hop_graph_matches_bruteforce():
     assert got == expected
 
 
+@pytest.mark.parametrize("height, ground, field", [
+    (math.nan, 0.0, "height"), (math.inf, 0.0, "height"), (0.0, 0.0, "height"),
+    (95.0, math.nan, "ground elevation"), (95.0, -math.inf, "ground elevation")])
+def test_tower_needs_a_finite_height_above_zero_and_a_finite_ground(height, ground, field):
+    with pytest.raises(ValueError, match=f"tower 't1': {field} must be"):
+        Tower("t1", GeoPoint(0.0, 0.0), height, ground)
+
+
 def test_cull_all_below_height():
     towers = [tower_at(f"t{i}", 0.0, 0.1 * i, height=50.0) for i in range(5)]
     assert los.cull_towers(towers, 100.0, 0.5, 50, seed=1) == []
