@@ -128,10 +128,13 @@ def _load_towers(cfg, terrain=None) -> list[los.Tower]:
     towers = los.load_towers_csv(cfg["towers_csv"], terrain=terrain)
     if not towers:
         raise InputError(f"{cfg['towers_csv']}: no towers")
-    if cfg["cull"]["enabled"]:
-        towers = los.cull_towers(towers, cfg["cull"]["min_height_m"],
-                                 cfg["cull"]["grid_cell_deg"],
-                                 cfg["cull"]["max_per_cell"], cfg["seed"])
+    cull = cfg["cull"]
+    if cull["enabled"]:
+        try:
+            towers = los.cull_towers(towers, cull["min_height_m"], cull["grid_cell_deg"],
+                                     cull["max_per_cell"], cfg["seed"])
+        except ValueError as exc:  # the message starts with the setting's name
+            raise InputError(f"cull.{exc}") from None
     return towers
 
 

@@ -58,7 +58,8 @@ class DesignInput:
     and `fiber_km_eq` (o, fiber path km already multiplied by
     `FIBER_SLOWDOWN` so all lengths are latency-equivalent km). `tower_paths`
     optionally records the tower chain realizing each MW link for
-    augmentation and weather analysis downstream.
+    augmentation and weather analysis downstream. Every matrix entry must
+    be finite; the error names the matrix and the pair.
     """
 
     sites: list[Site]
@@ -77,10 +78,13 @@ class DesignInput:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate site ids")
         known = set(ids)
-        for matrix in (self.geodesic, self.mw_km, self.mw_cost, self.fiber_km_eq):
-            for a, b in matrix:
-                if a not in known or b not in known:
-                    raise ValueError(f"pair ({a}, {b}) references unknown site")
+        finite = math.isfinite  # one test per entry; set-up builds many inputs
+        for name in ("geodesic", "mw_km", "mw_cost", "fiber_km_eq"):
+            for (a, b), v in getattr(self, name).items():
+                if a not in known or b not in known or not finite(v):
+                    raise ValueError(f"{name} for ({a}, {b}) must be finite, got {v!r}"
+                                     if a in known and b in known
+                                     else f"pair ({a}, {b}) references unknown site")
         for pair, m in self.mw_km.items():
             if pair not in self.geodesic:
                 raise ValueError(f"mw pair {pair} lacks a geodesic entry")
@@ -143,7 +147,11 @@ class HybridEvaluator:
     links that differ (`with_links`, `move_stack`), bitwise the matrix
     `graph_for` builds.
     Everything is scored by `score`, and the value of a matrix does not
-    depend on the others in its kernel call. So a search may hold a matrix
+    depend on the others in its kernel call: `distance_matrix` solves each
+    slice with the per-element operations of a 2-D call, and the
+    objectives of a call are one `np.vecdot` of the sets' demand rows with
+    the h/d coefficients, numpy's own dot on each row, so each value has
+    the bits of a one-set `coef @ row`. So a search may hold a matrix
     back and score it in a later call it makes anyway (branch-and-bound's
     exclude bounds ride with the next include bound): the matrix still
     costs one row and reads the same float. `fiber_dist` solves the fiber
@@ -232,15 +240,12 @@ class HybridEvaluator:
         return self._objectives(distance_matrix(stack))
 
     def _objectives(self, d: np.ndarray) -> list[float]:
-        # take() returns C order, so each set's demand row is contiguous.
-        out = []
-        for v in d.reshape(len(d), -1).take(self._demand_at, axis=1):
-            # One contiguous vector per set keeps the dot product's
-            # summation order that of a one-set call. An unroutable
-            # pair makes the sum inf or nan (0 x inf).
-            total = float(self._coef @ v)
-            out.append(total if math.isfinite(total) else math.inf)
-        return out
+        # take() returns C order, so each set's demand row is contiguous,
+        # and vecdot runs numpy's own dot on each: the summation order,
+        # and the bits, of a one-set `coef @ row`. An unroutable pair makes
+        # the sum inf or nan (0 x inf).
+        totals = np.vecdot(d.reshape(len(d), -1).take(self._demand_at, axis=1), self._coef)
+        return [v if math.isfinite(v) else math.inf for v in totals.tolist()]
 
     @cached_property
     def fiber_dist(self) -> np.ndarray:
@@ -325,10 +330,11 @@ def _branch_and_bound(ev: HybridEvaluator, cands: Sequence[Pair]) -> frozenset:
     solve_exact).
 
     A node carries the weight matrix of its bound set; a child's is a copy
-    of its parent's with the links it drops reset to fiber. An exclude
-    child's bound is read only once the include subtree is done, so its
-    matrix waits in `pending` and rides along in the next include bound's
-    kernel call, which always comes first: `free` holds only links with
+    of its parent's with the links it drops reset to fiber, written cell by
+    cell from `ev._cells`. An exclude child's bound is read only once the
+    include subtree is done, so its matrix waits in `waiting` (its bound's
+    box in `boxes`) and rides along in the next include bound's kernel call,
+    which always comes first: `free` holds only links with
     `cost + c <= budget`, so a branching node has two or more. Its include
     chain keeps its bound and fill, so is neither pruned nor a leaf, until a
     child drops a link and scores its bound, at the latest at free [a, b]:
@@ -338,24 +344,22 @@ def _branch_and_bound(ev: HybridEvaluator, cands: Sequence[Pair]) -> frozenset:
     """
     budget = ev.inp.budget
     link = [ev.link[p] for p in cands]
+    cells = [ev._cells[k] for k in link]
     costs = ev.cost[link].tolist()
     # A node's bound is a list: [value] once scored, [] while its matrix
-    # waits here.
-    pending: list[tuple[np.ndarray, list[float]]] = []
+    # waits.
+    waiting: list[np.ndarray] = []
+    boxes: list[list[float]] = []
 
-    def scored(*stack: np.ndarray) -> list[float]:
-        # Values of `stack`; the waiting bounds are scored in the same call.
-        vals = ev.score(np.array([w for w, _ in pending] + list(stack)))
-        for (_, box), val in zip(pending, vals):
+    def scored(w: np.ndarray) -> list[float]:
+        # The bound of w, scored in one call with the waiting ones.
+        waiting.append(w)
+        vals = ev.score(np.array(waiting))
+        for box, val in zip(boxes, vals):
             box.append(val)
-        pending.clear()
-        return vals[len(vals) - len(stack):]
-
-    def fits(cost: float, undecided: Iterable[int]) -> list[int]:
-        # Undecided links that still fit on their own, by the include
-        # branch's own test; cost only grows deeper, so no other link
-        # can join any completion of this node.
-        return [k for k in undecided if cost + costs[k] <= budget]
+        waiting.clear()
+        boxes.clear()
+        return vals[-1:]
 
     def dfs(chosen: tuple[int, ...], cost: float, free: list[int], w: np.ndarray,
             bound: list[float]) -> None:
@@ -369,20 +373,32 @@ def _branch_and_bound(ev: HybridEvaluator, cands: Sequence[Pair]) -> frozenset:
             best, best_val = chosen + tuple(free), bound[0]
             return
         k, rest = free[0], free[1:]
-        exc_w, exc_bound = ev.with_links(w, dropped=[link[k]]), []
-        pending.append((exc_w, exc_bound))
-        inc_free = fits(cost + costs[k], rest)
-        if inc_free == rest:  # the include child's bound set is this node's
+        exc_w, exc_bound = w.copy(), []
+        i, j, _, f = cells[k]
+        exc_w[i, j] = exc_w[j, i] = f
+        waiting.append(exc_w)
+        boxes.append(exc_bound)
+        # Undecided links that still fit on their own, by the include
+        # branch's own test; cost only grows deeper, so the dropped ones
+        # can join no completion of the include child.
+        inc_cost = cost + costs[k]
+        inc_free, dropped = [], []
+        for q in rest:
+            (inc_free if inc_cost + costs[q] <= budget else dropped).append(q)
+        if not dropped:  # the include child's bound set is this node's
             inc_w, inc_bound = w, bound
         else:
-            inc_w = ev.with_links(w, dropped=[link[q] for q in rest if q not in inc_free])
+            inc_w = w.copy()
+            for q in dropped:
+                i, j, _, f = cells[q]
+                inc_w[i, j] = inc_w[j, i] = f
             inc_bound = scored(inc_w)
-        dfs(chosen + (k,), cost + costs[k], inc_free, inc_w, inc_bound)
+        dfs(chosen + (k,), inc_cost, inc_free, inc_w, inc_bound)
         dfs(chosen, cost, rest, exc_w, exc_bound)
 
     best: tuple[int, ...] = ()
     best_val = ev.objective(())
-    free = fits(0.0, range(len(cands)))
+    free = [k for k in range(len(cands)) if costs[k] <= budget]
     if free:  # else the root's bound set is the empty incumbent
         root = ev.with_links(ev.fiber, built=[link[k] for k in free])
         dfs((), 0.0, free, root, scored(root))

@@ -5,7 +5,13 @@ towers. Distances between sites come from one dense kernel,
 `distance_matrix` (Floyd-Warshall over a `weight_matrix`), and site-level
 routes from its next hops (`next_hop_walks`): design evaluation, fiber
 demand routing and simulator routing, with exact ties to the smallest node
-index. Dijkstra remains only on the sparse tower graphs (site links and
+index. The design searches call the kernel thousands of times on stacks of
+a few 6x6 to 9x9 matrices, where numpy's per-call cost outweighs the
+arithmetic: each step runs on buffers and views kept per shape in the
+calling thread (a shape of up to WORKSPACE_ELEMENTS entries, within
+WORKSPACE_BYTES), two numpy calls that do the per-element operations of
+the plain loop, so the bits are those of `np.minimum(d, col + row)`.
+Dijkstra remains only on the sparse tower graphs (site links and
 disjoint tower paths): one settle loop over node indices serves the
 early-exit `shortest_path` and `shortest_paths_from`, with ties broken
 toward the lexicographically smallest node-id sequence so designs are
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -155,15 +162,50 @@ def weight_matrix(nodes: Sequence[str], edges: Mapping[tuple[str, str], float]) 
     return w
 
 
+# A shape of at most WORKSPACE_ELEMENTS entries keeps its `distance_matrix`
+# workspace in the calling thread; the oldest shapes go once the kept
+# buffers pass WORKSPACE_BYTES.
+WORKSPACE_ELEMENTS = 1 << 12
+WORKSPACE_BYTES = 1 << 20
+_kept = threading.local()
+
+
+def _workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list]:
+    """Floyd-Warshall buffers for one shape: the distances d, the `via`
+    sums and, per intermediate node k, d's column-k and row-k views."""
+    d, via = np.empty(shape), np.empty(shape)
+    return d, via, [(d[..., :, k:k + 1], d[..., k:k + 1, :]) for k in range(shape[-1])]
+
+
 def distance_matrix(weights: np.ndarray) -> np.ndarray:
     """All-pairs shortest-path lengths of a dense weight matrix (inf where
     disconnected): Floyd-Warshall, one min-plus update per intermediate node.
     A stack `(..., n, n)` is solved slice by slice in one pass, each slice
-    bitwise equal to its own 2-D call (the same per-element operations)."""
-    d = np.array(weights, dtype=float)
-    for k in range(d.shape[-1]):
-        np.minimum(d, d[..., :, k:k + 1] + d[..., k:k + 1, :], out=d)
-    return d
+    bitwise equal to its own 2-D call (the same per-element operations).
+
+    The weights are copied into a workspace (see `_workspace`) and each
+    step is two calls, `via = col_k + row_k` and `d = min(d, via)`, on
+    views made with the workspace: the per-element operations of a loop
+    that slices and adds into fresh arrays, so the same bits, with no
+    array or view made per step. A fresh array is returned: a kept
+    workspace's copy, or a larger shape's own buffer."""
+    w = np.asarray(weights, dtype=float)
+    small = w.size <= WORKSPACE_ELEMENTS
+    if small:
+        kept = vars(_kept).setdefault("spaces", {})
+        space = kept.get(w.shape)
+        if space is None:
+            space = kept[w.shape] = _workspace(w.shape)
+            while sum(2 * d.nbytes for d, _, _ in kept.values()) > WORKSPACE_BYTES:
+                del kept[next(iter(kept))]
+    else:
+        space = _workspace(w.shape)
+    d, via, steps = space
+    np.copyto(d, w)
+    for col, row in steps:
+        np.add(col, row, out=via)
+        np.minimum(d, via, out=d)
+    return d.copy() if small else d
 
 
 def next_hop_walks(weights: np.ndarray, dist: np.ndarray,

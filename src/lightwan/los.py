@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -476,11 +477,17 @@ def build_hop_graph(towers: list[Tower], terrain: TerrainGrid, p: LosParams) -> 
 
 def cull_towers(towers: list[Tower], min_height_m: float, grid_cell_deg: float,
                 max_per_cell: int, seed: int) -> list[Tower]:
-    """Height-filter then per-cell uniform subsampling, deterministic per seed."""
-    if max_per_cell <= 0:
-        raise ValueError("max_per_cell must be > 0")
-    if grid_cell_deg <= 0:
-        raise ValueError("grid_cell_deg must be > 0")
+    """Height-filter then per-cell uniform subsampling, deterministic per seed.
+    `min_height_m` must be finite, `grid_cell_deg` finite and > 0 and
+    `max_per_cell` an int >= 1 (nan passes every bound check); the
+    ValueError starts with the name of the first bad setting."""
+    if not (isinstance(min_height_m, numbers.Real) and math.isfinite(min_height_m)):
+        raise ValueError(f"min_height_m must be a finite number, got {min_height_m!r}")
+    if not (isinstance(grid_cell_deg, numbers.Real) and 0 < grid_cell_deg < math.inf):
+        raise ValueError(f"grid_cell_deg must be finite and > 0, got {grid_cell_deg!r}")
+    if isinstance(max_per_cell, bool) or not (isinstance(max_per_cell, numbers.Integral)
+                                              and max_per_cell >= 1):
+        raise ValueError(f"max_per_cell must be an integer >= 1, got {max_per_cell!r}")
     tall = [t for t in towers if t.height_m >= min_height_m]
     cells: dict[tuple[int, int], list[Tower]] = {}
     for t in tall:

@@ -698,6 +698,44 @@ def test_instance_with_another_fiber_slowdown_exits_one(pipeline, tmp_path, caps
     assert f"{bad}: fiber_slowdown 2.0 must be 1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("mw_km", "NaN"), ("mw_cost_towers", "Infinity"),
+                                        ("geodesic_km", "NaN"), ("fiber_km_eq", "NaN")])
+def test_instance_with_a_non_finite_entry_exits_one(pipeline, tmp_path, capsys, key, value):
+    # JSON admits NaN and Infinity; each such entry used to be read, and
+    # most solved to some mean stretch.
+    with open(pipeline["instance"]) as fh:
+        doc = json.load(fh)
+    ids = [s["id"] for s in doc["sites"]]
+    i, j = next((i, j) for i, row in enumerate(doc["mw_km"]) for j, v in enumerate(row)
+                if v is not None and i < j)
+    doc[key][i][j] = doc[key][j][i] = float(value)
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["weather", "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", f"instance_json={bad}",
+                 "--set", f"design_json={pipeline['design']}"]) == 1
+    field = {"geodesic_km": "geodesic", "mw_cost_towers": "mw_cost"}.get(key, key)
+    err = capsys.readouterr().err
+    assert f"{field} for ({ids[i]}, {ids[j]}) must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("assignment, field", [
+    ("cull.min_height_m=NaN", "min_height_m"), ("cull.grid_cell_deg=NaN", "grid_cell_deg"),
+    ("cull.max_per_cell=NaN", "max_per_cell"), ("cull.max_per_cell=2.5", "max_per_cell"),
+    ("cull.max_per_cell=true", "max_per_cell")])
+def test_bad_cull_settings_exit_one_naming_the_field(pipeline, tmp_path, capsys, assignment,
+                                                     field):
+    # They used to exit 1 with "empty tower list", "cannot convert float
+    # NaN to integer" and "negative dimensions are not allowed", 2.5 ran
+    # and true failed inside numpy's sampling.
+    capsys.readouterr()
+    assert main(["hopgraph", "--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                 "--set", "cull.enabled=true", "--set", assignment]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cull.{field} must be" in err and "Traceback" not in err
+
+
 def test_demo_routes_match_dijkstra_reference(pipeline, monkeypatch):
     # Routes come from the distance kernel's next hops; the Dijkstra code
     # they replaced is the oracle. The changed demo routes are equal-length

@@ -441,6 +441,19 @@ def test_input_validation():
                     {("a", "b"): 150.0}, -1.0)
 
 
+@pytest.mark.parametrize("field", ["geodesic", "mw_km", "mw_cost", "fiber_km_eq"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_input_rejects_non_finite_entries(field, value):
+    # Each used to solve, to solve to another mean or to fail later in
+    # routing, as nan passes every bound check.
+    inp = random_instance(0, n_sites=6)
+    matrix = dict(getattr(inp, field))
+    a, b = pair = sorted(inp.mw_km)[1]
+    matrix[pair] = value
+    with pytest.raises(ValueError, match=rf"^{field} for \({a}, {b}\) must be finite, got {value}$"):
+        dataclasses.replace(inp, **{field: matrix})
+
+
 def test_eliminate_dominated_simple_cases():
     inp = random_instance(4, n_sites=5, mw_fraction=1.0)
     # Make one MW link twice its own fiber path: dominated.
@@ -572,6 +585,41 @@ def test_objectives_batch_bitwise_equals_single_calls(monkeypatch):
         assert sum(sizes) == len(sets) and max(sizes) == 3
         assert [v.hex() for v in ev.score(stack[::-1])] == single[::-1]
         assert pickle.dumps(vars(ev)) == state
+
+
+def reference_objectives(ev: HybridEvaluator, d: np.ndarray) -> list[float]:
+    """One `coef @ row` per set of the distance stack d, as the evaluator
+    scored before its single vecdot: the oracle of `_objectives`."""
+    out = []
+    for v in d.reshape(len(d), -1).take(ev._demand_at, axis=1):
+        total = float(ev._coef @ v)
+        out.append(total if math.isfinite(total) else math.inf)
+    return out
+
+
+def test_objectives_vecdot_bitwise_equals_per_set_dot():
+    # Solved stacks of 1-200 sets where s0 has no fiber, so some sets are
+    # unroutable; then 40 sites (780 pairs), distances spread over nine
+    # decades with some inf, so the summation order shows in the bits.
+    base = random_instance(4, n_sites=7, mw_fraction=0.7)
+    inp = dataclasses.replace(base, fiber_km_eq={
+        p: o for p, o in base.fiber_km_eq.items() if "s0" not in p})
+    ev, links = HybridEvaluator(inp), sorted(inp.mw_km)
+    big = HybridEvaluator(random_instance(5, n_sites=40))
+    rng = np.random.default_rng(6)
+    seen = set()
+    for m in (1, 2, 3, 17, 100, 200):
+        d = distance_matrix(np.array([ev.graph_for(p for p in links if rng.random() < 0.4)
+                                      for _ in range(m)]))
+        got = ev._objectives(d)
+        assert [v.hex() for v in got] == [v.hex() for v in reference_objectives(ev, d)]
+        seen.update(math.isinf(v) for v in got)
+        d = 10.0 ** rng.uniform(-3.0, 6.0, (m, 40, 40))
+        d[rng.random(d.shape) < 0.5 / 780] = math.inf
+        got = big._objectives(d)
+        assert [v.hex() for v in got] == [v.hex() for v in reference_objectives(big, d)]
+        seen.update(math.isinf(v) for v in got)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.45, 0.7])

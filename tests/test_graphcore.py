@@ -2,6 +2,7 @@ import heapq
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -218,6 +219,104 @@ def test_distance_matrix_stack_bitwise_equals_slices():
     assert np.isinf(dist).any()
     for idx in np.ndindex(2, 3):
         assert np.array_equal(dist[idx], graphcore.distance_matrix(stack[idx]))
+
+
+def reference_distance_matrix(weights) -> np.ndarray:
+    """Floyd-Warshall on fresh arrays, as `distance_matrix` ran before its
+    workspace: the oracle its bits are held to."""
+    d = np.array(weights, dtype=float)
+    for k in range(d.shape[-1]):
+        np.minimum(d, d[..., :, k:k + 1] + d[..., k:k + 1, :], out=d)
+    return d
+
+
+def tied_weights(rng, shape, p=0.5) -> np.ndarray:
+    """Symmetric weight stacks of shape (..., n, n), 0 on the diagonal, inf
+    where no edge; the weights are drawn from a few values whose sums tie
+    exactly or only up to rounding (0.1 + 0.2 against 0.3)."""
+    w = rng.choice([0.1, 0.2, 0.3, 0.5, 1.0, 2.5], size=shape)
+    w = np.where(rng.random(shape) < p, w, np.inf)
+    w = np.minimum(w, np.swapaxes(w, -1, -2))
+    n = shape[-1]
+    w[..., np.arange(n), np.arange(n)] = 0.0
+    return w
+
+
+def assert_bitwise_reference(weights) -> None:
+    got = graphcore.distance_matrix(weights)
+    want = reference_distance_matrix(weights)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_distance_matrix_bitwise_equals_reference_around_the_workspace_limit():
+    # Shapes with at most WORKSPACE_ELEMENTS entries keep a workspace; the
+    # others build one per call. Both sides, 2-D and stacked.
+    rng = np.random.default_rng(21)
+    limit = graphcore.WORKSPACE_ELEMENTS
+    shapes = [(1, 1), (2, 2), (6, 6), (9, 9), (2, 6, 6), (3, 9, 9), (2, 3, 5, 5),
+              (0, 4, 4), (limit // 64, 8, 8), (limit // 64 + 1, 8, 8), (64, 64), (65, 65)]
+    assert 64 * 64 == limit
+    for shape in shapes:
+        w = tied_weights(rng, shape)
+        before = w.copy()
+        assert_bitwise_reference(w)
+        assert np.array_equal(w, before)  # the input is left as it was
+    sparse = tied_weights(rng, (3, 9, 9), p=0.05)
+    assert_bitwise_reference(sparse)
+    assert np.isinf(graphcore.distance_matrix(sparse)).any()
+    assert_bitwise_reference([[0, 3], [3, 0]])
+
+
+def test_distance_matrix_one_shape_again_and_interleaved():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        assert_bitwise_reference(tied_weights(rng, (2, 6, 6)))
+    for i in range(60):
+        shape = [(2, 6, 6), (9, 9), (3, 9, 9), (2, 6, 6), (70, 8, 8)][i % 5]
+        assert_bitwise_reference(tied_weights(rng, shape))
+
+
+def test_distance_matrix_returns_a_fresh_array():
+    # A caller may write into a result: the next call of the same shape
+    # neither sees that nor rewrites the result.
+    rng = np.random.default_rng(23)
+    first_w, second_w = tied_weights(rng, (2, 9, 9)), tied_weights(rng, (2, 9, 9))
+    first = graphcore.distance_matrix(first_w)
+    kept = first.copy()
+    second = graphcore.distance_matrix(second_w)
+    assert first.tobytes() == kept.tobytes()
+    first[...] = -1.0
+    second[...] = -1.0
+    assert_bitwise_reference(first_w)
+    assert_bitwise_reference(second_w)
+
+
+def test_distance_matrix_workspace_stays_within_its_byte_cap():
+    # 64 stack shapes of 8x8 matrices, 2.1 MB of buffers if all were kept.
+    rng = np.random.default_rng(24)
+    for m in range(1, 65):
+        assert_bitwise_reference(tied_weights(rng, (m, 8, 8)))
+    kept = graphcore._kept.spaces
+    assert sum(2 * d.nbytes for d, _, _ in kept.values()) <= graphcore.WORKSPACE_BYTES
+    assert (64, 8, 8) in kept
+
+
+def test_distance_matrix_threads_keep_their_own_workspace():
+    # Four threads solve one shape 200 times each, every input different;
+    # a short switch interval lets a thread stop inside a call.
+    rng = np.random.default_rng(25)
+    inputs = [[tied_weights(rng, (2, 6, 6)) for _ in range(200)] for _ in range(4)]
+    want = [[reference_distance_matrix(w).tobytes() for w in ws] for ws in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda ws: [graphcore.distance_matrix(w).tobytes() for w in ws],
+                                inputs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_distance_matrix_hybrid_mw_not_shorter_than_fiber():
