@@ -75,12 +75,20 @@ class FiberGraph:
 def load_fiber_csv(conduits_path: str, endpoints_path: str) -> FiberGraph:
     """Build a FiberGraph from endpoints (a sites file, read by
     `load_sites_csv`, kept in file order) and conduits
-    (endpoint_a,endpoint_b,fiber_km) CSV files."""
+    (endpoint_a,endpoint_b,fiber_km) CSV files. A conduit pair listed
+    again, in either order, keeps its last length with a warning."""
     g = FiberGraph()
     for site in load_sites_csv(endpoints_path):
         g.add_endpoint(site)
-    read_csv(conduits_path, "endpoint_a,endpoint_b,fiber_km",
-             lambda a, b, km: g.add_link(a, b, float(km)))
+
+    def conduit(a, b, km):
+        before = g.links.get(pair_key(a, b))
+        g.add_link(a, b, float(km))
+        if before is not None:
+            logger.warning("%s: conduit (%s, %s) listed again: %r km replaces %r km",
+                           conduits_path, a, b, float(km), before)
+
+    read_csv(conduits_path, "endpoint_a,endpoint_b,fiber_km", conduit)
     return g
 
 
@@ -125,11 +133,6 @@ def _quantiles(values: np.ndarray, weights: np.ndarray, qs: Sequence[float],
     acc = np.cumsum(weights[order])
     at = np.searchsorted(acc, [q * total - 1e-15 * total for q in qs], side="left")
     return values[order[np.minimum(at, len(acc) - 1)]].tolist()
-
-
-def weighted_quantile(values: Sequence[float], weights: Sequence[float], q: float) -> float:
-    """One lower weighted quantile (see `weighted_quantiles`)."""
-    return weighted_quantiles(values, weights, (q,))[0]
 
 
 def weighted_mean(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:

@@ -9,7 +9,6 @@ a configurable obstruction margin.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -18,8 +17,9 @@ import numpy as np
 
 from .geo import EARTH_RADIUS_KM, GeoPoint, geodesic_km, read_csv, require_finite, write_csv
 
-# Terrain samples per clearance pass: amortises numpy's per-call cost over
-# many hops while keeping the work arrays out of the peak memory.
+# Most terrain samples per clearance pass: amortises numpy's per-call cost
+# over many hops while keeping the work arrays out of the peak memory. A pass
+# reads one screen block's samples, so a block's last pass may be shorter.
 _CHUNK_SAMPLES = 4096
 # Fewest samples per segment worth screening: screening a segment costs
 # about two samples' work.
@@ -170,9 +170,6 @@ class TerrainGrid:
         i0 = np.clip(np.floor(fy).astype(int), 0, max(self.nrows - 2, 0))
         return fx, fy, i0, j0
 
-    def sample(self, point: GeoPoint) -> float:
-        return float(self.sample_many(np.array([point.lat]), np.array([point.lon]))[0])
-
 
 def load_terrain_asc(path: str) -> TerrainGrid:
     """Read an ESRI ASCII grid: header keys (ncols/nrows/xllcorner/yllcorner/cellsize
@@ -281,34 +278,6 @@ def _runs(offsets: np.ndarray, s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
     return r, np.arange(s, e) - offsets[r]
 
 
-def _chunk(hop, k0, offsets, s, e):
-    # A function, so its index arrays are freed before the chunk is read.
-    r, i = _runs(offsets, s, e)
-    return hop[r], k0[r] + i
-
-
-def _chunks(blocks):
-    """(hop, k) of each sample, `_CHUNK_SAMPLES` samples at a time (the last
-    chunk may be shorter), of the runs (hop, first k, count) in `blocks` laid
-    end to end; a run may span chunks and blocks."""
-    hop = k0 = count = np.empty(0, dtype=np.int64)
-    for block in itertools.chain(blocks, [None]):
-        if block is not None:
-            hop, k0, count = (np.concatenate(pair) for pair in zip((hop, k0, count), block))
-        offsets = np.concatenate(([0], np.cumsum(count)))
-        stop = int(offsets[-1])
-        if block is not None:
-            stop -= stop % _CHUNK_SAMPLES
-        for s in range(0, stop, _CHUNK_SAMPLES):
-            yield _chunk(hop, k0, offsets, s, min(s + _CHUNK_SAMPLES, stop))
-        # Keep the samples past `stop`: the rest of the run it cuts, then the
-        # runs after it.
-        r = int(np.searchsorted(offsets, stop, side="right")) - 1
-        hop, k0, count = hop[r:], k0[r:].copy(), count[r:].copy()
-        k0[:1] += stop - offsets[r]
-        count[:1] -= stop - offsets[r]
-
-
 def _unscreened(units, alts, ia, ib, d, omega, sin_omega, n, terrain: TerrainGrid,
                 p: LosParams):
     """Blocks of runs (hop, first k, count), in hop and sample order, of the
@@ -382,10 +351,12 @@ def _clearance(towers: list[Tower], ia: np.ndarray, ib: np.ndarray, d_km: np.nda
                terrain: TerrainGrid, p: LosParams) -> np.ndarray:
     """Whether each hop towers[ia[h]]-towers[ib[h]] of length d_km[h] is clear.
 
-    The samples the segment screen (`_unscreened`) cannot clear form one
-    sequence, read `_CHUNK_SAMPLES` at a time (a hop may span chunks). Sample
-    i of n has endpoint weights i/n and (n-i)/n, so every term is bitwise
-    identical under endpoint swap."""
+    The segment screen (`_unscreened`) yields, block by block, the samples it
+    cannot clear; each block is read in calls of at most `_CHUNK_SAMPLES`
+    samples (a hop may span calls, a call never spans blocks). Without a
+    screen the one block holds every sample of every hop. Sample i of n has
+    endpoint weights i/n and (n-i)/n, so every term is bitwise identical
+    under endpoint swap, and no sample's answer depends on its call."""
     units = np.array([_unit_vector(t.location) for t in towers])
     alts = np.array([t.ground_elevation_m + p.usable_height_fraction * t.height_m
                      for t in towers])
@@ -397,7 +368,7 @@ def _clearance(towers: list[Tower], ia: np.ndarray, ib: np.ndarray, d_km: np.nda
     n = np.maximum(1, np.ceil(d * 1000.0 / p.sample_step_m).astype(np.int64))
 
     def clears(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # A function, so one chunk's work arrays are freed before the next.
+        # A function, so one call's work arrays are freed before the next.
         a, b, nh, dh = ia[h], ib[h], n[h], d[h]
         wb = k / nh
         wa = (nh - k) / nh
@@ -409,32 +380,15 @@ def _clearance(towers: list[Tower], ia: np.ndarray, ib: np.ndarray, d_km: np.nda
         return line >= needed
 
     ok = np.ones(len(todo), dtype=bool)
-    for h, k in _chunks(_unscreened(units, alts, ia, ib, d, omega, sin_omega, n, terrain, p)):
-        ok[h[~clears(h, k)]] = False
+    for hop, k0, count in _unscreened(units, alts, ia, ib, d, omega, sin_omega, n, terrain, p):
+        offsets = np.concatenate(([0], np.cumsum(count)))
+        total = int(offsets[-1])
+        for s in range(0, total, _CHUNK_SAMPLES):
+            r, i = _runs(offsets, s, min(s + _CHUNK_SAMPLES, total))
+            h = hop[r]
+            ok[h[~clears(h, k0[r] + i)]] = False
     clear[todo] = ok
     return clear
-
-
-def _check_inside(tower: Tower, terrain: TerrainGrid) -> None:
-    if not terrain.contains(tower.location):
-        raise ValueError(f"tower {tower.id!r} outside terrain bounds")
-
-
-def hop_feasible(a: Tower, b: Tower, terrain: TerrainGrid, p: LosParams) -> bool:
-    """True iff the a-b hop is within range and its Fresnel zone is fully clear.
-
-    Clearance is required at every terrain sample: the antenna-to-antenna
-    line must sit at or above terrain + Earth bulge + Fresnel width +
-    obstruction margin, with the bulge and Fresnel width of
-    `clearance_terms_m`.
-    """
-    for t in (a, b):
-        _check_inside(t, terrain)
-    d_km = geodesic_km(a.location, b.location)
-    if d_km > p.max_range_km:
-        return False
-    return bool(_clearance([a, b], np.array([0]), np.array([1]), np.array([d_km]),
-                           terrain, p)[0])
 
 
 def build_hop_graph(towers: list[Tower], terrain: TerrainGrid, p: LosParams) -> HopGraph:
@@ -442,7 +396,9 @@ def build_hop_graph(towers: list[Tower], terrain: TerrainGrid, p: LosParams) -> 
 
     A vectorized haversine screens pairs by range with a margin against
     rounding; the survivors are measured with `geodesic_km` and cleared by
-    one `_clearance` call, so the hops are those `hop_feasible` accepts.
+    one `_clearance` call. A tower outside the terrain with a partner in
+    range is an error naming it (of the first such pair in id order, its
+    first tower outside).
     """
     if not towers:
         raise ValueError("empty tower list")
@@ -452,6 +408,7 @@ def build_hop_graph(towers: list[Tower], terrain: TerrainGrid, p: LosParams) -> 
     ordered = sorted(towers, key=lambda t: t.id)
     lat = np.radians([t.location.lat for t in ordered])
     lon = np.radians([t.location.lon for t in ordered])
+    inside = [terrain.contains(t.location) for t in ordered]
     screen = p.max_range_km * (1.0 + 1e-9)
     ia, ib, lengths = [], [], []
     for r0 in range(0, len(ordered), _SCREEN_ROWS):
@@ -463,8 +420,9 @@ def build_hop_graph(towers: list[Tower], terrain: TerrainGrid, p: LosParams) -> 
             ta, tb = ordered[r0 + r], ordered[j]
             d = geodesic_km(ta.location, tb.location)
             if d <= p.max_range_km:
-                for t in (ta, tb):
-                    _check_inside(t, terrain)
+                if not (inside[r0 + r] and inside[j]):
+                    raise ValueError(f"tower {(tb if inside[r0 + r] else ta).id!r} "
+                                     "outside terrain bounds")
                 ia.append(r0 + r)
                 ib.append(j)
                 lengths.append(d)

@@ -113,9 +113,9 @@ def test_gravity_equal_populations_equals_uniform():
 def test_weighted_quantile_convention():
     vals = [1.0, 2.0, 3.0, 4.0]
     w = [1.0, 1.0, 1.0, 1.0]
-    assert fiberbase.weighted_quantile(vals, w, 0.5) == 2.0
-    assert fiberbase.weighted_quantile(vals, w, 0.95) == 4.0
-    assert fiberbase.weighted_quantile(vals, [10.0, 1.0, 1.0, 1.0], 0.5) == 1.0
+    assert fiberbase.weighted_quantiles(vals, w, (0.5,))[0] == 2.0
+    assert fiberbase.weighted_quantiles(vals, w, (0.95,))[0] == 4.0
+    assert fiberbase.weighted_quantiles(vals, [10.0, 1.0, 1.0, 1.0], (0.5,))[0] == 1.0
 
 
 QS = (0.0, 0.5, 0.95, 0.99, 1.0)
@@ -143,7 +143,7 @@ def test_weighted_quantile_bitwise_equals_reference():
         got = fiberbase.weighted_quantiles(values, weights, QS)
         assert [v.hex() for v in got] == [v.hex() for v in want], trial
         assert all(type(v) is float for v in got)
-        assert fiberbase.weighted_quantile(values, weights, QS[trial % 5]).hex() == \
+        assert fiberbase.weighted_quantiles(values, weights, (QS[trial % 5],))[0].hex() == \
             want[trial % 5].hex()
 
 
@@ -332,14 +332,19 @@ def test_fiber_graph_flags_subgeodesic_links(caplog):
     assert ("a", "b") in g.links
 
 
-def test_conduit_listed_twice_keeps_its_last_length(tmp_path):
-    # Either order names the same conduit; the later row's length wins.
+def test_conduit_listed_twice_keeps_its_last_length(tmp_path, caplog):
+    # Either order names the same conduit; the later row's length wins, and
+    # each repeat logs a warning naming the file, the pair and both lengths.
     endpoints = tmp_path / "endpoints.csv"
-    endpoints.write_text("id,lat,lon\na,0,0\nb,0,1\n")
+    endpoints.write_text("id,lat,lon\na,0,0\nb,0,1\nc,1,1\n")
     conduits = tmp_path / "conduits.csv"
-    conduits.write_text("endpoint_a,endpoint_b,fiber_km\na,b,120\nb,a,360\n")
-    g = fiberbase.load_fiber_csv(str(conduits), str(endpoints))
-    assert g.links == {("a", "b"): 360.0}
+    conduits.write_text("endpoint_a,endpoint_b,fiber_km\na,b,120\nb,c,200\nb,a,360\na,b,400\n")
+    with caplog.at_level("WARNING", logger="lightwan.fiberbase"):
+        g = fiberbase.load_fiber_csv(str(conduits), str(endpoints))
+    assert g.links == {("a", "b"): 400.0, ("b", "c"): 200.0}
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{conduits}: conduit (b, a) listed again: 360.0 km replaces 120.0 km",
+        f"{conduits}: conduit (a, b) listed again: 400.0 km replaces 360.0 km"]
 
 
 # --- slow reference: one full stretch summary per trial removal -----------------

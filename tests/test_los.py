@@ -26,6 +26,24 @@ def tower_at(tid, lat, lon, height=100.0, ground=0.0):
     return Tower(tid, GeoPoint(lat, lon), height, ground)
 
 
+def sample_at(grid, point):
+    return float(grid.sample_many([point.lat], [point.lon])[0])
+
+
+def hop_feasible(a, b, terrain, p):
+    """One a-b hop through the batched kernel: both towers inside the
+    terrain (else the error `build_hop_graph` raises), within range, and
+    clear by `los._clearance`, towers in the given order."""
+    for t in (a, b):
+        if not terrain.contains(t.location):
+            raise ValueError(f"tower {t.id!r} outside terrain bounds")
+    d_km = geodesic_km(a.location, b.location)
+    if d_km > p.max_range_km:
+        return False
+    return bool(los._clearance([a, b], np.array([0]), np.array([1]), np.array([d_km]),
+                               terrain, p)[0])
+
+
 def terms(d1, d2, d, f_ghz=11.0, k_factor=1.3):
     """(bulge, Fresnel width) of `los.clearance_terms_m`; on arrays, a
     zero-length hop's Fresnel width (0/0) reads nan without a warning."""
@@ -90,10 +108,10 @@ def test_terrain_bilinear_interpolation():
     # Linear-in-x surface is reproduced exactly by bilinear sampling.
     vals = np.tile(np.arange(10, dtype=float), (10, 1)) * 10.0
     grid = TerrainGrid(vals, 0.0, 0.0, 0.1)
-    mid = grid.sample(GeoPoint(0.5, 0.35))
+    mid = sample_at(grid, GeoPoint(0.5, 0.35))
     assert mid == pytest.approx(30.0, rel=1e-12)
     with pytest.raises(ValueError):
-        grid.sample(GeoPoint(0.5, 2.0))
+        sample_at(grid, GeoPoint(0.5, 2.0))
 
 
 def test_terrain_nodata_rejected_on_sample():
@@ -101,7 +119,7 @@ def test_terrain_nodata_rejected_on_sample():
     vals[2, 2] = -9999.0
     grid = TerrainGrid(vals, 0.0, 0.0, 0.1, nodata=-9999.0)
     with pytest.raises(ValueError):
-        grid.sample(GeoPoint(0.15, 0.25))
+        sample_at(grid, GeoPoint(0.15, 0.25))
 
 
 def test_load_terrain_asc(tmp_path):
@@ -113,8 +131,8 @@ def test_load_terrain_asc(tmp_path):
     g = los.load_terrain_asc(str(p))
     assert g.ncols == 3 and g.nrows == 2
     # Row 0 of the file is the northern row.
-    assert g.sample(GeoPoint(-0.5, -0.5)) == pytest.approx(1.0)
-    assert g.sample(GeoPoint(0.5, -0.5)) == pytest.approx(5.0)
+    assert sample_at(g, GeoPoint(-0.5, -0.5)) == pytest.approx(1.0)
+    assert sample_at(g, GeoPoint(0.5, -0.5)) == pytest.approx(5.0)
 
 
 def test_hop_feasible_flat_terrain():
@@ -122,7 +140,7 @@ def test_hop_feasible_flat_terrain():
     a = tower_at("a", 0.0, 0.0)
     b = tower_at("b", 0.0, 10.0 / KM_PER_DEG)
     assert geodesic_km(a.location, b.location) == pytest.approx(10.0, rel=1e-3)
-    assert los.hop_feasible(a, b, terr, LosParams())
+    assert hop_feasible(a, b, terr, LosParams())
 
 
 def test_hop_blocked_by_ridge():
@@ -133,22 +151,24 @@ def test_hop_blocked_by_ridge():
     terr.values[:, j - 1:j + 2] = 200.0
     a = tower_at("a", 0.0, 0.0)
     b = tower_at("b", 0.0, 10.0 / KM_PER_DEG)
-    assert not los.hop_feasible(a, b, terr, LosParams())
+    assert not hop_feasible(a, b, terr, LosParams())
 
 
 def test_hop_range_gate():
     terr = flat_terrain(half_extent_deg=1.0, cellsize=0.05)
     a = tower_at("a", 0.0, 0.0, height=500.0)
     b = tower_at("b", 0.0, 101.0 / KM_PER_DEG)
-    assert not los.hop_feasible(a, b, terr, LosParams(max_range_km=100.0))
+    assert not hop_feasible(a, b, terr, LosParams(max_range_km=100.0))
 
 
 def test_hop_outside_terrain_raises():
     terr = flat_terrain(half_extent_deg=0.5)
     a = tower_at("a", 0.0, 0.0)
     b = tower_at("b", 0.0, 2.0)
-    with pytest.raises(ValueError):
-        los.hop_feasible(a, b, terr, LosParams())
+    with pytest.raises(ValueError, match="tower 'b' outside terrain bounds"):
+        hop_feasible(a, b, terr, LosParams())
+    with pytest.raises(ValueError, match="tower 'b' outside terrain bounds"):
+        los.build_hop_graph([a, b], terr, LosParams(max_range_km=300.0))
 
 
 def test_hop_symmetry_random_pairs():
@@ -163,7 +183,7 @@ def test_hop_symmetry_random_pairs():
         b = tower_at("b", float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
                      height=float(rng.uniform(40, 120)),
                      ground=float(rng.uniform(0, 50)))
-        assert los.hop_feasible(a, b, terr, params) == los.hop_feasible(b, a, terr, params)
+        assert hop_feasible(a, b, terr, params) == hop_feasible(b, a, terr, params)
 
 
 def test_hop_monotone_in_constraints():
@@ -180,12 +200,12 @@ def test_hop_monotone_in_constraints():
                   LosParams(sample_step_m=150.0, max_range_km=40.0)):
         for i, a in enumerate(towers):
             for b in towers[i + 1:]:
-                if los.hop_feasible(a, b, terr, tight):
-                    assert los.hop_feasible(a, b, terr, loose)
+                if hop_feasible(a, b, terr, tight):
+                    assert hop_feasible(a, b, terr, loose)
     for i, a in enumerate(towers):
         for b in towers[i + 1:]:
-            if los.hop_feasible(a, b, raised, loose):
-                assert los.hop_feasible(a, b, terr, loose)
+            if hop_feasible(a, b, raised, loose):
+                assert hop_feasible(a, b, terr, loose)
 
 
 def test_build_hop_graph_single_tower():
@@ -235,7 +255,7 @@ def test_build_hop_graph_matches_bruteforce():
     expected = set()
     for i, a in enumerate(towers):
         for b in towers[i + 1:]:
-            if los.hop_feasible(a, b, terr, params):
+            if hop_feasible(a, b, terr, params):
                 key = (min(a.id, b.id), max(a.id, b.id))
                 expected.add(key)
     got = {(a, b) for a, b, _ in hop_rows(hg)}
@@ -479,8 +499,28 @@ def test_hop_feasible_matches_reference_and_is_symmetric():
     towers = random_towers(rng, 30)
     for a, b in zip(towers[::2], towers[1::2]):
         ref = reference_hop_feasible(a, b, terr, params)
-        assert los.hop_feasible(a, b, terr, params) is ref
-        assert los.hop_feasible(b, a, terr, params) is ref
+        assert hop_feasible(a, b, terr, params) is ref
+        assert hop_feasible(b, a, terr, params) is ref
+
+
+@pytest.mark.parametrize("chunk", [7, 97])
+@pytest.mark.parametrize("cellsize, step", [(0.02, 100.0), (0.01, 400.0)])
+def test_build_hop_graph_reads_at_most_chunk_samples_a_call(monkeypatch, chunk, cellsize, step):
+    # Screen blocks leave runs of samples that do not add up to whole calls;
+    # each block's leftovers are read in calls of at most _CHUNK_SAMPLES, on
+    # the screened path (0.02-degree cells, 100 m steps) and on the one block
+    # of whole hops of the unscreened one (0.01-degree cells, 400 m steps).
+    monkeypatch.setattr(los, "_CHUNK_SAMPLES", chunk)
+    rng = np.random.default_rng(31)
+    terr = ridged_terrain(31, cellsize=cellsize)
+    towers = random_towers(rng, 16)
+    params = LosParams(sample_step_m=step, max_range_km=50.0)
+    screened = cellsize * KM_PER_DEG * 1000.0 / step >= los._MIN_SEGMENT
+    assert screened == (cellsize == 0.02)
+    recording = RecordingTerrain(terr)
+    got = hop_list(los.build_hop_graph(towers, recording, params))
+    assert got == reference_hops(towers, terr, params) != []
+    assert max(len(lats) for lats in recording.lats) == chunk
 
 
 def test_path_samples_match_reference_bitwise():
@@ -523,7 +563,7 @@ def test_build_hop_graph_coincident_and_near_coincident_towers():
     # Coincident towers form a zero-length hop; 1e-12 degrees apart the
     # great-circle angle rounds to zero and the chord branch is taken.
     assert ("c0", "c1", (0.0).hex()) in got
-    assert los.hop_feasible(towers[0], towers[1], terr, params)
+    assert hop_feasible(towers[0], towers[1], terr, params)
     assert ("c0", "c2") in {(h[0], h[1]) for h in got}
     a, b = towers[0], towers[2]
     assert los._omega(los._unit_vector(a.location), los._unit_vector(b.location)) < 1e-12
@@ -543,7 +583,12 @@ def test_build_hop_graph_out_of_bounds_tower():
     with pytest.raises(ValueError, match="tower 'edge' outside terrain bounds"):
         los.build_hop_graph(inside + [near], terr, params)
     with pytest.raises(ValueError, match="tower 'edge' outside terrain bounds"):
-        los.hop_feasible(inside[0], near, terr, params)
+        hop_feasible(inside[0], near, terr, params)
+    # Of two outside towers in range, the first of the first pair in id order.
+    with pytest.raises(ValueError, match="tower 'edge' outside terrain bounds"):
+        los.build_hop_graph(inside + [near, tower_at("far2", 0.0, 0.7)], terr, params)
+    with pytest.raises(ValueError, match="tower 'a0' outside terrain bounds"):
+        los.build_hop_graph(inside + [near, tower_at("a0", 0.0, 0.7)], terr, params)
 
 
 def test_build_hop_graph_nodata_cells():
@@ -575,7 +620,7 @@ def test_towers_csv_missing_ground_names_first_tower(tmp_path):
     terr = ridged_terrain(2)
     towers = los.load_towers_csv(str(p), terrain=terr)
     assert [t.ground_elevation_m for t in towers] == [
-        5.0, terr.sample(GeoPoint(0.1, 0.1)), terr.sample(GeoPoint(0.2, 0.1))]
+        5.0, sample_at(terr, GeoPoint(0.1, 0.1)), sample_at(terr, GeoPoint(0.2, 0.1))]
     p.write_text("id,lat,lon,height_m,ground_elevation_m\n"
                  "a,0.0,0.0,120,\n"
                  "z,0.0,1.5,80,\n")
@@ -723,8 +768,8 @@ def test_screen_matches_reference_over_cell_to_step_ratios(monkeypatch, seed, ce
     assert 0 < len(got) < len(in_range)
     for a, b in in_range[::7]:
         ref = reference_hop_feasible(a, b, terr, params)
-        assert los.hop_feasible(a, b, terr, params) is ref
-        assert los.hop_feasible(b, a, terr, params) is ref
+        assert hop_feasible(a, b, terr, params) is ref
+        assert hop_feasible(b, a, terr, params) is ref
 
 
 def test_screen_and_sampler_read_one_clearance_function(monkeypatch):
@@ -772,8 +817,8 @@ def test_screen_leaves_samples_at_line_equal_to_needed():
         line, needed, lats, lons = reference_terms(a, b, flat(lo), params)
         recording = RecordingTerrain(flat(lo))
         assert los.build_hop_graph([a, b], recording, params).hops.size == 1
-        assert los.hop_feasible(a, b, flat(lo), params)
-        assert not los.hop_feasible(a, b, flat(hi), params)
+        assert hop_feasible(a, b, flat(lo), params)
+        assert not hop_feasible(a, b, flat(hi), params)
         assert los.build_hop_graph([a, b], flat(hi), params).hops.size == 0
         read = set(recording.points())
         assert len(read) < len(line)
@@ -809,14 +854,14 @@ def test_screen_with_nodata_in_segment_windows(seed):
                     ref = reference_hop_feasible(a, b, terr, params)
                 except ValueError as exc:
                     assert "NODATA" in str(exc)
-                    for call in (lambda: los.hop_feasible(a, b, terr, params),
-                                 lambda: los.hop_feasible(b, a, terr, params),
+                    for call in (lambda: hop_feasible(a, b, terr, params),
+                                 lambda: hop_feasible(b, a, terr, params),
                                  lambda: los.build_hop_graph([a, b], terr, params)):
                         with pytest.raises(ValueError, match="NODATA"):
                             call()
                 else:
-                    assert los.hop_feasible(a, b, terr, params) is ref
-                    assert los.hop_feasible(b, a, terr, params) is ref
+                    assert hop_feasible(a, b, terr, params) is ref
+                    assert hop_feasible(b, a, terr, params) is ref
                     assert los.build_hop_graph([a, b], terr, params).hops.size == ref
 
 
@@ -831,12 +876,12 @@ def test_screen_leaves_great_circle_beyond_the_grid_edge_to_raise():
     with pytest.raises(ValueError, match="sample outside terrain bounds"):
         reference_hop_feasible(a, b, terr, params)
     with pytest.raises(ValueError, match="sample outside terrain bounds"):
-        los.hop_feasible(a, b, terr, params)
+        hop_feasible(a, b, terr, params)
     with pytest.raises(ValueError, match="sample outside terrain bounds"):
         los.build_hop_graph([a, b], terr, params)
     # 0.01 degrees further south the same hop stays inside and clears.
     a, b = (dataclasses.replace(t, location=GeoPoint(40.9899, t.location.lon)) for t in (a, b))
-    assert los.hop_feasible(a, b, terr, params) and reference_hop_feasible(a, b, terr, params)
+    assert hop_feasible(a, b, terr, params) and reference_hop_feasible(a, b, terr, params)
 
 
 def test_screen_window_covers_the_great_circle_bulge():
@@ -858,5 +903,5 @@ def test_screen_window_covers_the_great_circle_bulge():
     terr = TerrainGrid(np.zeros((100, 150)), 0.0, cut - 60.5 * 0.01, 0.01)
     terr.values[100 - 1 - 61] = 1e10
     assert not reference_hop_feasible(a, b, terr, params)
-    assert not los.hop_feasible(a, b, terr, params)
+    assert not hop_feasible(a, b, terr, params)
     assert los.build_hop_graph([a, b], terr, params).hops.size == 0
