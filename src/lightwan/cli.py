@@ -255,10 +255,13 @@ def cmd_fiber(cfg, outdir) -> None:
                       step.stats.mean, step.stats.median, step.stats.p95,
                       step.graph.total_fiber_km(), cost.total_usd))]
                    for step, cost in zip(steps, costs)))
-    # The first step is the unpruned graph: its plan is the baseline's.
+    # The first step is the unpruned graph: its plan is the baseline's. The
+    # paper gives its stretch both gravity-weighted and uniform over pairs.
     base, cost = steps[0].stats, costs[0]
-    geo.write_json({"stats": dataclasses.asdict(base), "lease_cost": dataclasses.asdict(cost)},
-                   os.path.join(outdir, "fiber_baseline.json"))
+    doc = {"stats": dataclasses.asdict(base), "lease_cost": dataclasses.asdict(cost)}
+    if weights is not None:
+        doc["uniform_stats"] = dataclasses.asdict(fiberbase.fiber_stretch_stats(fiber, sites))
+    geo.write_json(doc, os.path.join(outdir, "fiber_baseline.json"))
     print(f"fiber: median stretch {base.median:.3f}, "
           f"{len(steps)} pruning steps, ${cost.total_usd:,.0f} lease")
 

@@ -10,35 +10,25 @@ Fluid flow runs on dense split arrays `split[destination, node, next hop]`:
 one fixed-point kernel gives `min_max_util`'s flows and potentials and the
 loads and loop check of `expected_link_loads`; the dict code is the oracle.
 
-A run whose flows all have fixed paths (one next hop at every node of a
-path; every flow under hashing) is replayed link by link when no cycle
-runs through its links (link u feeds link v when v follows u on some
-flow's path): in topological order each link admits its arrivals sorted
-by time, with the event loop's float operations in the event loop's
-order, and its departures plus propagation are the next links' arrivals.
-Admissions at a FIFO link end strictly later one after another, so one
-flow's packets keep their order along the path, and the replay is bitwise
-the event loop's answer. It runs in windows of simulated time that hold a
-bounded number of packets. The event loop decides the rest: per-packet
-splits (their draws follow the global event order), cyclic link graphs,
-and two flows' arrivals at one link at one time (the heap's push order
-decides those).
-
-The event loop has one event per generated packet and one per
-intermediate hop: with drop-tail FIFO and a fixed packet size, a link
-fixes a packet's departure when it admits the packet. A fixed-path flow's
-packet is delivered when its last link admits it, which is exact for the
-same reason. Per-packet multipath packets can overtake one another and
-keep their arrival event. Tie rule, departures before arrivals: a
-transmission that starts at exactly the time a packet arrives has left
-the queue before it is admitted.
+A packet's path is fixed when it is generated: a flow with a split draws
+its packets' variates from a stream of its own, so no flow's paths depend
+on another's. The run then goes link by link, one event per packet hop:
+with drop-tail FIFO and a fixed packet size, a link fixes a packet's
+departure when it admits the packet, so each link admits its arrivals
+sorted by time in one pass, and its departures plus propagation are the
+next links' arrivals. Time goes in windows that hold a bounded number of
+packets; where a cycle runs through the links, a window is shorter than
+a link on every cycle (conservative lookahead). Tie rules: a
+transmission that starts at exactly the time a packet arrives has left the
+queue before the packet is admitted (departures before arrivals), and
+packets that arrive at one link at one time are admitted by flow id, then
+send time. The three-event simulator in `tests/test_simnet.py` is the
+bitwise oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
 import json
 import graphlib
 import math
@@ -118,13 +108,6 @@ class SimTopology:
             if link.a not in known or link.b not in known:
                 raise ValueError(f"link {key} references unknown node")
             seen.add(key)
-
-    def link_for(self, a: str, b: str) -> SimLink:
-        key = pair_key(a, b)
-        for link in self.links:
-            if pair_key(link.a, link.b) == key:
-                return link
-        raise KeyError(f"no link {key}")
 
 
 def topology_from_design(inp: DesignInput, design: NetworkDesign,
@@ -337,51 +320,68 @@ class FlowStats:
 
 
 class _LinkState:
-    __slots__ = ("tx_s", "prop_s", "free_at", "starts", "busy_s")
+    __slots__ = ("tx_s", "prop_s", "busy_s")
 
     def __init__(self, tx_s: float, prop_s: float) -> None:
         self.tx_s = tx_s
         self.prop_s = prop_s
-        self.free_at = 0.0  # end of the last admitted transmission
-        self.starts: deque = deque()  # start times of the waiting packets
         self.busy_s = 0.0
 
 
-def _hop(table: RoutingTable, links: dict[tuple[str, str], _LinkState], node: str,
-         dst: str, resolved: dict[tuple[str, str], tuple]) -> tuple:
-    """The table entry at `node` towards `dst`, resolved once into `resolved`:
-    a hop (link state, the hop at the next node or None at `dst`, None), or
-    for several next hops (None, None, ((weight, hop), ...))."""
-    if (node, dst) not in resolved:
-        out = tuple((w, (links[(node, nh)],
-                         None if nh == dst else _hop(table, links, nh, dst, resolved), None))
-                    for nh, w in table[(node, dst)])
-        resolved[(node, dst)] = out[0][1] if len(out) == 1 else (None, None, out)
-    return resolved[(node, dst)]
+def _flow_paths(table: RoutingTable, links: dict[tuple[str, str], _LinkState], src: str,
+                dst: str) -> tuple[list[list[_LinkState]], tuple]:
+    """The distinct table paths from `src` to `dst`, as lists of links, and
+    the tree of their prefixes that `_pick` walks, node 0 at `src`:
+    `acc[j, node]` is the node's running weight sum over its first j + 1
+    next hops, all but the last (a draw past them takes the last), padded
+    with inf; `child[node, i]` the tree node of its i-th next hop, padded
+    with 0; `ends[node]` the path that ends there, at a leaf. A leaf is its
+    own child. A path that comes back to a node raises ValueError, a
+    missing entry KeyError."""
+    paths, acc, child, ends = [], [], [], []
+
+    def grow(node: str, seen: tuple, path: list) -> int:
+        k = len(acc)
+        acc.append([])
+        child.append([k])
+        ends.append(len(paths))
+        if node == dst:
+            paths.append(path)
+        elif node in seen:
+            raise ValueError(f"routing loop towards {dst!r} at {node!r}")
+        else:
+            hops, total = table[(node, dst)], 0.0
+            acc[k] = [total := total + w for _, w in hops[:-1]]
+            child[k] = [grow(nh, seen + (node,), path + [links[(node, nh)]]) for nh, _ in hops]
+        return k
+
+    grow(src, (), [])
+    width = max(map(len, child))
+    return paths, (np.array([a + [math.inf] * (width - 1 - len(a)) for a in acc]).T,
+                   np.array([c + [0] * (width - len(c)) for c in child]), np.array(ends))
 
 
-def _single_path(h: tuple | None) -> bool:
-    while h is not None and not h[2]:
-        h = h[1]
-    return h is None
+def _pick(tree: tuple, x: np.ndarray) -> np.ndarray:
+    """The path each row of draws `x` takes down `_flow_paths`' `tree`: at
+    the h-th hop, the first next hop whose running weight sum exceeds the
+    draw in column h, else the last."""
+    acc, child, ends = tree
+    at = np.zeros(len(x), np.int64)
+    for draw in x.T:
+        c = at * child.shape[1]
+        for bound in acc:
+            c += bound[at] <= draw
+        at = child.ravel()[c]
+    return ends[at]
 
 
-def _path(h: tuple | None, x: float) -> list[_LinkState]:
-    """The links of a fixed path from its first hop `h`, each split taken
-    by the flow's hash `x` as `run` takes it."""
-    path = []
-    while h is not None:
-        state, h, split = h
-        if split:
-            acc = 0.0
-            state, h, _ = split[-1][1]
-            for w, choice in split:
-                acc += w
-                if x < acc:
-                    state, h, _ = choice
-                    break
-        path.append(state)
-    return path
+def _time_order(t: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """The order of the times `t`, equal times ordered by `keys`, the first
+    key first."""
+    o = np.argsort(t, kind="stable")
+    if (np.diff(t[o]) == 0).any():
+        o = np.lexsort((*keys[::-1], t))
+    return o
 
 
 # Packets one window of `_replay` generates at most: its arrays hold about
@@ -435,40 +435,61 @@ def _deal(inbox: list[list], link: np.ndarray, *arrays: np.ndarray) -> None:
         inbox[link[o[lo]]].append(tuple(a[o[lo:hi]] for a in arrays))
 
 
-def _replay(paths: list[list[_LinkState]], interval: list[float], phases: list[float],
-            sim_end: float, warm_start: float, cap: int) -> tuple | None:
-    """`run`'s per-flow counts and sums for flows on fixed `paths`, found
-    link by link, with each link's busy time set; None when the event loop
-    must decide: a cycle among the links (link u feeds link v when v follows
-    u on some flow's path), or arrivals of two flows at one link at one time
-    (the event loop takes those in push order).
+def _replay(routes: list[tuple[str, list[list[_LinkState]], tuple | None]],
+            interval: list[float], phases: list[float], sim_end: float,
+            warm_start: float, cap: int) -> tuple:
+    """`run`'s per-flow counts and sums, found link by link, with each
+    link's busy time set. `routes` holds per flow its name, its paths (lists
+    of links) and, for a flow with several, `(rng, tree)`: each packet
+    draws one uniform per hop of the longest path from `rng` when it is
+    generated and takes the path `_pick` finds for them down `tree`.
 
-    Links go in topological order. Each admits its arrivals sorted by time
-    with the event loop's float operations in the event loop's order (one
-    flow's packets keep their order along the path), so every time, count
-    and sum is bitwise the event loop's; the arrivals at the next links are
-    its departures plus propagation. Time goes in windows in which no flow
-    generates more than `_WINDOW_PACKETS` / flows packets; arrivals past a
-    window wait for the next, and each link carries its end of transmission,
-    waiting starts and busy time across."""
-    n = len(paths)
-    # A slot is one link of one flow's path, numbered path after path; a
-    # packet carries the slot it is at.
+    Each link admits its arrivals in time order, ties by flow id and then
+    send time, and its departures plus propagation are the next links'
+    arrivals. Time goes in windows in which no flow generates more than
+    `_WINDOW_PACKETS` / flows packets; arrivals at or past a window's limit
+    wait for the next, and each link carries its end of transmission,
+    waiting starts and busy time across. A window takes the links in an
+    order of the feeds (link u feeds link v when v follows u on some path)
+    from links faster than `lag`: the largest link time (transmission plus
+    propagation) that leaves those feeds without a cycle, inf when no cycle
+    runs through the links. A window spans less than `lag`, so a packet
+    admitted in it at a slower link reaches its next link in a later window
+    and the feeds that go back in the order are never late (conservative
+    lookahead, Chandy and Misra 1979). Deliveries are summed per flow in
+    arrival order, ties by send time, once no later window can deliver
+    earlier."""
+    n = len(routes)
+    paths = [p for _, ps, _ in routes for p in ps]
+    counts = np.array([len(ps) for _, ps, _ in routes])
+    first_path = np.cumsum(counts) - counts
+    # A slot is one link of one path, numbered path after path; a packet
+    # carries the slot it is at.
     index: dict[_LinkState, int] = {}
     slot_link = np.array([index.setdefault(s, len(index)) for p in paths for s in p])
     states = list(index)
     sizes = np.array([len(p) for p in paths])
-    slot_flow = np.repeat(np.arange(n), sizes)
+    slot_flow = np.repeat(np.repeat(np.arange(n), counts), sizes)
     slot_last = np.zeros(len(slot_link), bool)
     slot_last[np.cumsum(sizes) - 1] = True
     first_slot = np.cumsum(sizes) - sizes
     feeders: dict[int, set] = {v: set() for v in range(len(states))}
     for s in np.flatnonzero(~slot_last).tolist():
         feeders[int(slot_link[s + 1])].add(int(slot_link[s]))
-    try:
-        order = list(graphlib.TopologicalSorter(feeders).static_order())
-    except graphlib.CycleError:
-        return None
+    iv, gen = np.array(interval), np.array(phases)  # `gen`: each flow's next generation
+    delay = [s.tx_s + s.prop_s for s in states]
+    for lag in sorted({math.inf, *delay}, reverse=True):
+        try:
+            order = list(graphlib.TopologicalSorter(
+                {v: {u for u in f if delay[u] < lag} for v, f in feeders.items()}).static_order())
+            break
+        except graphlib.CycleError:
+            pass
+    # Below `lag` by more than the rounding of the times.
+    lag -= 4 * math.ulp(2 * sim_end)
+    if not lag > 0:
+        raise ValueError(f"links too short to replay {sim_end} s")
+    span = min(_WINDOW_PACKETS * float(iv.min()) / n, lag)
 
     sent = np.zeros(n, np.int64)
     delivered = np.zeros(n, np.int64)
@@ -479,10 +500,10 @@ def _replay(paths: list[list[_LinkState]], interval: list[float], phases: list[f
     busy = [0.0] * len(states)
     waiting = [np.zeros(0)] * len(states)
     inbox: list[list] = [[] for _ in states]  # (times, slots, send times) per link
+    done: list = []  # (flows, arrivals, send times) of deliveries not yet summed
+    split = [(f, max(map(len, ps)), draw) for f, (_, ps, draw) in enumerate(routes) if draw]
 
-    iv, gen = np.array(interval), np.array(phases)  # `gen`: each flow's next generation
     fresh = np.ones(n, bool)  # the generation at the phase is still due
-    span = _WINDOW_PACKETS * float(iv.min()) / n
     limit, final = 0.0, False
     while not final:
         limit += span
@@ -496,8 +517,10 @@ def _replay(paths: list[list[_LinkState]], interval: list[float], phases: list[f
         grid[:] = iv[:, None]
         grid[:, 0] = gen
         np.cumsum(grid, axis=1, out=grid)
-        if not (grid[:, -1] >= limit).all():
-            return None  # `t + interval` rounds back to `t`
+        stuck = grid[:, -1] < limit
+        if stuck.any():
+            raise ValueError(f"flow {routes[int(np.argmax(stuck))][0]}: t + interval "
+                             f"rounds back to t before {sim_end} s")
         k = (grid < limit).sum(axis=1)
         if final:
             k[fresh & (gen == sim_end)] = 1
@@ -506,15 +529,20 @@ def _replay(paths: list[list[_LinkState]], interval: list[float], phases: list[f
         times = grid[np.arange(cols) < k[:, None]]
         fid = np.repeat(np.arange(n), k)
         sent += np.bincount(fid[times >= warm_start], minlength=n)
+        path = first_path[fid]
+        row = np.cumsum(k) - k
+        for f, depth, (rng, tree) in split:
+            x = rng.random((int(k[f]), depth))
+            path[row[f]:row[f] + k[f]] += _pick(tree, x)
         if len(fid):
-            _deal(inbox, slot_link[first_slot[fid]], times, first_slot[fid], times)
+            _deal(inbox, slot_link[first_slot[path]], times, first_slot[path], times)
 
         for v in order:
             parts, inbox[v] = inbox[v], []
             if not parts:
                 continue
             t, slot, send = (np.concatenate(x) for x in zip(*parts))
-            o = np.argsort(t, kind="stable")
+            o = _time_order(t, slot_flow[slot], send)
             t, slot, send = t[o], slot[o], send[o]
             cut = int(np.searchsorted(t, limit, "right" if final else "left"))
             if cut < len(t) and not final:
@@ -522,9 +550,6 @@ def _replay(paths: list[list[_LinkState]], interval: list[float], phases: list[f
             if not cut:
                 continue
             t, slot, send = t[:cut], slot[:cut], send[:cut]
-            tie = t[1:] == t[:-1]
-            if tie.any() and (slot[1:] != slot[:-1])[tie].any():
-                return None
 
             state = states[v]
             last_t = t[-1]
@@ -546,18 +571,26 @@ def _replay(paths: list[list[_LinkState]], interval: list[float], phases: list[f
             waiting[v] = starts[starts > last_t]
 
             arrive = ends + state.prop_s
-            done = slot_last[slot]
-            if done.any():
-                at, since = arrive[done], send[done]
+            last = slot_last[slot]
+            if last.any():
+                at, since = arrive[last], send[last]
                 ok = (at <= sim_end) & (since >= warm_start)
-                fid, delay = slot_flow[slot[done][ok]], at[ok] - since[ok]
-                delivered += np.bincount(fid, minlength=n)
-                np.add.at(delay_sum, fid, delay)  # in admission order, as `+=`
-                np.maximum.at(delay_max, fid, delay)
-                on = ~done
+                done.append((slot_flow[slot[last][ok]], at[ok], since[ok]))
+                on = ~last
                 arrive, slot, send = arrive[on], slot[on], send[on]
             if len(slot):
                 _deal(inbox, slot_link[slot + 1], arrive, slot + 1, send)
+
+        if done:
+            fid, at, since = (np.concatenate(x) for x in zip(*done))
+            now = (at < limit) | final
+            done = [(fid[~now], at[~now], since[~now])]
+            fid, at, since = fid[now], at[now], since[now]
+            o = _time_order(at, since)
+            fid, delay = fid[o], at[o] - since[o]
+            delivered += np.bincount(fid, minlength=n)
+            np.add.at(delay_sum, fid, delay)  # in arrival order, as `+=`
+            np.maximum.at(delay_max, fid, delay)
 
     for state, b in zip(states, busy):
         state.busy_s = b
@@ -569,17 +602,21 @@ def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
         cfg: SimConfig) -> FlowStats:
     """Packet-level run: per-link propagation plus transmission delay,
     drop-tail FIFO queues, per-packet (or per-flow-hashed) weighted next
-    hops, statistics over packets sent after the warm-up window. Admission
-    fixes the departure and the arrival at the next node or, on a fixed-path
-    flow's last link, counts the delivery if it lands by `sim_end`. A
-    transmission starting at exactly `t` leaves the queue before a packet
-    arriving at `t` is admitted (departures before arrivals).
+    hops, statistics over packets sent after the warm-up window. A packet is
+    delivered if it reaches its destination by `sim_end`. A transmission
+    starting at exactly `t` leaves the queue before a packet arriving at `t`
+    is admitted (departures before arrivals); packets arriving at one link
+    at one time are admitted by flow id, then send time.
 
-    When every flow has a fixed path, `_replay` admits each link's arrivals
-    in time order, link after link, with the event loop's arithmetic, so its
-    answer is the event loop's bit for bit; per-packet splits, a cycle among
-    the links, or two flows arriving at one link at one time go to the event
-    loop, which processes packets one event at a time in global time order."""
+    Each packet's path is fixed when it is generated. A flow with a split
+    in its table entries draws per packet one uniform per hop of its longest
+    path from `default_rng([seed, flow id])`, in generation order, warm-up
+    packets included; the draw in hop column h takes the split at the
+    packet's h-th hop. Under `per_flow_hashing` one hash of the flow's
+    endpoints takes every split, and the flow has one path. Phases are
+    `default_rng(seed)` uniforms over each flow's interval, in flow order.
+    `_replay` then admits each link's arrivals in time order, link after
+    link, one event per packet hop."""
     rng = np.random.default_rng(cfg.seed)
     packet_bits = cfg.packet_bytes * 8
     sim_end = cfg.sim_seconds
@@ -599,91 +636,21 @@ def run(topology: SimTopology, traffic: TrafficMatrix, table: RoutingTable,
         links[(link.a, link.b)] = _LinkState(tx, prop)
         links[(link.b, link.a)] = _LinkState(tx, prop)
 
-    sent = [0] * len(flows)
-    delivered = [0] * len(flows)
-    dropped = [0] * len(flows)
-    delay_sum = [0.0] * len(flows)
-    delay_max = [0.0] * len(flows)
-
+    routes = []
+    for fid, (a, b, _) in enumerate(flows):
+        paths, tree = _flow_paths(table, links, a, b)
+        draw = None
+        if cfg.per_flow_hashing:
+            x = int(hashlib.sha256(f"{a}->{b}".encode()).hexdigest(), 16) / 2 ** 256
+            paths = [paths[int(_pick(tree, np.full((1, max(map(len, paths))), x))[0])]]
+        elif len(paths) > 1:
+            draw = (np.random.default_rng([cfg.seed, fid]), tree)
+        routes.append((f"{a}->{b}", paths, draw))
     interval = [packet_bits / (rate * 1e9) for _, _, rate in flows]
-    resolved: dict[tuple[str, str], tuple] = {}
-    first = [_hop(table, links, a, b, resolved) for a, b, _ in flows]
-    hashing = cfg.per_flow_hashing
-    if hashing:
-        flow_hash = [int(hashlib.sha256(f"{a}->{b}".encode()).hexdigest(), 16) / 2 ** 256
-                     for a, b, _ in flows]
-    fixed = [hashing or _single_path(h) for h in first]
     phases = [float(rng.uniform(0.0, interval[fid])) for fid in range(len(flows))]
-    counts = None
-    if flows and all(fixed):
-        paths = [_path(h, flow_hash[fid] if hashing else 0.0) for fid, h in enumerate(first)]
-        counts = _replay(paths, interval, phases, sim_end, warm_start,
-                         cfg.queue_capacity_packets)
-    if counts is not None:
-        sent, delivered, dropped, delay_sum, delay_max = counts
-
-    # Events are (time, seq, fid, send time, hop). Generations carry send
-    # time None and re-arm in place; an arrival with hop None is a per-packet
-    # multipath packet reaching its destination.
-    heap: list = []
-    seq = itertools.count()
-    for fid in range(len(flows) if counts is None else 0):
-        heapq.heappush(heap, (phases[fid], next(seq), fid, None, None))
-
-    while heap:
-        t, _, fid, send_t, h = heap[0]
-        if t > sim_end:
-            break
-        generate = send_t is None
-        if generate:
-            if t >= warm_start:
-                sent[fid] += 1
-            send_t, h = t, first[fid]
-        else:
-            heapq.heappop(heap)
-        at = t  # a delivery's arrival time; inf when there is none
-        if h is not None:
-            state, nxt, split = h
-            if split:
-                x = flow_hash[fid] if hashing else rng.random()
-                acc = 0.0
-                state, nxt, _ = split[-1][1]
-                for w, choice in split:
-                    acc += w
-                    if x < acc:
-                        state, nxt, _ = choice
-                        break
-            starts = state.starts
-            while starts and starts[0] <= t:
-                starts.popleft()
-            if len(starts) >= cfg.queue_capacity_packets:
-                if send_t >= warm_start:
-                    dropped[fid] += 1
-                at = math.inf
-            else:
-                start = state.free_at
-                if start > t:
-                    starts.append(start)
-                else:
-                    start = t
-                free_at = state.free_at = start + state.tx_s
-                overlap = min(free_at, sim_end) - max(start, warm_start)
-                if overlap > 0:
-                    state.busy_s += overlap
-                at = free_at + state.prop_s
-                if nxt is not None or not fixed[fid]:
-                    heapq.heappush(heap, (at, next(seq), fid, send_t, nxt))
-                    at = math.inf
-        if at <= sim_end and send_t >= warm_start:
-            delivered[fid] += 1
-            delay_sum[fid] += at - send_t
-            delay_max[fid] = max(delay_max[fid], at - send_t)
-        if generate:
-            nxt_t = t + interval[fid]
-            if nxt_t < sim_end:
-                heapq.heapreplace(heap, (nxt_t, next(seq), fid, None, None))
-            else:
-                heapq.heappop(heap)
+    sent, delivered, dropped, delay_sum, delay_max = (
+        _replay(routes, interval, phases, sim_end, warm_start, cfg.queue_capacity_packets)
+        if flows else ([],) * 5)
 
     records: dict[tuple[str, str], FlowRecord] = {}
     total_delay = 0.0

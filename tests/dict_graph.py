@@ -209,6 +209,15 @@ def latency_graph(topology) -> WeightedGraph:
     return g
 
 
+def link_for(topology, a: str, b: str):
+    """The `simnet.SimLink` of `topology` between `a` and `b`, either way
+    round, as its former `link_for` method found it."""
+    for link in topology.links:
+        if {link.a, link.b} == {a, b}:
+            return link
+    raise KeyError(f"no link {(a, b)}")
+
+
 def hop_rows(hop_graph: HopGraph) -> list[tuple[str, str, float]]:
     """(tower_a, tower_b, length_km) per hop row, in row order."""
     ids = list(hop_graph.towers)

@@ -17,7 +17,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from dict_graph import (  # noqa: E402
-    WeightedGraph, connected, fiber_dict_graph, latency_graph, to_csr,
+    WeightedGraph, connected, fiber_dict_graph, latency_graph, link_for, to_csr,
 )
 from test_designer import (  # noqa: E402
     exhaustive_optimum, fw_pair_lengths, random_instance,
@@ -138,7 +138,7 @@ def test_criterion_6_simulator_behavior():
         if rec.delivered == 0:
             continue
         p = graphcore.shortest_path(g, a, b)
-        tx = sum(500 * 8 / (topo.link_for(u, v).capacity_gbps * 1e9) * 1000.0
+        tx = sum(500 * 8 / (link_for(topo, u, v).capacity_gbps * 1e9) * 1000.0
                  for u, v in p.edges)
         qsum += max(rec.mean_delay_ms - (p.total_weight + tx), 0.0) * rec.delivered
         qn += rec.delivered

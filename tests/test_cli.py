@@ -285,6 +285,28 @@ def test_fiber_pruning_golden_and_monotone(pipeline):
     assert_matches_golden(pipeline["pruning_csv"], "fiber_pruning.csv")
 
 
+def test_fiber_baseline_adds_uniform_stretch_to_gravity(pipeline, tmp_path):
+    # The demo's junction f_j has no population, so its pairs weigh alike
+    # and `stats` is the uniform stretch already.
+    with open(pipeline["fiber_baseline"]) as fh:
+        uniform = json.load(fh)
+    assert uniform["stats"]["weighting"] == "uniform"
+    assert "uniform_stats" not in uniform
+    # With a population at the junction, `stats` is gravity-weighted and
+    # `uniform_stats` is the same graph's uniform stretch.
+    eps = tmp_path / "fiber_endpoints.csv"
+    with open(os.path.join(DEMO, "fiber_endpoints.csv")) as fh:
+        eps.write_text(fh.read().replace("f_j,0.6,0.3,0", "f_j,0.6,0.3,100"))
+    cfgp = write_config(tmp_path, demo_config(fiber_endpoints_csv=str(eps)))
+    out = str(tmp_path / "fiber")
+    assert main(["fiber", "--config", cfgp, "--out", out]) == 0
+    with open(os.path.join(out, "fiber_baseline.json")) as fh:
+        gravity = json.load(fh)
+    assert gravity["stats"]["weighting"] == "gravity"
+    assert gravity["uniform_stats"] == uniform["stats"]
+    assert gravity["stats"]["median"] != uniform["stats"]["median"]
+
+
 def test_fiber_tree_conduit_single_step(tmp_path):
     eps = tmp_path / "eps.csv"
     eps.write_text("id,lat,lon,population\na,0,0,1\nb,0,1,1\nc,0,2,1\n")
